@@ -27,6 +27,12 @@
 //!    fused campaign re-run with [`rustfi::QuantMode::Int8`] — real integer
 //!    kernels, faults landing in stored INT8 words — reported as a
 //!    within-run ratio against the f32 fused campaign.
+//! 6. **INT8 conv ablation**: the compiled-plan INT8 convolution
+//!    ([`rustfi_tensor::conv2d_q_planned`]: implicit GEMM over a
+//!    channels-last input plane, prepacked panel, fused epilogue) against
+//!    the unplanned im2row [`rustfi_tensor::conv2d_q`] at every ResNet-110
+//!    conv shape of the cifar10-like zoo config (outputs asserted
+//!    bit-identical).
 //!
 //! Knobs are the shared quick-mode `RUSTFI_*` environment variables — see
 //! [`rustfi_bench::QuickMode`] — which `bench_gate` reads too.
@@ -39,7 +45,10 @@ use rustfi_bench::{env_usize, zoo_config_for, QuickMode};
 use rustfi_nn::{zoo, Network, ZooConfig};
 use rustfi_tensor::pack::{matmul_packed_a, Epilogue, PackedA};
 use rustfi_tensor::qkernels::{matmul_i8_nt, matmul_i8_nt_portable};
-use rustfi_tensor::{kernels, matmul, matmul_into, parallel, tpool, SeededRng, Tensor};
+use rustfi_tensor::{
+    conv2d_q, conv2d_q_planned, kernels, matmul, matmul_into, parallel, tpool, Act, ConvSpec,
+    PackedConvI16, QTensor, SeededRng, Tensor,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -293,6 +302,82 @@ fn bench_int8_matmul(c: &mut Criterion, rows: &mut Vec<Int8MatmulRow>) {
             n,
             portable_s,
             dispatched_s,
+        });
+    }
+    group.finish();
+}
+
+struct Int8ConvRow {
+    c: usize,
+    oc: usize,
+    hw: usize,
+    k: usize,
+    stride: usize,
+    unplanned_s: f64,
+    planned_s: f64,
+}
+
+/// The INT8 convolution the weight-fault campaigns spend their trials in:
+/// the planned implicit GEMM (prepacked [`PackedConvI16`] panel, input read
+/// in place from a channels-last plane) against the unplanned im2row
+/// [`conv2d_q`], one batch-1 sample per call, at every conv shape of
+/// ResNet-110 on the cifar10-like config (16×16 inputs, widths 8/16/32).
+/// Both paths produce the same bits — asserted after timing.
+fn bench_int8_conv(c: &mut Criterion, rows: &mut Vec<Int8ConvRow>) {
+    let mut rng = SeededRng::new(17);
+    // (in_ch, out_ch, input hw, kernel, stride); padding is kernel / 2.
+    let shapes = [
+        (3usize, 8usize, 16usize, 3usize, 1usize),
+        (8, 8, 16, 3, 1),
+        (8, 16, 16, 3, 2),
+        (8, 16, 16, 1, 2),
+        (16, 16, 8, 3, 1),
+        (16, 32, 8, 3, 2),
+        (16, 32, 8, 1, 2),
+        (32, 32, 4, 3, 1),
+    ];
+    // Each call takes microseconds: time many per sample.
+    let calls = env_usize("RUSTFI_MATMUL_ITERS", 12) * 100;
+    let mut group = c.benchmark_group("int8_conv");
+    group.sample_size(env_usize("RUSTFI_MATMUL_ITERS", 12));
+    for (ch, oc, hw, k, stride) in shapes {
+        let spec = ConvSpec::new().stride(stride).padding(k / 2);
+        let x = Tensor::rand_normal(&[1, ch, hw, hw], 0.0, 1.0, &mut rng);
+        let w = Tensor::rand_normal(&[oc, ch, k, k], 0.0, 0.5, &mut rng);
+        let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
+        let qw = QTensor::quantize_per_channel(&w);
+        let panel = PackedConvI16::pack(qw.data(), [oc, ch, k, k]);
+        let scale = 0.02f32;
+        let unplanned = || conv2d_q(&x, &qw, &b, &spec, scale);
+        let planned = || conv2d_q_planned(&x, &qw, &panel, &b, &spec, scale, None, Act::None);
+        let label = format!("{ch}x{hw}x{hw}>{oc}k{k}s{stride}");
+        group.bench_with_input(BenchmarkId::new("conv2d_q", &label), &(), |bch, ()| {
+            bch.iter(unplanned)
+        });
+        group.bench_with_input(BenchmarkId::new("planned", &label), &(), |bch, ()| {
+            bch.iter(planned)
+        });
+        let unplanned_s = time_mean(calls, unplanned);
+        let planned_s = time_mean(calls, planned);
+        assert_eq!(
+            unplanned().data(),
+            planned().data(),
+            "planned INT8 conv diverged at {label}"
+        );
+        println!(
+            "  int8 conv {label}: conv2d_q {:.2} us -> planned {:.2} us ({:.2}x)",
+            unplanned_s * 1e6,
+            planned_s * 1e6,
+            unplanned_s / planned_s
+        );
+        rows.push(Int8ConvRow {
+            c: ch,
+            oc,
+            hw,
+            k,
+            stride,
+            unplanned_s,
+            planned_s,
         });
     }
     group.finish();
@@ -765,10 +850,13 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+// One slice per bench section, in JSON order.
+#[allow(clippy::too_many_arguments)]
 fn write_json(
     matmul_rows: &[MatmulRow],
     packed_matmul_rows: &[PackedMatmulRow],
     int8_matmul_rows: &[Int8MatmulRow],
+    int8_conv_rows: &[Int8ConvRow],
     elemwise_rows: &[ElemwiseRow],
     steady_state_allocs: f64,
     camp: &CampaignNumbers,
@@ -822,6 +910,23 @@ fn write_json(
             )
         })
         .collect();
+    let int8_conv_json: Vec<String> = int8_conv_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"c\": {}, \"oc\": {}, \"hw\": {}, \"k\": {}, \"stride\": {}, \
+                 \"conv2d_q_s\": {:.6e}, \"planned_s\": {:.6e}, \"speedup\": {:.3}}}",
+                r.c,
+                r.oc,
+                r.hw,
+                r.k,
+                r.stride,
+                r.unplanned_s,
+                r.planned_s,
+                r.unplanned_s / r.planned_s
+            )
+        })
+        .collect();
     let elemwise_json: Vec<String> = elemwise_rows
         .iter()
         .map(|r| {
@@ -847,6 +952,8 @@ fn write_json(
          \x20 \"int8_matmul\": [\n{}\n  ],\n\
          \x20 \"int8_matmul_geomean_speedup\": {:.3},\n\
          \x20 \"int8_matmul_simd\": \"{}\",\n\
+         \x20 \"int8_conv\": [\n{}\n  ],\n\
+         \x20 \"int8_conv_planned_geomean\": {:.3},\n\
          \x20 \"elementwise\": [\n{}\n  ],\n\
          \x20 \"elementwise_geomean_speedup\": {:.3},\n\
          \x20 \"campaign\": {{\n\
@@ -890,6 +997,8 @@ fn write_json(
                 .map(|r| r.portable_s / r.dispatched_s)
         ),
         int8_matmul_simd(),
+        int8_conv_json.join(",\n"),
+        geomean(int8_conv_rows.iter().map(|r| r.unplanned_s / r.planned_s)),
         elemwise_json.join(",\n"),
         geomean(elemwise_rows.iter().map(|r| r.scalar_s / r.kernel_s)),
         camp.model,
@@ -932,6 +1041,8 @@ fn bench_all(c: &mut Criterion) {
     bench_packed_matmul(c, &mut packed_matmul_rows);
     let mut int8_matmul_rows = Vec::new();
     bench_int8_matmul(c, &mut int8_matmul_rows);
+    let mut int8_conv_rows = Vec::new();
+    bench_int8_conv(c, &mut int8_conv_rows);
     let mut elemwise_rows = Vec::new();
     bench_elementwise(c, &mut elemwise_rows);
     let camp = bench_campaign(c, &qm);
@@ -944,6 +1055,7 @@ fn bench_all(c: &mut Criterion) {
         &matmul_rows,
         &packed_matmul_rows,
         &int8_matmul_rows,
+        &int8_conv_rows,
         &elemwise_rows,
         steady_state_allocs,
         &camp,

@@ -20,6 +20,11 @@
 //! 4. With a compiled forward plan on top (prepacked weight panels, fused
 //!    GEMM epilogues), warmed planned passes must also allocate nothing —
 //!    panel packing is a setup cost, never a steady-state one.
+//! 5. With the plan and the real-INT8 backend both on — the implicit-GEMM
+//!    convolution, whose per-thread input plane changes shape from layer to
+//!    layer — warmed passes of a residual net with stride-2 projection
+//!    shortcuts must allocate nothing either: the plane scratch is reused
+//!    across every input shape the net presents.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
@@ -87,6 +92,21 @@ fn main() {
         planned == 0.0,
         "planned forward path allocated at steady state — panel packing must \
          happen at warmup, not per pass ({planned:.3} allocations/pass)"
+    );
+
+    let planned_int8 = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let mut net = zoo::resnet18(&cfg);
+        let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&input));
+        net.set_backend(Backend::Int8(Arc::new(table)));
+        net.set_plan(true);
+        alloc_count::steady_state_forward_allocs(&mut net, &input, 8, 64)
+    };
+    println!("alloc_gate: planned int8 -> {planned_int8:.1} allocations/pass");
+    assert!(
+        planned_int8 == 0.0,
+        "planned INT8 forward path allocated at steady state — the input-plane \
+         scratch must be reused across shapes ({planned_int8:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

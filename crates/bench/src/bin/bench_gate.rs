@@ -4,7 +4,8 @@
 //! `benches/campaign_throughput` in quick mode) against the committed
 //! baseline at the repository root, and exits non-zero if any within-run
 //! speedup ratio — prefix caching, trial fusion, matmul kernel geomean,
-//! packed-panel GEMM geomean, planned-vs-fused campaign rate — fell below
+//! packed-panel GEMM geomean, planned-vs-unplanned INT8 conv geomean,
+//! planned-vs-fused campaign rate — fell below
 //! `RUSTFI_GATE_MIN_RATIO` (default 0.75, i.e. a >25% regression).
 //! Speedups are ratios of two measurements from the same run on the same
 //! machine, so the comparison is runner-speed independent; gating absolute

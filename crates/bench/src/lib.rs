@@ -93,7 +93,8 @@ impl QuickMode {
 ///
 /// The gate compares *within-run speedup ratios* — prefix-cache speedup,
 /// fused speedup, matmul kernel geomean, packed-vs-unpacked GEMM geomean,
-/// planned-vs-fused campaign rate — between a freshly measured
+/// planned-vs-unplanned INT8 conv geomean, planned-vs-fused campaign rate —
+/// between a freshly measured
 /// `BENCH_campaign.json` and the committed baseline. Ratios of two
 /// measurements taken on the same machine in the same run cancel out the
 /// machine's absolute speed, so the committed baseline stays meaningful on
@@ -143,7 +144,7 @@ pub mod gate {
     /// an empty return therefore means the files share no comparable metric.
     pub fn checks(baseline: &str, fresh: &str) -> Vec<Check> {
         let mut out = Vec::new();
-        let pairs: [(&'static str, Extract); 8] = [
+        let pairs: [(&'static str, Extract); 9] = [
             ("matmul_geomean_speedup", |t| {
                 json_f64(t, "matmul_geomean_speedup", 0)
             }),
@@ -152,6 +153,9 @@ pub mod gate {
             }),
             ("int8_matmul_geomean_speedup", |t| {
                 json_f64(t, "int8_matmul_geomean_speedup", 0)
+            }),
+            ("int8_conv_planned_geomean", |t| {
+                json_f64(t, "int8_conv_planned_geomean", 0)
             }),
             ("elementwise_geomean_speedup", |t| {
                 json_f64(t, "elementwise_geomean_speedup", 0)
@@ -598,6 +602,7 @@ mod tests {
   "packed_vs_unpacked_geomean": 1.300,
   "int8_matmul_geomean_speedup": 2.500,
   "int8_matmul_simd": "avx2",
+  "int8_conv_planned_geomean": 2.200,
   "elementwise_geomean_speedup": 1.500,
   "campaign": {
     "model": "vgg19",
@@ -611,7 +616,7 @@ mod tests {
     #[test]
     fn gate_compares_int8_metrics_when_both_sides_have_them() {
         let checks = gate::checks(FAKE_BENCH_INT8, FAKE_BENCH_INT8);
-        assert_eq!(checks.len(), 8);
+        assert_eq!(checks.len(), 9);
         let by_name = |n: &str| checks.iter().find(|c| c.name == n).unwrap();
         // The int8 geomean key must not be confused with the f32 one.
         assert_eq!(by_name("int8_matmul_geomean_speedup").fresh, 2.5);
@@ -619,6 +624,7 @@ mod tests {
         assert_eq!(by_name("int8_fused_vs_f32").fresh, 1.2);
         assert_eq!(by_name("packed_vs_unpacked_geomean").fresh, 1.3);
         assert_eq!(by_name("planned_fused_vs_f32_fused").fresh, 1.6);
+        assert_eq!(by_name("int8_conv_planned_geomean").fresh, 2.2);
         // An old baseline without the int8/packing keys skips them, not fails.
         assert_eq!(gate::checks(FAKE_BENCH, FAKE_BENCH_INT8).len(), 4);
     }

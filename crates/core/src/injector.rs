@@ -571,7 +571,7 @@ impl FaultInjector {
     ) -> bool {
         let qw = self
             .net
-            .layer_qweight_mut(layer_id)
+            .layer_qweight(layer_id)
             .expect("profiled injectable layer has a quantized kernel");
         let scale = qw.scale_for_index(site.index);
         let old_w = qw.data()[site.index];
@@ -591,10 +591,10 @@ impl FaultInjector {
             return false;
         };
         drop(rng);
-        self.net
-            .layer_qweight_mut(layer_id)
-            .expect("still present")
-            .data_mut()[site.index] = new_w;
+        // One stored word and its one compiled-panel slot; the layer is
+        // never repacked.
+        let written = self.net.set_layer_qweight_word(layer_id, site.index, new_w);
+        assert!(written, "profiled injectable layer has a quantized kernel");
         self.qweight_undo.push((site.layer, site.index, old_w));
         self.applied.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = self.recorder.lock().as_ref() {
@@ -636,10 +636,8 @@ impl FaultInjector {
         }
         for (layer, index, old) in self.qweight_undo.drain(..).rev() {
             let id = self.profile.layers()[layer].id;
-            self.net
-                .layer_qweight_mut(id)
-                .expect("profiled layer has a quantized kernel")
-                .data_mut()[index] = old;
+            let written = self.net.set_layer_qweight_word(id, index, old);
+            assert!(written, "profiled layer has a quantized kernel");
         }
     }
 
@@ -1048,13 +1046,13 @@ mod tests {
         fi.enable_int8_backend(table);
         let golden_q = fi.forward(&x());
         let id = fi.profile().layers()[0].id;
-        let word_before = fi.net_mut().layer_qweight_mut(id).unwrap().data()[3];
+        let word_before = fi.net_mut().layer_qweight(id).unwrap().data()[3];
         fi.declare_weight_fi(&[WeightFault {
             select: WeightSelect::Exact { layer: 0, index: 3 },
             model: Arc::new(BitFlipInt8::new(BitSelect::Fixed(6))),
         }])
         .unwrap();
-        let word_after = fi.net_mut().layer_qweight_mut(id).unwrap().data()[3];
+        let word_after = fi.net_mut().layer_qweight(id).unwrap().data()[3];
         assert_eq!(
             (word_before as u8) ^ (word_after as u8),
             1 << 6,

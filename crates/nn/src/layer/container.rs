@@ -1024,6 +1024,24 @@ mod tests {
         // bit for bit.
         net.layer_weight_mut(conv).unwrap().data_mut()[7] = original;
         assert_eq!(net.forward(&x), blessed, "undo restores blessed output");
+
+        // INT8: a stored-word fault patches one panel slot instead of
+        // repacking, matches the unplanned integer path, and its undo
+        // restores the blessed pass.
+        use crate::quantized::{Backend, CalibrationTable};
+        use std::sync::Arc;
+        let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
+        net.set_backend(Backend::Int8(Arc::new(table)));
+        let blessed = net.forward(&x);
+        let word = net.layer_qweight(conv).unwrap().data()[7];
+        assert!(net.set_layer_qweight_word(conv, 7, (word as u8 ^ 0x20) as i8));
+        let faulty = net.forward(&x);
+        assert_ne!(faulty, blessed, "stale panels would mask the fault");
+        net.set_plan(false);
+        assert_eq!(net.forward(&x), faulty, "planned fault == unplanned fault");
+        net.set_plan(true);
+        assert!(net.set_layer_qweight_word(conv, 7, word));
+        assert_eq!(net.forward(&x), blessed, "undo restores blessed output");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::module::{
 };
 use rustfi_tensor::{
     conv2d, conv2d_backward, conv2d_planned, conv2d_q, conv2d_q_planned, Act, BnFoldView, ConvSpec,
-    Im2colPlan, Im2rowPlan, PackedA, PackedI16, QTensor, SeededRng, Tensor,
+    Im2colPlan, PackedA, PackedConvI16, QTensor, SeededRng, Tensor,
 };
 
 /// A 2-D convolution with learned weights and bias.
@@ -32,17 +32,16 @@ pub struct Conv2d {
     /// exactly, with no allocation.
     packed: Vec<PackedA>,
     packed_stale: bool,
-    /// Compiled-plan pre-widened `i16` panels derived from `qweight`, one
-    /// per group, for the INT8 GEMM. Stale whenever `qweight` is rebuilt or
-    /// handed out mutably.
-    wide: Vec<PackedI16>,
+    /// Compiled-plan pre-widened `i16` panel derived from `qweight`, laid
+    /// out for the implicit-GEMM INT8 kernel. Stale whenever `qweight` is
+    /// rebuilt; a stored-word write ([`Module::set_qweight_word`]) patches
+    /// its one slot instead.
+    wide: Option<PackedConvI16>,
     wide_stale: bool,
     /// Compiled-plan im2col gather map, built lazily for the input spatial
     /// shape the planned forward actually sees and rebuilt only when that
     /// shape changes. Pure geometry — weight faults never touch it.
     gather: Option<Im2colPlan>,
-    /// INT8 twin of `gather` (transposed im2row destination layout).
-    gather_q: Option<Im2rowPlan>,
 }
 
 impl Conv2d {
@@ -81,10 +80,9 @@ impl Conv2d {
             qweight: None,
             packed: Vec::new(),
             packed_stale: false,
-            wide: Vec::new(),
+            wide: None,
             wide_stale: false,
             gather: None,
-            gather_q: None,
         }
     }
 
@@ -120,26 +118,20 @@ impl Conv2d {
         self.packed_stale = false;
     }
 
-    /// Builds or refreshes the pre-widened INT8 panels from `qweight`
+    /// Builds or refreshes the pre-widened INT8 panel from `qweight`
     /// (quantizing the weights first if needed).
     fn ensure_wide(&mut self) {
         let qw = self
             .qweight
             .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-        let &[oc, cg, kh, kw] = qw.dims() else {
-            unreachable!("conv qweights are rank 4");
-        };
-        let groups = self.spec.groups;
-        let (og, kcols) = (oc / groups, cg * kh * kw);
-        if self.wide.len() != groups {
-            self.wide.clear();
-            for g in 0..groups {
-                let slab = &qw.data()[g * og * kcols..][..og * kcols];
-                self.wide.push(PackedI16::widen(slab, og, kcols));
-            }
-        } else if self.wide_stale {
-            for (g, panel) in self.wide.iter_mut().enumerate() {
-                panel.rewiden(&qw.data()[g * og * kcols..][..og * kcols]);
+        match &mut self.wide {
+            Some(panel) if self.wide_stale => panel.repack(qw.data()),
+            Some(_) => {}
+            None => {
+                let &[oc, cg, kh, kw] = qw.dims() else {
+                    unreachable!("conv qweights are rank 4");
+                };
+                self.wide = Some(PackedConvI16::pack(qw.data(), [oc, cg, kh, kw]));
             }
         }
         self.wide_stale = false;
@@ -165,14 +157,9 @@ impl Conv2d {
         match ctx.input_scale(self.meta.id) {
             Some(scale) => {
                 self.ensure_wide();
-                if !self.gather_q.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
-                    self.gather_q = Some(Im2rowPlan::build(cg, h, w, (kh, kw), &self.spec));
-                }
-                let plan = self.gather_q.as_ref().expect("plan built above");
                 let qw = self.qweight.as_ref().expect("ensure_wide builds qweight");
-                conv2d_q_planned(
-                    input, qw, &self.wide, plan, &self.bias, &self.spec, scale, bn, act,
-                )
+                let panel = self.wide.as_ref().expect("ensure_wide builds the panel");
+                conv2d_q_planned(input, qw, panel, &self.bias, &self.spec, scale, bn, act)
             }
             None => {
                 self.ensure_packed();
@@ -319,14 +306,21 @@ impl Module for Conv2d {
         Some(&mut self.bias)
     }
 
-    fn qweight_mut(&mut self) -> Option<&mut QTensor> {
-        // The caller may flip stored-INT8 bits in the returned words; the
-        // widened plan panels must be rebuilt from them.
-        self.wide_stale = true;
+    fn qweight(&mut self) -> Option<&QTensor> {
         Some(
             self.qweight
                 .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight)),
         )
+    }
+
+    fn set_qweight_word(&mut self, index: usize, word: i8) -> bool {
+        self.qweight
+            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight))
+            .data_mut()[index] = word;
+        if let Some(panel) = self.wide.as_mut().filter(|_| !self.wide_stale) {
+            panel.set_word(index, word);
+        }
+        true
     }
 }
 
@@ -388,6 +382,53 @@ mod tests {
         for (a, b) in g1.iter().zip(&g2) {
             assert!((b - 2.0 * a).abs() < 1e-5, "second backward doubles grads");
         }
+    }
+
+    #[test]
+    fn stored_word_writes_patch_one_panel_slot_and_undo_restores_a_fresh_pack() {
+        use crate::quantized::{Backend, CalibrationTable};
+        use std::sync::Arc;
+        let spec = ConvSpec::new().padding(1).stride(2);
+        let dims = [4usize, 6, 3, 3];
+        let fresh = |w: &[i8]| PackedConvI16::pack(w, dims);
+
+        // Panel bytes: a write then its undo, at first/middle/last words.
+        let mut conv = Conv2d::new(6, 4, 3, spec, &mut SeededRng::new(7));
+        conv.ensure_wide();
+        let words = conv.qweight().unwrap().data().to_vec();
+        for index in [0usize, 29, words.len() - 1] {
+            let flipped = (words[index] as u8 ^ 0x40) as i8;
+            assert!(conv.set_qweight_word(index, flipped));
+            let mut faulted = words.clone();
+            faulted[index] = flipped;
+            assert_eq!(conv.wide.as_ref(), Some(&fresh(&faulted)), "fault @{index}");
+            assert!(conv.set_qweight_word(index, words[index]));
+            assert_eq!(conv.wide.as_ref(), Some(&fresh(&words)), "undo @{index}");
+        }
+
+        // Forwards: a fault written into a live panel computes what a layer
+        // whose panel was first packed from the faulted words computes.
+        let x = Tensor::from_fn(&[2, 6, 7, 7], |i| (i as f32 * 0.37).sin());
+        let planned_int8 = || {
+            let conv = Conv2d::new(6, 4, 3, spec, &mut SeededRng::new(7));
+            let mut net = Network::new(Box::new(conv));
+            let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
+            net.set_backend(Backend::Int8(Arc::new(table)));
+            net.set_plan(true);
+            net
+        };
+        let (index, flipped) = (29, (words[29] as u8 ^ 0x40) as i8);
+        let mut live = planned_int8();
+        let id = live.injectable_layers()[0];
+        let blessed = live.forward(&x);
+        assert!(live.set_layer_qweight_word(id, index, flipped));
+        let faulty = live.forward(&x);
+        assert_ne!(faulty, blessed, "the write reaches the planned kernel");
+        let mut packed_faulty = planned_int8();
+        assert!(packed_faulty.set_layer_qweight_word(id, index, flipped));
+        assert_eq!(packed_faulty.forward(&x), faulty);
+        assert!(live.set_layer_qweight_word(id, index, words[index]));
+        assert_eq!(live.forward(&x), blessed, "undo restores the blessed pass");
     }
 
     #[test]

@@ -34,7 +34,9 @@ pub struct Linear {
     /// when the weights are handed out mutably.
     packed: Option<PackedB>,
     packed_stale: bool,
-    /// Compiled-plan pre-widened `i16` panel derived from `qweight`.
+    /// Compiled-plan pre-widened `i16` panel derived from `qweight`; a
+    /// stored-word write ([`Module::set_qweight_word`]) patches its one
+    /// slot.
     wide: Option<PackedI16>,
     wide_stale: bool,
 }
@@ -267,14 +269,21 @@ impl Module for Linear {
         Some(&mut self.bias)
     }
 
-    fn qweight_mut(&mut self) -> Option<&mut QTensor> {
-        // The caller may flip stored-INT8 bits in the returned words; the
-        // widened plan panel must be rebuilt from them.
-        self.wide_stale = true;
+    fn qweight(&mut self) -> Option<&QTensor> {
         Some(
             self.qweight
                 .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight)),
         )
+    }
+
+    fn set_qweight_word(&mut self, index: usize, word: i8) -> bool {
+        self.qweight
+            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight))
+            .data_mut()[index] = word;
+        if let Some(panel) = self.wide.as_mut().filter(|_| !self.wide_stale) {
+            panel.set_word(index, word);
+        }
+        true
     }
 }
 

@@ -466,12 +466,27 @@ pub trait Module: Send {
     }
 
     /// The layer's cached per-channel quantized weights, if the layer has a
-    /// quantized kernel. Builds the cache on first access; stored-INT8
-    /// weight-fault campaigns flip bits directly in the returned words.
-    /// Mutating the f32 weights (via [`Module::weight_mut`] or the parameter
-    /// visitors) drops the cache, so flips do not survive a retrain.
-    fn qweight_mut(&mut self) -> Option<&mut QTensor> {
+    /// quantized kernel. Builds the cache on first access. Read-only:
+    /// stored-word writes go through [`Module::set_qweight_word`], which
+    /// keeps the compiled plan's weight panel in step. Mutating the f32
+    /// weights (via [`Module::weight_mut`] or the parameter visitors) drops
+    /// the cache, so written words do not survive a retrain.
+    fn qweight(&mut self) -> Option<&QTensor> {
         None
+    }
+
+    /// Writes one stored INT8 weight word — where stored-INT8 weight-fault
+    /// campaigns flip bits, and where their undo puts the old word back.
+    /// Updates the cached `i8` word at flat index `index` and, when a
+    /// compiled plan has packed the weights, the one panel slot holding it,
+    /// so a fault or its undo never repacks the layer. Returns `false` for
+    /// layers without a quantized kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds for the layer's weights.
+    fn set_qweight_word(&mut self, _index: usize, _word: i8) -> bool {
+        false
     }
 
     /// How this layer folds into the preceding conv/linear layer's fused
@@ -868,11 +883,20 @@ impl Network {
         self.root.find_mut(id).and_then(|m| m.bias_mut())
     }
 
-    /// Mutable access to a layer's cached quantized weights by id, building
-    /// the cache if needed (see [`Module::qweight_mut`]). `None` for layers
-    /// without a quantized kernel.
-    pub fn layer_qweight_mut(&mut self, id: LayerId) -> Option<&mut QTensor> {
-        self.root.find_mut(id).and_then(|m| m.qweight_mut())
+    /// A layer's cached quantized weights by id, building the cache if
+    /// needed (see [`Module::qweight`]). `None` for layers without a
+    /// quantized kernel.
+    pub fn layer_qweight(&mut self, id: LayerId) -> Option<&QTensor> {
+        self.root.find_mut(id).and_then(|m| m.qweight())
+    }
+
+    /// Writes one stored INT8 weight word of a layer by id, patching its
+    /// compiled-plan panel slot too (see [`Module::set_qweight_word`]).
+    /// Returns `false` when no such layer has a quantized kernel.
+    pub fn set_layer_qweight_word(&mut self, id: LayerId, index: usize, word: i8) -> bool {
+        self.root
+            .find_mut(id)
+            .is_some_and(|m| m.set_qweight_word(index, word))
     }
 
     /// Propagates an input shape through the module tree without running it

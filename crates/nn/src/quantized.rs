@@ -241,12 +241,8 @@ mod tests {
         let clean = net.forward(&images[0]);
 
         // Flip a high bit of one stored weight word.
-        let original = {
-            let qw = net.layer_qweight_mut(conv).expect("conv has qweight");
-            let word = qw.data()[0];
-            qw.data_mut()[0] = (word as u8 ^ (1u8 << 6)) as i8;
-            word
-        };
+        let original = net.layer_qweight(conv).expect("conv has qweight").data()[0];
+        assert!(net.set_layer_qweight_word(conv, 0, (original as u8 ^ (1u8 << 6)) as i8));
         let faulty = net.forward(&images[0]);
         assert_ne!(faulty, clean, "stored-word flip must perturb int8 output");
 
@@ -257,7 +253,7 @@ mod tests {
         // Restoring the word restores the int8 output bit-exactly.
         let table2 = CalibrationTable::calibrate(&mut net, &images);
         net.set_backend(Backend::Int8(Arc::new(table2)));
-        net.layer_qweight_mut(conv).unwrap().data_mut()[0] = original;
+        assert!(net.set_layer_qweight_word(conv, 0, original));
         assert_eq!(net.forward(&images[0]), clean);
     }
 

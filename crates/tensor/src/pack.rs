@@ -5,9 +5,11 @@
 //! millions of times. Packing rearranges each weight matrix **once** into the
 //! exact panel layout the register-tiled microkernels walk ([`PackedA`] for
 //! matrices on the left of the product, [`PackedB`] for the right,
-//! [`PackedI16`] for pre-widened INT8 operands), so the per-trial kernel
-//! streams one contiguous buffer instead of gathering strided rows — and the
-//! per-forward `W^T` transpose of the linear layer disappears entirely.
+//! [`PackedI16`] for pre-widened INT8 linear weights, [`PackedConvI16`] for
+//! pre-widened INT8 conv weights in the implicit-GEMM order), so the
+//! per-trial kernel streams one contiguous buffer instead of gathering
+//! strided rows — and the per-forward `W^T` transpose of the linear layer
+//! disappears entirely.
 //!
 //! **Bit-identity.** The packed f32 kernels perform, for every output
 //! element, the identical sequence of multiplies and adds as the unpacked
@@ -401,6 +403,17 @@ impl PackedI16 {
         }
     }
 
+    /// Writes one source word: the panel slot of row-major index `index`
+    /// becomes `word`, exactly as a [`rewiden`](Self::rewiden) from a source
+    /// holding `word` there would leave it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn set_word(&mut self, index: usize, word: i8) {
+        self.buf[index] = word as i16;
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -412,6 +425,112 @@ impl PackedI16 {
     }
 
     /// The widened words (diagnostics/tests).
+    pub fn data(&self) -> &[i16] {
+        &self.buf
+    }
+}
+
+/// Lane granularity of a [`PackedConvI16`] segment: one AVX2 register of
+/// `i16` words.
+pub(crate) const CONV_LANES: usize = 16;
+
+/// INT8 convolution weights `[oc, cg, kh, kw]` pre-widened to `i16` and laid
+/// out for the implicit-GEMM convolution kernel.
+///
+/// Row `o` (one output channel) holds `kh` segments, one per kernel row
+/// `ky`. Segment `ky` is the `(kx, c)` run `w[o][c][ky][kx]` at lane
+/// `kx * cg + c` — the order in which a channels-last input plane stores
+/// the `kw` pixels one kernel row covers — zero-padded to
+/// [`seg`](Self::seg) lanes, a multiple of 16 (one AVX2 register). The kernel
+/// multiplies whole segments against the plane, so the padding lanes must
+/// stay zero: every write goes through a source index, never a pad lane.
+///
+/// Integer accumulation is exact, so this `(ky, kx, c)` order gives the same
+/// sums as the `(c, ky, kx)` order of the unplanned im2row GEMM. Packing is
+/// a pure function of the weight bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedConvI16 {
+    dims: [usize; 4],
+    seg: usize,
+    buf: Vec<i16>,
+}
+
+impl PackedConvI16 {
+    /// Packs `src`, the row-major `i8` words of an `[oc, cg, kh, kw]` weight
+    /// tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` disagrees with `dims`.
+    pub fn pack(src: &[i8], dims: [usize; 4]) -> Self {
+        let [oc, cg, kh, kw] = dims;
+        let seg = (kw * cg).div_ceil(CONV_LANES) * CONV_LANES;
+        let mut p = Self {
+            dims,
+            seg,
+            buf: vec![0; oc * kh * seg],
+        };
+        p.repack(src);
+        p
+    }
+
+    /// Repacks in place from a same-shaped source, reusing the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` disagrees with the packed dimensions.
+    pub fn repack(&mut self, src: &[i8]) {
+        let [oc, cg, kh, kw] = self.dims;
+        assert_eq!(src.len(), oc * cg * kh * kw, "source length != weight dims");
+        let mut words = src.iter();
+        for o in 0..oc {
+            for c in 0..cg {
+                for ky in 0..kh {
+                    let seg = &mut self.buf[(o * kh + ky) * self.seg..][..self.seg];
+                    for kx in 0..kw {
+                        seg[kx * cg + c] = *words.next().expect("length checked") as i16;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes one weight word: the panel slot of row-major source index
+    /// `index` becomes `word`, exactly as a [`repack`](Self::repack) from a
+    /// source holding `word` there would leave it. This is the whole cost
+    /// of a stored-weight fault (and of its undo) on a compiled plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn set_word(&mut self, index: usize, word: i8) {
+        let [oc, cg, kh, kw] = self.dims;
+        assert!(
+            index < oc * cg * kh * kw,
+            "weight index {index} out of bounds"
+        );
+        let (o, rem) = (index / (cg * kh * kw), index % (cg * kh * kw));
+        let (c, ky, kx) = (rem / (kh * kw), rem / kw % kh, rem % kw);
+        self.buf[(o * kh + ky) * self.seg + kx * cg + c] = word as i16;
+    }
+
+    /// The packed weight dimensions `[oc, cg, kh, kw]`.
+    pub fn dims(&self) -> [usize; 4] {
+        self.dims
+    }
+
+    /// Lanes per kernel-row segment: `kw * cg` rounded up to a multiple
+    /// of 16.
+    pub fn seg(&self) -> usize {
+        self.seg
+    }
+
+    /// Lanes per output-channel row: `kh * seg`.
+    pub fn row_len(&self) -> usize {
+        self.dims[2] * self.seg
+    }
+
+    /// The packed words, `[oc, kh, seg]`.
     pub fn data(&self) -> &[i16] {
         &self.buf
     }
@@ -713,7 +832,7 @@ impl PackedB {
 
 /// A precomputed gather map: the compiled plan's replacement for per-element
 /// index arithmetic when lowering an activation slice into a GEMM operand
-/// (im2col / im2row). Each entry is either a source offset or an
+/// (the f32 im2col). Each entry is either a source offset or an
 /// out-of-range sentinel standing for a padding zero, so the per-forward
 /// lowering collapses to one flat indexed copy — no per-element coordinate
 /// math, no edge-case branches.
@@ -986,5 +1105,53 @@ mod tests {
         let flipped: Vec<i8> = src.iter().map(|&v| v.wrapping_neg()).collect();
         p.rewiden(&flipped);
         assert_eq!(p.data()[3], flipped[3] as i16);
+        p.set_word(3, src[3]);
+        assert_eq!(p.data()[3], src[3] as i16);
+    }
+
+    #[test]
+    fn conv_panel_layout_is_ky_kx_c_with_zero_padded_segments() {
+        // [oc=2, cg=3, kh=2, kw=2]: kw*cg = 6 real lanes per 16-lane segment.
+        let dims = [2usize, 3, 2, 2];
+        let src: Vec<i8> = (0..24).map(|i| i as i8 + 1).collect();
+        let p = PackedConvI16::pack(&src, dims);
+        assert_eq!((p.seg(), p.row_len(), p.data().len()), (16, 32, 64));
+        for o in 0..2 {
+            for c in 0..3 {
+                for ky in 0..2 {
+                    for kx in 0..2 {
+                        let word = src[((o * 3 + c) * 2 + ky) * 2 + kx];
+                        let slot = (o * 2 + ky) * 16 + kx * 3 + c;
+                        assert_eq!(p.data()[slot], word as i16, "o{o} c{c} ky{ky} kx{kx}");
+                    }
+                }
+            }
+            for ky in 0..2 {
+                let pad = &p.data()[(o * 2 + ky) * 16 + 6..][..10];
+                assert!(pad.iter().all(|&v| v == 0), "pad lanes stay zero");
+            }
+        }
+    }
+
+    #[test]
+    fn conv_panel_word_writes_match_a_fresh_pack() {
+        let dims = [4usize, 5, 3, 3];
+        let len = 4 * 5 * 9;
+        let src: Vec<i8> = (0..len).map(|i| (i * 37 % 255) as u8 as i8).collect();
+        let blessed = PackedConvI16::pack(&src, dims);
+        let mut live = blessed.clone();
+        let mut faulty = src.clone();
+        for index in [0usize, 1, 44, 91, len - 1] {
+            let flipped = (src[index] as u8 ^ 0x80) as i8;
+            faulty[index] = flipped;
+            live.set_word(index, flipped);
+            assert_eq!(live, PackedConvI16::pack(&faulty, dims), "apply @{index}");
+            faulty[index] = src[index];
+            live.set_word(index, src[index]);
+            assert_eq!(live, blessed, "undo @{index}");
+        }
+        let mut repacked = blessed.clone();
+        repacked.repack(&faulty);
+        assert_eq!(repacked, blessed);
     }
 }

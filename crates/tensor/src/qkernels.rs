@@ -21,14 +21,18 @@
 //! activations stay representable.
 //!
 //! The slice kernels use the same runtime-dispatch trio as the elementwise
-//! tail (`simd_kernel!`), and [`matmul_i8_nt`] follows the `linalg`
+//! tail (`simd_kernel!`), except [`quantize_slice`], whose rounding needs a
+//! hand-vectorized AVX2 body. [`matmul_i8_nt`] follows the `linalg`
 //! `block_rows` pattern with a hand-vectorized AVX2 body: `i8` operands are
-//! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`. Integer
-//! arithmetic is exact, so the AVX2 and portable kernels are bit-identical
-//! regardless of accumulation order.
+//! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`; the
+//! planned convolution's implicit GEMM does the same over a channels-last
+//! input plane. Integer arithmetic is exact, so the AVX2 and portable
+//! kernels are bit-identical regardless of accumulation order.
 
 use crate::kernels::simd_kernel;
-use crate::pack::PackedI16;
+#[cfg(doc)]
+use crate::pack::PackedConvI16;
+use crate::pack::{PackedI16, CONV_LANES};
 
 /// Largest representable quantized magnitude.
 pub const QMAX: i32 = 127;
@@ -91,20 +95,72 @@ pub fn dequantize_one(q: i8, scale: f32) -> f32 {
     q as f32 * scale
 }
 
-simd_kernel! {
-    /// Quantizes a slice: `dst[i] = quantize_one(src[i], scale)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch or a non-positive scale.
-    quantize_slice / quantize_slice_avx2 / quantize_slice_impl,
-    (src: &[f32], scale: f32, dst: &mut [i8]) {
-        assert_eq!(src.len(), dst.len());
-        assert!(scale > 0.0, "scale must be positive, got {scale}");
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d = quantize_raw(x, scale);
-        }
+/// Quantizes a slice: `dst[i] = quantize_one(src[i], scale)`.
+///
+/// Hand-vectorized under AVX2: `f32::round` has no vector lowering (it
+/// compiles to a scalar `roundf` call per element), so the AVX2 body
+/// rebuilds it from a truncation and stays bit-identical to the scalar
+/// rule.
+///
+/// # Panics
+///
+/// Panics on length mismatch or a non-positive scale.
+pub fn quantize_slice(src: &[f32], scale: f32, dst: &mut [i8]) {
+    assert_eq!(src.len(), dst.len());
+    assert!(scale > 0.0, "scale must be positive, got {scale}");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: reached only after runtime detection confirms AVX2; the
+        // lengths are asserted equal above.
+        unsafe { quantize_slice_avx2(src, scale, dst) };
+        return;
     }
+    quantize_slice_impl(src, scale, dst);
+}
+
+fn quantize_slice_impl(src: &[f32], scale: f32, dst: &mut [i8]) {
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d = quantize_raw(x, scale);
+    }
+}
+
+/// Eight lanes of [`quantize_raw`] at a time. With `v = x / scale` (the same
+/// IEEE division) and `t = trunc(v)`, `v - t` is exact, so
+/// `t + copysign(1, v)` where `|v - t| >= 0.5`, else `t`, is exactly
+/// `v.round()` (ties away from zero) for every finite `v`. ±∞ keeps
+/// `t = ±∞` (its `v - t` is NaN, which fails the compare) and clamps to
+/// ±127; NaN lanes are zeroed, matching the saturating cast.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `dst` must be at least as long as `src`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_slice_avx2(src: &[f32], scale: f32, dst: &mut [i8]) {
+    use std::arch::x86_64::*;
+    let n8 = src.len() - src.len() % 8;
+    let vscale = _mm256_set1_ps(scale);
+    let sign = _mm256_set1_ps(-0.0);
+    let (half, one) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
+    let (lo, hi) = (_mm256_set1_ps(-(QMAX as f32)), _mm256_set1_ps(QMAX as f32));
+    for i in (0..n8).step_by(8) {
+        let v = _mm256_div_ps(_mm256_loadu_ps(src.as_ptr().add(i)), vscale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(v, t));
+        let away = _mm256_or_ps(one, _mm256_and_ps(sign, v));
+        let r = _mm256_add_ps(
+            t,
+            _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half), away),
+        );
+        let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
+        let q = _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(r, lo), hi));
+        let q16 = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        _mm_storel_epi64(
+            dst.as_mut_ptr().add(i) as *mut __m128i,
+            _mm_packs_epi16(q16, q16),
+        );
+    }
+    quantize_slice_impl(&src[n8..], scale, &mut dst[n8..]);
 }
 
 simd_kernel! {
@@ -326,130 +382,219 @@ unsafe fn matmul_i8_nt_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: us
     }
 }
 
-/// [`matmul_i8_nt`] with a pre-widened *left* operand: `a` is a
-/// [`PackedI16`] of the `[m, k]` matrix, so the AVX2 body loads its 16-lane
-/// `i16` segments directly instead of sign-extending on every pass. Widening
-/// is exact and integer accumulation is exact, so results are bit-identical
-/// to [`matmul_i8_nt`] on the original `i8` words.
+/// Geometry of one implicit-GEMM convolution over a zero-padded,
+/// channels-last `i16` input plane (see [`conv_i16_implicit`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlaneConv {
+    /// Plane width in pixels, padding included.
+    pub wp: usize,
+    /// Channels per plane pixel.
+    pub cg: usize,
+    /// Convolution stride.
+    pub stride: usize,
+    /// Kernel rows.
+    pub kh: usize,
+    /// Lanes per kernel-row segment ([`PackedConvI16::seg`]).
+    pub seg: usize,
+    /// Output rows.
+    pub oh: usize,
+    /// Output columns.
+    pub ow: usize,
+}
+
+impl PlaneConv {
+    /// Plane offset of output pixel `p`'s top-left input word: padding is in
+    /// the plane, so every kernel row's `(kx, c)` run starts here plus
+    /// `ky * wp * cg` and is contiguous for any stride.
+    #[inline(always)]
+    fn base(&self, p: usize) -> usize {
+        ((p / self.ow) * self.wp + p % self.ow) * self.stride * self.cg
+    }
+
+    /// Plane words the kernel may read: the last pixel's last segment,
+    /// including the pad lanes past its run (the panel holds zeros there).
+    pub fn plane_reach(&self) -> usize {
+        self.base(self.oh * self.ow - 1) + (self.kh - 1) * self.wp * self.cg + self.seg
+    }
+}
+
+/// Implicit-GEMM INT8 convolution of one sample group:
+/// `acc[r][p] = Σ_ky Σ_l panel[r][ky][l] · plane[base(p) + ky·wp·cg + l]`
+/// for `rows` output channels of a [`PackedConvI16`] panel and every output
+/// pixel `p`, read straight from the channels-last `plane` — no im2row
+/// matrix, no gather map.
+///
+/// Each sum is an exact integer dot product over the same `cg·kh·kw` real
+/// products as the im2row GEMM of [`conv2d_q`](crate::conv2d_q), plus pad
+/// lanes whose panel words are zero, so the AVX2 and portable kernels are
+/// bit-identical to it and to each other. Counts as one integer GEMM.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`matmul_i8_nt`].
-pub fn matmul_i8_nt_wa(a: &PackedI16, b: &[i8], out: &mut [i32], n: usize) {
+/// Panics if `plane`, `panel` or `acc` is shorter than the geometry needs,
+/// or if the reduction could overflow the `i32` accumulator.
+pub(crate) fn conv_i16_implicit(
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
     crate::opcount::count_matmul_i8();
-    let (m, k) = (a.rows(), a.k());
-    assert_eq!(b.len(), n * k, "rhs length != n*k");
-    assert_eq!(out.len(), m * n, "out length != m*n");
     assert!(
-        k <= i32::MAX as usize / (QMAX * QMAX) as usize,
-        "k={k} could overflow the i32 accumulator"
+        geo.seg.is_multiple_of(CONV_LANES) && geo.seg > 0,
+        "bad segment"
+    );
+    assert!(geo.oh * geo.ow > 0, "empty output");
+    assert!(plane.len() >= geo.plane_reach(), "plane too short");
+    assert!(panel.len() >= rows * geo.kh * geo.seg, "panel too short");
+    assert!(acc.len() >= rows * geo.oh * geo.ow, "accumulator too short");
+    assert!(
+        geo.kh * geo.seg <= i32::MAX as usize / (QMAX * QMAX) as usize,
+        "k={} could overflow the i32 accumulator",
+        geo.kh * geo.seg
     );
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: reached only after runtime detection confirms AVX2.
-        unsafe { matmul_i8_nt_wa_avx2(a.data(), b, out, m, k, n) };
+        // SAFETY: reached only after runtime detection confirms AVX2; the
+        // asserts above bound every read and write the kernel makes.
+        unsafe { conv_implicit_avx2(plane, panel, rows, geo, acc) };
         return;
     }
-    matmul_i8_nt_wa_impl(a.data(), b, out, m, k, n);
+    conv_implicit_impl(plane, panel, rows, geo, acc);
 }
 
-#[inline(always)]
-fn matmul_i8_nt_wa_impl(aw: &[i16], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let a_row = &aw[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0i32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x as i32 * y as i32;
+fn conv_implicit_impl(plane: &[i16], panel: &[i16], rows: usize, geo: &PlaneConv, acc: &mut [i32]) {
+    let (ohw, row_len, ky_step) = (geo.oh * geo.ow, geo.kh * geo.seg, geo.wp * geo.cg);
+    for r in 0..rows {
+        let w = &panel[r * row_len..][..row_len];
+        for p in 0..ohw {
+            let base = geo.base(p);
+            let mut sum = 0i32;
+            for ky in 0..geo.kh {
+                let x = &plane[base + ky * ky_step..][..geo.seg];
+                for (&a, &b) in w[ky * geo.seg..][..geo.seg].iter().zip(x) {
+                    sum += a as i32 * b as i32;
+                }
             }
-            out[i * n + j] = acc;
+            acc[r * ohw + p] = sum;
         }
     }
 }
 
+/// Register-blocked AVX2 body: tiles of 2 output channels × 4 pixels keep
+/// 8 `pmaddwd` accumulators in registers, each loaded weight vector feeding
+/// 4 pixels and each loaded plane vector 2 channels; a channel's 4 pixel
+/// sums leave the tile as one vector store.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and the slices must cover the geometry as
+/// [`conv_i16_implicit`] asserts: `plane` at least `geo.plane_reach()`
+/// words, `panel` `rows` full rows, `acc` `rows * oh * ow` entries.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_nt_wa_avx2(
-    aw: &[i16],
-    b: &[i8],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
+unsafe fn conv_implicit_avx2(
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    let mut r = 0;
+    while r + 2 <= rows {
+        implicit_rows::<2>(plane, panel, r, geo, acc);
+        r += 2;
+    }
+    if r < rows {
+        implicit_rows::<1>(plane, panel, r, geo, acc);
+    }
+}
+
+/// All pixels of output channels `r0..r0 + R`.
+///
+/// # Safety
+///
+/// As [`conv_implicit_avx2`], with `r0 + R` at most its `rows`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn implicit_rows<const R: usize>(
+    plane: &[i16],
+    panel: &[i16],
+    r0: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    let ohw = geo.oh * geo.ow;
+    let mut p = 0;
+    while p + 4 <= ohw {
+        implicit_tile::<R, 4>(plane, panel, r0, p, geo, acc);
+        p += 4;
+    }
+    while p < ohw {
+        implicit_tile::<R, 1>(plane, panel, r0, p, geo, acc);
+        p += 1;
+    }
+}
+
+/// One `R` channels × `P` pixels tile, written to `acc[r][p]`.
+///
+/// # Safety
+///
+/// As [`implicit_rows`], with `p0 + P` at most `oh * ow`: every plane read
+/// then ends by `geo.plane_reach()`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's (channel, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn implicit_tile<const R: usize, const P: usize>(
+    plane: &[i16],
+    panel: &[i16],
+    r0: usize,
+    p0: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
 ) {
     use std::arch::x86_64::*;
 
-    /// 16 `i8`s at `p`, sign-extended into 16 `i16` lanes.
-    #[inline(always)]
-    unsafe fn widen16(p: *const i8) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i))
+    let (ohw, row_len, ky_step) = (geo.oh * geo.ow, geo.kh * geo.seg, geo.wp * geo.cg);
+    let x: [*const i16; P] = std::array::from_fn(|j| plane.as_ptr().add(geo.base(p0 + j)));
+    let w: [*const i16; R] = std::array::from_fn(|i| panel.as_ptr().add((r0 + i) * row_len));
+    let mut a = [[_mm256_setzero_si256(); P]; R];
+    for ky in 0..geo.kh {
+        let (xo, wo) = (ky * ky_step, ky * geo.seg);
+        let mut l = 0;
+        while l < geo.seg {
+            let xv: [__m256i; P] =
+                std::array::from_fn(|j| _mm256_loadu_si256(x[j].add(xo + l) as *const __m256i));
+            for i in 0..R {
+                let wv = _mm256_loadu_si256(w[i].add(wo + l) as *const __m256i);
+                for j in 0..P {
+                    a[i][j] = _mm256_add_epi32(a[i][j], _mm256_madd_epi16(wv, xv[j]));
+                }
+            }
+            l += CONV_LANES;
+        }
     }
-
-    /// 16 pre-widened `i16` lanes at `p`.
-    #[inline(always)]
-    unsafe fn load16w(p: *const i16) -> __m256i {
-        _mm256_loadu_si256(p as *const __m256i)
-    }
-
-    /// Sum of the 8 `i32` lanes.
-    #[inline(always)]
-    unsafe fn hsum(v: __m256i) -> i32 {
-        let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
-        _mm_cvtsi128_si32(s)
-    }
-
-    let kv = k - (k % 16);
-    for i in 0..m {
-        let a_ptr = aw.as_ptr().add(i * k);
+    for i in 0..R {
+        let dst = acc.as_mut_ptr().add((r0 + i) * ohw + p0);
         let mut j = 0;
-        while j + 4 <= n {
-            let b0 = b.as_ptr().add(j * k);
-            let b1 = b.as_ptr().add((j + 1) * k);
-            let b2 = b.as_ptr().add((j + 2) * k);
-            let b3 = b.as_ptr().add((j + 3) * k);
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut acc2 = _mm256_setzero_si256();
-            let mut acc3 = _mm256_setzero_si256();
-            let mut kk = 0;
-            while kk < kv {
-                let va = load16w(a_ptr.add(kk));
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, widen16(b0.add(kk))));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, widen16(b1.add(kk))));
-                acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, widen16(b2.add(kk))));
-                acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, widen16(b3.add(kk))));
-                kk += 16;
-            }
-            let mut sums = [hsum(acc0), hsum(acc1), hsum(acc2), hsum(acc3)];
-            for kk in kv..k {
-                let x = *a_ptr.add(kk) as i32;
-                sums[0] += x * *b0.add(kk) as i32;
-                sums[1] += x * *b1.add(kk) as i32;
-                sums[2] += x * *b2.add(kk) as i32;
-                sums[3] += x * *b3.add(kk) as i32;
-            }
-            out[i * n + j..i * n + j + 4].copy_from_slice(&sums);
+        while j + 4 <= P {
+            // Three horizontal adds fold four pixels' 8-lane partial sums
+            // into one vector of their four totals.
+            let s01 = _mm256_hadd_epi32(a[i][j], a[i][j + 1]);
+            let s23 = _mm256_hadd_epi32(a[i][j + 2], a[i][j + 3]);
+            let s = _mm256_hadd_epi32(s01, s23);
+            let t = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
+            _mm_storeu_si128(dst.add(j) as *mut __m128i, t);
             j += 4;
         }
-        while j < n {
-            let b_ptr = b.as_ptr().add(j * k);
-            let mut acc = _mm256_setzero_si256();
-            let mut kk = 0;
-            while kk < kv {
-                acc = _mm256_add_epi32(
-                    acc,
-                    _mm256_madd_epi16(load16w(a_ptr.add(kk)), widen16(b_ptr.add(kk))),
-                );
-                kk += 16;
-            }
-            let mut sum = hsum(acc);
-            for kk in kv..k {
-                sum += *a_ptr.add(kk) as i32 * *b_ptr.add(kk) as i32;
-            }
-            out[i * n + j] = sum;
+        while j < P {
+            let v = a[i][j];
+            let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
+            *dst.add(j) = _mm_cvtsi128_si32(s);
             j += 1;
         }
     }
@@ -608,14 +753,40 @@ mod tests {
     }
 
     #[test]
+    fn vector_quantizer_matches_scalar_rule_across_bit_patterns() {
+        // A stride through every f32 bit pattern (all exponents, both signs,
+        // NaN payloads, subnormals) plus every tie and near-tie in range.
+        let mut src: Vec<f32> = (0..1u64 << 32)
+            .step_by(65_521)
+            .map(|b| f32::from_bits(b as u32))
+            .collect();
+        for k in -300i32..300 {
+            let tie = k as f32 + 0.5;
+            src.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        for scale in [1.0f32, 0.019, 3.0e-7, 1.0e30] {
+            let mut got = vec![0i8; src.len()];
+            quantize_slice(&src, scale, &mut got);
+            for (i, (&q, &x)) in got.iter().zip(&src).enumerate() {
+                assert_eq!(q, quantize_one(x, scale), "x={x:e} ({i}) scale={scale}");
+            }
+        }
+    }
+
+    #[test]
     fn slice_kernels_match_scalar_and_dispatch_is_bit_identical() {
         let mut rng = SeededRng::new(3);
         for len in [1usize, 7, 16, 31, 257] {
             let src: Vec<f32> = (0..len)
-                .map(|i| match i % 5 {
+                .map(|i| match i % 9 {
                     0 => f32::NAN,
                     1 => f32::INFINITY,
                     2 => -(i as f32) * 0.37,
+                    3 => f32::NEG_INFINITY,
+                    // Exact ties at the scale below: k + 0.5 steps.
+                    4 => (rng.below(300) as f32 - 150.0 + 0.5) * 0.019,
+                    5 => -0.0,
+                    6 => (rng.below(2) as f32 * 2.0 - 1.0) * 3.0e9,
                     _ => (rng.below(1000) as f32 - 500.0) * 0.01,
                 })
                 .collect();
@@ -708,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn widened_gemms_are_bit_identical_to_i8() {
+    fn widened_gemm_is_bit_identical_to_i8() {
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 17, 5),
@@ -721,15 +892,71 @@ mod tests {
             let mut plain = vec![0i32; m * n];
             matmul_i8_nt(&a, &b, &mut plain, m, k, n);
 
-            let wa = PackedI16::widen(&a, m, k);
-            let mut fast = vec![1i32; m * n];
-            matmul_i8_nt_wa(&wa, &b, &mut fast, n);
-            assert_eq!(fast, plain, "wa {m}x{k}x{n}");
-
             let wb = PackedI16::widen(&b, n, k);
             let mut fast = vec![1i32; m * n];
             matmul_i8_nt_wb(&a, &wb, &mut fast, m);
             assert_eq!(fast, plain, "wb {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn implicit_conv_dispatch_matches_portable_and_direct_sums() {
+        use crate::pack::PackedConvI16;
+        // (rows, cg, kh, kw, stride, oh, ow): 2-row tiles and single-row
+        // remainders, 4-pixel tiles and single-pixel remainders, segments
+        // with and without pad lanes, multi-vector segments, stride 2.
+        for &(rows, cg, kh, kw, stride, oh, ow) in &[
+            (1usize, 1usize, 1usize, 1usize, 1usize, 1usize, 1usize),
+            (4, 3, 3, 3, 1, 4, 4),
+            (5, 8, 3, 3, 2, 3, 5),
+            (8, 32, 3, 3, 1, 4, 4),
+            (7, 5, 1, 1, 2, 2, 3),
+            (6, 7, 5, 5, 1, 2, 2),
+        ] {
+            let seg = (kw * cg).div_ceil(CONV_LANES) * CONV_LANES;
+            let wp = (ow - 1) * stride + kw;
+            let geo = PlaneConv {
+                wp,
+                cg,
+                stride,
+                kh,
+                seg,
+                oh,
+                ow,
+            };
+            // Exactly the reach: the kernel must never read past it.
+            let plane: Vec<i16> = probe_i8(geo.plane_reach(), 41 + rows as u64)
+                .into_iter()
+                .map(i16::from)
+                .collect();
+            let words = probe_i8(rows * cg * kh * kw, 43 + cg as u64);
+            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw]);
+            let ohw = oh * ow;
+            let mut fast = vec![7i32; rows * ohw];
+            let mut slow = vec![9i32; rows * ohw];
+            conv_i16_implicit(&plane, panel.data(), rows, &geo, &mut fast);
+            conv_implicit_impl(&plane, panel.data(), rows, &geo, &mut slow);
+            assert_eq!(
+                fast, slow,
+                "dispatch vs portable {rows}x{cg}x{kh}x{kw}/{stride}"
+            );
+            for r in 0..rows {
+                for p in 0..ohw {
+                    let (oy, ox) = (p / ow, p % ow);
+                    let mut want = 0i32;
+                    for c in 0..cg {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let x =
+                                    plane[((oy * stride + ky) * wp + ox * stride + kx) * cg + c];
+                                let w = words[((r * cg + c) * kh + ky) * kw + kx];
+                                want += x as i32 * w as i32;
+                            }
+                        }
+                    }
+                    assert_eq!(fast[r * ohw + p], want, "row {r} pixel {p}");
+                }
+            }
         }
     }
 

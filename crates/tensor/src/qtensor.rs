@@ -9,20 +9,27 @@
 //! conversion goes through [`qkernels`](crate::qkernels), so the stored words
 //! match the f32 quantization simulation bit for bit.
 //!
-//! Both kernels are element-independent per batch sample (the input scale is
+//! The compiled-plan twin [`conv2d_q_planned`] skips the im2row lowering
+//! altogether: it quantizes each sample into a zero-padded, channels-last
+//! `i16` plane and runs an implicit GEMM that reads every receptive field in
+//! place against a [`PackedConvI16`] panel. Integer accumulation is exact,
+//! so both paths produce the same bits.
+//!
+//! All kernels are element-independent per batch sample (the input scale is
 //! static, not derived from the batch), so a batched forward over duplicated
 //! samples produces each slice bit-identical to a batch-1 forward — the
 //! property trial fusion relies on.
 //!
 //! Scratch buffers come from a thread-local cache like the f32 conv path
-//! (`i8`/`i32` slabs cannot live in the f32 tensor pool), so warmed quantized
-//! forwards allocate nothing.
+//! (`i8`/`i16`/`i32` slabs cannot live in the f32 tensor pool), so warmed
+//! quantized forwards allocate nothing.
 
 use crate::conv::ConvSpec;
-use crate::pack::{Act, BnFoldView, GatherPlan, PackedI16};
+use crate::pack::{Act, BnFoldView, PackedConvI16, PackedI16};
 use crate::qkernels::{
-    dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt, matmul_i8_nt_wa,
+    conv_i16_implicit, dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt,
     matmul_i8_nt_wb, quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite,
+    PlaneConv,
 };
 use crate::tensor::Tensor;
 
@@ -171,40 +178,42 @@ impl QTensor {
     }
 }
 
-/// Runs `f` with this thread's reusable `i8`/`i32` quantized-kernel scratch,
-/// sized to at least the requested lengths. Mirrors the f32 conv scratch:
+/// This thread's reusable quantized-kernel scratch: `i8` input words, the
+/// unplanned im2row matrix, the planned path's `i16` input plane, and `i32`
+/// accumulators (none of which can live in the f32 tensor pool).
+struct QScratch {
+    qin: Vec<i8>,
+    rows: Vec<i8>,
+    plane: Vec<i16>,
+    acc: Vec<i32>,
+}
+
+/// The first `len` elements of `v`, growing it first if needed. Buffers only
+/// grow, so once a forward has seen its largest shape, warmed forwards over
+/// any mix of shapes allocate nothing.
+fn grown<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+    &mut v[..len]
+}
+
+/// Runs `f` with this thread's [`QScratch`]. Mirrors the f32 conv scratch:
 /// stale contents are harmless because every kernel overwrites (or
-/// zero-fills) the elements it exposes, and reuse keeps warmed quantized
-/// forwards allocation-free.
-fn with_q_scratch(
-    qin_len: usize,
-    rows_len: usize,
-    acc_len: usize,
-    f: impl FnOnce(&mut [i8], &mut [i8], &mut [i32]),
-) {
+/// zero-fills) the elements it exposes.
+fn with_q_scratch<R>(f: impl FnOnce(&mut QScratch) -> R) -> R {
     use std::cell::RefCell;
     thread_local! {
-        static SCRATCH: RefCell<(Vec<i8>, Vec<i8>, Vec<i32>)> =
-            const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+        static SCRATCH: RefCell<QScratch> = const {
+            RefCell::new(QScratch {
+                qin: Vec::new(),
+                rows: Vec::new(),
+                plane: Vec::new(),
+                acc: Vec::new(),
+            })
+        };
     }
-    SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (qin, rows, acc) = &mut *guard;
-        if qin.len() < qin_len {
-            qin.resize(qin_len, 0);
-        }
-        if rows.len() < rows_len {
-            rows.resize(rows_len, 0);
-        }
-        if acc.len() < acc_len {
-            acc.resize(acc_len, 0);
-        }
-        f(
-            &mut qin[..qin_len],
-            &mut rows[..rows_len],
-            &mut acc[..acc_len],
-        );
-    });
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Lowers one sample's group slice of the quantized input into an im2row
@@ -249,65 +258,6 @@ fn im2row_i8(
                 }
             }
         }
-    }
-}
-
-/// Compiled im2row plan: a [`GatherPlan`] lowering one quantized sample's
-/// group slice (`[cg, h, w]` of `i8` words, contiguous) into the
-/// `[oh*ow, cg*kh*kw]` im2row matrix that [`conv2d_q_planned`] feeds its
-/// pre-widened integer GEMM. The INT8 analogue of
-/// [`Im2colPlan`](crate::conv::Im2colPlan): same geometry-only build, same
-/// bit-identity to the on-the-fly `im2row_i8` lowering, transposed
-/// destination layout.
-#[derive(Debug, Clone)]
-pub struct Im2rowPlan {
-    cg: usize,
-    h: usize,
-    w: usize,
-    map: GatherPlan,
-}
-
-impl Im2rowPlan {
-    /// Builds the plan for a `[cg, h, w]` group slice under `kernel` and
-    /// `spec`.
-    pub fn build(cg: usize, h: usize, w: usize, kernel: (usize, usize), spec: &ConvSpec) -> Self {
-        let (kh, kw) = kernel;
-        let oh = spec.out_size(h, kh);
-        let ow = spec.out_size(w, kw);
-        let kcols = cg * kh * kw;
-        let mut idx = vec![GatherPlan::PAD; oh * ow * kcols];
-        for c in 0..cg {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let col = (c * kh + ky) * kw + kx;
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            idx[(oy * ow + ox) * kcols + col] =
-                                ((c * h + iy as usize) * w + ix as usize) as u32;
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            cg,
-            h,
-            w,
-            map: GatherPlan::new(cg * h * w, idx),
-        }
-    }
-
-    /// Whether the plan was built for this group-slice shape.
-    pub fn matches(&self, cg: usize, h: usize, w: usize) -> bool {
-        self.cg == cg && self.h == h && self.w == w
     }
 }
 
@@ -377,76 +327,153 @@ pub fn conv2d_q(
             }
         };
 
+    let run_slab = |start: usize, slab: &mut [f32]| {
+        with_q_scratch(|s| {
+            let qin = grown(&mut s.qin, chw);
+            let rows = grown(&mut s.rows, ohw * kcols);
+            let acc = grown(&mut s.acc, og * ohw);
+            for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
+                run_batch(start + i, out_bn, qin, rows, acc);
+            }
+        })
+    };
     let total_macs = n * oc * ohw * kcols;
     if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, qin, rows, acc);
-                }
-            });
+        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, _, slab| {
+            run_slab(start, slab)
         });
     } else {
-        let out_data = out.data_mut();
-        with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-            for bn in 0..n {
-                let out_bn = &mut out_data[bn * batch_stride..(bn + 1) * batch_stride];
-                run_batch(bn, out_bn, qin, rows, acc);
-            }
-        });
+        run_slab(0, out.data_mut());
     }
     out
 }
 
-/// Dequantizes one integer GEMM row and applies the fused epilogue with the
-/// exact per-element op order of the serial chain: `dequant_bias_row`'s
-/// `s as f32 * scale + bias`, then the folded batch-norm expression, then
-/// the activation.
-#[inline(always)]
-fn dequant_epilogue_row(
-    acc: &[i32],
-    scale: f32,
-    bias: f32,
-    bnc: Option<(f32, f32, f32, f32)>,
-    act: Act,
-    out: &mut [f32],
+/// Writes one sample's quantized input words into its zero-padded,
+/// channels-last `i16` plane: group `g`'s region `[hp, wp, cg]` starts at
+/// `g * hp * wp * cg`, so within a group the `kw` pixels one kernel row
+/// covers are one contiguous `(kx, c)` run for any stride. Everything else
+/// the kernel may read — borders and the tail past the last group — is
+/// zero.
+#[allow(clippy::too_many_arguments)]
+fn fill_plane(
+    qin: &[i8],
+    groups: usize,
+    cg: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    wp: usize,
+    plane: &mut [i16],
 ) {
-    match bnc {
-        None => {
-            for (o, &s) in out.iter_mut().zip(acc) {
-                *o = act.apply(s as f32 * scale + bias);
-            }
-        }
-        Some((mean, inv_std, gamma, beta)) => {
-            for (o, &s) in out.iter_mut().zip(acc) {
-                let v = s as f32 * scale + bias;
-                let n = (v - mean) * inv_std;
-                *o = act.apply(gamma * n + beta);
+    let gplane = (h + 2 * pad) * wp * cg;
+    plane.fill(0);
+    for (g, region) in plane.chunks_mut(gplane).take(groups).enumerate() {
+        let fms = &qin[g * cg * h * w..][..cg * h * w];
+        for y in 0..h {
+            let row = &mut region[((y + pad) * wp + pad) * cg..][..w * cg];
+            for (x, px) in row.chunks_exact_mut(cg).enumerate() {
+                for (c, d) in px.iter_mut().enumerate() {
+                    *d = fms[(c * h + y) * w + x] as i16;
+                }
             }
         }
     }
 }
 
-/// Quantized 2-D convolution through a compiled plan: the weight slabs are
-/// pre-widened to `i16` panels ([`PackedI16`], one per group) and the
-/// dequantize + bias + optional batch-norm + activation chain is fused into
-/// the write-back loop.
+/// Dequantizes one group's `[og, ohw]` integer accumulators into `out` —
+/// `s as f32 * scale + bias`, exactly `dequant_bias_row`'s expression —
+/// then applies the folded batch-norm and the activation in the serial
+/// chain's per-element op order. Each (batch-norm, activation) variant gets
+/// its own branch-free loop, so every one of them vectorizes.
+#[allow(clippy::too_many_arguments)]
+fn dequant_epilogue(
+    acc: &[i32],
+    out: &mut [f32],
+    ohw: usize,
+    oc0: usize,
+    input_scale: f32,
+    qweight: &QTensor,
+    bias: &[f32],
+    bn: Option<BnFoldView<'_>>,
+    act: Act,
+) {
+    let affine = |r: usize| (input_scale * qweight.channel_scale(oc0 + r), bias[oc0 + r]);
+    match bn {
+        None => {
+            let row = |r| (affine(r), ());
+            match act {
+                Act::None => epilogue_rows(acc, out, ohw, row, |(), v| v),
+                Act::Relu => epilogue_rows(acc, out, ohw, row, |(), v| Act::Relu.apply(v)),
+                Act::LeakyRelu(s) => {
+                    epilogue_rows(acc, out, ohw, row, |(), v| Act::LeakyRelu(s).apply(v))
+                }
+            }
+        }
+        Some(f) => {
+            let row = |r| {
+                let c = oc0 + r;
+                (affine(r), (f.mean[c], f.inv_std[c], f.gamma[c], f.beta[c]))
+            };
+            let norm = |(mean, inv_std, gamma, beta): (f32, f32, f32, f32), v: f32| {
+                let n = (v - mean) * inv_std;
+                gamma * n + beta
+            };
+            match act {
+                Act::None => epilogue_rows(acc, out, ohw, row, norm),
+                Act::Relu => epilogue_rows(acc, out, ohw, row, |k, v| Act::Relu.apply(norm(k, v))),
+                Act::LeakyRelu(s) => epilogue_rows(acc, out, ohw, row, |k, v| {
+                    Act::LeakyRelu(s).apply(norm(k, v))
+                }),
+            }
+        }
+    }
+}
+
+/// The loop every [`dequant_epilogue`] variant runs: per output row, its
+/// `(scale, bias)` and row constants `K`, then `post(K, acc * scale + bias)`
+/// over the row's pixels.
+#[inline(always)]
+fn epilogue_rows<K: Copy>(
+    acc: &[i32],
+    out: &mut [f32],
+    ohw: usize,
+    row: impl Fn(usize) -> ((f32, f32), K),
+    post: impl Fn(K, f32) -> f32,
+) {
+    for (r, (a, o)) in acc
+        .chunks_exact(ohw)
+        .zip(out.chunks_exact_mut(ohw))
+        .enumerate()
+    {
+        let ((scale, bias), k) = row(r);
+        for (o, &s) in o.iter_mut().zip(a) {
+            *o = post(k, s as f32 * scale + bias);
+        }
+    }
+}
+
+/// Quantized 2-D convolution through a compiled plan, as an implicit GEMM:
+/// each sample is quantized once into a zero-padded, channels-last `i16`
+/// plane, and the integer kernel reads every output pixel's receptive field
+/// straight from it against the [`PackedConvI16`] weight panel — there is
+/// no im2row matrix and no gather map. The dequantize + bias + optional
+/// batch-norm + activation chain is fused into one write-back pass per
+/// group.
 ///
 /// Bit-identical to [`conv2d_q`] followed by the standalone batch-norm /
-/// activation kernels: widening is exact, integer accumulation is exact, and
-/// the fused epilogue replicates the serial per-element op order.
+/// activation kernels: the input words are the same `quantize_slice`
+/// words, integer accumulation is exact in any order, and the fused
+/// epilogue replicates the serial per-element op order.
 ///
 /// # Panics
 ///
-/// Panics if shapes, the spec, the panels, or `input_scale` are
+/// Panics if shapes, the spec, the panel, or `input_scale` are
 /// inconsistent.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_q_planned(
     input: &Tensor,
     qweight: &QTensor,
-    panels: &[PackedI16],
-    plan: &Im2rowPlan,
+    panel: &PackedConvI16,
     bias: &Tensor,
     spec: &ConvSpec,
     input_scale: f32,
@@ -464,79 +491,73 @@ pub fn conv2d_q_planned(
     assert_eq!(wc, c / spec.groups, "weight channel mismatch");
     assert_eq!(bias.len(), oc, "bias length != out_channels");
     assert!(input_scale > 0.0, "input scale must be positive");
-    assert_eq!(panels.len(), spec.groups, "one widened panel per group");
+    assert_eq!(panel.dims(), [oc, wc, kh, kw], "panel shape mismatch");
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let cg = c / spec.groups;
     let og = oc / spec.groups;
-    let kcols = cg * kh * kw;
     let ohw = oh * ow;
     let chw = c * h * w;
-    for p in panels {
-        assert_eq!(p.rows(), og, "panel row mismatch");
-        assert_eq!(p.k(), kcols, "panel k mismatch");
-    }
-    assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
-    assert_eq!(plan.map.len(), ohw * kcols, "gather plan size mismatch");
-    let ghw = cg * h * w;
+    let (hp, wp) = (h + 2 * spec.padding, w + 2 * spec.padding);
+    let geo = PlaneConv {
+        wp,
+        cg,
+        stride: spec.stride,
+        kh,
+        seg: panel.seg(),
+        oh,
+        ow,
+    };
+    let gplane = hp * wp * cg;
+    // The last group's reads may run up to one segment past its region.
+    let plane_len = (spec.groups - 1) * gplane + geo.plane_reach().max(gplane);
+    let grow = og * panel.row_len();
 
     let bdata = bias.data();
-
     // The epilogue writes every element exactly once, so the buffer may come
     // from the pool dirty.
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
-    let run_batch =
-        |bn_idx: usize, out_bn: &mut [f32], qin: &mut [i8], rows: &mut [i8], acc: &mut [i32]| {
-            quantize_slice(
-                &input.data()[bn_idx * chw..(bn_idx + 1) * chw],
-                input_scale,
-                qin,
-            );
-            for (g, panel) in panels.iter().enumerate() {
-                plan.map.gather(&qin[g * ghw..(g + 1) * ghw], rows);
-                matmul_i8_nt_wa(panel, rows, acc, ohw);
-                for o in 0..og {
-                    let oc_idx = g * og + o;
-                    let bnc = bn.map(|f| {
-                        (
-                            f.mean[oc_idx],
-                            f.inv_std[oc_idx],
-                            f.gamma[oc_idx],
-                            f.beta[oc_idx],
-                        )
-                    });
-                    dequant_epilogue_row(
-                        &acc[o * ohw..(o + 1) * ohw],
-                        input_scale * qweight.channel_scale(oc_idx),
-                        bdata[oc_idx],
-                        bnc,
+    let run_slab = |start: usize, slab: &mut [f32]| {
+        with_q_scratch(|s| {
+            let qin = grown(&mut s.qin, chw);
+            let plane = grown(&mut s.plane, plane_len);
+            let acc = grown(&mut s.acc, og * ohw);
+            for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
+                let bn_idx = start + i;
+                quantize_slice(&input.data()[bn_idx * chw..][..chw], input_scale, qin);
+                fill_plane(qin, spec.groups, cg, h, w, spec.padding, wp, plane);
+                for g in 0..spec.groups {
+                    conv_i16_implicit(
+                        &plane[g * gplane..],
+                        &panel.data()[g * grow..][..grow],
+                        og,
+                        &geo,
+                        acc,
+                    );
+                    dequant_epilogue(
+                        acc,
+                        &mut out_bn[g * og * ohw..][..og * ohw],
+                        ohw,
+                        g * og,
+                        input_scale,
+                        qweight,
+                        bdata,
+                        bn,
                         act,
-                        &mut out_bn[oc_idx * ohw..(oc_idx + 1) * ohw],
                     );
                 }
             }
-        };
-
-    let total_macs = n * oc * ohw * kcols;
+        })
+    };
+    let total_macs = n * oc * ohw * cg * kh * kw;
     if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, qin, rows, acc);
-                }
-            });
+        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, _, slab| {
+            run_slab(start, slab)
         });
     } else {
-        let out_data = out.data_mut();
-        with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-            for bn_idx in 0..n {
-                let out_bn = &mut out_data[bn_idx * batch_stride..(bn_idx + 1) * batch_stride];
-                run_batch(bn_idx, out_bn, qin, rows, acc);
-            }
-        });
+        run_slab(0, out.data_mut());
     }
     out
 }
@@ -569,7 +590,9 @@ pub fn linear_q_planned(
     assert_eq!(panel.k(), in_f, "panel k mismatch");
 
     let mut out = Tensor::from_pool(&[batch, out_f]);
-    with_q_scratch(batch * in_f, 0, batch * out_f, |qx, _rows, acc| {
+    with_q_scratch(|s| {
+        let qx = grown(&mut s.qin, batch * in_f);
+        let acc = grown(&mut s.acc, batch * out_f);
         quantize_slice(input.data(), input_scale, qx);
         matmul_i8_nt_wb(qx, panel, acc, batch);
         let bdata = bias.data();
@@ -625,7 +648,9 @@ pub fn linear_q(input: &Tensor, qweight: &QTensor, bias: &Tensor, input_scale: f
     assert!(input_scale > 0.0, "input scale must be positive");
 
     let mut out = Tensor::from_pool(&[batch, out_f]);
-    with_q_scratch(batch * in_f, 0, batch * out_f, |qx, _rows, acc| {
+    with_q_scratch(|s| {
+        let qx = grown(&mut s.qin, batch * in_f);
+        let acc = grown(&mut s.acc, batch * out_f);
         quantize_slice(input.data(), input_scale, qx);
         matmul_i8_nt(qx, qweight.data(), acc, batch, in_f, out_f);
         if qweight.is_per_channel() {
@@ -870,22 +895,14 @@ mod tests {
             let b = Tensor::rand_normal(&[4], 0.0, 0.1, &mut rng);
             let qw = QTensor::quantize_per_channel(&w);
             let scale = 0.02f32;
-            let og = 4 / spec.groups;
-            let kcols = (4 / spec.groups) * 9;
-            let panels: Vec<PackedI16> = (0..spec.groups)
-                .map(|g| {
-                    PackedI16::widen(&qw.data()[g * og * kcols..(g + 1) * og * kcols], og, kcols)
-                })
-                .collect();
+            let panel = PackedConvI16::pack(qw.data(), [4, 4 / spec.groups, 3, 3]);
 
             // Serial chain: conv2d_q then a standalone ReLU pass.
             let mut serial = conv2d_q(&x, &qw, &b, &spec, scale);
             for v in serial.data_mut() {
                 *v = v.max(0.0);
             }
-            let plan = Im2rowPlan::build(4 / spec.groups, 6, 6, (3, 3), &spec);
-            let fused =
-                conv2d_q_planned(&x, &qw, &panels, &plan, &b, &spec, scale, None, Act::Relu);
+            let fused = conv2d_q_planned(&x, &qw, &panel, &b, &spec, scale, None, Act::Relu);
             assert_eq!(fused.dims(), serial.dims());
             for (p, q) in fused.data().iter().zip(serial.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
