@@ -281,17 +281,18 @@ pub struct CampaignConfig {
     /// because the watchdog counts per-pass layer dispatches.
     pub fusion: Option<FusionConfig>,
     /// Compiled forward plans: every network (golden and per-worker) packs
-    /// its layer weights into GEMM-microkernel panel layouts at campaign
+    /// its conv weights into GEMM-microkernel panel layouts at campaign
     /// setup and fuses bias + activation (+ folded inference batchnorm)
-    /// into the GEMM write-back. Purely a throughput optimization — trial
-    /// records are bit-identical with planning on or off (a property test
-    /// asserts this): packed accumulation preserves the serial `kk` order
-    /// and fused epilogues apply the exact per-element expressions of the
-    /// unfused layers. Layer groups carrying forward hooks (injection
-    /// targets, guards, profilers) automatically run unfused, and a weight
-    /// fault repacks only the perturbed layer's panel for that trial. The
-    /// golden / calibration pass additionally tiles its GEMM rows across
-    /// the otherwise idle worker cores.
+    /// into the conv GEMM write-back. Plans cover convolutions only; linear
+    /// layers run their reference forward either way. Purely a throughput
+    /// optimization — trial records are bit-identical with planning on or
+    /// off (a property test asserts this): packed accumulation preserves
+    /// the serial `kk` order and fused epilogues apply the exact
+    /// per-element expressions of the unfused layers. Layer groups carrying
+    /// forward hooks (injection targets, guards, profilers) automatically
+    /// run unfused, and a weight fault repacks only the perturbed conv's
+    /// panel for that trial. The golden / calibration pass additionally
+    /// tiles its GEMM rows across the otherwise idle worker cores.
     pub plan: bool,
     /// Per-worker tensor-pool budget in bytes: each worker thread recycles
     /// retired activation buffers through a thread-local free list capped at

@@ -591,8 +591,8 @@ impl FaultInjector {
             return false;
         };
         drop(rng);
-        // One stored word and its one compiled-panel slot; the layer is
-        // never repacked.
+        // One stored word and, in a planned conv, its one panel slot; the
+        // layer is never repacked.
         let written = self.net.set_layer_qweight_word(layer_id, site.index, new_w);
         assert!(written, "profiled injectable layer has a quantized kernel");
         self.qweight_undo.push((site.layer, site.index, old_w));

@@ -66,31 +66,32 @@ impl Sequential {
     }
 
     /// Attempts to run the fusion group led by child `i`: a conv followed by
-    /// an optional batch norm and an optional activation (or a linear
-    /// followed by an optional activation). Fuses only when no group member
-    /// has forward hooks — an injection or profiling hook on any member
-    /// forces the unfused, hook-visible order. Returns the group output and
-    /// how many children it consumed, or `None` to fall back to plain
-    /// child-at-a-time dispatch.
+    /// an optional batch norm and an optional activation. Only a conv leads
+    /// a group, because it is the only layer with a fused forward:
+    /// [`ForwardCtx::forward_child_fused`] fires the capture tap and opens a
+    /// span before the leader runs, so a leader that declined would have
+    /// both fire again on the fallback dispatch. Fuses only when no group
+    /// member has forward hooks — an injection or profiling hook on any
+    /// member forces the unfused, hook-visible order. Returns the group
+    /// output and how many children it consumed, or `None` to fall back to
+    /// plain child-at-a-time dispatch.
     fn try_forward_fused(
         &mut self,
         i: usize,
         input: &Tensor,
         ctx: &mut ForwardCtx<'_>,
     ) -> Option<(Tensor, usize)> {
-        let leader_kind = self.children[i].kind();
-        if !leader_kind.is_injectable() || ctx.layer_has_hooks(self.children[i].meta().id) {
+        if self.children[i].kind() != LayerKind::Conv2d
+            || ctx.layer_has_hooks(self.children[i].meta().id)
+        {
             return None;
         }
         let mut j = i + 1;
         let mut bn_child = None;
-        // Conv output is 4-D NCHW, so a BatchNorm2d partner can fold; linear
-        // output is 2-D and cannot carry one.
-        if leader_kind == LayerKind::Conv2d
-            && self
-                .children
-                .get(j)
-                .is_some_and(|c| c.fuse_partner() == Some(FusePartner::BatchNorm))
+        if self
+            .children
+            .get(j)
+            .is_some_and(|c| c.fuse_partner() == Some(FusePartner::BatchNorm))
             && !ctx.layer_has_hooks(self.children[j].meta().id)
         {
             bn_child = Some(j);
@@ -909,8 +910,9 @@ mod tests {
             .is_none());
     }
 
-    /// A spine exercising every fusion shape: conv+bn+relu, conv+leaky,
-    /// bare conv, and linear+relu — with non-trivial BN running stats.
+    /// A spine exercising every fusion shape — conv+bn+relu, conv+leaky and a
+    /// bare conv — then a linear+relu tail, which runs unfused (plans cover
+    /// convolutions only), with non-trivial BN running stats.
     fn plan_test_net() -> crate::module::Network {
         use crate::layer::{BatchNorm2d, Flatten, LeakyRelu, Linear};
         let mut rng = SeededRng::new(11);
@@ -1007,41 +1009,52 @@ mod tests {
 
     #[test]
     fn planned_weight_fault_repacks_and_undo_restores() {
-        let mut net = plan_test_net();
-        let x = plan_test_input();
-        net.set_plan(true);
-        let blessed = net.forward(&x);
-        let conv = net.injectable_layers()[1];
-        let original = {
-            let w = net.layer_weight_mut(conv).unwrap();
-            let v = w.data()[7];
-            w.data_mut()[7] = v * -3.5;
-            v
-        };
-        let faulty = net.forward(&x);
-        assert_ne!(faulty, blessed, "stale panels would mask the fault");
-        // Exact undo: the repacked panels must reproduce the blessed pass
-        // bit for bit.
-        net.layer_weight_mut(conv).unwrap().data_mut()[7] = original;
-        assert_eq!(net.forward(&x), blessed, "undo restores blessed output");
-
-        // INT8: a stored-word fault patches one panel slot instead of
-        // repacking, matches the unplanned integer path, and its undo
-        // restores the blessed pass.
         use crate::quantized::{Backend, CalibrationTable};
         use std::sync::Arc;
-        let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
-        net.set_backend(Backend::Int8(Arc::new(table)));
-        let blessed = net.forward(&x);
-        let word = net.layer_qweight(conv).unwrap().data()[7];
-        assert!(net.set_layer_qweight_word(conv, 7, (word as u8 ^ 0x20) as i8));
-        let faulty = net.forward(&x);
-        assert_ne!(faulty, blessed, "stale panels would mask the fault");
-        net.set_plan(false);
-        assert_eq!(net.forward(&x), faulty, "planned fault == unplanned fault");
-        net.set_plan(true);
-        assert!(net.set_layer_qweight_word(conv, 7, word));
-        assert_eq!(net.forward(&x), blessed, "undo restores blessed output");
+        let x = plan_test_input();
+        // The strided conv repacks its panels; the final linear has none and
+        // runs its reference forward under the plan.
+        let inj = plan_test_net().injectable_layers();
+        for target in [inj[1], inj[inj.len() - 1]] {
+            let mut net = plan_test_net();
+            net.set_plan(true);
+            let blessed = net.forward(&x);
+            let original = {
+                let w = net.layer_weight_mut(target).unwrap();
+                let v = w.data()[7];
+                w.data_mut()[7] = v * -3.5;
+                v
+            };
+            let faulty = net.forward(&x);
+            assert_ne!(faulty, blessed, "{target}: the fault shows");
+            net.set_plan(false);
+            assert_eq!(net.forward(&x), faulty, "{target}: planned == unplanned");
+            net.set_plan(true);
+            // Exact undo reproduces the blessed pass bit for bit (the conv
+            // through its repacked panels).
+            net.layer_weight_mut(target).unwrap().data_mut()[7] = original;
+            assert_eq!(net.forward(&x), blessed, "{target}: undo restores");
+
+            // INT8: a stored-word fault (in the conv, one panel slot, never
+            // a repack) matches the unplanned integer path, and its undo
+            // restores the blessed pass.
+            let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
+            net.set_backend(Backend::Int8(Arc::new(table)));
+            let blessed = net.forward(&x);
+            let word = net.layer_qweight(target).unwrap().data()[7];
+            assert!(net.set_layer_qweight_word(target, 7, (word as u8 ^ 0x20) as i8));
+            let faulty = net.forward(&x);
+            assert_ne!(faulty, blessed, "{target}: the fault shows");
+            net.set_plan(false);
+            assert_eq!(
+                net.forward(&x),
+                faulty,
+                "{target}: int8 planned == unplanned"
+            );
+            net.set_plan(true);
+            assert!(net.set_layer_qweight_word(target, 7, word));
+            assert_eq!(net.forward(&x), blessed, "{target}: int8 undo restores");
+        }
     }
 
     #[test]
@@ -1053,7 +1066,9 @@ mod tests {
             let resume = net.resume_point(target).unwrap();
             let mut at_resume = None;
             let mut after_target = None;
+            let mut taps = Vec::new();
             let full = net.forward_with_capture(&x, &mut |id, input| {
+                taps.push(id);
                 if id == resume {
                     at_resume = Some(input.clone());
                 }
@@ -1061,15 +1076,22 @@ mod tests {
                     after_target = Some(input.clone());
                 }
             });
+            // Each module is tapped at most once: a group leader that
+            // declined to fuse would be tapped again by its fallback
+            // dispatch.
+            let mut unique = taps.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
             let resumed = net.forward_from(target, &at_resume.unwrap()).unwrap();
             assert_eq!(resumed, full, "forward_from at {target}");
             if let Some(after) = after_target {
                 // `after` is the next module's input == target's hooked
                 // output only when the group was not fused past target; a
                 // fused partner's capture is skipped, so this only fires
-                // for the bare conv and final linear. For targets whose
-                // successor capture exists, the tail must reproduce the
-                // full pass.
+                // for the bare conv and the unfused final linear. For
+                // targets whose successor capture exists, the tail must
+                // reproduce the full pass.
                 if let Some(tail) = net.forward_after(target, &after) {
                     assert_eq!(tail, full, "forward_after at {target}");
                 }

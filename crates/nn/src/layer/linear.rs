@@ -4,15 +4,14 @@ use crate::module::{
     leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param,
 };
 use rustfi_tensor::linalg::{self, matmul};
-use rustfi_tensor::{
-    linear_q, linear_q_planned, matmul_packed_b, Act, BnFoldView, Epilogue, PackedB, PackedI16,
-    QTensor, SeededRng, Tensor,
-};
+use rustfi_tensor::{linear_q, QTensor, SeededRng, Tensor};
 
 /// A fully-connected (dense) layer: `y = x W^T + b`.
 ///
 /// Input is `[batch, in_features]`; output `[batch, out_features]`. Linear
 /// outputs are neurons, so the layer runs forward hooks and is injectable.
+/// Compiled forward plans cover convolutions only: this layer runs the same
+/// forward with or without one.
 pub struct Linear {
     pub(crate) meta: LayerMeta,
     /// `[out_features, in_features]`.
@@ -28,17 +27,6 @@ pub struct Linear {
     /// Per-channel quantized weight cache for the INT8 backend; dropped
     /// whenever the f32 weights are handed out mutably.
     qweight: Option<QTensor>,
-    /// Compiled-plan `W^T` panels, pre-tiled for the register-tiled GEMM.
-    /// Built straight from the `[out, in]` weight layout (no transpose
-    /// scratch pass); marked stale and repacked in place, allocation-free,
-    /// when the weights are handed out mutably.
-    packed: Option<PackedB>,
-    packed_stale: bool,
-    /// Compiled-plan pre-widened `i16` panel derived from `qweight`; a
-    /// stored-word write ([`Module::set_qweight_word`]) patches its one
-    /// slot.
-    wide: Option<PackedI16>,
-    wide_stale: bool,
 }
 
 impl Linear {
@@ -55,78 +43,12 @@ impl Linear {
             cached_input: None,
             wt_scratch: None,
             qweight: None,
-            packed: None,
-            packed_stale: false,
-            wide: None,
-            wide_stale: false,
         }
     }
 
     /// The weight tensor (`[out_features, in_features]`).
     pub fn weight(&self) -> &Tensor {
         &self.weight
-    }
-
-    /// Builds or refreshes the `W^T` GEMM panels (in place when stale).
-    fn ensure_packed(&mut self) {
-        let (out_f, _in_f) = self.weight.dims2();
-        match &mut self.packed {
-            Some(p) if self.packed_stale => p.repack_transposed(self.weight.data()),
-            Some(_) => {}
-            None => {
-                let (_, in_f) = self.weight.dims2();
-                self.packed = Some(PackedB::pack_transposed(self.weight.data(), out_f, in_f));
-            }
-        }
-        self.packed_stale = false;
-    }
-
-    /// Builds or refreshes the pre-widened INT8 panel from `qweight`.
-    fn ensure_wide(&mut self) {
-        let qw = self
-            .qweight
-            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-        let (out_f, in_f) = (qw.dims()[0], qw.dims()[1]);
-        match &mut self.wide {
-            Some(p) if self.wide_stale => p.rewiden(qw.data()),
-            Some(_) => {}
-            None => self.wide = Some(PackedI16::widen(qw.data(), out_f, in_f)),
-        }
-        self.wide_stale = false;
-    }
-
-    /// Planned forward shared by the plain and fused paths: prepacked `W^T`
-    /// panels, bias + activation in the GEMM write-back, no activation
-    /// cache (plans are inference-only).
-    fn forward_planned(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>, act: Act) -> Tensor {
-        let (batch, in_f) = input.dims2();
-        let (out_f, w_in) = self.weight.dims2();
-        assert_eq!(
-            in_f, w_in,
-            "linear layer {} expects {} features, got {}",
-            self.meta.name, w_in, in_f
-        );
-        self.cached_input = None;
-        match ctx.input_scale(self.meta.id) {
-            Some(scale) => {
-                self.ensure_wide();
-                let qw = self.qweight.as_ref().expect("ensure_wide builds qweight");
-                let panel = self.wide.as_ref().expect("ensure_wide builds the panel");
-                linear_q_planned(input, qw, panel, &self.bias, scale, act)
-            }
-            None => {
-                self.ensure_packed();
-                let panel = self.packed.as_ref().expect("ensure_packed builds panels");
-                // The epilogue writes every output element exactly once.
-                let mut out = Tensor::from_pool(&[batch, out_f]);
-                let ep = Epilogue::PerCol {
-                    bias: self.bias.data(),
-                    act,
-                };
-                matmul_packed_b(input.data(), panel, out.data_mut(), batch, &ep, true);
-                out
-            }
-        }
     }
 }
 
@@ -158,11 +80,6 @@ impl Module for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        if ctx.plan_active() {
-            let mut out = self.forward_planned(input, ctx, Act::None);
-            ctx.run_forward_hooks(&self.meta, LayerKind::Linear, &mut out);
-            return out;
-        }
         let (batch, in_f) = input.dims2();
         let (out_f, w_in) = self.weight.dims2();
         assert_eq!(
@@ -203,20 +120,6 @@ impl Module for Linear {
         out
     }
 
-    fn forward_fused(
-        &mut self,
-        input: &Tensor,
-        ctx: &mut ForwardCtx<'_>,
-        bn: Option<BnFoldView<'_>>,
-        act: Act,
-    ) -> Option<Tensor> {
-        // Linear outputs are 2-D; a BatchNorm2d partner cannot apply.
-        if !ctx.plan_active() || bn.is_some() {
-            return None;
-        }
-        Some(self.forward_planned(input, ctx, act))
-    }
-
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
         ctx.run_grad_hooks(&self.meta, LayerKind::Linear, grad_out);
         let input = self
@@ -238,8 +141,6 @@ impl Module for Linear {
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(Param {
             value: &mut self.weight,
             grad: &mut self.grad_weight,
@@ -252,16 +153,12 @@ impl Module for Linear {
 
     fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(&mut self.weight);
         f(&mut self.bias);
     }
 
     fn weight_mut(&mut self) -> Option<&mut Tensor> {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         Some(&mut self.weight)
     }
 
@@ -280,9 +177,6 @@ impl Module for Linear {
         self.qweight
             .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight))
             .data_mut()[index] = word;
-        if let Some(panel) = self.wide.as_mut().filter(|_| !self.wide_stale) {
-            panel.set_word(index, word);
-        }
         true
     }
 }

@@ -106,14 +106,14 @@ pub struct Param<'a> {
 /// every module's id and *input* tensor just before the module runs.
 pub type CaptureFn<'a> = &'a mut dyn FnMut(LayerId, &Tensor);
 
-/// How a layer can be absorbed into the preceding conv/linear layer's fused
-/// GEMM epilogue when a compiled forward plan is active.
+/// How a layer can be absorbed into the preceding conv layer's fused GEMM
+/// epilogue when a compiled forward plan is active.
 ///
 /// Layers advertise themselves via [`Module::fuse_partner`]; [`Sequential`]
-/// scans its children for `conv → [BatchNorm] → [activation]` (or
-/// `linear → [activation]`) runs and folds the partners into the leader's
-/// write-back loop. The epilogue replicates the partner kernels' per-element
-/// operations exactly, so fused and unfused passes are bit-identical.
+/// scans its children for `conv → [BatchNorm] → [activation]` runs and folds
+/// the partners into the conv's write-back loop. The epilogue replicates the
+/// partner kernels' per-element operations exactly, so fused and unfused
+/// passes are bit-identical.
 ///
 /// [`Sequential`]: crate::layer::container::Sequential
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,34 +141,16 @@ pub struct ForwardCtx<'a> {
     capture: Option<CaptureFn<'a>>,
     /// Arithmetic backend for layers that have a quantized kernel.
     backend: &'a Backend,
-    /// Whether the pass runs under a compiled forward plan (prepacked weight
-    /// panels + fused GEMM epilogues). See [`Network::set_plan`].
+    /// Whether the pass runs under a compiled forward plan (prepacked conv
+    /// weight panels + fused GEMM epilogues). See [`Network::set_plan`].
     plan: bool,
 }
 
-impl<'a> ForwardCtx<'a> {
-    pub(crate) fn new(
-        training: bool,
-        hooks: &'a HookRegistry,
-        rng: &'a mut SeededRng,
-        recorder: Option<&'a dyn Recorder>,
-        backend: &'a Backend,
-        plan: bool,
-    ) -> Self {
-        Self {
-            training,
-            hooks,
-            rng,
-            recorder,
-            capture: None,
-            backend,
-            plan,
-        }
-    }
-
-    /// Whether layers should take their planned (prepacked, fused-epilogue)
-    /// forward paths. Plans are inference-only: training passes need cached
-    /// activations and batch statistics, so they always run unplanned.
+impl ForwardCtx<'_> {
+    /// Whether convolutions should take their planned (prepacked,
+    /// fused-epilogue) forward paths. Plans are inference-only: training
+    /// passes need cached activations and batch statistics, so they always
+    /// run unplanned.
     pub fn plan_active(&self) -> bool {
         self.plan && !self.training
     }
@@ -197,35 +179,16 @@ impl<'a> ForwardCtx<'a> {
     /// recorder is installed. Containers route every child through this so
     /// the trace shows the module tree as nested spans.
     pub fn forward_child(&mut self, child: &mut dyn Module, input: &Tensor) -> Tensor {
-        if let Some(cap) = self.capture.as_mut() {
-            cap(child.meta().id, input);
-        }
-        match self.recorder {
-            None => child.forward(input, self),
-            Some(rec) => {
-                let token = rec.layer_enter();
-                let out = child.forward(input, self);
-                let meta = child.meta();
-                rec.layer_exit(
-                    &SpanCtx {
-                        name: &meta.name,
-                        kind: child.kind().short_name(),
-                        layer: Some(meta.id.index()),
-                    },
-                    token,
-                );
-                out
-            }
-        }
+        self.dispatch(child, Some(input), |child, ctx| child.forward(input, ctx))
     }
 
     /// Fused-group analogue of [`ForwardCtx::forward_child`]: runs `child`
-    /// (a conv/linear group leader) with the partner batch-norm fold and
-    /// activation applied inside its GEMM write-back, firing the capture tap
-    /// and recorder span exactly as a normal child dispatch would. Returns
+    /// (a conv group leader) with the partner batch-norm fold and activation
+    /// applied inside its GEMM write-back, firing the capture tap and
+    /// recorder span exactly as a normal child dispatch would. Returns
     /// `None` when the child has no fused forward (default [`Module`]
-    /// implementation); the caller then falls back to normal dispatch and
-    /// runs the partners individually.
+    /// implementation) — by then the tap and span have fired, so callers
+    /// pass only children that fuse.
     pub fn forward_child_fused(
         &mut self,
         child: &mut dyn Module,
@@ -233,26 +196,9 @@ impl<'a> ForwardCtx<'a> {
         bn: Option<BnFoldView<'_>>,
         act: Act,
     ) -> Option<Tensor> {
-        if let Some(cap) = self.capture.as_mut() {
-            cap(child.meta().id, input);
-        }
-        match self.recorder {
-            None => child.forward_fused(input, self, bn, act),
-            Some(rec) => {
-                let token = rec.layer_enter();
-                let out = child.forward_fused(input, self, bn, act);
-                let meta = child.meta();
-                rec.layer_exit(
-                    &SpanCtx {
-                        name: &meta.name,
-                        kind: child.kind().short_name(),
-                        layer: Some(meta.id.index()),
-                    },
-                    token,
-                );
-                out
-            }
-        }
+        self.dispatch(child, Some(input), |child, ctx| {
+            child.forward_fused(input, ctx, bn, act)
+        })
     }
 
     /// Partial-forward analogue of [`ForwardCtx::forward_child`]: resumes
@@ -264,23 +210,38 @@ impl<'a> ForwardCtx<'a> {
         target: LayerId,
         input: &Tensor,
     ) -> Option<Tensor> {
-        match self.recorder {
-            None => child.forward_from(target, input, self),
-            Some(rec) => {
-                let token = rec.layer_enter();
-                let out = child.forward_from(target, input, self);
-                let meta = child.meta();
-                rec.layer_exit(
-                    &SpanCtx {
-                        name: &meta.name,
-                        kind: child.kind().short_name(),
-                        layer: Some(meta.id.index()),
-                    },
-                    token,
-                );
-                out
-            }
+        self.dispatch(child, None, |child, ctx| {
+            child.forward_from(target, input, ctx)
+        })
+    }
+
+    /// The one child dispatch: hands `tap` (the child's input, when this
+    /// dispatch is tapped) to the capture tap, then runs `run` inside a
+    /// per-layer recorder span when a recorder is installed.
+    fn dispatch<R>(
+        &mut self,
+        child: &mut dyn Module,
+        tap: Option<&Tensor>,
+        run: impl FnOnce(&mut dyn Module, &mut Self) -> R,
+    ) -> R {
+        if let (Some(cap), Some(input)) = (self.capture.as_mut(), tap) {
+            cap(child.meta().id, input);
         }
+        let Some(rec) = self.recorder else {
+            return run(child, self);
+        };
+        let token = rec.layer_enter();
+        let out = run(child, self);
+        let meta = child.meta();
+        rec.layer_exit(
+            &SpanCtx {
+                name: &meta.name,
+                kind: child.kind().short_name(),
+                layer: Some(meta.id.index()),
+            },
+            token,
+        );
+        out
     }
 
     /// Runs all forward hooks registered for `meta`'s layer, letting them
@@ -478,9 +439,9 @@ pub trait Module: Send {
     /// Writes one stored INT8 weight word — where stored-INT8 weight-fault
     /// campaigns flip bits, and where their undo puts the old word back.
     /// Updates the cached `i8` word at flat index `index` and, when a
-    /// compiled plan has packed the weights, the one panel slot holding it,
-    /// so a fault or its undo never repacks the layer. Returns `false` for
-    /// layers without a quantized kernel.
+    /// compiled plan has packed a conv's weights, the one panel slot holding
+    /// it, so a fault or its undo never repacks the layer. Returns `false`
+    /// for layers without a quantized kernel.
     ///
     /// # Panics
     ///
@@ -489,8 +450,8 @@ pub trait Module: Send {
         false
     }
 
-    /// How this layer folds into the preceding conv/linear layer's fused
-    /// GEMM epilogue under a compiled forward plan, or `None` (the default)
+    /// How this layer folds into the preceding conv layer's fused GEMM
+    /// epilogue under a compiled forward plan, or `None` (the default)
     /// when it cannot be absorbed.
     fn fuse_partner(&self) -> Option<FusePartner> {
         None
@@ -506,11 +467,14 @@ pub trait Module: Send {
 
     /// Planned fused forward: computes this layer with the partner batch
     /// norm and activation applied inside the GEMM write-back loop, using
-    /// prepacked weight panels. Only called by containers under an active
-    /// plan after verifying that no group member has forward hooks; the
-    /// fused path therefore skips hook dispatch. Returns `None` (the
-    /// default) when the layer has no fused implementation, in which case
-    /// the caller falls back to unfused dispatch.
+    /// prepacked weight panels. [`Conv2d`] is the only implementation and
+    /// the only group leader [`Sequential`] fuses; it is called under an
+    /// active plan after verifying that no group member has forward hooks,
+    /// so the fused path skips hook dispatch. Returns `None` (the default)
+    /// when the layer has no fused implementation.
+    ///
+    /// [`Conv2d`]: crate::layer::Conv2d
+    /// [`Sequential`]: crate::layer::container::Sequential
     fn forward_fused(
         &mut self,
         _input: &Tensor,
@@ -620,11 +584,12 @@ impl Network {
         }
     }
 
-    /// Enables (or disables) the compiled forward plan: per-layer weight
-    /// panels are prepacked for the register-tiled GEMM kernels, and
-    /// `conv → [bn] → [activation]` runs in [`Sequential`] containers fuse
-    /// into a single GEMM with the partner ops applied in its write-back
-    /// loop.
+    /// Enables (or disables) the compiled forward plan, which covers
+    /// convolutions only: conv weight panels are prepacked for the
+    /// register-tiled GEMM kernels, and `conv → [bn] → [activation]` runs in
+    /// [`Sequential`] containers fuse into a single GEMM with the partner ops
+    /// applied in its write-back loop. Every other layer, linear layers
+    /// included, runs its reference forward.
     ///
     /// Planned passes are **bit-identical** to unplanned ones (panels keep
     /// the kernels' k-accumulation order; epilogues replicate the partner
@@ -712,15 +677,8 @@ impl Network {
 
     /// Runs a forward pass, dispatching forward hooks at every leaf layer.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut ctx = ForwardCtx::new(
-            self.training,
-            &self.hooks,
-            &mut self.rng,
-            self.recorder.as_deref(),
-            &self.backend,
-            self.plan,
-        );
-        ctx.forward_child(self.root.as_mut(), input)
+        let (mut ctx, root) = self.forward_ctx();
+        ctx.forward_child(root, input)
     }
 
     /// Runs a forward pass like [`Network::forward`], additionally calling
@@ -736,16 +694,9 @@ impl Network {
         input: &Tensor,
         capture: &mut dyn FnMut(LayerId, &Tensor),
     ) -> Tensor {
-        let mut ctx = ForwardCtx::new(
-            self.training,
-            &self.hooks,
-            &mut self.rng,
-            self.recorder.as_deref(),
-            &self.backend,
-            self.plan,
-        );
+        let (mut ctx, root) = self.forward_ctx();
         ctx.capture = Some(capture);
-        ctx.forward_child(self.root.as_mut(), input)
+        ctx.forward_child(root, input)
     }
 
     /// Resumes a forward pass at the resume point of `target`, feeding it
@@ -756,15 +707,8 @@ impl Network {
     /// Exact only when the skipped prefix is fault-free and the pass is
     /// inference-mode (skipped layers neither run hooks nor draw RNG).
     pub fn forward_from(&mut self, target: LayerId, input: &Tensor) -> Option<Tensor> {
-        let mut ctx = ForwardCtx::new(
-            self.training,
-            &self.hooks,
-            &mut self.rng,
-            self.recorder.as_deref(),
-            &self.backend,
-            self.plan,
-        );
-        ctx.forward_child_from(self.root.as_mut(), target, input)
+        let (mut ctx, root) = self.forward_ctx();
+        ctx.forward_child_from(root, target, input)
     }
 
     /// The module whose input must be cached to later resume a forward pass
@@ -785,15 +729,9 @@ impl Network {
     /// before the per-slice fault hooks fire.
     pub fn forward_layer_raw(&mut self, id: LayerId, input: &Tensor) -> Option<Tensor> {
         let empty = HookRegistry::new();
-        let mut ctx = ForwardCtx::new(
-            self.training,
-            &empty,
-            &mut self.rng,
-            self.recorder.as_deref(),
-            &self.backend,
-            self.plan,
-        );
-        let layer = self.root.find_mut(id)?;
+        let (mut ctx, root) = self.forward_ctx();
+        ctx.hooks = &empty;
+        let layer = root.find_mut(id)?;
         Some(ctx.forward_child(layer, input))
     }
 
@@ -826,15 +764,23 @@ impl Network {
     /// applied (see [`Module::forward_after`]). Returns `None` when the
     /// layers after `target` cannot be run in isolation.
     pub fn forward_after(&mut self, target: LayerId, input: &Tensor) -> Option<Tensor> {
-        let mut ctx = ForwardCtx::new(
-            self.training,
-            &self.hooks,
-            &mut self.rng,
-            self.recorder.as_deref(),
-            &self.backend,
-            self.plan,
-        );
-        self.root.forward_after(target, input, &mut ctx)
+        let (mut ctx, root) = self.forward_ctx();
+        root.forward_after(target, input, &mut ctx)
+    }
+
+    /// A forward context over this network's mode, hooks, RNG, recorder,
+    /// backend and plan, split from the root module it runs.
+    fn forward_ctx(&mut self) -> (ForwardCtx<'_>, &mut dyn Module) {
+        let ctx = ForwardCtx {
+            training: self.training,
+            hooks: &self.hooks,
+            rng: &mut self.rng,
+            recorder: self.recorder.as_deref(),
+            capture: None,
+            backend: &self.backend,
+            plan: self.plan,
+        };
+        (ctx, self.root.as_mut())
     }
 
     /// Runs a backward pass from the gradient of the loss w.r.t. the output
@@ -890,8 +836,8 @@ impl Network {
         self.root.find_mut(id).and_then(|m| m.qweight())
     }
 
-    /// Writes one stored INT8 weight word of a layer by id, patching its
-    /// compiled-plan panel slot too (see [`Module::set_qweight_word`]).
+    /// Writes one stored INT8 weight word of a layer by id, patching a
+    /// conv's compiled-plan panel slot too (see [`Module::set_qweight_word`]).
     /// Returns `false` when no such layer has a quantized kernel.
     pub fn set_layer_qweight_word(&mut self, id: LayerId, index: usize, word: i8) -> bool {
         self.root

@@ -53,15 +53,12 @@ pub mod tpool;
 
 pub use conv::{conv2d, conv2d_backward, conv2d_planned, Conv2dGrads, ConvSpec, Im2colPlan};
 pub use linalg::{matmul, matmul_into, transpose_into};
-pub use pack::{
-    matmul_packed_a, matmul_packed_b, Act, BnFoldView, Epilogue, GatherPlan, PackedA, PackedB,
-    PackedConvI16, PackedI16,
-};
+pub use pack::{matmul_packed_a, Act, BnFoldView, Epilogue, GatherPlan, PackedA, PackedConvI16};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };
-pub use qkernels::{matmul_i8_nt, matmul_i8_nt_wb};
-pub use qtensor::{conv2d_q, conv2d_q_planned, linear_q, linear_q_planned, QTensor};
+pub use qkernels::matmul_i8_nt;
+pub use qtensor::{conv2d_q, conv2d_q_planned, linear_q, QTensor};
 pub use resize::{resize_map, upsample_nearest, zero_pad2d};
 pub use rng::SeededRng;
 pub use shape::ShapeError;

@@ -32,7 +32,7 @@
 use crate::kernels::simd_kernel;
 #[cfg(doc)]
 use crate::pack::PackedConvI16;
-use crate::pack::{PackedI16, CONV_LANES};
+use crate::pack::CONV_LANES;
 
 /// Largest representable quantized magnitude.
 pub const QMAX: i32 = 127;
@@ -600,133 +600,6 @@ unsafe fn implicit_tile<const R: usize, const P: usize>(
     }
 }
 
-/// [`matmul_i8_nt`] with a pre-widened *right* operand: `b` is a
-/// [`PackedI16`] of the `[n, k]` matrix (the natural layout of a linear
-/// layer's quantized weights). Bit-identical to [`matmul_i8_nt`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`matmul_i8_nt`].
-pub fn matmul_i8_nt_wb(a: &[i8], b: &PackedI16, out: &mut [i32], m: usize) {
-    crate::opcount::count_matmul_i8();
-    let (n, k) = (b.rows(), b.k());
-    assert_eq!(a.len(), m * k, "lhs length != m*k");
-    assert_eq!(out.len(), m * n, "out length != m*n");
-    assert!(
-        k <= i32::MAX as usize / (QMAX * QMAX) as usize,
-        "k={k} could overflow the i32 accumulator"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: reached only after runtime detection confirms AVX2.
-        unsafe { matmul_i8_nt_wb_avx2(a, b.data(), out, m, k, n) };
-        return;
-    }
-    matmul_i8_nt_wb_impl(a, b.data(), out, m, k, n);
-}
-
-#[inline(always)]
-fn matmul_i8_nt_wb_impl(a: &[i8], bw: &[i16], out: &mut [i32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &bw[j * k..(j + 1) * k];
-            let mut acc = 0i32;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x as i32 * y as i32;
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_nt_wb_avx2(
-    a: &[i8],
-    bw: &[i16],
-    out: &mut [i32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    use std::arch::x86_64::*;
-
-    /// 16 `i8`s at `p`, sign-extended into 16 `i16` lanes.
-    #[inline(always)]
-    unsafe fn widen16(p: *const i8) -> __m256i {
-        _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i))
-    }
-
-    /// 16 pre-widened `i16` lanes at `p`.
-    #[inline(always)]
-    unsafe fn load16w(p: *const i16) -> __m256i {
-        _mm256_loadu_si256(p as *const __m256i)
-    }
-
-    /// Sum of the 8 `i32` lanes.
-    #[inline(always)]
-    unsafe fn hsum(v: __m256i) -> i32 {
-        let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
-        _mm_cvtsi128_si32(s)
-    }
-
-    let kv = k - (k % 16);
-    for i in 0..m {
-        let a_ptr = a.as_ptr().add(i * k);
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = bw.as_ptr().add(j * k);
-            let b1 = bw.as_ptr().add((j + 1) * k);
-            let b2 = bw.as_ptr().add((j + 2) * k);
-            let b3 = bw.as_ptr().add((j + 3) * k);
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut acc2 = _mm256_setzero_si256();
-            let mut acc3 = _mm256_setzero_si256();
-            let mut kk = 0;
-            while kk < kv {
-                let va = widen16(a_ptr.add(kk));
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, load16w(b0.add(kk))));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, load16w(b1.add(kk))));
-                acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, load16w(b2.add(kk))));
-                acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, load16w(b3.add(kk))));
-                kk += 16;
-            }
-            let mut sums = [hsum(acc0), hsum(acc1), hsum(acc2), hsum(acc3)];
-            for kk in kv..k {
-                let x = *a_ptr.add(kk) as i32;
-                sums[0] += x * *b0.add(kk) as i32;
-                sums[1] += x * *b1.add(kk) as i32;
-                sums[2] += x * *b2.add(kk) as i32;
-                sums[3] += x * *b3.add(kk) as i32;
-            }
-            out[i * n + j..i * n + j + 4].copy_from_slice(&sums);
-            j += 4;
-        }
-        while j < n {
-            let b_ptr = bw.as_ptr().add(j * k);
-            let mut acc = _mm256_setzero_si256();
-            let mut kk = 0;
-            while kk < kv {
-                acc = _mm256_add_epi32(
-                    acc,
-                    _mm256_madd_epi16(widen16(a_ptr.add(kk)), load16w(b_ptr.add(kk))),
-                );
-                kk += 16;
-            }
-            let mut sum = hsum(acc);
-            for kk in kv..k {
-                sum += *a_ptr.add(kk) as i32 * *b_ptr.add(kk) as i32;
-            }
-            out[i * n + j] = sum;
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,27 +748,6 @@ mod tests {
             matmul_i8_nt(&a, &b, &mut fast, m, k, n);
             matmul_i8_nt_portable(&a, &b, &mut slow, m, k, n);
             assert_eq!(fast, slow, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn widened_gemm_is_bit_identical_to_i8() {
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 17, 5),
-            (4, 16, 4),
-            (7, 33, 9),
-            (2, 64, 13),
-        ] {
-            let a = probe_i8(m * k, 31 + m as u64);
-            let b = probe_i8(n * k, 37 + n as u64);
-            let mut plain = vec![0i32; m * n];
-            matmul_i8_nt(&a, &b, &mut plain, m, k, n);
-
-            let wb = PackedI16::widen(&b, n, k);
-            let mut fast = vec![1i32; m * n];
-            matmul_i8_nt_wb(&a, &wb, &mut fast, m);
-            assert_eq!(fast, plain, "wb {m}x{k}x{n}");
         }
     }
 

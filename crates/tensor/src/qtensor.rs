@@ -25,11 +25,10 @@
 //! quantized forwards allocate nothing.
 
 use crate::conv::ConvSpec;
-use crate::pack::{Act, BnFoldView, PackedConvI16, PackedI16};
+use crate::pack::{Act, BnFoldView, PackedConvI16};
 use crate::qkernels::{
     conv_i16_implicit, dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt,
-    matmul_i8_nt_wb, quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite,
-    PlaneConv,
+    quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite, PlaneConv,
 };
 use crate::tensor::Tensor;
 
@@ -562,70 +561,6 @@ pub fn conv2d_q_planned(
     out
 }
 
-/// Quantized linear layer through a compiled plan: pre-widened weight rows
-/// and a fused dequantize + bias + activation write-back. Bit-identical to
-/// [`linear_q`] followed by the standalone activation kernel — including the
-/// per-tensor-scale path, which replicates `dequant_bias_row(.., 0.0)`
-/// followed by the separate bias add exactly.
-///
-/// # Panics
-///
-/// Panics if shapes, the panel, or `input_scale` are inconsistent.
-pub fn linear_q_planned(
-    input: &Tensor,
-    qweight: &QTensor,
-    panel: &PackedI16,
-    bias: &Tensor,
-    input_scale: f32,
-    act: Act,
-) -> Tensor {
-    let (batch, in_f) = input.dims2();
-    let wd = qweight.dims();
-    assert_eq!(wd.len(), 2, "weight must be rank 2");
-    let (out_f, w_in) = (wd[0], wd[1]);
-    assert_eq!(w_in, in_f, "weight expects {w_in} inputs, got {in_f}");
-    assert_eq!(bias.len(), out_f, "bias length != out_features");
-    assert!(input_scale > 0.0, "input scale must be positive");
-    assert_eq!(panel.rows(), out_f, "panel row mismatch");
-    assert_eq!(panel.k(), in_f, "panel k mismatch");
-
-    let mut out = Tensor::from_pool(&[batch, out_f]);
-    with_q_scratch(|s| {
-        let qx = grown(&mut s.qin, batch * in_f);
-        let acc = grown(&mut s.acc, batch * out_f);
-        quantize_slice(input.data(), input_scale, qx);
-        matmul_i8_nt_wb(qx, panel, acc, batch);
-        let bdata = bias.data();
-        if qweight.is_per_channel() {
-            let scales = qweight.scales();
-            for (acc_row, out_row) in acc
-                .chunks_exact(out_f)
-                .zip(out.data_mut().chunks_exact_mut(out_f))
-            {
-                // Same per-element expression as `dequant_bias_rows`.
-                for (((o, &s), &ws), &b) in out_row.iter_mut().zip(acc_row).zip(scales).zip(bdata) {
-                    *o = act.apply(s as f32 * (input_scale * ws) + b);
-                }
-            }
-        } else {
-            let scale = input_scale * qweight.channel_scale(0);
-            for (acc_row, out_row) in acc
-                .chunks_exact(out_f)
-                .zip(out.data_mut().chunks_exact_mut(out_f))
-            {
-                // Two-step on purpose: the serial chain dequantizes with a
-                // zero bias and adds the f32 bias in a second pass, and the
-                // intermediate `+ 0.0` can flip a negative-zero sign.
-                for ((o, &s), &b) in out_row.iter_mut().zip(acc_row).zip(bdata) {
-                    let v = s as f32 * scale + 0.0;
-                    *o = act.apply(v + b);
-                }
-            }
-        }
-    });
-    out
-}
-
 /// Quantized linear layer: `y = dequant(qx · qWᵀ) + bias`.
 ///
 /// - `input`: f32 `[batch, in_features]`, quantized against the static
@@ -904,29 +839,6 @@ mod tests {
             }
             let fused = conv2d_q_planned(&x, &qw, &panel, &b, &spec, scale, None, Act::Relu);
             assert_eq!(fused.dims(), serial.dims());
-            for (p, q) in fused.data().iter().zip(serial.data()) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn planned_linear_q_is_bit_identical_to_serial_chain() {
-        let mut rng = SeededRng::new(41);
-        let x = Tensor::rand_normal(&[3, 10], 0.0, 1.0, &mut rng);
-        let w = Tensor::rand_normal(&[6, 10], 0.0, 0.5, &mut rng);
-        let b = Tensor::rand_normal(&[6], 0.0, 0.1, &mut rng);
-        let scale = 0.015f32;
-        for qw in [
-            QTensor::quantize_per_channel(&w),
-            QTensor::quantize_per_tensor(&w),
-        ] {
-            let panel = PackedI16::widen(qw.data(), 6, 10);
-            let mut serial = linear_q(&x, &qw, &b, scale);
-            for v in serial.data_mut() {
-                *v = v.max(0.0);
-            }
-            let fused = linear_q_planned(&x, &qw, &panel, &b, scale, Act::Relu);
             for (p, q) in fused.data().iter().zip(serial.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
             }
