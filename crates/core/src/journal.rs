@@ -12,9 +12,13 @@
 //!
 //! The format is deliberately dependency-free: a fixed header line
 //! `{"rustfi_journal":2,"seed":S,"trials":N,"config":H,"shard":I,"shards":K}`
-//! followed by flat record objects. Numbers are kept as raw text during
-//! parsing (no `u64` → `f64` detour), and `f32` fields round-trip exactly
-//! through Rust's shortest-representation `Display`.
+//! followed by flat record objects, read back by the JSON reader telemetry
+//! sidecars share ([`rustfi_obs::json`]): linear in the file size, with
+//! numbers kept as raw text (no `u64` → `f64` detour), so `f32` fields
+//! round-trip exactly through Rust's shortest-representation `Display`.
+//! The torn-tail rule works on bytes: each line is checked for UTF-8 on its
+//! own, and a final line that lacks its newline or does not parse is
+//! dropped whatever its bytes, even one cut inside a multi-byte character.
 //!
 //! The header binds the journal to its campaign three ways: the root seed
 //! and trial count, a fingerprint of every record-affecting configuration
@@ -32,9 +36,10 @@ use crate::campaign::TrialRecord;
 use crate::error::FiError;
 use crate::location::NeuronSite;
 use crate::metrics::OutcomeKind;
+use rustfi_obs::json::{self, Value};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 /// Journal format version this build writes and accepts.
@@ -201,43 +206,41 @@ pub fn read_journal_repairing(path: &Path) -> Result<(JournalHeader, Vec<TrialRe
 /// Shared reader: returns the header, the valid records, and the byte length
 /// of the valid prefix (everything up to and including the last good line).
 fn read_journal_inner(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>, u64), FiError> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
+    let bytes = std::fs::read(path)
         .map_err(|e| FiError::io(format!("reading journal {}", path.display()), e))?;
-    let segments: Vec<&str> = text.split_inclusive('\n').collect();
+    let lines: Vec<(&[u8], bool)> = json::lines(&bytes).collect();
 
-    let header_seg = *segments.first().ok_or(FiError::Journal {
+    let &(header_line, header_complete) = lines.first().ok_or(FiError::Journal {
         line: 1,
         detail: String::from("empty journal (missing header)"),
     })?;
-    if !header_seg.ends_with('\n') {
+    if !header_complete {
         return Err(FiError::Journal {
             line: 1,
             detail: String::from("header line was interrupted mid-write"),
         });
     }
-    let header = parse_header(header_seg.trim_end_matches('\n'))?;
-    let mut valid_len = header_seg.len() as u64;
+    let header = parse_header(header_line)?;
+    let mut valid_len = header_line.len() as u64 + 1;
 
     let mut records = Vec::new();
-    for (i, seg) in segments.iter().enumerate().skip(1) {
-        let is_last = i + 1 == segments.len();
+    for (i, &(line, complete)) in lines.iter().enumerate().skip(1) {
+        let is_last = i + 1 == lines.len();
         // A line without its newline was interrupted mid-write; only the
         // final line may be in that state, and it doesn't count as written
-        // even if the JSON happens to parse.
-        let complete = seg.ends_with('\n');
-        match parse_journal_line(seg.trim_end_matches('\n')) {
+        // even if the JSON happens to parse. Nor does a final line that
+        // does not parse, whatever its bytes.
+        match parse_journal_line(line) {
             Ok(JournalLine::Record(r)) if complete => {
                 records.push(r);
-                valid_len += seg.len() as u64;
+                valid_len += line.len() as u64 + 1;
             }
             // Heartbeats carry no trial state; they only extend the valid
             // prefix so a repair doesn't truncate good record lines after
             // them (there are none — heartbeats are appended, not
             // interleaved — but the reader shouldn't depend on that).
             Ok(JournalLine::Heartbeat) if complete => {
-                valid_len += seg.len() as u64;
+                valid_len += line.len() as u64 + 1;
             }
             Ok(_) | Err(_) if is_last => break,
             Ok(_) => unreachable!("only the final segment can lack a newline"),
@@ -325,196 +328,23 @@ fn escape_json_into(raw: &str, out: &mut String) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing — a minimal recursive-descent JSON reader. Numbers stay raw text.
+// Parsing — through the shared reader; numbers parse from their raw text.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Obj(Vec<(String, Json)>),
+fn num_as<T: std::str::FromStr>(v: &Value<'_>, what: &str) -> Result<T, String> {
+    let raw = v
+        .as_num()
+        .ok_or_else(|| format!("{what} is not a number: {v:?}"))?;
+    raw.parse().map_err(|_| format!("bad {what}: {raw:?}"))
 }
 
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Json::Num(self.parse_number())),
-            other => Err(format!("unexpected token {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(String::from("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("invalid \\u escape")?;
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> String {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos == self.bytes.len()
-    }
-}
-
-fn parse_line(line: &str) -> Result<Json, String> {
-    let mut p = Parser::new(line);
-    let v = p.parse_value()?;
-    if !p.at_end() {
-        return Err(String::from("trailing garbage after JSON value"));
-    }
-    Ok(v)
-}
-
-fn num_as<T: std::str::FromStr>(v: &Json, what: &str) -> Result<T, String> {
-    match v {
-        Json::Num(raw) => raw.parse().map_err(|_| format!("bad {what}: {raw:?}")),
-        other => Err(format!("{what} is not a number: {other:?}")),
-    }
-}
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn field<'v, 'a>(obj: &'v Value<'a>, key: &str) -> Result<&'v Value<'a>, String> {
     obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn parse_header(line: &str) -> Result<JournalHeader, FiError> {
+fn parse_header(line: &[u8]) -> Result<JournalHeader, FiError> {
     let as_err = |detail: String| FiError::Journal { line: 1, detail };
-    let obj = parse_line(line).map_err(as_err)?;
+    let obj = json::parse_line(line).map_err(as_err)?;
     let version: u64 =
         num_as(field(&obj, "rustfi_journal").map_err(as_err)?, "version").map_err(as_err)?;
     if version != JOURNAL_VERSION {
@@ -547,8 +377,8 @@ enum JournalLine {
     Heartbeat,
 }
 
-fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
-    let obj = parse_line(line)?;
+fn parse_journal_line(line: &[u8]) -> Result<JournalLine, String> {
+    let obj = json::parse_line(line)?;
     if obj.get("heartbeat").is_some() {
         return Ok(JournalLine::Heartbeat);
     }
@@ -557,19 +387,19 @@ fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
 
 #[cfg(test)]
 fn parse_record(line: &str) -> Result<TrialRecord, String> {
-    record_from_json(&parse_line(line)?)
+    record_from_json(&json::parse_json(line)?)
 }
 
-fn record_from_json(obj: &Json) -> Result<TrialRecord, String> {
+fn record_from_json(obj: &Value<'_>) -> Result<TrialRecord, String> {
     let trial = num_as(field(obj, "trial")?, "trial")?;
     let image_index = num_as(field(obj, "image_index")?, "image_index")?;
     let layer = num_as(field(obj, "layer")?, "layer")?;
     let site = match field(obj, "site")? {
-        Json::Null => None,
-        site @ Json::Obj(_) => Some(NeuronSite {
+        Value::Null => None,
+        site @ Value::Obj(_) => Some(NeuronSite {
             layer: num_as(field(site, "layer")?, "site.layer")?,
             batch: match field(site, "batch")? {
-                Json::Null => None,
+                Value::Null => None,
                 b => Some(num_as(b, "site.batch")?),
             },
             channel: num_as(field(site, "channel")?, "site.channel")?,
@@ -579,27 +409,28 @@ fn record_from_json(obj: &Json) -> Result<TrialRecord, String> {
         other => return Err(format!("site is neither object nor null: {other:?}")),
     };
     let outcome = match field(obj, "outcome")? {
-        Json::Str(label) => match label.as_str() {
+        Value::Str(label) => match label.as_ref() {
             "masked" => OutcomeKind::Masked,
             "sdc" => OutcomeKind::Sdc,
             "due" => OutcomeKind::Due,
             "hang" => OutcomeKind::Hang,
             "crash" => OutcomeKind::Crash {
-                detail: match obj.get("detail") {
-                    Some(Json::Str(d)) => d.clone(),
-                    _ => String::new(),
-                },
+                detail: obj
+                    .get("detail")
+                    .and_then(Value::as_str)
+                    .unwrap_or_default()
+                    .to_string(),
             },
             other => return Err(format!("unknown outcome label {other:?}")),
         },
         other => return Err(format!("outcome is not a string: {other:?}")),
     };
     let due_layer = match field(obj, "due_layer")? {
-        Json::Null => None,
+        Value::Null => None,
         v => Some(num_as(v, "due_layer")?),
     };
     let top5_miss = match field(obj, "top5_miss")? {
-        Json::Bool(b) => *b,
+        Value::Bool(b) => *b,
         other => return Err(format!("top5_miss is not a bool: {other:?}")),
     };
     let confidence_delta = num_as(field(obj, "confidence_delta")?, "confidence_delta")?;
@@ -842,6 +673,79 @@ mod tests {
         let (_, rs) = read_journal_repairing(&path).unwrap();
         assert_eq!(rs, records[..2]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
+    }
+
+    #[test]
+    fn a_tail_torn_inside_a_multibyte_character_is_dropped() {
+        let path = tmp("torn-utf8.jsonl");
+        let records = sample_records();
+        let mut w = JournalWriter::create(&path, JournalHeader::solo(5, 4, 0)).unwrap();
+        w.append(&records[0], &path).unwrap();
+        drop(w);
+        let clean = std::fs::read(&path).unwrap();
+        let crash = TrialRecord {
+            trial: 1,
+            image_index: 0,
+            layer: 2,
+            site: None,
+            outcome: OutcomeKind::Crash {
+                detail: String::from("shape 3×4 ≠ 4×3 (é)"),
+            },
+            due_layer: None,
+            top5_miss: true,
+            confidence_delta: 0.0,
+        };
+        let line = format!("{}\n", record_to_json(&crash));
+        // Every cut short of the newline tears the record, some of them
+        // inside `×`, `≠` or `é`: both readers keep the valid prefix, and
+        // the repairing one truncates back to it.
+        for cut in 0..line.len() {
+            let mut torn = clean.clone();
+            torn.extend_from_slice(&line.as_bytes()[..cut]);
+            std::fs::write(&path, &torn).unwrap();
+            let (_, rs) = read_journal(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(rs, records[..1], "cut {cut}");
+            let (_, rs) =
+                read_journal_repairing(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(rs, records[..1], "cut {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), clean, "cut {cut}");
+        }
+        let mut whole = clean;
+        whole.extend_from_slice(line.as_bytes());
+        std::fs::write(&path, &whole).unwrap();
+        let (_, rs) = read_journal(&path).unwrap();
+        assert_eq!(rs, [records[0].clone(), crash]);
+    }
+
+    #[test]
+    fn reading_is_linear_in_the_record_length() {
+        // The reader scans each string once: a 1 MiB crash detail full of
+        // escapes and multi-byte characters reads back in well under a
+        // second (a per-character rescan of the line would take minutes).
+        let path = tmp("long-detail.jsonl");
+        let detail = "ab\"c\\d\n×é wxyz".repeat(1 << 16);
+        assert_eq!(detail.len(), 1 << 20);
+        let record = TrialRecord {
+            trial: 0,
+            image_index: 0,
+            layer: 0,
+            site: None,
+            outcome: OutcomeKind::Crash { detail },
+            due_layer: None,
+            top5_miss: true,
+            confidence_delta: 0.0,
+        };
+        let mut w = JournalWriter::create(&path, JournalHeader::solo(6, 1, 0)).unwrap();
+        w.append(&record, &path).unwrap();
+        drop(w);
+        let start = std::time::Instant::now();
+        let (_, rs) = read_journal(&path).unwrap();
+        let took = start.elapsed();
+        assert_eq!(rs, [record]);
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "1 MiB detail took {took:?}"
+        );
     }
 
     #[test]

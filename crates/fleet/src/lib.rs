@@ -107,7 +107,7 @@ pub fn worker_env() -> Option<WorkerEnv> {
 
 /// A background thread appending `{"heartbeat":...}` lines to a shard
 /// journal so the orchestrator can tell a slow worker from a dead one.
-/// Stops (and joins) on drop.
+/// Stops (and joins) on drop, at once: drop unparks the waiting thread.
 pub struct Heartbeat {
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -139,12 +139,11 @@ impl Heartbeat {
             while !seen.load(Ordering::Relaxed) {
                 let _ = append_heartbeat(&path);
                 tick();
-                // Sleep in short steps so drop() never waits a full interval.
-                let mut slept = Duration::ZERO;
-                while slept < every && !seen.load(Ordering::Relaxed) {
-                    let step = Duration::from_millis(20).min(every - slept);
-                    std::thread::sleep(step);
-                    slept += step;
+                // Park until the next beat; drop() unparks the thread (an
+                // unpark that comes first is not lost).
+                let due = Instant::now() + every;
+                while !seen.load(Ordering::Relaxed) && Instant::now() < due {
+                    std::thread::park_timeout(due.saturating_duration_since(Instant::now()));
                 }
             }
         });
@@ -159,6 +158,7 @@ impl Drop for Heartbeat {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -280,7 +280,8 @@ pub struct FleetConfig {
     /// Directory holding the shard journals
     /// ([`ShardSpec::journal_path`] naming).
     pub dir: PathBuf,
-    /// How often the orchestrator polls children and journals.
+    /// How often the orchestrator polls children and journals; a worker's
+    /// exit is seen within about a millisecond regardless.
     pub poll_interval: Duration,
     /// A shard whose journal shows no growth (records or heartbeats) for
     /// this long is declared hung, killed, and restarted.
@@ -458,6 +459,21 @@ impl ShardState {
     }
 }
 
+/// Sleeps until the next poll is due, checking the running workers every
+/// millisecond and returning early when one has exited. The poll then sees
+/// the exit too: [`Child::try_wait`] keeps a reaped status.
+fn wait_for_next_poll(shards: &mut [ShardState], poll_interval: Duration) {
+    let due = Instant::now() + poll_interval;
+    while Instant::now() < due {
+        let mut children = shards.iter_mut().filter_map(|s| s.child.as_mut());
+        if children.any(|c| !matches!(c.try_wait(), Ok(None))) {
+            return;
+        }
+        let left = due.saturating_duration_since(Instant::now());
+        std::thread::sleep(left.min(Duration::from_millis(1)));
+    }
+}
+
 /// Runs a sharded campaign to completion (or graceful degradation) under
 /// crash-tolerant supervision.
 ///
@@ -467,6 +483,8 @@ impl ShardState {
 /// children and journals, restarts dead or hung workers with exponential
 /// backoff (each restart resumes from the shard journal), abandons shards
 /// that exhaust `max_restarts`, and finally merges whatever journals exist.
+/// A worker's exit cuts the wait for the next poll short, so a fleet ends
+/// when its last worker does.
 ///
 /// Pre-existing shard journals in `FleetConfig::dir` are resumed, so a
 /// killed *orchestrator* can itself be rerun and will pick up where the
@@ -593,7 +611,7 @@ where
         if shards.iter().all(|s| !s.live()) {
             break;
         }
-        std::thread::sleep(cfg.poll_interval);
+        wait_for_next_poll(&mut shards, cfg.poll_interval);
     }
 
     // One final observation pass so the report reflects each journal's
@@ -721,15 +739,18 @@ mod tests {
         cfg
     }
 
-    #[test]
-    fn healthy_fleet_merges_to_a_complete_report() {
+    /// Three `cp` workers copy complete staged journals into place; the
+    /// fleet must merge them into a complete report.
+    fn healthy_fleet(name: &str, poll_interval: Duration) -> FleetReport {
         let trials = 9;
-        let dir = tmp_dir("healthy");
+        let dir = tmp_dir(name);
         let staged: Vec<PathBuf> = plan_shards(trials, 3)
             .iter()
             .map(|s| stage_shard(&dir, s, trials))
             .collect();
-        let report = orchestrate(&fast_cfg(trials, 3, dir), |spec, path, _attempt| {
+        let mut cfg = fast_cfg(trials, 3, dir);
+        cfg.poll_interval = poll_interval;
+        let report = orchestrate(&cfg, |spec, path, _attempt| {
             Command::new("cp")
                 .arg(&staged[spec.index])
                 .arg(path)
@@ -739,9 +760,27 @@ mod tests {
         assert!(report.is_complete(), "{report:?}");
         assert_eq!(report.spawns, 3);
         assert_eq!(report.restarts, 0);
-        let merged = report.merged.unwrap();
+        let merged = report.merged.as_ref().unwrap();
         assert_eq!(merged.records.len(), trials);
         assert_eq!(merged.counts.masked, trials);
+        report
+    }
+
+    #[test]
+    fn healthy_fleet_merges_to_a_complete_report() {
+        healthy_fleet("healthy", Duration::from_millis(10));
+    }
+
+    #[test]
+    fn orchestrator_returns_when_its_workers_do() {
+        // The `cp` workers finish in milliseconds: the fleet must end with
+        // them, not a poll interval later.
+        let report = healthy_fleet("prompt", Duration::from_secs(2));
+        assert!(
+            report.elapsed < Duration::from_secs(1),
+            "fleet took {:?} for workers that exit at once",
+            report.elapsed
+        );
     }
 
     #[test]

@@ -9,6 +9,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::Value;
+
 /// Where an injection landed inside a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionSite {
@@ -181,8 +183,7 @@ impl Event {
     /// exact for every field except that unknown outcome labels collapse to
     /// `"unknown"` (outcome labels are `&'static str`, so only the closed
     /// taxonomy round-trips — which is all the campaign ever emits).
-    pub fn from_json(v: &crate::json::Value) -> Result<Event, String> {
-        use crate::json::Value;
+    pub fn from_json(v: &Value<'_>) -> Result<Event, String> {
         let kind = v
             .get("type")
             .and_then(Value::as_str)
@@ -271,11 +272,10 @@ fn outcome_label(s: &str) -> &'static str {
 
 /// Decodes an `f32` written by [`push_f32`]: a JSON number, or the strings
 /// `"inf"` / `"-inf"` / `"nan"`.
-fn f32_from_value(v: Option<&crate::json::Value>) -> Result<f32, String> {
-    use crate::json::Value;
+fn f32_from_value(v: Option<&Value<'_>>) -> Result<f32, String> {
     match v {
-        Some(Value::Num(n)) => Ok(*n as f32),
-        Some(Value::Str(s)) => match s.as_str() {
+        Some(Value::Num(n)) => n.parse().map_err(|_| format!("bad float {n:?}")),
+        Some(Value::Str(s)) => match s.as_ref() {
             "inf" => Ok(f32::INFINITY),
             "-inf" => Ok(f32::NEG_INFINITY),
             "nan" => Ok(f32::NAN),

@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 
 use crate::clock::now_ns;
 use crate::event::Event;
-use crate::json::{parse_json, Value};
+use crate::json::{lines, parse_line, Value};
 use crate::recorder::{close_span, Recorder, SpanCtx, SpanRecord, SpanToken};
 use crate::sidecar::SidecarHeader;
 
@@ -257,18 +257,18 @@ pub struct FlightRead {
     /// Running counter totals at capture time.
     pub counters: BTreeMap<String, u64>,
     /// Retained entries, oldest first: `(seq, ns, item)`.
-    pub entries: Vec<(u64, u64, Value)>,
+    pub entries: Vec<(u64, u64, Value<'static>)>,
 }
 
 /// Reads a flight postmortem back. Tolerates a torn tail line (snapshots
 /// are atomic via rename, but be lenient anyway); fails only if the file is
 /// unreadable or the header is not a flight header.
 pub fn read_flight(path: &Path) -> std::io::Result<FlightRead> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines();
+    let bytes = std::fs::read(path)?;
+    let mut lines = lines(&bytes).map(|(line, _)| line);
     let header = lines
         .next()
-        .and_then(|l| parse_json(l).ok())
+        .and_then(|l| parse_line(l).ok())
         .filter(|v| v.get("rustfi_flight").and_then(Value::as_u64) == Some(FLIGHT_VERSION))
         .ok_or_else(|| {
             std::io::Error::new(
@@ -277,10 +277,10 @@ pub fn read_flight(path: &Path) -> std::io::Result<FlightRead> {
             )
         })?;
     let mut counters = BTreeMap::new();
-    if let Some(Value::Obj(map)) = header.get("counters") {
-        for (k, v) in map {
+    if let Some(Value::Obj(fields)) = header.get("counters") {
+        for (k, v) in fields {
             if let Some(n) = v.as_u64() {
-                counters.insert(k.clone(), n);
+                counters.insert(k.to_string(), n);
             }
         }
     }
@@ -289,7 +289,9 @@ pub fn read_flight(path: &Path) -> std::io::Result<FlightRead> {
         if line.is_empty() {
             continue;
         }
-        let Ok(v) = parse_json(line) else { continue };
+        let Ok(v) = parse_line(line) else {
+            continue;
+        };
         let (Some(seq), Some(ns), Some(item)) = (
             v.get("seq").and_then(Value::as_u64),
             v.get("ns").and_then(Value::as_u64),
@@ -297,7 +299,7 @@ pub fn read_flight(path: &Path) -> std::io::Result<FlightRead> {
         ) else {
             continue;
         };
-        entries.push((seq, ns, item.clone()));
+        entries.push((seq, ns, item.clone().into_owned()));
     }
     Ok(FlightRead {
         cap: header.get("cap").and_then(Value::as_u64).unwrap_or(0) as usize,

@@ -1,27 +1,39 @@
-//! Minimal JSON parser (the build environment is hermetic — no serde).
-//! Originally test-only for round-trip-validating the exporters; now also the
-//! runtime parser for telemetry sidecars and flight-recorder postmortems.
-//! Supports the full value grammar the exporters emit: objects, arrays,
-//! strings with escapes, numbers, booleans, null.
+//! The workspace's one JSON reader (the build environment is hermetic — no
+//! serde): journals, telemetry sidecars, flight postmortems and the
+//! exporters' round-trip tests all decode through it.
+//!
+//! It is byte-oriented and linear in its input. Each string is scanned once,
+//! and one without escapes — every key, and almost every value the writers
+//! emit — borrows from the input. Numbers stay as their source text, so a
+//! `u64` above 2^53 or an `f32` in its shortest `Display` form parses
+//! exactly ([`Value::as_num`]). JSON-lines files are read as bytes:
+//! [`lines`] splits them and [`parse_line`] checks each line's UTF-8, so a
+//! line torn inside a multi-byte character is just another unparseable line.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
-/// A parsed JSON value.
+/// Nesting depth past which a document is refused, so a corrupted line
+/// cannot overflow the reader's stack.
+const MAX_DEPTH: usize = 128;
+
+/// A parsed JSON value, borrowing from its input where it can.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     Null,
     Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
+    /// A number, as its source text (checked when an accessor parses it).
+    Num(Cow<'a, str>),
+    Str(Cow<'a, str>),
+    Arr(Vec<Value<'a>>),
+    /// Fields in input order.
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+impl<'a> Value<'a> {
+    /// Object field lookup (the first field of that name).
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -35,32 +47,31 @@ impl Value {
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub fn as_array(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,
         }
     }
 
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    /// The number's source text, if this is a number: parse it as the type
+    /// the writer wrote (`u64`, `f32`, ...) to get its exact value back.
+    pub fn as_num(&self) -> Option<&str> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(n) => Some(n),
             _ => None,
         }
     }
 
-    /// The number as a non-negative integer, if this is a whole number that
-    /// fits `u64` exactly (the parser stores numbers as `f64`, so integers are
-    /// exact up to 2^53 — far beyond any counter or nanosecond offset the
-    /// telemetry layer writes).
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        self.as_num()?.parse().ok()
+    }
+
+    /// The number as a `u64`, if it is a non-negative integer that fits
+    /// (exactly, at any magnitude).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_num()?.parse().ok()
     }
 
     /// The boolean, if this is a boolean.
@@ -70,160 +81,193 @@ impl Value {
             _ => None,
         }
     }
+
+    /// This value with its borrowed strings copied, so it outlives its input.
+    pub fn into_owned(self) -> Value<'static> {
+        let own = |s: Cow<'a, str>| Cow::Owned(s.into_owned());
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(b),
+            Value::Num(n) => Value::Num(own(n)),
+            Value::Str(s) => Value::Str(own(s)),
+            Value::Arr(v) => Value::Arr(v.into_iter().map(Value::into_owned).collect()),
+            Value::Obj(f) => Value::Obj(
+                f.into_iter()
+                    .map(|(k, v)| (own(k), v.into_owned()))
+                    .collect(),
+            ),
+        }
+    }
 }
 
-/// Parses one JSON document, requiring it to consume the whole input.
-pub fn parse_json(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+/// Parses one JSON document, requiring it to consume the whole input, into
+/// a value that owns its strings.
+pub fn parse_json(input: &str) -> Result<Value<'static>, String> {
+    parse_str(input).map(Value::into_owned)
+}
+
+/// Parses one line of a JSON-lines file, borrowing from it; bytes that are
+/// not UTF-8 are a parse error like any other.
+pub fn parse_line(line: &[u8]) -> Result<Value<'_>, String> {
+    parse_str(std::str::from_utf8(line).map_err(|e| e.to_string())?)
+}
+
+fn parse_str(text: &str) -> Result<Value<'_>, String> {
+    let mut p = Parser { text, pos: 0 };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Splits a JSON-lines file into `(line, terminated)` pairs, each line
+/// without its `\n`. Only the final line can be unterminated: the torn tail
+/// a kill mid-write leaves.
+pub fn lines(bytes: &[u8]) -> impl Iterator<Item = (&[u8], bool)> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .map(|seg| match seg.split_last() {
+            Some((b'\n', line)) => (line, true),
+            _ => (seg, false),
+        })
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos:?}")),
-        None => Err("unexpected end of input".into()),
-    }
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected {lit} at byte {pos:?}"))
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.eat(b) {
+            return Ok(());
+        }
+        Err(format!("expected '{}' at byte {}", b as char, self.pos))
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value<'a>, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("nested too deep at byte {}", self.pos));
+        }
+        self.skip_ws();
+        let start = self.pos;
+        match self.peek() {
+            Some(b'{') => Ok(Value::Obj(self.items(b'}', |p| {
+                p.skip_ws();
+                let key = p.string()?;
+                p.skip_ws();
+                p.expect(b':')?;
+                Ok((key, p.value(depth + 1)?))
+            })?)),
+            Some(b'[') => Ok(Value::Arr(self.items(b']', |p| p.value(depth + 1))?)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => {
+                while matches!(
+                    self.peek(),
+                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                ) {
+                    self.pos += 1;
                 }
-                *pos += 1;
+                Ok(Value::Num(Cow::Borrowed(&self.text[start..self.pos])))
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input came from &str, so this
-                // boundary arithmetic is safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(c) => Err(format!("unexpected byte {c:?} at {start}")),
+            None => Err("unexpected end of input".into()),
         }
     }
-}
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
+    fn literal(&mut self, lit: &str, value: Value<'a>) -> Result<Value<'a>, String> {
+        if !self.text[self.pos..].starts_with(lit) {
+            return Err(format!("expected {lit} at byte {}", self.pos));
+        }
+        self.pos += lit.len();
+        Ok(value)
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos:?}"));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos:?}"));
-        }
-        *pos += 1;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-}
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+    /// The comma-separated items of an object or array, from its opening
+    /// bracket through `close`.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.pos += 1;
+        let mut items = Vec::with_capacity(8);
+        self.skip_ws();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            if self.eat(close) {
+                return Ok(items);
             }
-            other => return Err(format!("expected ',' or ']', got {other:?}")),
+            self.expect(b',')?;
+        }
+    }
+
+    /// One string, scanned once: each run up to a quote or backslash is
+    /// found in one pass and copied whole, and a string without escapes is
+    /// borrowed. Slicing `text` there is safe: the delimiters are ASCII.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.text.as_bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let chunk = &self.text[self.pos..self.pos + run];
+            self.pos += run + 1;
+            if self.text.as_bytes()[self.pos - 1] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(chunk),
+                    Some(s) => Cow::Owned(s + chunk),
+                });
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(chunk);
+            s.push(match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5);
+                    let code = hex
+                        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok());
+                    self.pos += 4;
+                    char::from_u32(code.ok_or("bad \\u escape")?).unwrap_or('\u{fffd}')
+                }
+                other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
+            });
+            self.pos += 1;
         }
     }
 }
@@ -257,6 +301,14 @@ mod tests {
         assert!(parse_json("{\"a\":1}x").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_without_overflowing_the_stack() {
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(parse_json(&deep).is_err());
+        let shallow = format!("{}{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse_json(&shallow).is_ok());
     }
 
     #[test]

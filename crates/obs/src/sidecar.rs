@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 
 use crate::clock::now_ns;
 use crate::event::{escape_json_into, Event};
-use crate::json::{parse_json, Value};
+use crate::json::{lines, parse_line, Value};
 use crate::names::intern;
 use crate::recorder::{close_span, ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken};
 
@@ -57,7 +57,7 @@ impl SidecarHeader {
         )
     }
 
-    fn from_value(v: &Value) -> Result<Self, String> {
+    fn from_value(v: &Value<'_>) -> Result<Self, String> {
         let version = v
             .get("rustfi_telemetry")
             .and_then(Value::as_u64)
@@ -312,15 +312,14 @@ pub struct SidecarRead {
 }
 
 /// Reads a sidecar back, repairing a torn tail: the valid line prefix is
-/// kept, unparseable lines are counted and dropped. Fails only when the
-/// file cannot be read at all or its first line is not a valid telemetry
-/// header (wrong file / stillborn write).
+/// kept, unparseable lines — a line torn mid-write, or whose bytes are not
+/// UTF-8 — are counted and dropped. Fails only when the file cannot be read
+/// at all or its first line is not a valid telemetry header (wrong file /
+/// stillborn write).
 pub fn read_sidecar(path: &Path) -> std::io::Result<SidecarRead> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.lines();
-    let header_line = lines.next().unwrap_or("");
-    let header = parse_json(header_line)
-        .map_err(|e| e.to_string())
+    let bytes = std::fs::read(path)?;
+    let mut lines = lines(&bytes).map(|(line, _)| line);
+    let header = parse_line(lines.next().unwrap_or_default())
         .and_then(|v| SidecarHeader::from_value(&v))
         .map_err(|e| {
             std::io::Error::new(
@@ -334,7 +333,7 @@ pub fn read_sidecar(path: &Path) -> std::io::Result<SidecarRead> {
         if line.is_empty() {
             continue;
         }
-        match parse_json(line).ok().and_then(|v| decode_line(&v)) {
+        match parse_line(line).ok().and_then(|v| decode_line(&v)) {
             Some(item) => match item {
                 Line::Span(s) => batch.spans.push(s),
                 Line::Event(e) => batch.events.push(e),
@@ -358,7 +357,7 @@ enum Line {
     Timing(&'static str, u64),
 }
 
-fn decode_line(v: &Value) -> Option<Line> {
+fn decode_line(v: &Value<'_>) -> Option<Line> {
     if let Some(s) = v.get("span") {
         return Some(Line::Span(SpanRecord {
             name: s.get("name")?.as_str()?.to_string(),
@@ -477,6 +476,25 @@ mod tests {
         assert_eq!(read.torn_lines, 1, "torn tail counted");
         assert_eq!(read.batch.spans.len(), 1, "valid prefix intact");
         assert_eq!(read.header.attempt, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tail_torn_inside_a_multibyte_character_is_repaired() {
+        let dir = tmpdir("torn_utf8");
+        let path = dir.join("s.telemetry.jsonl");
+        let rec = SidecarRecorder::create(&path, 0, 1, 0).unwrap();
+        rec.merge(sample_batch());
+        drop(rec);
+        // A kill one byte into the two-byte `é`.
+        let torn = "{\"counter\":\"é".as_bytes();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&torn[..torn.len() - 1]).unwrap();
+        drop(f);
+
+        let read = read_sidecar(&path).unwrap();
+        assert_eq!(read.torn_lines, 1, "torn tail counted");
+        assert_eq!(read.batch.spans.len(), 1, "valid prefix intact");
         std::fs::remove_dir_all(&dir).ok();
     }
 
