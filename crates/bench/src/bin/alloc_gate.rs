@@ -7,7 +7,7 @@
 //! fan-out allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
-//! Three measurements keep the assertion honest:
+//! Six measurements keep the assertion honest:
 //!
 //! 1. With pooling *disabled* (budget 0), the same passes must allocate —
 //!    proving the counter actually observes the forward path (a vacuously
@@ -25,6 +25,9 @@
 //!    layer — warmed passes of a residual net with stride-2 projection
 //!    shortcuts must allocate nothing either: the plane scratch is reused
 //!    across every input shape the net presents.
+//! 6. A planned broadcast resume — the pass a fused campaign chunk runs —
+//!    at a conv on lenet's spine, carried to a batch of 8, must allocate
+//!    nothing: the broadcast draws its batch from the pool.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
@@ -107,6 +110,31 @@ fn main() {
         planned_int8 == 0.0,
         "planned INT8 forward path allocated at steady state — the input-plane \
          scratch must be reused across shapes ({planned_int8:.3} allocations/pass)"
+    );
+
+    let broadcast = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let target = net.injectable_layers()[1];
+        assert_eq!(net.resume_point(target), Some(target), "a spine conv");
+        let mut act = None;
+        net.forward_with_capture(&input, &mut |id, x| {
+            if id == target {
+                act = Some(x.clone());
+            }
+        });
+        let act = act.expect("the spine conv ran");
+        alloc_count::steady_state_allocs(8, 64, || {
+            let out = net.forward_from_broadcast(target, &act, 8);
+            std::hint::black_box(out)
+                .expect("target is a layer")
+                .into_pool()
+        })
+    };
+    println!("alloc_gate: broadcast    -> {broadcast:.1} allocations/pass");
+    assert!(
+        broadcast == 0.0,
+        "planned broadcast resume allocated at steady state \
+         ({broadcast:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

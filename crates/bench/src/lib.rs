@@ -260,25 +260,32 @@ pub mod alloc_count {
         }
     }
 
-    /// Allocations per forward pass of `net` at steady state: runs `warm`
-    /// un-counted passes (filling caches and the tensor pool), then counts
-    /// across `iters` passes and returns the mean. Meaningful only with
+    /// Allocations per call of `pass` at steady state: runs `warm`
+    /// un-counted calls (filling caches and the tensor pool), then counts
+    /// across `iters` calls and returns the mean. Meaningful only with
     /// [`CountingAlloc`] installed; callers enable the tensor pool first.
+    pub fn steady_state_allocs(warm: usize, iters: usize, mut pass: impl FnMut()) -> f64 {
+        assert!(iters > 0, "need at least one counted iteration");
+        for _ in 0..warm {
+            pass();
+        }
+        let before = thread_allocs();
+        for _ in 0..iters {
+            pass();
+        }
+        (thread_allocs() - before) as f64 / iters as f64
+    }
+
+    /// [`steady_state_allocs`] of a forward pass of `net` on `input`.
     pub fn steady_state_forward_allocs(
         net: &mut rustfi_nn::Network,
         input: &rustfi_tensor::Tensor,
         warm: usize,
         iters: usize,
     ) -> f64 {
-        assert!(iters > 0, "need at least one counted iteration");
-        for _ in 0..warm {
-            std::hint::black_box(net.forward(input)).into_pool();
-        }
-        let before = thread_allocs();
-        for _ in 0..iters {
-            std::hint::black_box(net.forward(input)).into_pool();
-        }
-        (thread_allocs() - before) as f64 / iters as f64
+        steady_state_allocs(warm, iters, || {
+            std::hint::black_box(net.forward(input)).into_pool()
+        })
     }
 }
 

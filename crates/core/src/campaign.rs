@@ -553,48 +553,17 @@ impl<'a> Campaign<'a> {
         cfg: &CampaignConfig,
         path: &Path,
     ) -> Result<CampaignResult, FiError> {
-        if path.exists() {
-            return self.resume(cfg, path);
-        }
-        let writer = JournalWriter::create(
-            path,
-            JournalHeader::solo(cfg.seed, cfg.trials, self.config_hash(cfg)),
-        )?;
-        self.run_internal(
-            cfg,
-            Some(JournalState {
-                path: path.to_path_buf(),
-                writer: Mutex::new(writer),
-                done: BTreeMap::new(),
-            }),
-            (0, cfg.trials),
-        )
+        self.run_shard(cfg, &crate::shard::plan_shards(cfg.trials, 1)[0], path)
     }
 
     /// Resumes a journaled campaign: trials already recorded in the journal
     /// are replayed, only the missing ones run. The merged result is
     /// bit-identical to an uninterrupted [`Campaign::run`] with the same
-    /// configuration.
+    /// configuration. A missing journal is an error, not a fresh start.
     pub fn resume(&self, cfg: &CampaignConfig, path: &Path) -> Result<CampaignResult, FiError> {
-        let (header, replayed) = read_journal_repairing(path)?;
-        let expected = JournalHeader::solo(cfg.seed, cfg.trials, self.config_hash(cfg));
-        refuse_foreign_journal(&header, &expected)?;
-        let mut done = BTreeMap::new();
-        for r in replayed {
-            if r.trial < cfg.trials {
-                done.entry(r.trial).or_insert(r);
-            }
-        }
-        let writer = JournalWriter::open_append(path)?;
-        self.run_internal(
-            cfg,
-            Some(JournalState {
-                path: path.to_path_buf(),
-                writer: Mutex::new(writer),
-                done,
-            }),
-            (0, cfg.trials),
-        )
+        std::fs::metadata(path)
+            .map_err(|e| FiError::io(format!("reading journal {}", path.display()), e))?;
+        self.run_journaled(cfg, path)
     }
 
     /// Runs one shard of the campaign — trials `spec.start..spec.end` of
@@ -892,79 +861,47 @@ impl<'a> Campaign<'a> {
             shared_recorder: cfg.recorder.as_ref(),
             progress: cfg.progress.as_ref(),
             progress_state: progress_state.as_ref(),
+            fusion: FusionCounters::default(),
         };
 
-        let mut fusion_counters: Option<FusionCounters> = None;
-        let worker_results: Vec<Result<Vec<TrialRecord>, FiError>> = if let Some(width) =
-            fusion_width
-        {
-            let counters = FusionCounters::default();
-            let units = plan_fused_units(&env, width)?;
-            let results = parallel::map_indexed(workers, |w| {
-                // Enable this worker thread's tensor pool for the duration
-                // of its trial loop; dropped (and cleared) on exit so pooling
-                // never leaks outside the campaign.
-                let _pool = rustfi_tensor::tpool::budget_scope(cfg.pool_budget_bytes);
-                let local: Option<Arc<LocalRecorder>> =
-                    env.shared_recorder.map(|_| Arc::new(LocalRecorder::new()));
-                let (mut fi, mut guard) =
-                    build_worker(&env, &local, true, golden_cell.lock().take())?;
-                let mut records = Vec::new();
-                let mut u = w;
-                while u < units.len() {
-                    match &units[u] {
-                        WorkUnit::Fused {
-                            layer,
-                            image_index,
-                            chunk,
-                        } => records.extend(run_fused_chunk(
-                            &env,
-                            &mut fi,
-                            &mut guard,
-                            &local,
-                            *layer,
-                            *image_index,
-                            chunk,
-                            &counters,
-                        )?),
-                        WorkUnit::Serial(t) => {
-                            counters.serial.fetch_add(1, Ordering::Relaxed);
-                            records
-                                .push(run_one_trial(&env, &mut fi, &mut guard, &local, true, *t)?);
-                        }
+        // A fused run executes planned units: chunks sharing an (injection
+        // layer, image) pair, plus the trials whose planning panicked. A
+        // serial run strides over the pending trials.
+        let units = fusion_width
+            .map(|width| plan_fused_units(&env, width))
+            .transpose()?;
+        let per_sample = units.is_some();
+        let worker_results = parallel::map_indexed(workers, |w| {
+            // Enable this worker thread's tensor pool for the duration of
+            // its trial loop; dropped (and cleared) on exit so pooling never
+            // leaks outside the campaign.
+            let _pool = rustfi_tensor::tpool::budget_scope(cfg.pool_budget_bytes);
+            let local = env.shared_recorder.map(|_| Arc::new(LocalRecorder::new()));
+            let mut worker = build_worker(&env, local, per_sample, golden_cell.lock().take())?;
+            let mut records = Vec::new();
+            let mut run = |unit: &WorkUnit| -> Result<(), FiError> {
+                match unit {
+                    WorkUnit::Fused(chunk) => {
+                        records.extend(run_fused_chunk(&env, &mut worker, chunk)?)
                     }
-                    u += workers;
+                    WorkUnit::Serial(t) => records.push(run_one_trial(&env, &mut worker, *t)?),
                 }
-                Ok(records)
-            });
-            fusion_counters = Some(counters);
-            results
-        } else {
-            parallel::map_indexed(workers, |w| {
-                // Enable this worker thread's tensor pool for the duration
-                // of its trial loop; dropped (and cleared) on exit so pooling
-                // never leaks outside the campaign.
-                let _pool = rustfi_tensor::tpool::budget_scope(cfg.pool_budget_bytes);
-                // Per-worker observability buffer; merged into the shared
-                // recorder at trial boundaries (one lock-free push per
-                // trial) so recording never serializes workers.
-                let local: Option<Arc<LocalRecorder>> =
-                    env.shared_recorder.map(|_| Arc::new(LocalRecorder::new()));
-                let (mut fi, mut guard) =
-                    build_worker(&env, &local, false, golden_cell.lock().take())?;
-                let mut records = Vec::new();
-                let mut t = start + w;
-                while t < end {
-                    if env.journal.is_some_and(|j| j.done.contains_key(&t)) {
-                        t += workers;
-                        continue;
-                    }
-                    records.push(run_one_trial(&env, &mut fi, &mut guard, &local, false, t)?);
-                    t += workers;
-                }
-                Ok(records)
-            })
-        };
+                Ok(())
+            };
+            match &units {
+                Some(units) => units
+                    .iter()
+                    .skip(w)
+                    .step_by(workers)
+                    .try_for_each(&mut run)?,
+                None => (start + w..end)
+                    .step_by(workers)
+                    .filter(|&t| env.pending(t))
+                    .try_for_each(|t| run(&WorkUnit::Serial(t)))?,
+            }
+            Ok(records)
+        });
+        let fusion = fusion_width.map(|_| env.fusion.into_stats());
 
         let mut all_records: Vec<TrialRecord> = journal
             .map(|j| j.done.into_values().collect())
@@ -1000,12 +937,7 @@ impl<'a> Campaign<'a> {
             per_layer,
             eligible_images: eligible.len(),
             prefix: prefix.as_ref().map(|(cache, ..)| cache.stats()),
-            fusion: fusion_counters.map(|c| FusionStats {
-                fused_trials: c.fused.into_inner(),
-                serial_trials: c.serial.into_inner(),
-                groups: c.groups.into_inner(),
-                max_width: c.max_width.into_inner(),
-            }),
+            fusion,
         })
     }
 }
@@ -1043,12 +975,34 @@ struct RunEnv<'e> {
     shared_recorder: Option<&'e Arc<dyn Recorder>>,
     progress: Option<&'e ProgressRecorder>,
     progress_state: Option<&'e ProgressState>,
+    /// Fused and serial unit tallies, reported when fusion is on.
+    fusion: FusionCounters,
 }
 
 impl RunEnv<'_> {
     /// Trials in this run's range — the progress total.
     fn span(&self) -> usize {
         self.range.1 - self.range.0
+    }
+
+    /// Whether trial `t` still has to run (no journal replayed it).
+    fn pending(&self, t: usize) -> bool {
+        !self.journal.is_some_and(|j| j.done.contains_key(&t))
+    }
+
+    /// Peeks the golden-prefix cache for `layer`'s resume point on image
+    /// `image_index`, without counting: `None` when no cache applies, else
+    /// `Some` of the hit — the resume point and its cached input — or of
+    /// `None` on a miss (evicted, unwhitelisted, or non-finite golden).
+    /// [`finish_unit`] counts the outcome once the unit's pass is over.
+    fn peek_prefix(
+        &self,
+        layer: usize,
+        image_index: usize,
+    ) -> Option<Option<(LayerId, Arc<Tensor>)>> {
+        let (cache, resume, ..) = self.prefix.as_ref()?;
+        let rid = resume.get(layer).copied().flatten()?;
+        Some(cache.peek(image_index, rid).map(|act| (rid, act)))
     }
 }
 
@@ -1061,6 +1015,17 @@ struct FusionCounters {
     max_width: AtomicUsize,
 }
 
+impl FusionCounters {
+    fn into_stats(self) -> FusionStats {
+        FusionStats {
+            fused_trials: self.fused.into_inner(),
+            serial_trials: self.serial.into_inner(),
+            groups: self.groups.into_inner(),
+            max_width: self.max_width.into_inner(),
+        }
+    }
+}
+
 /// One planned (not yet executed) trial of a fused campaign.
 #[derive(Clone)]
 struct PlannedTrial {
@@ -1071,19 +1036,34 @@ struct PlannedTrial {
     sites: Vec<NeuronSite>,
 }
 
-/// A unit of fused-scheduler work: a chunk of trials sharing an
-/// `(injection layer, image)` pair, or one trial that must run serially.
+/// Planned trials sharing an `(injection layer, image)` pair, run as one
+/// batched forward pass.
+struct FusedChunk {
+    layer: usize,
+    image_index: usize,
+    trials: Vec<PlannedTrial>,
+}
+
+/// A unit of campaign work: a fused chunk, or one trial that runs serially.
 enum WorkUnit {
-    Fused {
-        layer: usize,
-        image_index: usize,
-        chunk: Vec<PlannedTrial>,
-    },
+    Fused(FusedChunk),
     Serial(usize),
 }
 
-/// An injector (+ guard) for one worker; also used to rebuild after a
-/// crashed trial, whose unwind may have left the network mid-mutation.
+/// One worker thread's injector (+ guard) and observability buffer.
+struct Worker {
+    fi: FaultInjector,
+    guard: Option<GuardHook>,
+    /// Per-worker observability buffer; merged into the shared recorder at
+    /// unit boundaries (one lock-free push per unit) so recording never
+    /// serializes workers.
+    local: Option<Arc<LocalRecorder>>,
+    /// Whether the guard judges batch samples apart (fused runs).
+    per_sample: bool,
+}
+
+/// A worker recording into `local`; also used to rebuild after a crashed
+/// trial, whose unwind may have left the network mid-mutation.
 ///
 /// `recycled` (when given) is the golden-pass injector, reused instead of
 /// paying another model build + profiling forward. Every trial path restores
@@ -1091,16 +1071,16 @@ enum WorkUnit {
 /// the injector, so a recycled one is record-identical to a fresh build.
 fn build_worker(
     env: &RunEnv<'_>,
-    local: &Option<Arc<LocalRecorder>>,
+    local: Option<Arc<LocalRecorder>>,
     per_sample: bool,
     recycled: Option<FaultInjector>,
-) -> Result<(FaultInjector, Option<GuardHook>), FiError> {
+) -> Result<Worker, FiError> {
     let cfg = env.cfg;
     let mut fi = match recycled {
         Some(fi) => fi,
         None => FaultInjector::new((env.factory)(), FiConfig::for_input(&env.input_dims))?,
     };
-    if let Some(l) = local {
+    if let Some(l) = &local {
         // Before the guard install, so guard events route through the same
         // buffer.
         fi.set_recorder(Some(Arc::clone(l) as Arc<dyn Recorder>));
@@ -1129,31 +1109,85 @@ fn build_worker(
             },
         )
     });
-    Ok((fi, guard))
+    Ok(Worker {
+        fi,
+        guard,
+        local,
+        per_sample,
+    })
 }
 
-/// Runs trial `t` serially, exactly as campaigns always have: plan, inject,
-/// forward, classify, journal, observe, report. Fused campaigns call this
-/// too — for trials whose planning panicked and for chunks replayed after a
-/// crash — which is what makes fused records bit-identical to serial ones.
-fn run_one_trial(
+impl TrialRecord {
+    /// The record of trial `trial` on image `image_index`, hitting `layer`
+    /// at `site`, with the fields of a trial that produced no output: a
+    /// Top-5 miss and no confidence change. Callers overwrite the
+    /// placeholder outcome.
+    fn unfinished(
+        trial: usize,
+        image_index: usize,
+        layer: usize,
+        site: Option<NeuronSite>,
+    ) -> Self {
+        Self {
+            trial,
+            image_index,
+            layer,
+            site,
+            outcome: OutcomeKind::Hang,
+            due_layer: None,
+            top5_miss: true,
+            confidence_delta: 0.0,
+        }
+    }
+}
+
+/// Completes `base` for a trial whose forward pass produced output `row`.
+/// A guard that saw a non-finite activation in layer `non_finite` makes it
+/// a DUE with that layer as provenance, whatever the output looks like;
+/// otherwise `row` is classified against the golden label.
+fn record_from_row(
     env: &RunEnv<'_>,
-    fi: &mut FaultInjector,
-    guard: &mut Option<GuardHook>,
-    local: &Option<Arc<LocalRecorder>>,
-    per_sample: bool,
-    t: usize,
-) -> Result<TrialRecord, FiError> {
-    let total = env.span();
+    base: TrialRecord,
+    clean_conf: f32,
+    row: &[f32],
+    non_finite: Option<LayerId>,
+) -> TrialRecord {
+    if let Some(layer) = non_finite {
+        return TrialRecord {
+            outcome: OutcomeKind::Due,
+            due_layer: Some(layer.index()),
+            confidence_delta: -clean_conf,
+            ..base
+        };
+    }
+    let golden_label = env.labels[base.image_index];
+    let finite = row.iter().all(|v| v.is_finite());
+    TrialRecord {
+        outcome: classify_outcome(golden_label, row),
+        top5_miss: !finite || !crate::metrics::in_top_k(row, golden_label, 5),
+        confidence_delta: if finite {
+            confidence(row, golden_label) - clean_conf
+        } else {
+            -clean_conf
+        },
+        ..base
+    }
+}
+
+/// Runs trial `t` serially: plan, inject, forward, classify, then
+/// [`finish_unit`]. Fused campaigns call this too — for trials whose
+/// planning panicked and for chunks replayed after a crash — which is what
+/// makes fused records bit-identical to serial ones.
+fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialRecord, FiError> {
     let trial_seed = env.root.fork(t as u64).seed();
     let mut pick_rng = SeededRng::new(trial_seed).fork(3);
     let (image_index, clean_conf) = env.eligible[pick_rng.below(env.eligible.len())];
-    let golden_label = env.labels[image_index];
+    let fi = &mut w.fi;
     fi.restore();
     fi.reseed(trial_seed);
     fi.set_trial(Some(t));
-    let trial_start = local.as_ref().map(|_| now_ns());
-    if let Some(g) = guard.as_ref() {
+    let trial_start = w.local.as_ref().map(|_| now_ns());
+    if let Some(g) = &w.guard {
         g.reset();
     }
 
@@ -1192,22 +1226,15 @@ fn run_one_trial(
         };
         planned = Some((layer, site));
         // Prefix fast path: resume from the cached golden activation of
-        // this layer's resume point; any miss (evicted, unwhitelisted, or
-        // non-finite golden) falls back to a full pass with identical
-        // results.
-        if let Some((cache, resume, skipped, _)) = env.prefix {
-            if let Some(rid) = resume.get(layer).copied().flatten() {
-                match cache.lookup(image_index, rid, skipped[layer]) {
-                    Some(act) => {
-                        prefix_hit = Some(true);
-                        if let Some(out) = fi.forward_from(rid, &act) {
-                            let row = out.data().to_vec();
-                            out.into_pool();
-                            return Ok(row);
-                        }
-                    }
-                    None => prefix_hit = Some(false),
-                }
+        // this layer's resume point; a miss falls back to a full pass with
+        // identical results.
+        let peeked = env.peek_prefix(layer, image_index);
+        prefix_hit = peeked.as_ref().map(Option::is_some);
+        if let Some((rid, act)) = peeked.flatten() {
+            if let Some(out) = fi.forward_from(rid, &act) {
+                let row = out.data().to_vec();
+                out.into_pool();
+                return Ok(row);
             }
         }
         let x = env.images.select_batch(image_index);
@@ -1219,57 +1246,20 @@ fn run_one_trial(
     });
 
     let (layer, site) = planned.unwrap_or((usize::MAX, None));
-    let base = TrialRecord {
-        trial: t,
-        image_index,
-        layer,
-        site,
-        outcome: OutcomeKind::Hang, // placeholder, always overwritten
-        due_layer: None,
-        top5_miss: true,
-        confidence_delta: 0.0,
-    };
+    let base = TrialRecord::unfinished(t, image_index, layer, site);
     let record = match shielded {
         Ok(Ok(row)) => {
-            match guard.as_ref().and_then(|g| g.first_non_finite()) {
-                // Guard saw a non-finite activation (the output itself may
-                // look fine): DUE with layer provenance, classified exactly
-                // as a short-circuited trial would be.
-                Some((gid, _)) => TrialRecord {
-                    outcome: OutcomeKind::Due,
-                    due_layer: Some(gid.index()),
-                    confidence_delta: -clean_conf,
-                    ..base
-                },
-                None => {
-                    let outcome = classify_outcome(golden_label, &row);
-                    let finite = row.iter().all(|v| v.is_finite());
-                    let top5_miss = !finite || !crate::metrics::in_top_k(&row, golden_label, 5);
-                    let confidence_delta = if finite {
-                        confidence(&row, golden_label) - clean_conf
-                    } else {
-                        -clean_conf
-                    };
-                    TrialRecord {
-                        outcome,
-                        top5_miss,
-                        confidence_delta,
-                        ..base
-                    }
-                }
-            }
+            let non_finite = w.guard.as_ref().and_then(|g| g.first_non_finite());
+            record_from_row(env, base, clean_conf, &row, non_finite.map(|(id, _)| id))
         }
         // Planning rejected the fault template: a configuration error, not
         // a trial outcome.
         Ok(Err(e)) => return Err(e),
         Err(payload) => {
             if let Some(nf) = payload.downcast_ref::<NonFiniteInterrupt>() {
-                TrialRecord {
-                    outcome: OutcomeKind::Due,
-                    due_layer: Some(nf.layer.index()),
-                    confidence_delta: -clean_conf,
-                    ..base
-                }
+                // Short-circuited by a guard: the DUE a recording guard
+                // would report, without an output.
+                record_from_row(env, base, clean_conf, &[], Some(nf.layer))
             } else if payload.downcast_ref::<DeadlineInterrupt>().is_some() {
                 TrialRecord {
                     outcome: OutcomeKind::Hang,
@@ -1279,9 +1269,7 @@ fn run_one_trial(
                 let detail = parallel::shield::payload_message(payload.as_ref());
                 // The unwind may have interrupted a weight mutation or hook
                 // bookkeeping: rebuild this worker's injector from scratch.
-                let (new_fi, new_guard) = build_worker(env, local, per_sample, None)?;
-                *fi = new_fi;
-                *guard = new_guard;
+                *w = build_worker(env, w.local.take(), w.per_sample, None)?;
                 TrialRecord {
                     outcome: OutcomeKind::Crash { detail },
                     ..base
@@ -1289,21 +1277,89 @@ fn run_one_trial(
             }
         }
     };
-    if let Some(j) = env.journal {
-        j.writer.lock().append(&record, &j.path)?;
+    finish_unit(
+        env,
+        w,
+        std::slice::from_ref(&record),
+        trial_start,
+        prefix_hit,
+        None,
+    )?;
+    Ok(record)
+}
+
+/// Everything that follows a unit's forward pass, given its finished
+/// `records`: prefix-cache and fusion counters, journal appends, and —
+/// while recording — the unit's trace span with pool, prefix and fusion
+/// counters and outcome events, flushed to the shared recorder; then
+/// progress. A unit is one serial trial (`fused_image` is `None`) or one
+/// fused chunk on image `fused_image`. `prefix_hit` is the unit's peeked
+/// cache outcome (`None` when no cache applied), charged only now so that
+/// a crashed chunk's serial replay counts its trials instead; `start_ns` is
+/// when the unit began (`Some` only while recording).
+fn finish_unit(
+    env: &RunEnv<'_>,
+    w: &Worker,
+    records: &[TrialRecord],
+    start_ns: Option<u64>,
+    prefix_hit: Option<bool>,
+    fused_image: Option<usize>,
+) -> Result<(), FiError> {
+    let n = records.len() as u64;
+    let layer = records[0].layer;
+    let prefix = env
+        .prefix
+        .as_ref()
+        .zip(prefix_hit)
+        .map(|((cache, _, skipped, _), hit)| {
+            cache.record_outcome(hit, n, skipped[layer]);
+            (hit, skipped[layer])
+        });
+    let counters = &env.fusion;
+    if fused_image.is_some() {
+        counters.fused.fetch_add(n, Ordering::Relaxed);
+        counters.groups.fetch_add(1, Ordering::Relaxed);
+        counters
+            .max_width
+            .fetch_max(records.len(), Ordering::Relaxed);
+    } else {
+        counters.serial.fetch_add(n, Ordering::Relaxed);
     }
-    if let (Some(l), Some(start)) = (local, trial_start) {
+    if let Some(j) = env.journal {
+        let mut writer = j.writer.lock();
+        for record in records {
+            writer.append(record, &j.path)?;
+        }
+    }
+    if let (Some(l), Some(start)) = (&w.local, start_ns) {
         let dur = now_ns().saturating_sub(start);
+        let (name, kind, timing) = match fused_image {
+            Some(image) => (
+                format!("fused chunk layer {layer} image {image} x{n}"),
+                "fused",
+                obs_names::CAMPAIGN_FUSED_CHUNK_NS,
+            ),
+            None => (
+                format!("trial {}", records[0].trial),
+                "trial",
+                obs_names::CAMPAIGN_TRIAL_NS,
+            ),
+        };
         l.span(SpanRecord {
-            name: format!("trial {t}"),
-            kind: "trial",
+            name,
+            kind,
             layer: None,
             start_ns: start,
             dur_ns: dur,
             tid: thread_tid(),
         });
-        l.observe_ns(obs_names::CAMPAIGN_TRIAL_NS, dur);
-        // Pool counters since the last trial boundary on this thread; zero
+        l.observe_ns(timing, dur);
+        if fused_image.is_some() {
+            l.observe_ns(obs_names::CAMPAIGN_FUSED_WIDTH, n);
+            l.counter_add(obs_names::CAMPAIGN_FUSED_TRIALS, n);
+            l.counter_add(obs_names::CAMPAIGN_FUSED_GROUPS, 1);
+        }
+        // Pool counters since the last unit boundary on this thread; zero
         // activity (pooling disabled) emits nothing.
         let pool = rustfi_tensor::tpool::take_stats();
         if pool.hits + pool.misses > 0 {
@@ -1311,51 +1367,50 @@ fn run_one_trial(
             l.counter_add(obs_names::CAMPAIGN_POOL_MISSES, pool.misses);
             l.counter_add(obs_names::CAMPAIGN_POOL_RECYCLED_BYTES, pool.bytes_recycled);
         }
-        match prefix_hit {
-            Some(true) => {
-                l.counter_add(obs_names::CAMPAIGN_PREFIX_HITS, 1);
-                if let Some((_, _, skipped, _)) = env.prefix {
-                    l.counter_add(
-                        obs_names::CAMPAIGN_PREFIX_SKIPPED_FLOPS,
-                        skipped[record.layer],
-                    );
-                }
+        match prefix {
+            Some((true, skipped)) => {
+                l.counter_add(obs_names::CAMPAIGN_PREFIX_HITS, n);
+                l.counter_add(obs_names::CAMPAIGN_PREFIX_SKIPPED_FLOPS, skipped * n);
             }
-            Some(false) => l.counter_add(obs_names::CAMPAIGN_PREFIX_MISSES, 1),
+            Some((false, _)) => l.counter_add(obs_names::CAMPAIGN_PREFIX_MISSES, n),
             None => {}
         }
-        l.event(ObsEvent::TrialOutcome(TrialOutcomeEvent {
-            trial: t,
-            layer: record.layer,
-            outcome: record.outcome.label(),
-            due_layer: record.due_layer,
-        }));
-        // Trial boundary: hand the whole buffer to the shared recorder in
+        for record in records {
+            l.event(ObsEvent::TrialOutcome(TrialOutcomeEvent {
+                trial: record.trial,
+                layer: record.layer,
+                outcome: record.outcome.label(),
+                due_layer: record.due_layer,
+            }));
+        }
+        // Unit boundary: hand the whole buffer to the shared recorder in
         // one lock-free merge.
         if let Some(shared) = env.shared_recorder {
             l.flush_into(&**shared);
         }
     }
     if let Some(p) = env.progress_state {
-        let done = {
-            let mut c = p.counts.lock();
-            c.record(&record.outcome);
-            p.done.fetch_add(1, Ordering::Relaxed) + 1
-        };
-        if let Some(pr) = env.progress {
-            if done % pr.every() == 0 || done == total {
-                let counts = *p.counts.lock();
-                (pr.sink)(&ProgressUpdate {
-                    done,
-                    total,
-                    resumed: p.resumed,
-                    elapsed: p.start.elapsed(),
-                    counts,
-                });
+        for record in records {
+            let done = {
+                let mut c = p.counts.lock();
+                c.record(&record.outcome);
+                p.done.fetch_add(1, Ordering::Relaxed) + 1
+            };
+            if let Some(pr) = env.progress {
+                if done % pr.every() == 0 || done == env.span() {
+                    let counts = *p.counts.lock();
+                    (pr.sink)(&ProgressUpdate {
+                        done,
+                        total: env.span(),
+                        resumed: p.resumed,
+                        elapsed: p.start.elapsed(),
+                        counts,
+                    });
+                }
             }
         }
     }
-    Ok(record)
+    Ok(())
 }
 
 /// Plans every pending trial by replaying exactly the per-trial RNG streams
@@ -1373,10 +1428,7 @@ fn plan_fused_units(env: &RunEnv<'_>, width: usize) -> Result<Vec<WorkUnit>, FiE
     let profile = env.profile;
     let mut groups: BTreeMap<(usize, usize), Vec<PlannedTrial>> = BTreeMap::new();
     let mut serial: Vec<usize> = Vec::new();
-    for t in env.range.0..env.range.1 {
-        if env.journal.is_some_and(|j| j.done.contains_key(&t)) {
-            continue;
-        }
+    for t in (env.range.0..env.range.1).filter(|&t| env.pending(t)) {
         let seed = env.root.fork(t as u64).seed();
         let mut pick_rng = SeededRng::new(seed).fork(3);
         let (image_index, clean_conf) = env.eligible[pick_rng.below(env.eligible.len())];
@@ -1410,12 +1462,12 @@ fn plan_fused_units(env: &RunEnv<'_>, width: usize) -> Result<Vec<WorkUnit>, FiE
     }
     let mut units: Vec<WorkUnit> = Vec::new();
     for ((layer, image_index), list) in groups {
-        for chunk in list.chunks(width) {
-            units.push(WorkUnit::Fused {
+        for trials in list.chunks(width) {
+            units.push(WorkUnit::Fused(FusedChunk {
                 layer,
                 image_index,
-                chunk: chunk.to_vec(),
-            });
+                trials: trials.to_vec(),
+            }));
         }
     }
     units.extend(serial.into_iter().map(WorkUnit::Serial));
@@ -1423,28 +1475,29 @@ fn plan_fused_units(env: &RunEnv<'_>, width: usize) -> Result<Vec<WorkUnit>, FiE
 }
 
 /// Executes one fused chunk: a single batched forward pass whose slice `i`
-/// carries `chunk[i]`'s fault, then per-sample classification. If the pass
-/// panics, the whole chunk is replayed serially through [`run_one_trial`],
-/// reproducing the exact serial records (crash detail included).
-#[allow(clippy::too_many_arguments)]
+/// carries `chunk[i]`'s fault, then per-sample classification and
+/// [`finish_unit`]. If the pass panics, the whole chunk is replayed serially
+/// through [`run_one_trial`], reproducing the exact serial records (crash
+/// detail included).
 fn run_fused_chunk(
     env: &RunEnv<'_>,
-    fi: &mut FaultInjector,
-    guard: &mut Option<GuardHook>,
-    local: &Option<Arc<LocalRecorder>>,
-    layer: usize,
-    image_index: usize,
-    chunk: &[PlannedTrial],
-    counters: &FusionCounters,
+    w: &mut Worker,
+    chunk: &FusedChunk,
 ) -> Result<Vec<TrialRecord>, FiError> {
-    let n = chunk.len();
+    let FusedChunk {
+        layer,
+        image_index,
+        ref trials,
+    } = *chunk;
+    let n = trials.len();
+    let fi = &mut w.fi;
     fi.restore();
     fi.set_trial(None); // injection events carry per-slice trial indices
-    if let Some(g) = guard.as_ref() {
+    if let Some(g) = &w.guard {
         g.reset_samples(n);
     }
-    let chunk_start = local.as_ref().map(|_| now_ns());
-    let faults: Vec<FusedTrialFault> = chunk
+    let chunk_start = w.local.as_ref().map(|_| now_ns());
+    let faults: Vec<FusedTrialFault> = trials
         .iter()
         .map(|p| FusedTrialFault {
             trial: p.t,
@@ -1455,39 +1508,16 @@ fn run_fused_chunk(
         .collect();
     fi.declare_fused_neuron_fi(layer, faults)
         .map_err(|e| FiError::Trial {
-            trial: chunk[0].t,
+            trial: trials[0].t,
             source: Box::new(e),
         })?;
-    // Peek the prefix cache outside the shield and charge its counters only
-    // once the pass completes: a crashed chunk's serial replay does its own
-    // per-trial counting, keeping `hits + misses == trials` either way.
-    let mut resume_from: Option<(LayerId, Arc<Tensor>)> = None;
-    let mut prefix_hit: Option<bool> = None;
-    if let Some((cache, resume, _, _)) = env.prefix {
-        if let Some(rid) = resume.get(layer).copied().flatten() {
-            match cache.peek(image_index, rid) {
-                Some(act) => {
-                    prefix_hit = Some(true);
-                    resume_from = Some((rid, act));
-                }
-                None => prefix_hit = Some(false),
-            }
-        }
-    }
+    let peeked = env.peek_prefix(layer, image_index);
     let shielded = parallel::shield::run_quietly(|| {
-        if let Some((rid, act)) = &resume_from {
-            // On a flat spine the resume point *is* the injection layer, so
-            // every batch slice enters it with the same cached activation:
-            // compute it once at batch 1 and broadcast its output, letting
-            // the per-slice fault hooks and downstream layers run at batch
-            // `n` (bit-identical, see `forward_from_broadcast`).
+        // Every slice enters the resume point with the same cached
+        // activation, so the pass broadcasts it to the chunk (on a flat
+        // spine the injection layer itself runs once, at batch 1).
+        if let Some(Some((rid, act))) = &peeked {
             if let Some(out) = fi.forward_from_broadcast(*rid, act, n) {
-                return out;
-            }
-            let xb = act.repeat_batch(n);
-            let resumed = fi.forward_from(*rid, &xb);
-            xb.into_pool();
-            if let Some(out) = resumed {
                 return out;
             }
         }
@@ -1498,152 +1528,32 @@ fn run_fused_chunk(
         xb.into_pool();
         out
     });
-    let out = match shielded {
-        Ok(out) => out,
-        Err(_) => {
-            // One slice's fault panicked and unwound the whole fused pass
-            // (per-sample guards never interrupt, so this is a genuine
-            // crash). Rebuild and replay the chunk serially: every trial
-            // re-runs in isolation and produces exactly the record a serial
-            // campaign would, including which trial crashed.
-            let (new_fi, new_guard) = build_worker(env, local, true, None)?;
-            *fi = new_fi;
-            *guard = new_guard;
-            counters.serial.fetch_add(n as u64, Ordering::Relaxed);
-            let mut records = Vec::with_capacity(n);
-            for p in chunk {
-                records.push(run_one_trial(env, fi, guard, local, true, p.t)?);
-            }
-            return Ok(records);
-        }
+    let Ok(out) = shielded else {
+        // One slice's fault panicked and unwound the whole fused pass
+        // (per-sample guards never interrupt, so this is a genuine crash).
+        // Rebuild and replay the chunk serially: every trial re-runs in
+        // isolation and produces exactly the record a serial campaign
+        // would, including which trial crashed.
+        *w = build_worker(env, w.local.take(), w.per_sample, None)?;
+        return trials.iter().map(|p| run_one_trial(env, w, p.t)).collect();
     };
 
     // Per-sample classification — each slice judged exactly as a batch-1
     // serial trial would be.
     let classes = out.len() / n;
-    let data = out.data();
-    let mut records = Vec::with_capacity(n);
-    for (b, p) in chunk.iter().enumerate() {
-        let row = &data[b * classes..(b + 1) * classes];
-        let golden_label = env.labels[p.image_index];
-        let base = TrialRecord {
-            trial: p.t,
-            image_index: p.image_index,
-            layer,
-            site: Some(p.sites[0]),
-            outcome: OutcomeKind::Hang, // placeholder, always overwritten
-            due_layer: None,
-            top5_miss: true,
-            confidence_delta: 0.0,
-        };
-        let record = match guard.as_ref().and_then(|g| g.first_non_finite_for(b)) {
-            Some((gid, _)) => TrialRecord {
-                outcome: OutcomeKind::Due,
-                due_layer: Some(gid.index()),
-                confidence_delta: -p.clean_conf,
-                ..base
-            },
-            None => {
-                let outcome = classify_outcome(golden_label, row);
-                let finite = row.iter().all(|v| v.is_finite());
-                let top5_miss = !finite || !crate::metrics::in_top_k(row, golden_label, 5);
-                let confidence_delta = if finite {
-                    confidence(row, golden_label) - p.clean_conf
-                } else {
-                    -p.clean_conf
-                };
-                TrialRecord {
-                    outcome,
-                    top5_miss,
-                    confidence_delta,
-                    ..base
-                }
-            }
-        };
-        records.push(record);
-    }
+    let records: Vec<TrialRecord> = trials
+        .iter()
+        .enumerate()
+        .map(|(b, p)| {
+            let base = TrialRecord::unfinished(p.t, p.image_index, layer, Some(p.sites[0]));
+            let row = &out.data()[b * classes..(b + 1) * classes];
+            let non_finite = w.guard.as_ref().and_then(|g| g.first_non_finite_for(b));
+            record_from_row(env, base, p.clean_conf, row, non_finite.map(|(id, _)| id))
+        })
+        .collect();
     out.into_pool();
-
-    if let (Some((cache, _, skipped, _)), Some(hit)) = (env.prefix, prefix_hit) {
-        cache.record_outcome(hit, n as u64, skipped[layer]);
-    }
-    counters.fused.fetch_add(n as u64, Ordering::Relaxed);
-    counters.groups.fetch_add(1, Ordering::Relaxed);
-    counters.max_width.fetch_max(n, Ordering::Relaxed);
-
-    if let Some(j) = env.journal {
-        for record in &records {
-            j.writer.lock().append(record, &j.path)?;
-        }
-    }
-    if let (Some(l), Some(start)) = (local, chunk_start) {
-        let dur = now_ns().saturating_sub(start);
-        l.span(SpanRecord {
-            name: format!("fused chunk layer {layer} image {image_index} x{n}"),
-            kind: "fused",
-            layer: None,
-            start_ns: start,
-            dur_ns: dur,
-            tid: thread_tid(),
-        });
-        l.observe_ns(obs_names::CAMPAIGN_FUSED_CHUNK_NS, dur);
-        l.observe_ns(obs_names::CAMPAIGN_FUSED_WIDTH, n as u64);
-        l.counter_add(obs_names::CAMPAIGN_FUSED_TRIALS, n as u64);
-        l.counter_add(obs_names::CAMPAIGN_FUSED_GROUPS, 1);
-        // Pool counters since the last trial boundary on this thread; zero
-        // activity (pooling disabled) emits nothing.
-        let pool = rustfi_tensor::tpool::take_stats();
-        if pool.hits + pool.misses > 0 {
-            l.counter_add(obs_names::CAMPAIGN_POOL_HITS, pool.hits);
-            l.counter_add(obs_names::CAMPAIGN_POOL_MISSES, pool.misses);
-            l.counter_add(obs_names::CAMPAIGN_POOL_RECYCLED_BYTES, pool.bytes_recycled);
-        }
-        match prefix_hit {
-            Some(true) => {
-                l.counter_add(obs_names::CAMPAIGN_PREFIX_HITS, n as u64);
-                if let Some((_, _, skipped, _)) = env.prefix {
-                    l.counter_add(
-                        obs_names::CAMPAIGN_PREFIX_SKIPPED_FLOPS,
-                        skipped[layer] * n as u64,
-                    );
-                }
-            }
-            Some(false) => l.counter_add(obs_names::CAMPAIGN_PREFIX_MISSES, n as u64),
-            None => {}
-        }
-        for record in &records {
-            l.event(ObsEvent::TrialOutcome(TrialOutcomeEvent {
-                trial: record.trial,
-                layer: record.layer,
-                outcome: record.outcome.label(),
-                due_layer: record.due_layer,
-            }));
-        }
-        if let Some(shared) = env.shared_recorder {
-            l.flush_into(&**shared);
-        }
-    }
-    if let Some(p) = env.progress_state {
-        for record in &records {
-            let done = {
-                let mut c = p.counts.lock();
-                c.record(&record.outcome);
-                p.done.fetch_add(1, Ordering::Relaxed) + 1
-            };
-            if let Some(pr) = env.progress {
-                if done % pr.every() == 0 || done == env.span() {
-                    let counts = *p.counts.lock();
-                    (pr.sink)(&ProgressUpdate {
-                        done,
-                        total: env.span(),
-                        resumed: p.resumed,
-                        elapsed: p.start.elapsed(),
-                        counts,
-                    });
-                }
-            }
-        }
-    }
+    let prefix_hit = peeked.as_ref().map(Option::is_some);
+    finish_unit(env, w, &records, chunk_start, prefix_hit, Some(image_index))?;
     Ok(records)
 }
 
@@ -2482,6 +2392,20 @@ mod tests {
             "crashed chunks fell back to serial: {stats:?}"
         );
         assert_eq!(stats.fused_trials + stats.serial_trials, 40);
+        // With the prefix cache on, crashed trials are counted once each,
+        // serially and in replayed chunks alike.
+        for fusion in [None, Some(FusionConfig::default())] {
+            let cached = campaign
+                .run(&CampaignConfig {
+                    fusion,
+                    prefix_cache: Some(crate::prefix::PrefixCacheConfig::default()),
+                    ..cfg.clone()
+                })
+                .unwrap();
+            assert_eq!(cached.records, plain.records, "fusion {fusion:?}");
+            let p = cached.prefix.expect("prefix stats reported");
+            assert_eq!(p.hits + p.misses, 40, "fusion {fusion:?}: {p:?}");
+        }
     }
 
     #[test]

@@ -143,6 +143,66 @@ impl std::fmt::Debug for WeightFault {
     }
 }
 
+/// What every neuron-fault hook shares with its injector: the applied
+/// count, the recorder, and whether faults flip stored INT8 words.
+struct NeuronHookSink {
+    applied: Arc<AtomicUsize>,
+    recorder: Arc<Mutex<Option<Arc<dyn Recorder>>>>,
+    int8_words: bool,
+}
+
+impl NeuronHookSink {
+    /// Perturbs the neuron at `site` in batch slice `slice` of the layer
+    /// output `out` (linear outputs `[n, f]` read as `[n, f, 1, 1]`): writes
+    /// the new value back, counts it, and records an [`InjectionEvent`]
+    /// tagged `trial` at batch `ctx.batch`. The caller's `ctx` carries its
+    /// batch index, max-abs and RNG stream. A site outside the live tensor,
+    /// which is smaller than the profiled one, is skipped rather than
+    /// corrupting the wrong neuron.
+    fn perturb(
+        &self,
+        out: &mut Tensor,
+        slice: usize,
+        site: &NeuronSite,
+        model: &dyn PerturbationModel,
+        mut ctx: PerturbCtx<'_>,
+        trial: Option<usize>,
+    ) {
+        let (c, h, w) = match *out.dims() {
+            [_, c, h, w] => (c, h, w),
+            [_, f] => (f, 1, 1),
+            ref other => panic!("injectable output of rank {}", other.len()),
+        };
+        if site.channel >= c || site.y >= h || site.x >= w {
+            return;
+        }
+        let off = ((slice * c + site.channel) * h + site.y) * w + site.x;
+        let old = out.data()[off];
+        let (new, words) = perturb_activation(model, old, self.int8_words, &mut ctx);
+        out.data_mut()[off] = new;
+        self.applied.fetch_add(1, Ordering::Relaxed);
+        if let Some(rec) = self.recorder.lock().as_ref() {
+            rec.event(ObsEvent::Injection(InjectionEvent {
+                trial,
+                layer: site.layer,
+                site: InjectionSite::Neuron {
+                    batch: ctx.batch,
+                    channel: site.channel,
+                    y: site.y,
+                    x: site.x,
+                },
+                bit: event_bit(old, new, words),
+                before: old,
+                after: new,
+            }));
+            rec.counter_add("fi.injections", 1);
+            if words.is_some() {
+                rec.counter_add("fi.int8_word_flips", 1);
+            }
+        }
+    }
+}
+
 /// Runtime perturbation instrument for one network.
 ///
 /// Construction runs a single dummy inference to profile the model (layer
@@ -259,6 +319,17 @@ impl FaultInjector {
         self.applied.load(Ordering::Relaxed)
     }
 
+    /// The injector state a neuron-fault hook closure shares. The INT8
+    /// routing is captured at declare time: campaigns install the quant
+    /// regime before declaring faults.
+    fn neuron_hook_sink(&self) -> NeuronHookSink {
+        NeuronHookSink {
+            applied: Arc::clone(&self.applied),
+            recorder: Arc::clone(&self.recorder),
+            int8_words: self.int8_table.is_some(),
+        }
+    }
+
     /// Declares neuron faults, installing one forward hook per affected
     /// layer. Returns the concrete resolved sites.
     ///
@@ -292,49 +363,30 @@ impl FaultInjector {
         for (site, model) in resolved {
             by_layer[site.layer].push((site, model));
         }
-        // Captured at declare time: campaigns install the quant regime
-        // before declaring faults, so hook closures see the right routing.
-        let int8_words = self.int8_table.is_some();
         for (layer, group) in by_layer.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let layer_id = self.profile.layers()[layer].id;
             let exec_rng = Arc::clone(&self.exec_rng);
-            let applied = Arc::clone(&self.applied);
-            let recorder = Arc::clone(&self.recorder);
+            let sink = self.neuron_hook_sink();
             let trial = Arc::clone(&self.trial);
             let handle = self
                 .net
                 .hooks()
                 .register_forward(layer_id, move |_ctx, out| {
-                    // Normalize geometry: linear outputs are [n, f] ~ [n, f, 1, 1].
-                    let (n, c, h, w) = match out.ndim() {
-                        4 => out.dims4(),
-                        2 => {
-                            let (n, f) = out.dims2();
-                            (n, f, 1, 1)
-                        }
-                        other => panic!("injectable output of rank {other}"),
-                    };
-                    let mut max_abs_cache: Option<f32> = None;
+                    let n = out.dims()[0];
+                    let max_abs = out.max_abs();
+                    let t = trial.load(Ordering::Relaxed);
                     let mut rng = exec_rng.lock();
                     for (site, model) in &group {
-                        let batches: Vec<usize> = match site.batch {
-                            Some(b) if b < n => vec![b],
+                        let batches = match site.batch {
+                            Some(b) if b < n => b..b + 1,
                             Some(_) => continue, // declared for a bigger batch
-                            None => (0..n).collect(),
+                            None => 0..n,
                         };
-                        if site.channel >= c || site.y >= h || site.x >= w {
-                            // The live tensor is smaller than the profiled one;
-                            // skip rather than corrupt the wrong neuron.
-                            continue;
-                        }
-                        let max_abs = *max_abs_cache.get_or_insert_with(|| out.max_abs());
                         for b in batches {
-                            let off = ((b * c + site.channel) * h + site.y) * w + site.x;
-                            let old = out.data()[off];
-                            let mut pctx = PerturbCtx {
+                            let ctx = PerturbCtx {
                                 layer: site.layer,
                                 batch: b,
                                 channel: site.channel,
@@ -342,30 +394,7 @@ impl FaultInjector {
                                 quant_scale: None,
                                 rng: &mut rng,
                             };
-                            let (new, words) =
-                                perturb_activation(&**model, old, int8_words, &mut pctx);
-                            out.data_mut()[off] = new;
-                            applied.fetch_add(1, Ordering::Relaxed);
-                            if let Some(rec) = recorder.lock().as_ref() {
-                                let t = trial.load(Ordering::Relaxed);
-                                rec.event(ObsEvent::Injection(InjectionEvent {
-                                    trial: (t != NO_TRIAL).then_some(t),
-                                    layer: site.layer,
-                                    site: InjectionSite::Neuron {
-                                        batch: b,
-                                        channel: site.channel,
-                                        y: site.y,
-                                        x: site.x,
-                                    },
-                                    bit: event_bit(old, new, words),
-                                    before: old,
-                                    after: new,
-                                }));
-                                rec.counter_add("fi.injections", 1);
-                                if words.is_some() {
-                                    rec.counter_add("fi.int8_word_flips", 1);
-                                }
-                            }
+                            sink.perturb(out, b, site, &**model, ctx, (t != NO_TRIAL).then_some(t));
                         }
                     }
                 });
@@ -409,74 +438,30 @@ impl FaultInjector {
                 .map(|t| SeededRng::new(t.seed).fork(2))
                 .collect(),
         );
-        let applied = Arc::clone(&self.applied);
-        let recorder = Arc::clone(&self.recorder);
-        let int8_words = self.int8_table.is_some();
+        let sink = self.neuron_hook_sink();
         let handle = self
             .net
             .hooks()
             .register_forward(layer_id, move |_ctx, out| {
-                let (n, c, h, w) = match out.ndim() {
-                    4 => out.dims4(),
-                    2 => {
-                        let (n, f) = out.dims2();
-                        (n, f, 1, 1)
-                    }
-                    other => panic!("injectable output of rank {other}"),
-                };
-                let sample = c * h * w;
+                let n = out.dims()[0];
                 let mut rngs = rngs.lock();
-                for (b, fused) in trials.iter().enumerate() {
-                    if b >= n {
-                        break; // tensor carries fewer slices than trials
-                    }
-                    let slice_off = b * sample;
-                    let mut max_abs_cache: Option<f32> = None;
-                    let rng = &mut rngs[b];
+                // A tensor carrying fewer slices than trials perturbs only
+                // the slices it has.
+                for (b, fused) in trials.iter().enumerate().take(n) {
+                    let sample = out.len() / n;
+                    let max_abs = out.data()[b * sample..(b + 1) * sample]
+                        .iter()
+                        .fold(0.0f32, |m, &x| m.max(x.abs()));
                     for site in &fused.sites {
-                        if site.channel >= c || site.y >= h || site.x >= w {
-                            // The live tensor is smaller than the profiled
-                            // one; skip rather than corrupt the wrong neuron.
-                            continue;
-                        }
-                        let max_abs = *max_abs_cache.get_or_insert_with(|| {
-                            out.data()[slice_off..slice_off + sample]
-                                .iter()
-                                .fold(0.0f32, |m, &x| m.max(x.abs()))
-                        });
-                        let off = slice_off + (site.channel * h + site.y) * w + site.x;
-                        let old = out.data()[off];
-                        let mut pctx = PerturbCtx {
+                        let ctx = PerturbCtx {
                             layer: site.layer,
                             batch: 0,
                             channel: site.channel,
                             tensor_max_abs: max_abs,
                             quant_scale: None,
-                            rng: &mut *rng,
+                            rng: &mut rngs[b],
                         };
-                        let (new, words) =
-                            perturb_activation(&*fused.model, old, int8_words, &mut pctx);
-                        out.data_mut()[off] = new;
-                        applied.fetch_add(1, Ordering::Relaxed);
-                        if let Some(rec) = recorder.lock().as_ref() {
-                            rec.event(ObsEvent::Injection(InjectionEvent {
-                                trial: Some(fused.trial),
-                                layer: site.layer,
-                                site: InjectionSite::Neuron {
-                                    batch: 0,
-                                    channel: site.channel,
-                                    y: site.y,
-                                    x: site.x,
-                                },
-                                bit: event_bit(old, new, words),
-                                before: old,
-                                after: new,
-                            }));
-                            rec.counter_add("fi.injections", 1);
-                            if words.is_some() {
-                                rec.counter_add("fi.int8_word_flips", 1);
-                            }
-                        }
+                        sink.perturb(out, b, site, &*fused.model, ctx, Some(fused.trial));
                     }
                 }
             });
@@ -731,40 +716,21 @@ impl FaultInjector {
         self.net.forward_from(target, input)
     }
 
-    /// Resumes an inference *at* injectable leaf `target` from a cached
-    /// batch-1 activation carried by `n` identical batch slices — without
-    /// computing `target` `n` times. Because every slice enters the layer
-    /// with the same input, its raw output is computed once at batch 1 and
-    /// broadcast; only then do the layer's forward hooks — guards, INT8
-    /// emulation, per-slice fault injection — and the downstream layers run
-    /// at batch `n`. Hooks observe exactly the tensor a full
-    /// `forward_from(target, &input.repeat_batch(n))` would hand them (the
-    /// raw output of a pointwise-in-batch layer on `n` identical slices *is*
-    /// the broadcast), so the result is bit-identical to that call.
-    ///
-    /// Returns `None` — before any hook side effect — when the
-    /// decomposition is unavailable: `target` is not an injectable leaf, or
-    /// it is not its own resume point (buried in a residual/branch block).
-    /// Callers then fall back to the plain resumed pass.
+    /// Resumes an inference at `target` from a cached batch-1 activation
+    /// carried by `n` identical batch slices (see
+    /// [`rustfi_nn::Network::forward_from_broadcast`]): bit-identical to
+    /// `forward_from(target, &input.repeat_batch(n))`, but an injectable
+    /// layer on the spine runs once, at batch 1, and its output is
+    /// broadcast before its forward hooks (guards, INT8 emulation,
+    /// per-slice fault injection) fire. Returns `None` when `target` is not
+    /// in the network.
     pub fn forward_from_broadcast(
         &mut self,
         target: LayerId,
         input: &Tensor,
         n: usize,
     ) -> Option<Tensor> {
-        let injectable_leaf = self
-            .net
-            .layer_infos()
-            .iter()
-            .any(|l| l.id == target && l.kind.is_injectable());
-        if !injectable_leaf || self.net.resume_point(target) != Some(target) {
-            return None;
-        }
-        let golden = self.net.forward_layer_raw(target, input)?;
-        let mut out = golden.repeat_batch(n);
-        golden.into_pool();
-        self.net.dispatch_forward_hooks(target, &mut out);
-        self.net.forward_after(target, &out)
+        self.net.forward_from_broadcast(target, input, n)
     }
 
     /// The configuration this injector was built with.

@@ -5,9 +5,11 @@
 //! the golden (clean) run. The [`PrefixCache`] stores, per evaluated image,
 //! the input activation of each injection layer's *resume point* (see
 //! [`rustfi_nn::Network::resume_point`]); trials then restart the forward
-//! pass there via [`rustfi_nn::Network::forward_from`] instead of from the
-//! pixels. Because f32 inference is deterministic, the resumed pass is
-//! bit-identical to a full one — only the skipped FLOPs differ.
+//! pass there instead of from the pixels — serial trials via
+//! [`rustfi_nn::Network::forward_from`], fused chunks via
+//! [`rustfi_nn::Network::forward_from_broadcast`]. Because f32 inference is
+//! deterministic, the resumed pass is bit-identical to a full one — only the
+//! skipped FLOPs differ.
 //!
 //! The cache is populated once, sequentially, during the golden pass, and
 //! is read-only while trials run. That makes hit/miss behaviour — and
@@ -160,37 +162,21 @@ impl PrefixCache {
         inner.map.insert((image, layer), Arc::new(activation));
     }
 
-    /// Looks up the cached activation for `(image, layer)`, counting the
-    /// outcome. `flops` is the caller's estimate of the work a hit skips
-    /// (accumulated into [`PrefixStats::skipped_flops`]).
-    pub fn lookup(&self, image: usize, layer: LayerId, flops: u64) -> Option<Arc<Tensor>> {
-        let found = self.inner.lock().map.get(&(image, layer)).cloned();
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.skipped_flops.fetch_add(flops, Ordering::Relaxed);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        found
-    }
-
     /// Looks up `(image, layer)` *without* counting the outcome.
     ///
-    /// Fused campaign chunks peek before the batched forward and only charge
-    /// the counters once the pass completes (via
-    /// [`PrefixCache::record_outcome`]); if the chunk crashes and is
-    /// replayed serially, the replay's own per-trial [`PrefixCache::lookup`]
-    /// calls do the counting — keeping `hits + misses == trials` regardless
-    /// of fusion.
+    /// Campaign units — a serial trial or a fused chunk — peek before their
+    /// forward pass and charge the counters once it is over, crashed trials
+    /// included (via [`PrefixCache::record_outcome`]). A fused chunk that
+    /// crashes charges nothing itself: its serial replay counts each trial,
+    /// keeping `hits + misses == trials` regardless of fusion.
     pub fn peek(&self, image: usize, layer: LayerId) -> Option<Arc<Tensor>> {
         self.inner.lock().map.get(&(image, layer)).cloned()
     }
 
     /// Counts `n` trials that shared one peeked outcome: `n` hits (each
-    /// skipping `flops`) when `hit`, else `n` misses.
+    /// skipping `flops`, the caller's estimate of the work a hit skips,
+    /// accumulated into [`PrefixStats::skipped_flops`]) when `hit`, else
+    /// `n` misses.
     pub fn record_outcome(&self, hit: bool, n: u64, flops: u64) {
         if hit {
             self.hits.fetch_add(n, Ordering::Relaxed);
@@ -249,10 +235,12 @@ mod tests {
     fn insert_then_lookup_round_trips() {
         let cache = PrefixCache::new(1 << 20);
         cache.insert(0, id(3), Tensor::ones(&[1, 2, 4, 4]));
-        let hit = cache.lookup(0, id(3), 100).expect("cached");
+        let hit = cache.peek(0, id(3)).expect("cached");
         assert_eq!(hit.dims(), &[1, 2, 4, 4]);
-        assert!(cache.lookup(1, id(3), 100).is_none());
-        assert!(cache.lookup(0, id(4), 100).is_none());
+        assert!(cache.peek(1, id(3)).is_none());
+        assert!(cache.peek(0, id(4)).is_none());
+        cache.record_outcome(true, 1, 100);
+        cache.record_outcome(false, 2, 100);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
         assert_eq!(s.skipped_flops, 100);
@@ -284,8 +272,8 @@ mod tests {
         cache.insert(1, id(1), Tensor::ones(&[16]));
         cache.insert(2, id(1), Tensor::ones(&[16]));
         assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(0, id(1), 0).is_none(), "oldest evicted");
-        assert!(cache.lookup(2, id(1), 0).is_some(), "newest kept");
+        assert!(cache.peek(0, id(1)).is_none(), "oldest evicted");
+        assert!(cache.peek(2, id(1)).is_some(), "newest kept");
         assert_eq!(cache.stats().evictions, 1);
     }
 

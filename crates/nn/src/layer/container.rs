@@ -204,29 +204,6 @@ impl Module for Sequential {
         Some(out)
     }
 
-    /// Descends into the child holding `target`, resumes after it, then
-    /// runs the remaining children normally. Fails (`None`) only if the
-    /// child itself cannot resume after `target` — e.g. `target` is buried
-    /// inside a residual block.
-    fn forward_after(
-        &mut self,
-        target: LayerId,
-        input: &Tensor,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Option<Tensor> {
-        if self.meta.id == target {
-            return Some(input.pooled_copy());
-        }
-        let idx = self.children.iter().position(|c| c.contains(target))?;
-        let x = self.children[idx].forward_after(target, input, ctx)?;
-        if idx + 1 >= self.children.len() {
-            return Some(x);
-        }
-        let out = self.run_tail(idx + 1, &x, ctx);
-        x.into_pool();
-        Some(out)
-    }
-
     fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
         f(self);
         for child in &self.children {
@@ -803,7 +780,7 @@ mod tests {
             ConvSpec::new(),
             &mut rng,
         ))]);
-        let net = Network::new(Box::new(Sequential::new(vec![
+        let mut net = Network::new(Box::new(Sequential::new(vec![
             Box::new(Conv2d::new(2, 2, 1, ConvSpec::new(), &mut rng)),
             Box::new(Residual::new(Box::new(body))),
             Box::new(inner),
@@ -823,6 +800,18 @@ mod tests {
         assert_eq!(net.resume_point(inj[1]), Some(residual_id));
         // Conv inside a nested sequential: the descent continues through it.
         assert_eq!(net.resume_point(inj[2]), Some(inj[2]));
+        // Broadcasting at the residual interior conv resumes at the block on
+        // the repeated input, so it equals the repeated-input pass.
+        let x = Tensor::from_fn(&[1, 2, 5, 5], |i| (i as f32 * 0.23).sin());
+        let mut act = None;
+        net.forward_with_capture(&x, &mut |id, input| {
+            if id == residual_id {
+                act = Some(input.clone());
+            }
+        });
+        let act = act.unwrap();
+        let repeated = net.forward_from(inj[1], &act.repeat_batch(3)).unwrap();
+        assert_eq!(net.forward_from_broadcast(inj[1], &act, 3), Some(repeated));
     }
 
     #[test]
@@ -857,57 +846,6 @@ mod tests {
             let resumed = net.forward_from(target, &cached.unwrap()).unwrap();
             assert_eq!(resumed, full, "resume at {resume} for target {target}");
         }
-    }
-
-    #[test]
-    fn forward_after_continues_downstream_of_a_leaf() {
-        let mut rng = SeededRng::new(7);
-        // seq [ conv1, relu2, conv3 ] — ids assigned in pre-order from 0.
-        let mut net = Network::new(Box::new(Sequential::new(vec![
-            Box::new(Conv2d::new(2, 2, 3, ConvSpec::new().padding(1), &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Conv2d::new(2, 3, 1, ConvSpec::new(), &mut rng)),
-        ])));
-        let conv1 = net.injectable_layers()[0];
-        // A hook so the captured intermediate is the *post-hook* output.
-        net.hooks().register_forward(conv1, |_, out| {
-            for v in out.data_mut() {
-                *v += 1.0;
-            }
-        });
-        let x = Tensor::from_fn(&[1, 2, 5, 5], |i| (i as f32 * 0.13).sin());
-        let mut after_conv1 = None;
-        let full = net.forward_with_capture(&x, &mut |id, input| {
-            if id.index() == conv1.index() + 1 {
-                after_conv1 = Some(input.clone());
-            }
-        });
-        let resumed = net.forward_after(conv1, &after_conv1.unwrap()).unwrap();
-        assert_eq!(resumed, full, "downstream layers reproduce the full pass");
-        // Resuming after the final leaf is the identity.
-        let last = net.injectable_layers()[1];
-        assert_eq!(net.forward_after(last, &full).unwrap(), full);
-    }
-
-    #[test]
-    fn forward_after_declines_residual_interior() {
-        let mut rng = SeededRng::new(8);
-        let body = Sequential::new(vec![Box::new(Conv2d::new(
-            2,
-            2,
-            3,
-            ConvSpec::new().padding(1),
-            &mut rng,
-        ))]);
-        let mut net = Network::new(Box::new(Sequential::new(vec![Box::new(Residual::new(
-            Box::new(body),
-        ))])));
-        let inner_conv = net.injectable_layers()[0];
-        // The skip path consumed the block's input, so the layers after the
-        // inner conv cannot run from its output alone.
-        assert!(net
-            .forward_after(inner_conv, &Tensor::ones(&[1, 2, 5, 5]))
-            .is_none());
     }
 
     /// A spine exercising every fusion shape — conv+bn+relu, conv+leaky and a
@@ -1058,22 +996,21 @@ mod tests {
     }
 
     #[test]
-    fn planned_forward_from_and_after_match_full_pass() {
+    fn planned_forward_from_and_broadcast_match_full_pass() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
         let mut net = plan_test_net();
         let x = plan_test_input();
+        let x1 = x.select_batch(0);
         net.set_plan(true);
         for target in net.injectable_layers() {
             let resume = net.resume_point(target).unwrap();
             let mut at_resume = None;
-            let mut after_target = None;
             let mut taps = Vec::new();
             let full = net.forward_with_capture(&x, &mut |id, input| {
                 taps.push(id);
                 if id == resume {
                     at_resume = Some(input.clone());
-                }
-                if id.index() == target.index() + 1 {
-                    after_target = Some(input.clone());
                 }
             });
             // Each module is tapped at most once: a group leader that
@@ -1085,17 +1022,33 @@ mod tests {
             assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
             let resumed = net.forward_from(target, &at_resume.unwrap()).unwrap();
             assert_eq!(resumed, full, "forward_from at {target}");
-            if let Some(after) = after_target {
-                // `after` is the next module's input == target's hooked
-                // output only when the group was not fused past target; a
-                // fused partner's capture is skipped, so this only fires
-                // for the bare conv and the unfused final linear. For
-                // targets whose successor capture exists, the tail must
-                // reproduce the full pass.
-                if let Some(tail) = net.forward_after(target, &after) {
-                    assert_eq!(tail, full, "forward_after at {target}");
+
+            // A batch-1 activation broadcast to 3 slices. The hook records
+            // the batch it sees and perturbs each slice differently, so the
+            // downstream layers must see its per-slice writes.
+            let mut act = None;
+            net.forward_with_capture(&x1, &mut |id, input| {
+                if id == resume {
+                    act = Some(input.clone());
                 }
-            }
+            });
+            let act = act.unwrap();
+            let seen = Arc::new(AtomicUsize::new(0));
+            let s = Arc::clone(&seen);
+            let hook = net.hooks().register_forward(target, move |_, out| {
+                let n = out.dims()[0];
+                s.store(n, Ordering::Relaxed);
+                let stride = out.len() / n;
+                for b in 0..n {
+                    out.data_mut()[b * stride] += b as f32;
+                }
+            });
+            let repeated = net.forward_from(target, &act.repeat_batch(3)).unwrap();
+            seen.store(0, Ordering::Relaxed);
+            let broadcast = net.forward_from_broadcast(target, &act, 3).unwrap();
+            assert_eq!(broadcast, repeated, "forward_from_broadcast at {target}");
+            assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
+            net.hooks().remove(hook);
         }
     }
 

@@ -144,6 +144,10 @@ pub struct ForwardCtx<'a> {
     /// Whether the pass runs under a compiled forward plan (prepacked conv
     /// weight panels + fused GEMM epilogues). See [`Network::set_plan`].
     plan: bool,
+    /// Batch broadcast set by [`Network::forward_from_broadcast`]: layer
+    /// `id`'s batch-1 output is repeated `n` times before its forward hooks
+    /// fire, so the layer runs once and everything after it at batch `n`.
+    broadcast: Option<(LayerId, usize)>,
 }
 
 impl ForwardCtx<'_> {
@@ -245,8 +249,14 @@ impl ForwardCtx<'_> {
     }
 
     /// Runs all forward hooks registered for `meta`'s layer, letting them
-    /// mutate `out` in place. Leaf layers call this once per forward.
+    /// mutate `out` in place. Leaf layers call this once per forward. When
+    /// the pass broadcasts at this layer, `out` is first replaced by its
+    /// batch broadcast, so the hooks and every later layer see batch `n`.
     pub fn run_forward_hooks(&mut self, meta: &LayerMeta, kind: LayerKind, out: &mut Tensor) {
+        if let Some((_, n)) = self.broadcast.take_if(|(id, _)| *id == meta.id) {
+            let wide = out.repeat_batch(n);
+            std::mem::replace(out, wide).into_pool();
+        }
         let fired = self.hooks.dispatch_forward(
             &LayerCtx {
                 id: meta.id,
@@ -358,28 +368,6 @@ pub trait Module: Send {
         } else {
             None
         }
-    }
-
-    /// Runs the layers that execute strictly *after* `target`, feeding them
-    /// `input` — which must be `target`'s output with its forward hooks
-    /// already applied. Returns `None` when `target` is not in this subtree
-    /// or its successors cannot be run in isolation (anywhere inside a
-    /// residual or branch block, whose sibling paths consumed the block's
-    /// input).
-    ///
-    /// The default — correct for every leaf and for resuming after an
-    /// entire container — is the identity when `target` is this module
-    /// itself. [`Sequential`] overrides this to descend into the child
-    /// holding `target` and then run the remaining children.
-    ///
-    /// [`Sequential`]: crate::layer::container::Sequential
-    fn forward_after(
-        &mut self,
-        target: LayerId,
-        input: &Tensor,
-        _ctx: &mut ForwardCtx<'_>,
-    ) -> Option<Tensor> {
-        (self.meta().id == target).then(|| input.pooled_copy())
     }
 
     /// Propagates an input shape through this subtree without running it,
@@ -717,55 +705,37 @@ impl Network {
         self.root.resume_point(target)
     }
 
-    /// Runs only the module `id` on `input` with hook dispatch suppressed,
-    /// returning its raw (pre-hook) output. Returns `None` if `id` is not a
-    /// layer of this network.
+    /// Resumes a forward pass at `target` from a batch-1 activation carried
+    /// by `n` identical batch slices. The result always equals
+    /// `forward_from(target, &input.repeat_batch(n))`; `None` likewise means
+    /// `target` is not a layer of this network.
     ///
-    /// Together with [`Network::dispatch_forward_hooks`] and
-    /// [`Network::forward_after`] this decomposes a resumed pass around one
-    /// layer: compute the layer, run its hooks on a (possibly transformed)
-    /// output, continue downstream. Fused campaigns use the decomposition to
-    /// compute an injection layer once at batch 1 and broadcast its output
-    /// before the per-slice fault hooks fire.
-    pub fn forward_layer_raw(&mut self, id: LayerId, input: &Tensor) -> Option<Tensor> {
-        let empty = HookRegistry::new();
-        let (mut ctx, root) = self.forward_ctx();
-        ctx.hooks = &empty;
-        let layer = root.find_mut(id)?;
-        Some(ctx.forward_child(layer, input))
-    }
-
-    /// Dispatches layer `id`'s forward hooks on `out`, exactly as a forward
-    /// pass does after computing that layer (all-layer hooks first, then the
-    /// layer's own, in registration order). Returns `false` if `id` is not a
-    /// layer of this network.
-    pub fn dispatch_forward_hooks(&mut self, id: LayerId, out: &mut Tensor) -> bool {
-        let Some(info) = self.layer_infos.iter().find(|l| l.id == id) else {
-            return false;
-        };
-        let fired = self.hooks.dispatch_forward(
-            &LayerCtx {
-                id,
-                name: &info.name,
-                kind: info.kind,
-            },
-            out,
-        );
-        if fired > 0 {
-            if let Some(rec) = &self.recorder {
-                rec.counter_add("nn.hook_dispatches", fired as u64);
-            }
+    /// When `target` is an injectable layer that is its own resume point,
+    /// it runs once, at batch 1, and its output is broadcast to batch `n`
+    /// before its forward hooks fire: conv and linear layers are pointwise
+    /// in the batch, so on `n` identical slices their output *is* the
+    /// broadcast, and hooks and downstream layers see exactly the tensors
+    /// of the repeated-input pass. Any other target (a layer inside a
+    /// residual or branch block) resumes on the repeated input.
+    pub fn forward_from_broadcast(
+        &mut self,
+        target: LayerId,
+        input: &Tensor,
+        n: usize,
+    ) -> Option<Tensor> {
+        let injectable = self
+            .layer_infos
+            .iter()
+            .any(|l| l.id == target && l.kind.is_injectable());
+        if injectable && self.resume_point(target) == Some(target) {
+            let (mut ctx, root) = self.forward_ctx();
+            ctx.broadcast = Some((target, n));
+            return ctx.forward_child_from(root, target, input);
         }
-        true
-    }
-
-    /// Resumes a forward pass immediately *after* layer `target`, feeding
-    /// the downstream layers `input` — `target`'s output with hooks already
-    /// applied (see [`Module::forward_after`]). Returns `None` when the
-    /// layers after `target` cannot be run in isolation.
-    pub fn forward_after(&mut self, target: LayerId, input: &Tensor) -> Option<Tensor> {
-        let (mut ctx, root) = self.forward_ctx();
-        root.forward_after(target, input, &mut ctx)
+        let wide = input.repeat_batch(n);
+        let out = self.forward_from(target, &wide);
+        wide.into_pool();
+        out
     }
 
     /// A forward context over this network's mode, hooks, RNG, recorder,
@@ -779,6 +749,7 @@ impl Network {
             capture: None,
             backend: &self.backend,
             plan: self.plan,
+            broadcast: None,
         };
         (ctx, self.root.as_mut())
     }

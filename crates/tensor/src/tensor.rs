@@ -301,10 +301,14 @@ impl Tensor {
             "repeat_batch expects a batch-1 tensor, got shape {:?}",
             self.shape
         );
-        let mut shape = self.shape.clone();
-        shape[0] = n;
-        let mut out = Tensor::from_pool(&shape);
+        // Draw the storage as a flat buffer, then relabel its shape header in
+        // place: a recycled header already has the capacity, so a warmed
+        // pool serves the broadcast without a heap allocation.
         let stride = self.len();
+        let mut out = Tensor::from_pool(&[n * stride]);
+        out.shape.clear();
+        out.shape.push(n);
+        out.shape.extend_from_slice(&self.shape[1..]);
         for b in 0..n {
             out.data_mut()[b * stride..(b + 1) * stride].copy_from_slice(&self.data);
         }
