@@ -60,15 +60,14 @@ static ALLOC: rustfi_bench::alloc_count::CountingAlloc = rustfi_bench::alloc_cou
 /// The pre-blocking ikj kernel, kept verbatim (including the `aik == 0.0`
 /// skip and the row-parallel fan-out) as the comparison baseline.
 fn matmul_ikj_baseline(a: &Tensor, b: &Tensor) -> Tensor {
-    const PARALLEL_MACS: usize = 1 << 20;
     let (m, k) = a.dims2();
     let (k2, n) = b.dims2();
     assert_eq!(k, k2);
     let mut out = vec![0.0f32; m * n];
     let a_data = a.data();
     let b_data = b.data();
-    let row_work = |rows: std::ops::Range<usize>, out_rows: &mut [f32]| {
-        for (local_i, i) in rows.enumerate() {
+    parallel::for_each_chunk_mut(&mut out, n, m * n * k, |row0, rows, out_rows| {
+        for (local_i, i) in (row0..row0 + rows).enumerate() {
             let out_row = &mut out_rows[local_i * n..(local_i + 1) * n];
             for kk in 0..k {
                 let aik = a_data[i * k + kk];
@@ -81,14 +80,7 @@ fn matmul_ikj_baseline(a: &Tensor, b: &Tensor) -> Tensor {
                 }
             }
         }
-    };
-    if m * n * k >= PARALLEL_MACS && m > 1 {
-        parallel::for_each_chunk_mut(&mut out, n, |chunk_idx, rows, slab| {
-            row_work(chunk_idx..chunk_idx + rows, slab);
-        });
-    } else {
-        row_work(0..m, &mut out);
-    }
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -825,8 +817,9 @@ fn bench_campaign(c: &mut Criterion, qm: &QuickMode) -> CampaignNumbers {
 /// Steady-state heap allocations per forward pass on a single thread with
 /// the tensor pool armed — the zero-allocation claim, measured under the
 /// counting global allocator. Uses a model/input small enough to stay below
-/// the parallel-matmul threshold, so the scoped-thread fan-out (whose spawns
-/// allocate, and which is outside the tensor-path claim) never engages.
+/// the fork threshold (`parallel::FORK_MACS`), so the scoped-thread fan-out
+/// (whose spawns allocate, and which is outside the tensor-path claim) never
+/// engages.
 fn measure_steady_state_allocs() -> f64 {
     let _pool = tpool::budget_scope(64 << 20);
     let cfg = ZooConfig::tiny(4);

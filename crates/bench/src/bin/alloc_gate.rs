@@ -3,8 +3,9 @@
 //! Installs the counting global allocator, arms the thread-local tensor
 //! pool, warms a small CNN, and asserts that subsequent forward passes make
 //! **zero** heap allocations. The model and input are deliberately small
-//! enough to stay below the parallel-matmul threshold: the scoped-thread
-//! fan-out allocates when it spawns, and thread management is outside the
+//! enough to stay below the fork threshold
+//! (`rustfi_tensor::parallel::FORK_MACS`): the scoped-thread fan-out
+//! allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
 //! Six measurements keep the assertion honest:

@@ -21,6 +21,7 @@ use rustfi::CampaignResult;
 use rustfi_data::SynthSpec;
 use rustfi_nn::train::TrainConfig;
 use rustfi_nn::{checkpoint, train, zoo, Network, ZooConfig};
+use rustfi_obs::{wilson_interval, Z_99};
 use std::path::PathBuf;
 
 /// Reads an override from the environment (`RUSTFI_TRIALS`, …), falling back
@@ -428,7 +429,7 @@ pub fn factory_from_checkpoint(
 /// paper's headline rates. Rows come from [`outcome_table_row`].
 pub fn outcome_table_header() -> String {
     format!(
-        "{:<12} {:>9} {:>9} {:>8} {:>7} {:>7} {:>6} {:>5} {:>11} {:>9} {:>10}",
+        "{:<12} {:>9} {:>9} {:>8} {:>7} {:>7} {:>6} {:>5} {:>11} {:>20} {:>10}",
         "model",
         "accuracy",
         "eligible",
@@ -438,7 +439,7 @@ pub fn outcome_table_header() -> String {
         "crash",
         "hang",
         "SDC rate",
-        "99% CI",
+        "99% CI (Wilson)",
         "top5-miss"
     )
 }
@@ -450,8 +451,10 @@ pub fn outcome_table_row(name: &str, accuracy: Option<f32>, r: &CampaignResult) 
         Some(a) => format!("{:>8.1}%", 100.0 * a),
         None => format!("{:>9}", "-"),
     };
+    let (lo, hi) = wilson_interval(r.counts.sdc as u64, r.counts.total() as u64, Z_99);
+    let ci = format!("[{:.3}%, {:.3}%]", 100.0 * lo, 100.0 * hi);
     format!(
-        "{:<12} {} {:>9} {:>8} {:>7} {:>7} {:>6} {:>5} {:>10.3}% {:>8.3}% {:>9.3}%",
+        "{:<12} {} {:>9} {:>8} {:>7} {:>7} {:>6} {:>5} {:>10.3}% {:>20} {:>9.3}%",
         name,
         acc,
         r.eligible_images,
@@ -461,7 +464,7 @@ pub fn outcome_table_row(name: &str, accuracy: Option<f32>, r: &CampaignResult) 
         r.counts.crash,
         r.counts.hang,
         100.0 * r.sdc_rate(),
-        100.0 * r.counts.sdc_rate_ci99(),
+        ci,
         100.0 * r.top5_miss_rate()
     )
 }

@@ -249,7 +249,10 @@ pub struct CampaignConfig {
     pub trials: usize,
     /// Root seed; trial `t` derives its stream from `(seed, t)`.
     pub seed: u64,
-    /// Worker threads (`None` = all available cores).
+    /// The campaign's core count: trials run on this many worker threads
+    /// (`None` = all available cores). Kernels inside a worker never fork
+    /// threads of their own (see [`rustfi_tensor::parallel`]), so the trial
+    /// loop uses exactly these cores.
     pub threads: Option<usize>,
     /// Quantization regime for trial (and golden-prediction) forwards:
     /// [`QuantMode::Simulated`] snaps activations to the INT8 grid on top of
@@ -291,8 +294,7 @@ pub struct CampaignConfig {
     /// per-element expressions of the unfused layers. Layer groups carrying
     /// forward hooks (injection targets, guards, profilers) automatically
     /// run unfused, and a weight fault repacks only the perturbed conv's
-    /// panel for that trial. The golden / calibration pass additionally
-    /// tiles its GEMM rows across the otherwise idle worker cores.
+    /// panel for that trial.
     pub plan: bool,
     /// Per-worker tensor-pool budget in bytes: each worker thread recycles
     /// retired activation buffers through a thread-local free list capped at
@@ -655,12 +657,6 @@ impl<'a> Campaign<'a> {
         let use_prefix = cfg.prefix_cache.is_some() && cfg.max_steps.is_none();
         let mut golden = FaultInjector::new((self.factory)(), FiConfig::for_input(&input_dims))?;
         golden.net_mut().set_plan(cfg.plan);
-        // With a compiled plan, the golden / calibration phase runs alone
-        // while every worker core idles — let its planned GEMMs tile rows
-        // across them. Scoped to this phase (the guard is thread-local and
-        // not inherited): trial workers parallelize across trials, where a
-        // within-pass split would only add sync overhead.
-        let wide = cfg.plan.then(rustfi_tensor::parallel::wide_scope);
         // Install the quantization regime before anything observes
         // activations: golden predictions, prefix snapshots, and trial
         // forwards all run under the same arithmetic. The INT8 calibration
@@ -780,7 +776,6 @@ impl<'a> Campaign<'a> {
             g.uninstall(golden.net());
         }
         drop(golden_guard);
-        drop(wide);
         // The golden injector already paid for a model build and a profiling
         // forward; recycle both. The profile feeds fusion planning and the
         // per-layer aggregation, and the injector itself is handed to the

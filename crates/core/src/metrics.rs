@@ -158,22 +158,12 @@ impl OutcomeCounts {
             self.sdc as f64 / self.total() as f64
         }
     }
-
-    /// Half-width of the 99% normal-approximation confidence interval on the
-    /// SDC rate (the paper reports error bars this way).
-    pub fn sdc_rate_ci99(&self) -> f64 {
-        let n = self.total();
-        if n == 0 {
-            return 0.0;
-        }
-        let p = self.sdc_rate();
-        2.576 * (p * (1.0 - p) / n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rustfi_obs::{wilson_interval, Z_99};
 
     #[test]
     fn top1_and_ties() {
@@ -233,7 +223,11 @@ mod tests {
         assert_eq!(c.total(), 100);
         assert_eq!((c.crash, c.hang), (1, 1));
         assert!((c.sdc_rate() - 0.02).abs() < 1e-9);
-        assert!(c.sdc_rate_ci99() > 0.0 && c.sdc_rate_ci99() < 0.1);
+        let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
+        assert!(
+            lo > 0.0 && lo < 0.02 && hi > 0.02 && hi < 0.1,
+            "[{lo}, {hi}]"
+        );
     }
 
     #[test]
@@ -257,6 +251,10 @@ mod tests {
     fn empty_counts_are_safe() {
         let c = OutcomeCounts::default();
         assert_eq!(c.sdc_rate(), 0.0);
-        assert_eq!(c.sdc_rate_ci99(), 0.0);
+        assert_eq!(wilson_interval(0, c.total() as u64, Z_99), (0.0, 1.0));
+        // No SDCs in 100 trials still bounds the rate away from certainty.
+        let (lo, hi) = wilson_interval(0, 100, Z_99);
+        assert_eq!(lo, 0.0);
+        assert!(hi > 0.0 && hi < 0.1, "{hi}");
     }
 }

@@ -6,6 +6,7 @@
 //! per-trial records as CSV for downstream analysis.
 
 use crate::campaign::CampaignResult;
+use rustfi_obs::{wilson_interval, Z_99};
 use std::fmt::Write as _;
 
 /// Renders a multi-line human-readable summary of a campaign.
@@ -23,11 +24,13 @@ pub fn summarize(result: &CampaignResult) -> String {
         "outcomes: {} masked | {} SDC | {} DUE | {} crash | {} hang",
         c.masked, c.sdc, c.due, c.crash, c.hang
     );
+    let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
     let _ = writeln!(
         out,
-        "SDC rate: {:.4}% (99% CI ±{:.4}%) | top-5 miss rate: {:.4}% | mean confidence delta: {:+.4}",
+        "SDC rate: {:.4}% (99% Wilson CI [{:.4}%, {:.4}%]) | top-5 miss rate: {:.4}% | mean confidence delta: {:+.4}",
         100.0 * c.sdc_rate(),
-        100.0 * c.sdc_rate_ci99(),
+        100.0 * lo,
+        100.0 * hi,
         100.0 * result.top5_miss_rate(),
         result.mean_confidence_delta()
     );

@@ -75,7 +75,7 @@ pub use sidecar::{
     flight_path, read_sidecar, sidecar_path, SidecarHeader, SidecarRead, SidecarRecorder,
 };
 pub use stats::{
-    wilson_interval, CampaignStats, OutcomeCounts, StatsRecorder, StreamingHistogram, Z_95,
+    wilson_interval, CampaignStats, OutcomeCounts, StatsRecorder, StreamingHistogram, Z_95, Z_99,
 };
 pub use timing::{mean_seconds, time, Stopwatch};
 pub use trace::{LayerTimeRow, ObsSnapshot, TimingStat, TraceRecorder};

@@ -44,6 +44,9 @@ pub fn wilson_interval(hits: u64, n: u64, z: f64) -> (f64, f64) {
 /// The 95% critical value used by every rendered table.
 pub const Z_95: f64 = 1.959_963_984_540_054;
 
+/// The 99% critical value of the campaign summaries and outcome tables.
+pub const Z_99: f64 = 2.575_829_303_548_9;
+
 const LINEAR_CUTOFF: u64 = 16;
 const SUB_BUCKETS: usize = 16;
 /// Octaves 4..=63 each get [`SUB_BUCKETS`] buckets after the linear range.
@@ -430,6 +433,10 @@ mod tests {
         let (lo, hi) = wilson_interval(50, 50, Z_95);
         assert!(lo > 0.9 && lo < 1.0);
         assert_eq!(hi, 1.0);
+        // 99% is wider than 95%: 10/100 ≈ [0.0460, 0.2038].
+        let (lo, hi) = wilson_interval(10, 100, Z_99);
+        assert!((lo - 0.0460).abs() < 5e-4, "{lo}");
+        assert!((hi - 0.2038).abs() < 5e-4, "{hi}");
     }
 
     #[test]

@@ -9,11 +9,6 @@ use crate::pack::{matmul_packed_a, Act, BnFoldView, Epilogue, GatherPlan, Packed
 use crate::parallel;
 use crate::tensor::Tensor;
 
-/// Threshold (in multiply–accumulate operations) above which [`conv2d`]
-/// parallelizes across batch elements instead of inside the per-group
-/// matmul. Matches the matmul threshold so small problems stay serial.
-const PARALLEL_BATCH_MACS: usize = 1 << 20;
-
 /// Geometry of a convolution: stride, padding, groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvSpec {
@@ -297,53 +292,38 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
-    // One batch element's worth of work, with caller-owned im2col/product
-    // scratch reused across every (batch, group) iteration. Per-sample GEMMs
-    // beat one batch-wide GEMM here: each sample's `[kcols, ohw]` im2col
-    // panel stays cache-resident for its whole k sweep, where a merged
-    // `[kcols, n*ohw]` panel would stream from memory once per row block.
-    // The inner matmul stays serial when the caller is already fanned out
-    // across batches.
-    let run_batch = |bn: usize,
-                     out_bn: &mut [f32],
-                     cols: &mut [f32],
-                     prod: &mut [f32],
-                     parallel_matmul: bool| {
-        for g in 0..spec.groups {
-            im2col_into(input, bn, g * cg, cg, kh, kw, &spec, oh, ow, cols);
-            let wslab = &wdata[g * og * kcols..(g + 1) * og * kcols];
-            matmul_into(wslab, cols, prod, og, kcols, ohw, parallel_matmul);
-            for o in 0..og {
-                let b = bdata[g * og + o];
-                let dst = &mut out_bn[(g * og + o) * ohw..(g * og + o + 1) * ohw];
-                for (d, &s) in dst.iter_mut().zip(&prod[o * ohw..(o + 1) * ohw]) {
-                    *d = s + b;
-                }
-            }
-        }
-    };
-
+    // Batch elements are independent, so a split that forks fans them
+    // across threads; a chunk's per-group GEMMs then run inline on its
+    // thread, and a lone batch element may still split its GEMM rows. Each
+    // chunk reuses one im2col/product scratch pair for its whole run of
+    // batches. Per-sample GEMMs beat one batch-wide GEMM here: each sample's
+    // `[kcols, ohw]` im2col panel stays cache-resident for its whole k
+    // sweep, where a merged `[kcols, n*ohw]` panel would stream from memory
+    // once per row block.
     let total_macs = n * oc * ohw * kcols;
-    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        // Batch elements are independent, so fan them across workers; each
-        // worker reuses one scratch pair for its whole run of batches.
-        parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
+    parallel::for_each_chunk_mut(
+        out.data_mut(),
+        batch_stride,
+        total_macs,
+        |start, _, slab| {
             with_conv_scratch(kcols * ohw, og * ohw, |cols, prod| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, cols, prod, false);
+                for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
+                    for g in 0..spec.groups {
+                        im2col_into(input, start + i, g * cg, cg, kh, kw, &spec, oh, ow, cols);
+                        let wslab = &wdata[g * og * kcols..(g + 1) * og * kcols];
+                        matmul_into(wslab, cols, prod, og, kcols, ohw, true);
+                        for o in 0..og {
+                            let b = bdata[g * og + o];
+                            let dst = &mut out_bn[(g * og + o) * ohw..(g * og + o + 1) * ohw];
+                            for (d, &s) in dst.iter_mut().zip(&prod[o * ohw..(o + 1) * ohw]) {
+                                *d = s + b;
+                            }
+                        }
+                    }
                 }
             });
-        });
-    } else {
-        let out_data = out.data_mut();
-        with_conv_scratch(kcols * ohw, og * ohw, |cols, prod| {
-            for bn in 0..n {
-                let out_bn = &mut out_data[bn * batch_stride..(bn + 1) * batch_stride];
-                run_batch(bn, out_bn, cols, prod, true);
-            }
-        });
-    }
+        },
+    );
     out
 }
 
@@ -429,9 +409,6 @@ impl Im2colPlan {
 /// - `kernel`: `(kh, kw)` of the packed filters
 /// - `plan`: the gather plan for this input's group-slice shape
 ///
-/// Inside a [`parallel::wide_scope`] (the campaign's golden pass) the
-/// per-sample GEMMs fan their row panels across the idle worker fleet.
-///
 /// # Panics
 ///
 /// Panics if shapes, the spec, the packed panels, and the gather plan are
@@ -478,40 +455,25 @@ pub fn conv2d_planned(
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
-    let run_batch = |bn_idx: usize, out_bn: &mut [f32], cols: &mut [f32], inner_parallel: bool| {
-        for (g, pack) in packs.iter().enumerate() {
-            plan.map
-                .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols);
-            let ep = Epilogue::PerRow {
-                bias: bdata,
-                bn,
-                act,
-                row0: g * og,
-            };
-            let out_g = &mut out_bn[g * og * ohw..(g + 1) * og * ohw];
-            matmul_packed_a(pack, cols, out_g, ohw, &ep, inner_parallel);
-        }
-    };
-
-    let total_macs = n * oc * ohw * kcols;
-    if !parallel::wide_mode() && n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_conv_scratch(kcols * ohw, 0, |cols, _| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, cols, false);
-                }
-            });
-        });
-    } else {
-        let out_data = out.data_mut();
-        with_conv_scratch(kcols * ohw, 0, |cols, _| {
-            for bn_idx in 0..n {
-                let out_bn = &mut out_data[bn_idx * batch_stride..(bn_idx + 1) * batch_stride];
-                run_batch(bn_idx, out_bn, cols, true);
+    // Planned kernels see batch > 1 only in fused campaign trials, whose
+    // workers never fork, so the batch loop stays on this thread; a GEMM
+    // outside any task may still split its rows.
+    with_conv_scratch(kcols * ohw, 0, |cols, _| {
+        for (bn_idx, out_bn) in out.data_mut().chunks_exact_mut(batch_stride).enumerate() {
+            for (g, pack) in packs.iter().enumerate() {
+                plan.map
+                    .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols);
+                let ep = Epilogue::PerRow {
+                    bias: bdata,
+                    bn,
+                    act,
+                    row0: g * og,
+                };
+                let out_g = &mut out_bn[g * og * ohw..(g + 1) * og * ohw];
+                matmul_packed_a(pack, cols, out_g, ohw, &ep, true);
             }
-        });
-    }
+        }
+    });
     out
 }
 
@@ -824,12 +786,6 @@ mod tests {
         for (p, q) in fused.data().iter().zip(serial.data()) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
-        // The wide (golden-pass) path fans GEMM rows but must keep the bits.
-        let wide = {
-            let _g = parallel::wide_scope();
-            conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::Relu)
-        };
-        assert_eq!(wide.data(), fused.data());
     }
 
     /// Numeric gradient check of the analytic backward pass.

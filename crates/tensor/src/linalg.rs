@@ -3,10 +3,6 @@
 use crate::parallel;
 use crate::tensor::Tensor;
 
-/// Threshold (in multiply–accumulate operations) above which matmul fans out
-/// across threads.
-pub(crate) const PARALLEL_MACS: usize = 1 << 20;
-
 /// Rows of `a` processed together by the register-blocked microkernel: each
 /// loaded `b` segment feeds this many output rows.
 pub(crate) const MR: usize = 4;
@@ -126,9 +122,10 @@ fn block_rows_impl(
 ///
 /// This is the allocation-free core of [`matmul`], exposed so callers with
 /// reusable scratch buffers (im2col convolution, benchmarks) can skip the
-/// per-call `Tensor` allocation. Parallelizes over output rows above an
-/// internal work threshold; pass `allow_parallel = false` when calling from
-/// inside an already-parallel region to avoid nested thread fan-out.
+/// per-call `Tensor` allocation. Splits its output rows across threads
+/// through [`parallel::for_each_chunk_mut`], which forks only for work that
+/// reaches [`parallel::FORK_MACS`] outside any parallel task;
+/// `allow_parallel = false` keeps every row on the calling thread.
 ///
 /// # Panics
 ///
@@ -147,13 +144,10 @@ pub fn matmul_into(
     assert_eq!(b.len(), k * n, "rhs length != k*n");
     assert_eq!(out.len(), m * n, "out length != m*n");
     // No zero-fill needed: block_rows overwrites every output element.
-    if allow_parallel && m * n * k >= PARALLEL_MACS && m > 1 {
-        parallel::for_each_chunk_mut(out, n, |chunk_idx, rows, slab| {
-            block_rows(a, b, chunk_idx..chunk_idx + rows, slab, k, n);
-        });
-    } else {
-        block_rows(a, b, 0..m, out, k, n);
-    }
+    let macs = if allow_parallel { m * n * k } else { 0 };
+    parallel::for_each_chunk_mut(out, n, macs, |row0, rows, slab| {
+        block_rows(a, b, row0..row0 + rows, slab, k, n);
+    });
 }
 
 /// Multiplies two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
@@ -255,7 +249,7 @@ mod tests {
     fn parallel_path_matches_serial() {
         use crate::rng::SeededRng;
         let mut rng = SeededRng::new(1);
-        // Big enough to cross PARALLEL_MACS.
+        // Big enough to cross parallel::FORK_MACS.
         let a = Tensor::rand_normal(&[128, 96], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[96, 128], 0.0, 1.0, &mut rng);
         let fast = matmul(&a, &b);

@@ -356,10 +356,10 @@ impl PackedConvI16 {
 /// [`matmul_into`](crate::matmul_into) exactly; only the epilogue transform
 /// differs from a raw store.
 ///
-/// Parallelizes over `MR`-aligned row blocks when `allow_parallel` holds and
-/// either the problem crosses the matmul threshold or a
-/// [`parallel::wide_scope`] is active (the golden-pass mode, where trial
-/// workers are idle and even small GEMMs should fan out).
+/// Splits its output rows across threads in `MR`-aligned blocks, under the
+/// same rule as [`matmul_into`](crate::matmul_into): only for work that
+/// reaches [`parallel::FORK_MACS`] outside any parallel task, and never with
+/// `allow_parallel = false`.
 ///
 /// # Panics
 ///
@@ -376,15 +376,11 @@ pub fn matmul_packed_a(
     let (m, k) = (pa.m, pa.k);
     assert_eq!(b.len(), k * n, "rhs length != k*n");
     assert_eq!(out.len(), m * n, "out length != m*n");
-    let wide = parallel::wide_mode();
-    if allow_parallel && m > 1 && (wide || m * n * k >= crate::linalg::PARALLEL_MACS) {
-        // Chunks are MR-aligned so every worker starts on a panel boundary.
-        parallel::for_each_chunk_mut_aligned(out, n, MR, |row0, rows, slab| {
-            packed_a_rows(pa, b, row0..row0 + rows, slab, n, ep);
-        });
-    } else {
-        packed_a_rows(pa, b, 0..m, out, n, ep);
-    }
+    let macs = if allow_parallel { m * n * k } else { 0 };
+    // Chunks are MR-aligned so every worker starts on a panel boundary.
+    parallel::for_each_chunk_mut_aligned(out, n, MR, macs, |row0, rows, slab| {
+        packed_a_rows(pa, b, row0..row0 + rows, slab, n, ep);
+    });
 }
 
 /// Dispatch trio for the packed-A row kernel (see `block_rows` in `linalg`).
@@ -673,20 +669,20 @@ mod tests {
     }
 
     #[test]
-    fn wide_scope_parallel_paths_are_bit_identical() {
+    fn row_split_packed_a_is_bit_identical() {
         let mut rng = SeededRng::new(67);
-        let (m, k, n) = (37usize, 29usize, 130usize);
+        // Crosses the fork threshold with `m` off a multiple of `MR`, so a
+        // split (on a multi-core host) ends in a partial panel.
+        let (m, k, n) = (37usize, 290usize, 130usize);
+        assert!(m * k * n >= parallel::FORK_MACS && m % MR != 0);
         let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[k, n], 0.0, 1.0, &mut rng);
         let pa = PackedA::pack(a.data(), m, k);
         let mut serial = vec![0.0f32; m * n];
         matmul_packed_a(&pa, b.data(), &mut serial, n, &Epilogue::None, false);
-        let mut wide = vec![0.0f32; m * n];
-        {
-            let _w = parallel::wide_scope();
-            matmul_packed_a(&pa, b.data(), &mut wide, n, &Epilogue::None, true);
-        }
-        assert_bits_eq(&wide, &serial, "wide packed-A");
+        let mut split = vec![0.0f32; m * n];
+        matmul_packed_a(&pa, b.data(), &mut split, n, &Epilogue::None, true);
+        assert_bits_eq(&split, &serial, "row-split packed-A");
     }
 
     #[test]

@@ -32,10 +32,6 @@ use crate::qkernels::{
 };
 use crate::tensor::Tensor;
 
-/// Threshold (in multiply–accumulate operations) above which [`conv2d_q`]
-/// parallelizes across batch elements; matches the f32 conv threshold.
-const PARALLEL_BATCH_MACS: usize = 1 << 20;
-
 /// A quantized tensor: contiguous `i8` words plus the scale(s) that map them
 /// back to f32.
 ///
@@ -305,45 +301,41 @@ pub fn conv2d_q(
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
-    let run_batch =
-        |bn: usize, out_bn: &mut [f32], qin: &mut [i8], rows: &mut [i8], acc: &mut [i32]| {
-            // One static-scale quantization of this sample's input slab; every
-            // group's im2row reads from it.
-            quantize_slice(&input.data()[bn * chw..(bn + 1) * chw], input_scale, qin);
-            for g in 0..spec.groups {
-                im2row_i8(qin, h, w, g * cg, cg, kh, kw, &spec, oh, ow, rows);
-                let wslab = &qweight.data()[g * og * kcols..(g + 1) * og * kcols];
-                matmul_i8_nt(wslab, rows, acc, og, kcols, ohw);
-                for o in 0..og {
-                    let oc_idx = g * og + o;
-                    dequant_bias_row(
-                        &acc[o * ohw..(o + 1) * ohw],
-                        input_scale * qweight.channel_scale(oc_idx),
-                        bdata[oc_idx],
-                        &mut out_bn[oc_idx * ohw..(oc_idx + 1) * ohw],
-                    );
-                }
-            }
-        };
-
-    let run_slab = |start: usize, slab: &mut [f32]| {
-        with_q_scratch(|s| {
-            let qin = grown(&mut s.qin, chw);
-            let rows = grown(&mut s.rows, ohw * kcols);
-            let acc = grown(&mut s.acc, og * ohw);
-            for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
-                run_batch(start + i, out_bn, qin, rows, acc);
-            }
-        })
-    };
+    // Batch elements are independent, so a split that forks fans them
+    // across threads, each reusing one scratch set for its run of batches.
     let total_macs = n * oc * ohw * kcols;
-    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, _, slab| {
-            run_slab(start, slab)
-        });
-    } else {
-        run_slab(0, out.data_mut());
-    }
+    crate::parallel::for_each_chunk_mut(
+        out.data_mut(),
+        batch_stride,
+        total_macs,
+        |start, _, slab| {
+            with_q_scratch(|s| {
+                let qin = grown(&mut s.qin, chw);
+                let rows = grown(&mut s.rows, ohw * kcols);
+                let acc = grown(&mut s.acc, og * ohw);
+                for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
+                    // One static-scale quantization of this sample's input slab;
+                    // every group's im2row reads from it.
+                    let bn = start + i;
+                    quantize_slice(&input.data()[bn * chw..(bn + 1) * chw], input_scale, qin);
+                    for g in 0..spec.groups {
+                        im2row_i8(qin, h, w, g * cg, cg, kh, kw, &spec, oh, ow, rows);
+                        let wslab = &qweight.data()[g * og * kcols..(g + 1) * og * kcols];
+                        matmul_i8_nt(wslab, rows, acc, og, kcols, ohw);
+                        for o in 0..og {
+                            let oc_idx = g * og + o;
+                            dequant_bias_row(
+                                &acc[o * ohw..(o + 1) * ohw],
+                                input_scale * qweight.channel_scale(oc_idx),
+                                bdata[oc_idx],
+                                &mut out_bn[oc_idx * ohw..(oc_idx + 1) * ohw],
+                            );
+                        }
+                    }
+                }
+            })
+        },
+    );
     out
 }
 
@@ -518,46 +510,37 @@ pub fn conv2d_q_planned(
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
-    let run_slab = |start: usize, slab: &mut [f32]| {
-        with_q_scratch(|s| {
-            let qin = grown(&mut s.qin, chw);
-            let plane = grown(&mut s.plane, plane_len);
-            let acc = grown(&mut s.acc, og * ohw);
-            for (i, out_bn) in slab.chunks_exact_mut(batch_stride).enumerate() {
-                let bn_idx = start + i;
-                quantize_slice(&input.data()[bn_idx * chw..][..chw], input_scale, qin);
-                fill_plane(qin, spec.groups, cg, h, w, spec.padding, wp, plane);
-                for g in 0..spec.groups {
-                    conv_i16_implicit(
-                        &plane[g * gplane..],
-                        &panel.data()[g * grow..][..grow],
-                        og,
-                        &geo,
-                        acc,
-                    );
-                    dequant_epilogue(
-                        acc,
-                        &mut out_bn[g * og * ohw..][..og * ohw],
-                        ohw,
-                        g * og,
-                        input_scale,
-                        qweight,
-                        bdata,
-                        bn,
-                        act,
-                    );
-                }
+    // Planned kernels see batch > 1 only in fused campaign trials, whose
+    // workers never fork, so the batch loop stays on this thread.
+    with_q_scratch(|s| {
+        let qin = grown(&mut s.qin, chw);
+        let plane = grown(&mut s.plane, plane_len);
+        let acc = grown(&mut s.acc, og * ohw);
+        for (bn_idx, out_bn) in out.data_mut().chunks_exact_mut(batch_stride).enumerate() {
+            quantize_slice(&input.data()[bn_idx * chw..][..chw], input_scale, qin);
+            fill_plane(qin, spec.groups, cg, h, w, spec.padding, wp, plane);
+            for g in 0..spec.groups {
+                conv_i16_implicit(
+                    &plane[g * gplane..],
+                    &panel.data()[g * grow..][..grow],
+                    og,
+                    &geo,
+                    acc,
+                );
+                dequant_epilogue(
+                    acc,
+                    &mut out_bn[g * og * ohw..][..og * ohw],
+                    ohw,
+                    g * og,
+                    input_scale,
+                    qweight,
+                    bdata,
+                    bn,
+                    act,
+                );
             }
-        })
-    };
-    let total_macs = n * oc * ohw * cg * kh * kw;
-    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, _, slab| {
-            run_slab(start, slab)
-        });
-    } else {
-        run_slab(0, out.data_mut());
-    }
+        }
+    });
     out
 }
 

@@ -9,6 +9,7 @@ use rustfi::{models, Campaign, CampaignConfig, FaultMode, GuardMode, NeuronSelec
 use rustfi_data::SynthSpec;
 use rustfi_nn::train::{accuracy, fit, TrainConfig};
 use rustfi_nn::{checkpoint, zoo, ZooConfig};
+use rustfi_obs::{wilson_interval, Z_99};
 use std::sync::Arc;
 
 fn main() {
@@ -82,10 +83,13 @@ fn main() {
         result.counts.crash,
         result.counts.hang
     );
+    let c = &result.counts;
+    let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
     println!(
-        "SDC rate: {:.3}% (99% CI ±{:.3}%), mean confidence delta {:+.4}",
+        "SDC rate: {:.3}% (99% Wilson CI [{:.3}%, {:.3}%]), mean confidence delta {:+.4}",
         100.0 * result.sdc_rate(),
-        100.0 * result.counts.sdc_rate_ci99(),
+        100.0 * lo,
+        100.0 * hi,
         result.mean_confidence_delta()
     );
     println!("\nper-layer vulnerability (trials / SDCs / rate):");
