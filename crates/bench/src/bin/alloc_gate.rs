@@ -8,7 +8,7 @@
 //! allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
-//! Six measurements keep the assertion honest:
+//! Seven measurements keep the assertion honest:
 //!
 //! 1. With pooling *disabled* (budget 0), the same passes must allocate —
 //!    proving the counter actually observes the forward path (a vacuously
@@ -29,6 +29,9 @@
 //! 6. A planned broadcast resume — the pass a fused campaign chunk runs —
 //!    at a conv on lenet's spine, carried to a batch of 8, must allocate
 //!    nothing: the broadcast draws its batch from the pool.
+//! 7. The same pass from lenet's input — what an uncached fused chunk runs:
+//!    batch 1 through the first conv block, a broadcast at the second conv,
+//!    then batch 8 — must allocate nothing either.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
@@ -125,7 +128,7 @@ fn main() {
         });
         let act = act.expect("the spine conv ran");
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = net.forward_from_broadcast(target, &act, 8);
+            let out = net.forward_from_broadcast(Some(target), target, &act, 8);
             std::hint::black_box(out)
                 .expect("target is a layer")
                 .into_pool()
@@ -136,6 +139,29 @@ fn main() {
         broadcast == 0.0,
         "planned broadcast resume allocated at steady state \
          ({broadcast:.3} allocations/pass)"
+    );
+
+    let from_input = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let target = net.injectable_layers()[1];
+        let out = net.forward_from_broadcast(None, target, &input, 8);
+        assert_eq!(
+            out.expect("a pass from the input").dims()[0],
+            8,
+            "the pass broadcast to the chunk"
+        );
+        alloc_count::steady_state_allocs(8, 64, || {
+            let out = net.forward_from_broadcast(None, target, &input, 8);
+            std::hint::black_box(out)
+                .expect("a pass from the input")
+                .into_pool()
+        })
+    };
+    println!("alloc_gate: from input   -> {from_input:.1} allocations/pass");
+    assert!(
+        from_input == 0.0,
+        "planned broadcast pass from the network input allocated at steady \
+         state ({from_input:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

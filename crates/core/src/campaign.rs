@@ -24,7 +24,8 @@
 //! Campaigns can also *fuse* trials ([`CampaignConfig::fusion`]): pending
 //! neuron-fault trials that share an `(injection layer, image)` pair — the
 //! prefix-cache key — execute as one batched forward pass whose batch slices
-//! carry independent faults. Guards and INT8 quantization are evaluated per
+//! carry independent faults, after the fault-free prefix they share has run
+//! once, at batch 1. Guards and INT8 quantization are evaluated per
 //! sample, so a NaN in one trial never touches its batch siblings, and a
 //! chunk whose forward pass panics is replayed serially. Like prefix caching
 //! and journaling, fusion is invisible in the results: records are
@@ -80,13 +81,15 @@ pub enum GuardMode {
     ShortCircuit,
 }
 
-/// Campaign trial-fusion knobs ([`CampaignConfig::fusion`]).
+/// Campaign trial-fusion knobs ([`CampaignConfig::fusion`]). A fused chunk
+/// runs the prefix its trials share once, at batch 1, and the injection
+/// layer's output and everything after it at the chunk's width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionConfig {
     /// Maximum trials fused into one batched forward pass. Values below 2
-    /// disable fusion. Wider batches amortize more per-pass overhead but
-    /// cost more memory per worker and waste more work when a chunk crashes
-    /// and replays serially.
+    /// disable fusion. Wider batches amortize the shared batch-1 prefix and
+    /// per-pass overhead over more trials, but cost more memory per worker
+    /// and waste more work when a chunk crashes and replays serially.
     pub max_batch: usize,
 }
 
@@ -277,11 +280,16 @@ pub struct CampaignConfig {
     pub prefix_cache: Option<crate::prefix::PrefixCacheConfig>,
     /// Trial fusion ([`FusionConfig`]): run up to `max_batch` trials that
     /// share an `(injection layer, image)` pair as one batched forward pass
-    /// whose slices carry independent faults. Purely a throughput
-    /// optimization — records are bit-identical to serial execution (a
-    /// property test asserts this). Applies to neuron faults only, and —
-    /// like the prefix cache — stands down when [`Self::max_steps`] is set,
-    /// because the watchdog counts per-pass layer dispatches.
+    /// whose slices carry independent faults. The pass runs the fault-free
+    /// prefix the slices share once, at batch 1, with or without
+    /// [`Self::prefix_cache`] (a cache hit skips that batch-1 prefix), and
+    /// broadcasts to the batch at the injection layer when that layer is on
+    /// the spine (see [`rustfi_nn::Network::forward_from_broadcast`]).
+    /// Purely a throughput optimization — records are bit-identical to
+    /// serial execution (a property test asserts this). Applies to neuron
+    /// faults only, and — like the prefix cache — stands down when
+    /// [`Self::max_steps`] is set, because the watchdog counts per-pass
+    /// layer dispatches.
     pub fusion: Option<FusionConfig>,
     /// Compiled forward plans: every network (golden and per-worker) packs
     /// its conv weights into GEMM-microkernel panel layouts at campaign
@@ -1506,22 +1514,24 @@ fn run_fused_chunk(
             trial: trials[0].t,
             source: Box::new(e),
         })?;
+    let target = env.profile.layers()[layer].id;
     let peeked = env.peek_prefix(layer, image_index);
     let shielded = parallel::shield::run_quietly(|| {
-        // Every slice enters the resume point with the same cached
-        // activation, so the pass broadcasts it to the chunk (on a flat
-        // spine the injection layer itself runs once, at batch 1).
-        if let Some(Some((rid, act))) = &peeked {
-            if let Some(out) = fi.forward_from_broadcast(*rid, act, n) {
-                return out;
-            }
+        // Every slice runs the same fault-free prefix, so the pass starts
+        // once, at batch 1: from the cached resume-point activation on a
+        // hit, from the image otherwise. It broadcasts to the chunk at the
+        // injection layer when that layer is on the spine.
+        let hit = peeked.as_ref().and_then(Option::as_ref);
+        let image = hit.is_none().then(|| env.images.select_batch(image_index));
+        let (from, input) = match hit {
+            Some((rid, act)) => (Some(*rid), &**act),
+            None => (None, image.as_ref().expect("drawn on a miss")),
+        };
+        let out = fi.forward_from_broadcast(from, target, input, n);
+        if let Some(x) = image {
+            x.into_pool();
         }
-        let x = env.images.select_batch(image_index);
-        let xb = x.repeat_batch(n);
-        x.into_pool();
-        let out = fi.forward(&xb);
-        xb.into_pool();
-        out
+        out.expect("a resume point is a layer of its network")
     });
     let Ok(out) = shielded else {
         // One slice's fault panicked and unwound the whole fused pass
@@ -2446,6 +2456,62 @@ mod tests {
                 fused.records, plain.records,
                 "an Inf in one slice never contaminates its chunk-mates \
                  under {guard:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_guard_charges_a_non_finite_prefix_to_every_slice() {
+        // A -Inf bias in the first conv's channel 0: the ReLU after it
+        // launders the value, so golden logits stay finite and every image
+        // stays eligible, yet every serial trial is DUE at that conv. An
+        // uncached fused chunk runs it once, at batch 1, for all its slices.
+        fn poisoned() -> Network {
+            let mut net = factory();
+            let conv = net.injectable_layers()[0];
+            net.layer_bias_mut(conv).unwrap().data_mut()[0] = f32::NEG_INFINITY;
+            net
+        }
+        let conv = poisoned().injectable_layers()[0];
+        let images = images();
+        let mut net = poisoned();
+        let labels: Vec<usize> = (0..images.dims()[0])
+            .map(|i| top1(net.forward(&images.select_batch(i)).data()))
+            .collect();
+        let campaign = Campaign::new(
+            &poisoned,
+            &images,
+            &labels,
+            FaultMode::Neuron(NeuronSelect::Random),
+            Arc::new(RandomUniform::default()),
+        );
+        for guard in [GuardMode::Record, GuardMode::ShortCircuit] {
+            let cfg = CampaignConfig {
+                trials: 48,
+                seed: 36,
+                threads: Some(2),
+                guard,
+                ..CampaignConfig::default()
+            };
+            let plain = campaign.run(&cfg).unwrap();
+            assert_eq!(plain.eligible_images, 6);
+            assert!(
+                plain
+                    .records
+                    .iter()
+                    .all(|r| r.outcome == OutcomeKind::Due && r.due_layer == Some(conv.index())),
+                "every serial trial is DUE at the poisoned conv under {guard:?}"
+            );
+            let fused = campaign
+                .run(&CampaignConfig {
+                    fusion: Some(FusionConfig::with_width(8)),
+                    ..cfg.clone()
+                })
+                .unwrap();
+            assert_eq!(fused.fusion.unwrap().serial_trials, 0);
+            assert_eq!(
+                fused.records, plain.records,
+                "the shared prefix condemns every slice under {guard:?}"
             );
         }
     }

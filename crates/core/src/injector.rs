@@ -716,21 +716,23 @@ impl FaultInjector {
         self.net.forward_from(target, input)
     }
 
-    /// Resumes an inference at `target` from a cached batch-1 activation
-    /// carried by `n` identical batch slices (see
-    /// [`rustfi_nn::Network::forward_from_broadcast`]): bit-identical to
-    /// `forward_from(target, &input.repeat_batch(n))`, but an injectable
-    /// layer on the spine runs once, at batch 1, and its output is
-    /// broadcast before its forward hooks (guards, INT8 emulation,
-    /// per-slice fault injection) fire. Returns `None` when `target` is not
-    /// in the network.
+    /// Runs an inference of `n` identical batch slices from one batch-1
+    /// `input`: the network input when `from` is `None`, else the cached
+    /// activation of resume point `from` (see
+    /// [`rustfi_nn::Network::forward_from_broadcast`]). Bit-identical to
+    /// the pass on `input.repeat_batch(n)`, but when `target` is an
+    /// injectable layer on the spine, the pass runs at batch 1 through
+    /// `target` and broadcasts its output before its forward hooks (guards,
+    /// INT8 emulation, per-slice fault injection) fire. Returns `None` when
+    /// `from` is not in the network.
     pub fn forward_from_broadcast(
         &mut self,
+        from: Option<LayerId>,
         target: LayerId,
         input: &Tensor,
         n: usize,
     ) -> Option<Tensor> {
-        self.net.forward_from_broadcast(target, input, n)
+        self.net.forward_from_broadcast(from, target, input, n)
     }
 
     /// The configuration this injector was built with.
@@ -1178,16 +1180,25 @@ mod tests {
         let reference = fi.forward_from(rid, &act.repeat_batch(3)).unwrap();
         let mut fi2 = injector();
         declare(&mut fi2);
-        let fast = fi2.forward_from_broadcast(rid, &act, 3).unwrap();
+        let fast = fi2
+            .forward_from_broadcast(Some(rid), layer_id, &act, 3)
+            .unwrap();
         assert_eq!(fast, reference, "broadcast decomposition is bit-identical");
         assert_eq!(fi2.injections_applied(), 3);
+        // From the image, the prefix runs once at batch 1.
+        let mut fi3 = injector();
+        declare(&mut fi3);
+        let from_input = fi3.forward_from_broadcast(None, layer_id, &x(), 3);
+        assert_eq!(from_input, Some(reference), "broadcast from the input");
+        assert_eq!(fi3.injections_applied(), 3);
     }
 
     #[test]
     fn broadcast_resume_declines_unknown_layer() {
         let mut fi = injector();
+        let unknown = LayerId::from_index(999);
         assert!(fi
-            .forward_from_broadcast(LayerId::from_index(999), &x(), 2)
+            .forward_from_broadcast(Some(unknown), unknown, &x(), 2)
             .is_none());
         assert_eq!(fi.injections_applied(), 0);
     }

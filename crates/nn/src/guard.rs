@@ -44,7 +44,9 @@ pub struct GuardConfig {
     /// Scan each leading-axis (batch) sample independently and record
     /// per-sample non-finite provenance (see
     /// [`GuardHook::first_non_finite_for`]). Fused campaigns use this so a
-    /// NaN in one trial's batch slice never condemns its siblings. A
+    /// NaN in one trial's batch slice never condemns its siblings, while a
+    /// NaN in a batch-1 tensor seen after [`GuardHook::reset_samples`]`(n)`
+    /// (the prefix all `n` slices share) is charged to every slice. A
     /// per-sample guard **never short-circuits** — aborting the pass would
     /// discard the still-healthy samples sharing the batch — but the global
     /// first-non-finite record (and its event) is maintained identically.
@@ -128,17 +130,29 @@ impl GuardHook {
                     // it: slot `b` keeps the *first* layer where sample `b`
                     // went bad, exactly as the global record would at batch 1.
                     let mut table = hook_state.sample_non_finite.lock();
-                    for (b, slice) in out.sample_slices().enumerate() {
-                        if slice.iter().any(|v| !v.is_finite()) {
-                            if table.len() <= b {
-                                table.resize(b + 1, None);
-                            }
-                            if table[b].is_none() {
-                                table[b] = Some((ctx.id, ctx.name.to_string()));
+                    let blame = |slot: &mut Option<(LayerId, String)>| {
+                        slot.get_or_insert_with(|| (ctx.id, ctx.name.to_string()));
+                    };
+                    let samples = out.sample_slices().count();
+                    if samples == 1 {
+                        // A batch-1 tensor during a pass over several slices
+                        // is the prefix they all share (see
+                        // `Network::forward_from_broadcast`): every slice
+                        // carries its value.
+                        if table.is_empty() {
+                            table.push(None);
+                        }
+                        table.iter_mut().for_each(blame);
+                    } else {
+                        if table.len() < samples {
+                            table.resize(samples, None);
+                        }
+                        for (slot, slice) in table.iter_mut().zip(out.sample_slices()) {
+                            if slice.iter().any(|v| !v.is_finite()) {
+                                blame(slot);
                             }
                         }
                     }
-                    drop(table);
                 }
                 let mut first = hook_state.first_non_finite.lock();
                 let fresh = first.is_none();
@@ -380,6 +394,16 @@ mod tests {
         guard.reset_samples(1);
         net.forward(&x);
         assert_eq!(guard.first_non_finite_for(0), guard.first_non_finite());
+        // A 3-slice pass that broadcasts at the last injectable layer runs
+        // the corrupt prefix once, at batch 1, for every slice.
+        let target = *net.injectable_layers().last().unwrap();
+        guard.reset_samples(3);
+        net.forward_from_broadcast(None, target, &x, 3);
+        let first = guard.first_non_finite();
+        assert!(first.is_some());
+        for b in 0..3 {
+            assert_eq!(guard.first_non_finite_for(b), first, "slice {b}");
+        }
     }
 
     #[test]

@@ -811,7 +811,8 @@ mod tests {
         });
         let act = act.unwrap();
         let repeated = net.forward_from(inj[1], &act.repeat_batch(3)).unwrap();
-        assert_eq!(net.forward_from_broadcast(inj[1], &act, 3), Some(repeated));
+        let broadcast = net.forward_from_broadcast(Some(residual_id), inj[1], &act, 3);
+        assert_eq!(broadcast, Some(repeated));
     }
 
     #[test]
@@ -848,12 +849,17 @@ mod tests {
         }
     }
 
-    /// A spine exercising every fusion shape — conv+bn+relu, conv+leaky and a
-    /// bare conv — then a linear+relu tail, which runs unfused (plans cover
-    /// convolutions only), with non-trivial BN running stats.
+    /// A spine exercising every fusion shape — conv+bn+relu, conv+leaky, a
+    /// conv+relu inside a residual block and a bare conv — then a
+    /// linear+relu tail, which runs unfused (plans cover convolutions only),
+    /// with non-trivial BN running stats.
     fn plan_test_net() -> crate::module::Network {
         use crate::layer::{BatchNorm2d, Flatten, LeakyRelu, Linear};
         let mut rng = SeededRng::new(11);
+        let block = Sequential::new(vec![
+            Box::new(Conv2d::new(8, 8, 3, ConvSpec::new().padding(1), &mut rng)),
+            Box::new(Relu::new()),
+        ]);
         let mut net = crate::module::Network::new(Box::new(Sequential::new(vec![
             Box::new(Conv2d::new(3, 8, 3, ConvSpec::new().padding(1), &mut rng)),
             Box::new(BatchNorm2d::new(8)),
@@ -866,6 +872,7 @@ mod tests {
                 &mut rng,
             )),
             Box::new(LeakyRelu::new(0.1)),
+            Box::new(Residual::new(Box::new(block))),
             Box::new(Conv2d::new(8, 4, 1, ConvSpec::new(), &mut rng)),
             Box::new(Flatten::new()),
             Box::new(Linear::new(4 * 3 * 3, 5, &mut rng)),
@@ -1002,53 +1009,74 @@ mod tests {
         let mut net = plan_test_net();
         let x = plan_test_input();
         let x1 = x.select_batch(0);
-        net.set_plan(true);
-        for target in net.injectable_layers() {
-            let resume = net.resume_point(target).unwrap();
-            let mut at_resume = None;
-            let mut taps = Vec::new();
-            let full = net.forward_with_capture(&x, &mut |id, input| {
-                taps.push(id);
-                if id == resume {
-                    at_resume = Some(input.clone());
-                }
-            });
-            // Each module is tapped at most once: a group leader that
-            // declined to fuse would be tapped again by its fallback
-            // dispatch.
-            let mut unique = taps.clone();
-            unique.sort();
-            unique.dedup();
-            assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
-            let resumed = net.forward_from(target, &at_resume.unwrap()).unwrap();
-            assert_eq!(resumed, full, "forward_from at {target}");
+        for plan in [false, true] {
+            net.set_plan(plan);
+            for target in net.injectable_layers() {
+                let resume = net.resume_point(target).unwrap();
+                let mut at_resume = None;
+                let mut taps = Vec::new();
+                let full = net.forward_with_capture(&x, &mut |id, input| {
+                    taps.push(id);
+                    if id == resume {
+                        at_resume = Some(input.clone());
+                    }
+                });
+                // Each module is tapped at most once: a group leader that
+                // declined to fuse would be tapped again by its fallback
+                // dispatch.
+                let mut unique = taps.clone();
+                unique.sort();
+                unique.dedup();
+                assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
+                let resumed = net.forward_from(target, &at_resume.unwrap()).unwrap();
+                assert_eq!(resumed, full, "forward_from at {target}, plan {plan}");
 
-            // A batch-1 activation broadcast to 3 slices. The hook records
-            // the batch it sees and perturbs each slice differently, so the
-            // downstream layers must see its per-slice writes.
-            let mut act = None;
-            net.forward_with_capture(&x1, &mut |id, input| {
-                if id == resume {
-                    act = Some(input.clone());
-                }
-            });
-            let act = act.unwrap();
-            let seen = Arc::new(AtomicUsize::new(0));
-            let s = Arc::clone(&seen);
-            let hook = net.hooks().register_forward(target, move |_, out| {
-                let n = out.dims()[0];
-                s.store(n, Ordering::Relaxed);
-                let stride = out.len() / n;
-                for b in 0..n {
-                    out.data_mut()[b * stride] += b as f32;
-                }
-            });
-            let repeated = net.forward_from(target, &act.repeat_batch(3)).unwrap();
-            seen.store(0, Ordering::Relaxed);
-            let broadcast = net.forward_from_broadcast(target, &act, 3).unwrap();
-            assert_eq!(broadcast, repeated, "forward_from_broadcast at {target}");
-            assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
-            net.hooks().remove(hook);
+                // From the network input, an unhooked target still breaks
+                // its fusion group to broadcast at its own dispatch.
+                let plain = net.forward(&x1.repeat_batch(3));
+                let from_input = net.forward_from_broadcast(None, target, &x1, 3);
+                assert_eq!(from_input, Some(plain), "unhooked {target}, plan {plan}");
+
+                // A batch-1 activation broadcast to 3 slices. The hook
+                // records the batch it sees and perturbs each slice
+                // differently, so the downstream layers must see its
+                // per-slice writes.
+                let mut act = None;
+                net.forward_with_capture(&x1, &mut |id, input| {
+                    if id == resume {
+                        act = Some(input.clone());
+                    }
+                });
+                let act = act.unwrap();
+                let seen = Arc::new(AtomicUsize::new(0));
+                let s = Arc::clone(&seen);
+                let hook = net.hooks().register_forward(target, move |_, out| {
+                    let n = out.dims()[0];
+                    s.store(n, Ordering::Relaxed);
+                    let stride = out.len() / n;
+                    for b in 0..n {
+                        out.data_mut()[b * stride] += b as f32;
+                    }
+                });
+                let repeated = net.forward_from(target, &act.repeat_batch(3)).unwrap();
+                seen.store(0, Ordering::Relaxed);
+                let broadcast = net
+                    .forward_from_broadcast(Some(resume), target, &act, 3)
+                    .unwrap();
+                assert_eq!(broadcast, repeated, "resumed broadcast at {target}");
+                assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
+
+                // The same pass from the network input: batch 1 up to the
+                // target on the spine, the repeated input around a
+                // residual-interior one.
+                let whole = net.forward(&x1.repeat_batch(3));
+                assert_eq!(whole, repeated, "{target}: a golden prefix resumes exactly");
+                seen.store(0, Ordering::Relaxed);
+                let from_input = net.forward_from_broadcast(None, target, &x1, 3);
+                assert_eq!(from_input, Some(whole), "from the input at {target}");
+                assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
+                net.hooks().remove(hook);
+            }
         }
     }
 

@@ -146,7 +146,8 @@ pub struct ForwardCtx<'a> {
     plan: bool,
     /// Batch broadcast set by [`Network::forward_from_broadcast`]: layer
     /// `id`'s batch-1 output is repeated `n` times before its forward hooks
-    /// fire, so the layer runs once and everything after it at batch `n`.
+    /// fire, so the pass runs at batch 1 through that layer and at batch `n`
+    /// after it.
     broadcast: Option<(LayerId, usize)>,
 }
 
@@ -159,12 +160,14 @@ impl ForwardCtx<'_> {
         self.plan && !self.training
     }
 
-    /// Whether any forward hook would fire on layer `id` (see
-    /// [`HookRegistry::has_forward`]). Containers consult this before fusing
-    /// a group: a hooked member forces the unfused execution order so the
-    /// hook observes exactly the tensor it would in an unplanned pass.
+    /// Whether layer `id`'s hook dispatch has work to do: a forward hook
+    /// would fire on it (see [`HookRegistry::has_forward`]), or this pass
+    /// broadcasts its output there. Containers consult this before fusing a
+    /// group: such a member forces the unfused execution order, so the hook
+    /// observes exactly the tensor it would in an unplanned pass and the
+    /// broadcast happens at that member's own dispatch.
     pub fn layer_has_hooks(&self, id: LayerId) -> bool {
-        self.hooks.has_forward(id)
+        self.hooks.has_forward(id) || self.broadcast.is_some_and(|(at, _)| at == id)
     }
 
     /// RNG stream for stochastic layers (dropout).
@@ -705,20 +708,28 @@ impl Network {
         self.root.resume_point(target)
     }
 
-    /// Resumes a forward pass at `target` from a batch-1 activation carried
-    /// by `n` identical batch slices. The result always equals
-    /// `forward_from(target, &input.repeat_batch(n))`; `None` likewise means
-    /// `target` is not a layer of this network.
+    /// Runs the pass of `n` identical batch slices that starts from the
+    /// batch-1 `input`, broadcasting to batch `n` as late as is exact.
+    /// `input` is the network input when `from` is `None`, and otherwise
+    /// the activation resume point `from` received in a full pass (see
+    /// [`Network::forward_with_capture`]). The result always equals
+    /// `forward(&input.repeat_batch(n))` or
+    /// `forward_from(from, &input.repeat_batch(n))`; `None` likewise means
+    /// `from` is not a layer of this network.
     ///
     /// When `target` is an injectable layer that is its own resume point,
-    /// it runs once, at batch 1, and its output is broadcast to batch `n`
-    /// before its forward hooks fire: conv and linear layers are pointwise
-    /// in the batch, so on `n` identical slices their output *is* the
-    /// broadcast, and hooks and downstream layers see exactly the tensors
-    /// of the repeated-input pass. Any other target (a layer inside a
-    /// residual or branch block) resumes on the repeated input.
+    /// the pass runs at batch 1 up to and including `target`, and
+    /// `target`'s output is broadcast to batch `n` before its forward hooks
+    /// fire. Inference layers are pointwise in the batch, so on `n`
+    /// identical slices that output *is* the broadcast, and `target`'s
+    /// hooks and every later layer see exactly the tensors of the
+    /// repeated-input pass; hooks on the layers before `target` see the
+    /// batch-1 tensors every slice shares. Any other target (a layer inside
+    /// a residual or branch block, whose other path would carry batch 1
+    /// past it) and any training pass run on the repeated input.
     pub fn forward_from_broadcast(
         &mut self,
+        from: Option<LayerId>,
         target: LayerId,
         input: &Tensor,
         n: usize,
@@ -727,14 +738,22 @@ impl Network {
             .layer_infos
             .iter()
             .any(|l| l.id == target && l.kind.is_injectable());
-        if injectable && self.resume_point(target) == Some(target) {
-            let (mut ctx, root) = self.forward_ctx();
-            ctx.broadcast = Some((target, n));
-            return ctx.forward_child_from(root, target, input);
+        let broadcast = !self.training && injectable && self.resume_point(target) == Some(target);
+        let wide = (!broadcast).then(|| input.repeat_batch(n));
+        let (mut ctx, root) = self.forward_ctx();
+        ctx.broadcast = broadcast.then_some((target, n));
+        let x = wide.as_ref().unwrap_or(input);
+        let out = match from {
+            Some(start) => ctx.forward_child_from(root, start, x),
+            None => Some(ctx.forward_child(root, x)),
+        };
+        debug_assert!(
+            out.is_none() || ctx.broadcast.is_none(),
+            "{target} never ran after the pass's start"
+        );
+        if let Some(wide) = wide {
+            wide.into_pool();
         }
-        let wide = input.repeat_batch(n);
-        let out = self.forward_from(target, &wide);
-        wide.into_pool();
         out
     }
 
