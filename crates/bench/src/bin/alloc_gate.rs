@@ -8,7 +8,7 @@
 //! allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
-//! Seven measurements keep the assertion honest:
+//! Eight measurements keep the assertion honest:
 //!
 //! 1. With pooling *disabled* (budget 0), the same passes must allocate —
 //!    proving the counter actually observes the forward path (a vacuously
@@ -32,6 +32,10 @@
 //! 7. The same pass from lenet's input — what an uncached fused chunk runs:
 //!    batch 1 through the first conv block, a broadcast at the second conv,
 //!    then batch 8 — must allocate nothing either.
+//! 8. A planned INT8 resume with no broadcast — the pass a serial trial
+//!    runs on a golden-prefix hit — from the cached input of a residual
+//!    block of the net of case 5 must allocate nothing: starting a pass
+//!    inside the network neither copies its input nor draws scratch.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
@@ -101,13 +105,13 @@ fn main() {
          happen at warmup, not per pass ({planned:.3} allocations/pass)"
     );
 
+    let mut resnet = zoo::resnet18(&cfg);
     let planned_int8 = {
         let _pool = tpool::budget_scope(64 << 20);
-        let mut net = zoo::resnet18(&cfg);
-        let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&input));
-        net.set_backend(Backend::Int8(Arc::new(table)));
-        net.set_plan(true);
-        alloc_count::steady_state_forward_allocs(&mut net, &input, 8, 64)
+        let table = CalibrationTable::calibrate(&mut resnet, std::slice::from_ref(&input));
+        resnet.set_backend(Backend::Int8(Arc::new(table)));
+        resnet.set_plan(true);
+        alloc_count::steady_state_forward_allocs(&mut resnet, &input, 8, 64)
     };
     println!("alloc_gate: planned int8 -> {planned_int8:.1} allocations/pass");
     assert!(
@@ -128,7 +132,7 @@ fn main() {
         });
         let act = act.expect("the spine conv ran");
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = net.forward_from_broadcast(Some(target), target, &act, 8);
+            let out = net.forward_from(Some(target), &act, Some((target, 8)));
             std::hint::black_box(out)
                 .expect("target is a layer")
                 .into_pool()
@@ -144,14 +148,14 @@ fn main() {
     let from_input = {
         let _pool = tpool::budget_scope(64 << 20);
         let target = net.injectable_layers()[1];
-        let out = net.forward_from_broadcast(None, target, &input, 8);
+        let out = net.forward_from(None, &input, Some((target, 8)));
         assert_eq!(
             out.expect("a pass from the input").dims()[0],
             8,
             "the pass broadcast to the chunk"
         );
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = net.forward_from_broadcast(None, target, &input, 8);
+            let out = net.forward_from(None, &input, Some((target, 8)));
             std::hint::black_box(out)
                 .expect("a pass from the input")
                 .into_pool()
@@ -162,6 +166,35 @@ fn main() {
         from_input == 0.0,
         "planned broadcast pass from the network input allocated at steady \
          state ({from_input:.3} allocations/pass)"
+    );
+
+    let resumed = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let inner = resnet
+            .injectable_layers()
+            .into_iter()
+            .find(|&l| resnet.resume_point(l) != Some(l))
+            .expect("resnet18 has convs inside residual blocks");
+        let block = resnet.resume_point(inner).expect("a layer of the net");
+        let mut act = None;
+        resnet.forward_with_capture(&input, &mut |id, x| {
+            if id == block {
+                act = Some(x.clone());
+            }
+        });
+        let act = act.expect("the block ran");
+        alloc_count::steady_state_allocs(8, 64, || {
+            let out = resnet.forward_from(Some(block), &act, None);
+            std::hint::black_box(out)
+                .expect("the block is a layer")
+                .into_pool()
+        })
+    };
+    println!("alloc_gate: resumed int8 -> {resumed:.1} allocations/pass");
+    assert!(
+        resumed == 0.0,
+        "planned INT8 resume without a broadcast allocated at steady state \
+         ({resumed:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

@@ -39,6 +39,7 @@ use crate::journal::{read_journal_repairing, JournalHeader, JournalWriter};
 use crate::location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect};
 use crate::metrics::{classify_outcome, confidence, top1, OutcomeCounts, OutcomeKind};
 use crate::perturbation::PerturbationModel;
+use crate::prefix::{GoldenPrefix, PassStart};
 use parking_lot::Mutex;
 use rustfi_nn::{
     CalibrationTable, DeadlineInterrupt, GuardConfig, GuardHook, LayerId, Network,
@@ -62,6 +63,27 @@ pub enum FaultMode {
     Neuron(NeuronSelect),
     /// A weight fault from this selection template.
     Weight(WeightSelect),
+}
+
+impl FaultMode {
+    /// The injectable layer every trial of this mode hits, when the mode
+    /// names one: every selection but `Random` does.
+    fn layer(&self) -> Option<usize> {
+        match self {
+            FaultMode::Neuron(
+                NeuronSelect::Exact { layer, .. }
+                | NeuronSelect::RandomInLayer { layer }
+                | NeuronSelect::RandomInChannel { layer, .. }
+                | NeuronSelect::RandomPatch { layer, .. },
+            )
+            | FaultMode::Weight(
+                WeightSelect::Exact { layer, .. } | WeightSelect::RandomInLayer { layer },
+            ) => Some(*layer),
+            FaultMode::Neuron(NeuronSelect::Random) | FaultMode::Weight(WeightSelect::Random) => {
+                None
+            }
+        }
+    }
 }
 
 /// How a campaign uses NaN/Inf guard hooks during trials.
@@ -270,9 +292,10 @@ pub struct CampaignConfig {
     /// `None` disables the watchdog.
     pub max_steps: Option<usize>,
     /// Golden-prefix activation caching ([`crate::prefix::PrefixCacheConfig`]):
-    /// snapshot
-    /// each injection layer's input during the golden pass and start trial
-    /// forward passes there instead of at the pixels. Purely a throughput
+    /// snapshot the input of the injection layer's resume point during the
+    /// golden pass and start trial forward passes there instead of at the
+    /// pixels. Only the layer the fault mode names is snapshotted, or every
+    /// injectable layer under a `Random` selection. Purely a throughput
     /// optimization — trial records are bit-identical with or without it (a
     /// property test asserts this). Ignored when [`Self::max_steps`] is set,
     /// because the watchdog counts executed layers and a resumed pass
@@ -284,7 +307,7 @@ pub struct CampaignConfig {
     /// prefix the slices share once, at batch 1, with or without
     /// [`Self::prefix_cache`] (a cache hit skips that batch-1 prefix), and
     /// broadcasts to the batch at the injection layer when that layer is on
-    /// the spine (see [`rustfi_nn::Network::forward_from_broadcast`]).
+    /// the spine (see [`rustfi_nn::Network::forward_from`]).
     /// Purely a throughput optimization — records are bit-identical to
     /// serial execution (a property test asserts this). Applies to neuron
     /// faults only, and — like the prefix cache — stands down when
@@ -658,11 +681,9 @@ impl<'a> Campaign<'a> {
         let _pool = rustfi_tensor::tpool::budget_scope(cfg.pool_budget_bytes);
 
         // Golden pass: find eligible images and their clean confidence —
-        // and, with prefix caching on, snapshot each resume point's input
-        // so trials can skip re-running the fault-free layers before it.
-        // The watchdog counts executed layers, so a resumed (shorter) pass
-        // would classify Hang differently: caching stands down under it.
-        let use_prefix = cfg.prefix_cache.is_some() && cfg.max_steps.is_none();
+        // and, with prefix caching on, snapshot the inputs of the resume
+        // points trials start from, so they skip the fault-free layers
+        // before them.
         let mut golden = FaultInjector::new((self.factory)(), FiConfig::for_input(&input_dims))?;
         golden.net_mut().set_plan(cfg.plan);
         // Install the quantization regime before anything observes
@@ -686,47 +707,20 @@ impl<'a> Campaign<'a> {
                 Some(table)
             }
         };
-        let prefix = if use_prefix {
-            let pc = cfg.prefix_cache.as_ref().expect("use_prefix checked");
-            let layers = golden.profile().layers();
-            let resume: Vec<Option<LayerId>> = layers
-                .iter()
-                .map(|l| golden.net().resume_point(l.id))
-                .collect();
-            // A hit on layer `li` skips the injectable layers that run
-            // strictly before its resume point; layers sharing the resume
-            // point live inside the same resumed container and re-execute.
-            // (Estimate: 2 FLOPs per MAC of conv/linear layers only.)
-            let flops: Vec<u64> = layers
-                .iter()
-                .map(|l| {
-                    let per_neuron = l.weight_dims.get(1..).map_or(0, |d| d.iter().product());
-                    2 * l.neurons_per_image() as u64 * per_neuron as u64
-                })
-                .collect();
-            let skipped: Vec<u64> = (0..layers.len())
-                .map(|li| {
-                    (0..li)
-                        .filter(|&j| resume[j] != resume[li])
-                        .map(|j| flops[j])
-                        .sum()
-                })
-                .collect();
-            // Only snapshot what trials will look up: the resume points of
-            // whitelisted injection layers.
-            let capture_ids: std::collections::HashSet<LayerId> = (0..layers.len())
-                .filter(|&li| pc.allows_layer(li))
-                .filter_map(|li| resume[li])
-                .collect();
-            Some((
-                crate::prefix::PrefixCache::new(pc.budget_bytes),
-                resume,
-                skipped,
-                capture_ids,
-            ))
-        } else {
-            None
-        };
+        // The watchdog counts executed layers, so a resumed (shorter) pass
+        // would classify Hang differently: caching stands down under it.
+        let mut prefix = cfg
+            .prefix_cache
+            .as_ref()
+            .filter(|_| cfg.max_steps.is_none())
+            .map(|pc| {
+                GoldenPrefix::new(
+                    golden.net(),
+                    golden.profile(),
+                    self.mode.layer(),
+                    pc.budget_bytes,
+                )
+            });
         // With guard hooks in play, an uncached trial scans the prefix
         // layers' activations while a cached one skips them. Golden
         // prefixes are clean, so that only matters if the *golden* run
@@ -746,34 +740,26 @@ impl<'a> Campaign<'a> {
         let mut eligible: Vec<(usize, f32)> = Vec::new(); // (image index, clean confidence)
         for i in 0..self.labels.len() {
             let x = self.images.select_batch(i);
-            if let Some((cache, _, _, capture_ids)) = &prefix {
-                if let Some(g) = &golden_guard {
-                    g.reset();
+            if let Some(g) = &golden_guard {
+                g.reset();
+            }
+            let mut captured: Vec<(LayerId, Tensor)> = Vec::new();
+            let out = golden.forward_with_capture(&x, &mut |id, t| {
+                if prefix.as_ref().is_some_and(|p| p.stores(id)) {
+                    captured.push((id, t.clone()));
                 }
-                let mut captured: Vec<(LayerId, Tensor)> = Vec::new();
-                let out = golden.forward_with_capture(&x, &mut |id, t| {
-                    if capture_ids.contains(&id) {
-                        captured.push((id, t.clone()));
+            });
+            let row = out.data();
+            if top1(row) == self.labels[i] {
+                eligible.push((i, confidence(row, self.labels[i])));
+                let clean = golden_guard
+                    .as_ref()
+                    .and_then(|g| g.first_non_finite())
+                    .is_none();
+                if let Some(p) = prefix.as_mut().filter(|_| clean) {
+                    for (id, t) in captured {
+                        p.insert(i, id, t);
                     }
-                });
-                let row = out.data();
-                if top1(row) == self.labels[i] {
-                    eligible.push((i, confidence(row, self.labels[i])));
-                    let clean = golden_guard
-                        .as_ref()
-                        .and_then(|g| g.first_non_finite())
-                        .is_none();
-                    if clean {
-                        for (id, t) in captured {
-                            cache.insert(i, id, t);
-                        }
-                    }
-                }
-            } else {
-                let out = golden.forward(&x);
-                let row = out.data();
-                if top1(row) == self.labels[i] {
-                    eligible.push((i, confidence(row, self.labels[i])));
                 }
             }
         }
@@ -853,7 +839,7 @@ impl<'a> Campaign<'a> {
             int8_table: &int8_table,
             root: &root,
             eligible: &eligible,
-            prefix: &prefix,
+            prefix: prefix.as_ref(),
             mode: &self.mode,
             model: &self.model,
             profile: &profile,
@@ -939,21 +925,11 @@ impl<'a> Campaign<'a> {
             counts,
             per_layer,
             eligible_images: eligible.len(),
-            prefix: prefix.as_ref().map(|(cache, ..)| cache.stats()),
+            prefix: prefix.as_ref().map(GoldenPrefix::stats),
             fusion,
         })
     }
 }
-
-/// The golden-prefix context built once per run: the cache itself, each
-/// injectable layer's resume point, the FLOPs a hit skips, and which layer
-/// ids the golden pass snapshots.
-type PrefixEnv = (
-    crate::prefix::PrefixCache,
-    Vec<Option<LayerId>>,
-    Vec<u64>,
-    std::collections::HashSet<LayerId>,
-);
 
 /// Borrowed per-run context shared by every campaign worker.
 struct RunEnv<'e> {
@@ -967,7 +943,7 @@ struct RunEnv<'e> {
     int8_table: &'e Option<Arc<CalibrationTable>>,
     root: &'e SeededRng,
     eligible: &'e [(usize, f32)],
-    prefix: &'e Option<PrefixEnv>,
+    prefix: Option<&'e GoldenPrefix>,
     mode: &'e FaultMode,
     model: &'e Arc<dyn PerturbationModel>,
     profile: &'e crate::profile::ModelProfile,
@@ -991,21 +967,6 @@ impl RunEnv<'_> {
     /// Whether trial `t` still has to run (no journal replayed it).
     fn pending(&self, t: usize) -> bool {
         !self.journal.is_some_and(|j| j.done.contains_key(&t))
-    }
-
-    /// Peeks the golden-prefix cache for `layer`'s resume point on image
-    /// `image_index`, without counting: `None` when no cache applies, else
-    /// `Some` of the hit — the resume point and its cached input — or of
-    /// `None` on a miss (evicted, unwhitelisted, or non-finite golden).
-    /// [`finish_unit`] counts the outcome once the unit's pass is over.
-    fn peek_prefix(
-        &self,
-        layer: usize,
-        image_index: usize,
-    ) -> Option<Option<(LayerId, Arc<Tensor>)>> {
-        let (cache, resume, ..) = self.prefix.as_ref()?;
-        let rid = resume.get(layer).copied().flatten()?;
-        Some(cache.peek(image_index, rid).map(|act| (rid, act)))
     }
 }
 
@@ -1228,21 +1189,9 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
             }
         };
         planned = Some((layer, site));
-        // Prefix fast path: resume from the cached golden activation of
-        // this layer's resume point; a miss falls back to a full pass with
-        // identical results.
-        let peeked = env.peek_prefix(layer, image_index);
-        prefix_hit = peeked.as_ref().map(Option::is_some);
-        if let Some((rid, act)) = peeked.flatten() {
-            if let Some(out) = fi.forward_from(rid, &act) {
-                let row = out.data().to_vec();
-                out.into_pool();
-                return Ok(row);
-            }
-        }
-        let x = env.images.select_batch(image_index);
-        let out = fi.forward(&x);
-        x.into_pool();
+        let start = PassStart::new(env.prefix, layer, image_index);
+        prefix_hit = start.hit;
+        let out = start.run(fi, env.images, None);
         let row = out.data().to_vec();
         out.into_pool();
         Ok(row)
@@ -1296,8 +1245,8 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
 /// while recording — the unit's trace span with pool, prefix and fusion
 /// counters and outcome events, flushed to the shared recorder; then
 /// progress. A unit is one serial trial (`fused_image` is `None`) or one
-/// fused chunk on image `fused_image`. `prefix_hit` is the unit's peeked
-/// cache outcome (`None` when no cache applied), charged only now so that
+/// fused chunk on image `fused_image`. `prefix_hit` is the unit's golden
+/// prefix outcome (`None` when no prefix applied), charged only now so that
 /// a crashed chunk's serial replay counts its trials instead; `start_ns` is
 /// when the unit began (`Some` only while recording).
 fn finish_unit(
@@ -1312,12 +1261,8 @@ fn finish_unit(
     let layer = records[0].layer;
     let prefix = env
         .prefix
-        .as_ref()
         .zip(prefix_hit)
-        .map(|((cache, _, skipped, _), hit)| {
-            cache.record_outcome(hit, n, skipped[layer]);
-            (hit, skipped[layer])
-        });
+        .map(|(p, hit)| (hit, p.count(layer, hit, n)));
     let counters = &env.fusion;
     if fused_image.is_some() {
         counters.fused.fetch_add(n, Ordering::Relaxed);
@@ -1514,25 +1459,12 @@ fn run_fused_chunk(
             trial: trials[0].t,
             source: Box::new(e),
         })?;
-    let target = env.profile.layers()[layer].id;
-    let peeked = env.peek_prefix(layer, image_index);
-    let shielded = parallel::shield::run_quietly(|| {
-        // Every slice runs the same fault-free prefix, so the pass starts
-        // once, at batch 1: from the cached resume-point activation on a
-        // hit, from the image otherwise. It broadcasts to the chunk at the
-        // injection layer when that layer is on the spine.
-        let hit = peeked.as_ref().and_then(Option::as_ref);
-        let image = hit.is_none().then(|| env.images.select_batch(image_index));
-        let (from, input) = match hit {
-            Some((rid, act)) => (Some(*rid), &**act),
-            None => (None, image.as_ref().expect("drawn on a miss")),
-        };
-        let out = fi.forward_from_broadcast(from, target, input, n);
-        if let Some(x) = image {
-            x.into_pool();
-        }
-        out.expect("a resume point is a layer of its network")
-    });
+    // Every slice runs the same fault-free prefix, so the pass starts once,
+    // at batch 1, and broadcasts to the chunk at the injection layer when
+    // that layer is on the spine.
+    let start = PassStart::new(env.prefix, layer, image_index);
+    let broadcast = Some((env.profile.layers()[layer].id, n));
+    let shielded = parallel::shield::run_quietly(|| start.run(fi, env.images, broadcast));
     let Ok(out) = shielded else {
         // One slice's fault panicked and unwound the whole fused pass
         // (per-sample guards never interrupt, so this is a genuine crash).
@@ -1557,8 +1489,7 @@ fn run_fused_chunk(
         })
         .collect();
     out.into_pool();
-    let prefix_hit = peeked.as_ref().map(Option::is_some);
-    finish_unit(env, w, &records, chunk_start, prefix_hit, Some(image_index))?;
+    finish_unit(env, w, &records, chunk_start, start.hit, Some(image_index))?;
     Ok(records)
 }
 
@@ -2260,16 +2191,35 @@ mod tests {
     }
 
     #[test]
-    fn layer_whitelist_limits_caching_to_those_layers() {
+    fn a_named_layer_keeps_the_budget_for_its_own_entries() {
         use crate::prefix::PrefixCacheConfig;
 
         let images = images();
         let labels = aligned_labels(&images);
+        // The budget fits every image's entry for the last injectable layer,
+        // but not the entries of every layer.
+        let mut net = factory();
+        let layers = net.injectable_layers();
+        let resume: Vec<LayerId> = layers
+            .iter()
+            .map(|&l| net.resume_point(l).unwrap())
+            .collect();
+        let mut entry = vec![0usize; resume.len()];
+        net.forward_with_capture(&images.select_batch(0), &mut |id, t| {
+            if let Some(i) = resume.iter().position(|&r| r == id) {
+                entry[i] = t.len() * std::mem::size_of::<f32>();
+            }
+        });
+        let n = labels.len();
+        let budget = n * entry[entry.len() - 1];
+        assert!(budget < n * entry.iter().sum::<usize>(), "{entry:?}");
         let campaign = Campaign::new(
             &factory,
             &images,
             &labels,
-            FaultMode::Neuron(NeuronSelect::Random),
+            FaultMode::Neuron(NeuronSelect::RandomInLayer {
+                layer: layers.len() - 1,
+            }),
             Arc::new(RandomUniform::default()),
         );
         let cfg = CampaignConfig {
@@ -2279,26 +2229,17 @@ mod tests {
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
-        let layer_count = plain.per_layer.len();
-        assert!(layer_count > 2, "lenet has several injectable layers");
-        // Whitelist only the final injectable layer.
         let cached = campaign
             .run(&CampaignConfig {
-                prefix_cache: Some(PrefixCacheConfig {
-                    layers: Some(vec![layer_count - 1]),
-                    ..PrefixCacheConfig::default()
-                }),
+                prefix_cache: Some(PrefixCacheConfig::with_budget(budget)),
                 ..cfg.clone()
             })
             .unwrap();
         assert_eq!(cached.records, plain.records);
         let stats = cached.prefix.unwrap();
-        let last_layer_trials = plain.per_layer[layer_count - 1].0 as u64;
-        assert_eq!(
-            stats.hits, last_layer_trials,
-            "exactly the whitelisted layer's trials hit: {stats:?}"
-        );
-        assert!(stats.misses > 0, "other layers fall back");
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        assert_eq!(stats.hits, 40, "{stats:?}");
+        assert_eq!((stats.entries, stats.bytes), (n, budget));
     }
 
     #[test]

@@ -709,30 +709,22 @@ impl FaultInjector {
         self.net.forward_with_capture(input, capture)
     }
 
-    /// Resumes an inference at `target` from a cached activation (see
-    /// [`rustfi_nn::Network::forward_from`]). Returns `None` when `target`
-    /// is not in the network.
-    pub fn forward_from(&mut self, target: LayerId, input: &Tensor) -> Option<Tensor> {
-        self.net.forward_from(target, input)
-    }
-
-    /// Runs an inference of `n` identical batch slices from one batch-1
-    /// `input`: the network input when `from` is `None`, else the cached
-    /// activation of resume point `from` (see
-    /// [`rustfi_nn::Network::forward_from_broadcast`]). Bit-identical to
-    /// the pass on `input.repeat_batch(n)`, but when `target` is an
-    /// injectable layer on the spine, the pass runs at batch 1 through
-    /// `target` and broadcasts its output before its forward hooks (guards,
-    /// INT8 emulation, per-slice fault injection) fire. Returns `None` when
-    /// `from` is not in the network.
-    pub fn forward_from_broadcast(
+    /// Runs an inference that starts at `from` — the network input when
+    /// `None`, else the cached activation of `from`'s resume point — and is
+    /// `broadcast` wide (see [`rustfi_nn::Network::forward_from`]). With
+    /// `broadcast: Some((target, n))` the result equals the pass on
+    /// `input.repeat_batch(n)`, but when `target` is an injectable layer on
+    /// the spine, the pass runs at batch 1 through `target` and broadcasts
+    /// its output before its forward hooks (guards, INT8 emulation,
+    /// per-slice fault injection) fire. Returns `None` when `from` is not in
+    /// the network.
+    pub fn forward_from(
         &mut self,
         from: Option<LayerId>,
-        target: LayerId,
         input: &Tensor,
-        n: usize,
+        broadcast: Option<(LayerId, usize)>,
     ) -> Option<Tensor> {
-        self.net.forward_from_broadcast(from, target, input, n)
+        self.net.forward_from(from, input, broadcast)
     }
 
     /// The configuration this injector was built with.
@@ -1177,18 +1169,20 @@ mod tests {
         });
         let act = act.unwrap();
         declare(&mut fi);
-        let reference = fi.forward_from(rid, &act.repeat_batch(3)).unwrap();
+        let reference = fi
+            .forward_from(Some(rid), &act.repeat_batch(3), None)
+            .unwrap();
         let mut fi2 = injector();
         declare(&mut fi2);
         let fast = fi2
-            .forward_from_broadcast(Some(rid), layer_id, &act, 3)
+            .forward_from(Some(rid), &act, Some((layer_id, 3)))
             .unwrap();
         assert_eq!(fast, reference, "broadcast decomposition is bit-identical");
         assert_eq!(fi2.injections_applied(), 3);
         // From the image, the prefix runs once at batch 1.
         let mut fi3 = injector();
         declare(&mut fi3);
-        let from_input = fi3.forward_from_broadcast(None, layer_id, &x(), 3);
+        let from_input = fi3.forward_from(None, &x(), Some((layer_id, 3)));
         assert_eq!(from_input, Some(reference), "broadcast from the input");
         assert_eq!(fi3.injections_applied(), 3);
     }
@@ -1198,7 +1192,7 @@ mod tests {
         let mut fi = injector();
         let unknown = LayerId::from_index(999);
         assert!(fi
-            .forward_from_broadcast(Some(unknown), unknown, &x(), 2)
+            .forward_from(Some(unknown), &x(), Some((unknown, 2)))
             .is_none());
         assert_eq!(fi.injections_applied(), 0);
     }

@@ -78,6 +78,6 @@ pub use journal::{
 pub use location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect, WeightSite};
 pub use metrics::{classify_outcome, OutcomeCounts, OutcomeKind};
 pub use perturbation::{PerturbCtx, PerturbationModel};
-pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixStats};
+pub use prefix::{PrefixCacheConfig, PrefixStats};
 pub use profile::{LayerProfile, ModelProfile};
 pub use shard::{config_fingerprint, merge_shard_journals, plan_shards, MergedCampaign, ShardSpec};

@@ -137,7 +137,7 @@ impl GuardHook {
                     if samples == 1 {
                         // A batch-1 tensor during a pass over several slices
                         // is the prefix they all share (see
-                        // `Network::forward_from_broadcast`): every slice
+                        // `Network::forward_from`): every slice
                         // carries its value.
                         if table.is_empty() {
                             table.push(None);
@@ -398,7 +398,7 @@ mod tests {
         // the corrupt prefix once, at batch 1, for every slice.
         let target = *net.injectable_layers().last().unwrap();
         guard.reset_samples(3);
-        net.forward_from_broadcast(None, target, &x, 3);
+        net.forward_from(None, &x, Some((target, 3)));
         let first = guard.first_non_finite();
         assert!(first.is_some());
         for b in 0..3 {

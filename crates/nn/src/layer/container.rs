@@ -38,33 +38,6 @@ impl Sequential {
         self.children.is_empty()
     }
 
-    /// Runs children `start..` on `input`, fusing `conv → [bn] → [act]`
-    /// groups when a compiled plan is active. Returns the final output
-    /// (a pooled copy of `input` when no children remain).
-    fn run_tail(&mut self, start: usize, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut i = start;
-        // `None` means `input` is still the current activation.
-        let mut x: Option<Tensor> = None;
-        while i < self.children.len() {
-            let cur = x.as_ref().unwrap_or(input);
-            let (next, consumed) = if ctx.plan_active() {
-                match self.try_forward_fused(i, cur, ctx) {
-                    Some(fused) => fused,
-                    None => (ctx.forward_child(self.children[i].as_mut(), cur), 1),
-                }
-            } else {
-                (ctx.forward_child(self.children[i].as_mut(), cur), 1)
-            };
-            // Each intermediate is dead once the next child has consumed it;
-            // retire it so the following forward of this shape recycles it.
-            if let Some(old) = x.replace(next) {
-                old.into_pool();
-            }
-            i += consumed;
-        }
-        x.unwrap_or_else(|| input.pooled_copy())
-    }
-
     /// Attempts to run the fusion group led by child `i`: a conv followed by
     /// an optional batch norm and an optional activation. Only a conv leads
     /// a group, because it is the only layer with a fused forward:
@@ -157,8 +130,32 @@ impl Module for Sequential {
         Ok(dims)
     }
 
+    /// Runs the children in order, fusing `conv → [bn] → [act]` groups when
+    /// a compiled plan is active. A pass that starts inside this container
+    /// begins at the child holding its start. An empty container returns a
+    /// pooled copy of `input`.
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        self.run_tail(0, input, ctx)
+        let mut i = ctx.first_child(self.meta.id, &self.children);
+        // `None` means `input` is still the current activation.
+        let mut x: Option<Tensor> = None;
+        while i < self.children.len() {
+            let cur = x.as_ref().unwrap_or(input);
+            let (next, consumed) = if ctx.plan_active() {
+                match self.try_forward_fused(i, cur, ctx) {
+                    Some(fused) => fused,
+                    None => (ctx.forward_child(self.children[i].as_mut(), cur), 1),
+                }
+            } else {
+                (ctx.forward_child(self.children[i].as_mut(), cur), 1)
+            };
+            // Each intermediate is dead once the next child has consumed it;
+            // retire it so the following forward of this shape recycles it.
+            if let Some(old) = x.replace(next) {
+                old.into_pool();
+            }
+            i += consumed;
+        }
+        x.unwrap_or_else(|| input.pooled_copy())
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
@@ -181,27 +178,6 @@ impl Module for Sequential {
             return Some(target);
         }
         self.children.iter().find_map(|c| c.resume_point(target))
-    }
-
-    fn forward_from(
-        &mut self,
-        target: LayerId,
-        input: &Tensor,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Option<Tensor> {
-        if self.meta.id == target {
-            return Some(self.forward(input, ctx));
-        }
-        // Skip every child before the one holding `target`; resume inside
-        // it, then run the remaining children normally.
-        let idx = self.children.iter().position(|c| c.contains(target))?;
-        let x = ctx.forward_child_from(self.children[idx].as_mut(), target, input)?;
-        if idx + 1 >= self.children.len() {
-            return Some(x);
-        }
-        let out = self.run_tail(idx + 1, &x, ctx);
-        x.into_pool();
-        Some(out)
     }
 
     fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
@@ -810,8 +786,10 @@ mod tests {
             }
         });
         let act = act.unwrap();
-        let repeated = net.forward_from(inj[1], &act.repeat_batch(3)).unwrap();
-        let broadcast = net.forward_from_broadcast(Some(residual_id), inj[1], &act, 3);
+        let repeated = net
+            .forward_from(Some(inj[1]), &act.repeat_batch(3), None)
+            .unwrap();
+        let broadcast = net.forward_from(Some(residual_id), &act, Some((inj[1], 3)));
         assert_eq!(broadcast, Some(repeated));
     }
 
@@ -844,7 +822,9 @@ mod tests {
                     cached = Some(input.clone());
                 }
             });
-            let resumed = net.forward_from(target, &cached.unwrap()).unwrap();
+            let resumed = net
+                .forward_from(Some(target), &cached.unwrap(), None)
+                .unwrap();
             assert_eq!(resumed, full, "resume at {resume} for target {target}");
         }
     }
@@ -1028,13 +1008,15 @@ mod tests {
                 unique.sort();
                 unique.dedup();
                 assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
-                let resumed = net.forward_from(target, &at_resume.unwrap()).unwrap();
+                let resumed = net
+                    .forward_from(Some(target), &at_resume.unwrap(), None)
+                    .unwrap();
                 assert_eq!(resumed, full, "forward_from at {target}, plan {plan}");
 
                 // From the network input, an unhooked target still breaks
                 // its fusion group to broadcast at its own dispatch.
                 let plain = net.forward(&x1.repeat_batch(3));
-                let from_input = net.forward_from_broadcast(None, target, &x1, 3);
+                let from_input = net.forward_from(None, &x1, Some((target, 3)));
                 assert_eq!(from_input, Some(plain), "unhooked {target}, plan {plan}");
 
                 // A batch-1 activation broadcast to 3 slices. The hook
@@ -1058,10 +1040,12 @@ mod tests {
                         out.data_mut()[b * stride] += b as f32;
                     }
                 });
-                let repeated = net.forward_from(target, &act.repeat_batch(3)).unwrap();
+                let repeated = net
+                    .forward_from(Some(target), &act.repeat_batch(3), None)
+                    .unwrap();
                 seen.store(0, Ordering::Relaxed);
                 let broadcast = net
-                    .forward_from_broadcast(Some(resume), target, &act, 3)
+                    .forward_from(Some(resume), &act, Some((target, 3)))
                     .unwrap();
                 assert_eq!(broadcast, repeated, "resumed broadcast at {target}");
                 assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
@@ -1072,7 +1056,7 @@ mod tests {
                 let whole = net.forward(&x1.repeat_batch(3));
                 assert_eq!(whole, repeated, "{target}: a golden prefix resumes exactly");
                 seen.store(0, Ordering::Relaxed);
-                let from_input = net.forward_from_broadcast(None, target, &x1, 3);
+                let from_input = net.forward_from(None, &x1, Some((target, 3)));
                 assert_eq!(from_input, Some(whole), "from the input at {target}");
                 assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
                 net.hooks().remove(hook);

@@ -144,9 +144,18 @@ pub struct ForwardCtx<'a> {
     /// Whether the pass runs under a compiled forward plan (prepacked conv
     /// weight panels + fused GEMM epilogues). See [`Network::set_plan`].
     plan: bool,
-    /// Batch broadcast set by [`Network::forward_from_broadcast`]: layer
-    /// `id`'s batch-1 output is repeated `n` times before its forward hooks
-    /// fire, so the pass runs at batch 1 through that layer and at batch `n`
+    /// Where the pass starts, set by [`Network::forward_from`]: while it is
+    /// `Some(id)`, each [`Sequential`] on the way runs from the child holding
+    /// `id` (see [`ForwardCtx::first_child`]). The start is cleared at
+    /// [`Module::resume_point`]`(id)` — `id` itself or the first child on the
+    /// way that is not a `Sequential` — which receives the pass's input, so
+    /// every module after it runs in full.
+    ///
+    /// [`Sequential`]: crate::layer::container::Sequential
+    start: Option<LayerId>,
+    /// Batch broadcast set by [`Network::forward_from`]: layer `id`'s
+    /// batch-1 output is repeated `n` times before its forward hooks fire,
+    /// so the pass runs at batch 1 through that layer and at batch `n`
     /// after it.
     broadcast: Option<(LayerId, usize)>,
 }
@@ -208,18 +217,28 @@ impl ForwardCtx<'_> {
         })
     }
 
-    /// Partial-forward analogue of [`ForwardCtx::forward_child`]: resumes
-    /// `child` at `target` (see [`Module::forward_from`]), wrapping the call
-    /// in a span when a recorder is installed.
-    pub fn forward_child_from(
-        &mut self,
-        child: &mut dyn Module,
-        target: LayerId,
-        input: &Tensor,
-    ) -> Option<Tensor> {
-        self.dispatch(child, None, |child, ctx| {
-            child.forward_from(target, input, ctx)
-        })
+    /// The index of the first of a `Sequential` container's `children`
+    /// that this pass runs: the child holding the pass's start while the
+    /// pass descends toward it through the container `id`, else 0. The
+    /// start is cleared when the pass reaches its resume point: the
+    /// container `id` itself (every child runs), or a returned child that is
+    /// not a `Sequential` (it runs in full).
+    pub(crate) fn first_child(&mut self, id: LayerId, children: &[Box<dyn Module>]) -> usize {
+        let Some(start) = self.start else {
+            return 0;
+        };
+        if start == id {
+            self.start = None;
+            return 0;
+        }
+        let i = children
+            .iter()
+            .position(|c| c.contains(start))
+            .expect("a pass descends only into the container holding its start");
+        if children[i].kind() != LayerKind::Sequential {
+            self.start = None;
+        }
+        i
     }
 
     /// The one child dispatch: hands `tap` (the child's input, when this
@@ -333,7 +352,8 @@ pub trait Module: Send {
     }
 
     /// The module whose *input* must be cached so a later forward pass can
-    /// be resumed just before `target` executes.
+    /// be resumed just before `target` executes (see
+    /// [`Network::forward_from`]).
     ///
     /// Resumption is only sound on a chain of [`Sequential`] containers: a
     /// `Sequential` can skip the children before the one holding `target`,
@@ -347,30 +367,6 @@ pub trait Module: Send {
     /// [`Sequential`]: crate::layer::container::Sequential
     fn resume_point(&self, target: LayerId) -> Option<LayerId> {
         self.contains(target).then(|| self.meta().id)
-    }
-
-    /// Runs the tail of a forward pass: skips every part of this subtree
-    /// that executes strictly before [`Module::resume_point`]`(target)`, and
-    /// feeds `input` — which must be the activation that module originally
-    /// received — to the rest. Returns `None` when `target` is not in this
-    /// subtree.
-    ///
-    /// With a fault-free prefix this is exact: every skipped layer would
-    /// have recomputed precisely the cached activation (f32 inference is
-    /// deterministic). Skipped layers do not run their forward hooks and do
-    /// not draw from the dropout RNG stream, so callers must only resume
-    /// inference-mode passes whose prefix is unperturbed.
-    fn forward_from(
-        &mut self,
-        target: LayerId,
-        input: &Tensor,
-        ctx: &mut ForwardCtx<'_>,
-    ) -> Option<Tensor> {
-        if self.contains(target) {
-            Some(self.forward(input, ctx))
-        } else {
-            None
-        }
     }
 
     /// Propagates an input shape through this subtree without running it,
@@ -678,8 +674,8 @@ impl Network {
     /// intermediates — clone what you keep.
     ///
     /// This is how a campaign snapshots golden prefix activations: capture
-    /// at the [`Network::resume_point`] of each injection layer, then replay
-    /// trials with [`Network::forward_from`].
+    /// at the [`Network::resume_point`] of an injection layer, then start
+    /// trial passes there with [`Network::forward_from`].
     pub fn forward_with_capture(
         &mut self,
         input: &Tensor,
@@ -690,71 +686,75 @@ impl Network {
         ctx.forward_child(root, input)
     }
 
-    /// Resumes a forward pass at the resume point of `target`, feeding it
-    /// `input` — the activation that module received in a full pass (see
-    /// [`Network::forward_with_capture`]). Returns `None` if `target` is not
-    /// a layer of this network.
-    ///
-    /// Exact only when the skipped prefix is fault-free and the pass is
-    /// inference-mode (skipped layers neither run hooks nor draw RNG).
-    pub fn forward_from(&mut self, target: LayerId, input: &Tensor) -> Option<Tensor> {
-        let (mut ctx, root) = self.forward_ctx();
-        ctx.forward_child_from(root, target, input)
-    }
-
     /// The module whose input must be cached to later resume a forward pass
     /// just before `target` (see [`Module::resume_point`]).
     pub fn resume_point(&self, target: LayerId) -> Option<LayerId> {
         self.root.resume_point(target)
     }
 
-    /// Runs the pass of `n` identical batch slices that starts from the
-    /// batch-1 `input`, broadcasting to batch `n` as late as is exact.
-    /// `input` is the network input when `from` is `None`, and otherwise
-    /// the activation resume point `from` received in a full pass (see
-    /// [`Network::forward_with_capture`]). The result always equals
-    /// `forward(&input.repeat_batch(n))` or
-    /// `forward_from(from, &input.repeat_batch(n))`; `None` likewise means
+    /// Runs a forward pass that starts at `from` and is `broadcast` wide.
+    ///
+    /// `from` is `None` for a pass from the network input. Otherwise the
+    /// pass skips every module that runs before
+    /// [`Network::resume_point`]`(from)` and feeds `input` — the activation
+    /// that resume point received in a full pass (see
+    /// [`Network::forward_with_capture`]) — to the rest. A layer inside a
+    /// residual or branch block resumes at that block. Returns `None` when
     /// `from` is not a layer of this network.
     ///
-    /// When `target` is an injectable layer that is its own resume point,
-    /// the pass runs at batch 1 up to and including `target`, and
-    /// `target`'s output is broadcast to batch `n` before its forward hooks
-    /// fire. Inference layers are pointwise in the batch, so on `n`
-    /// identical slices that output *is* the broadcast, and `target`'s
+    /// Resuming is exact only when the skipped prefix is fault-free and the
+    /// pass is inference-mode: skipped layers neither run their forward
+    /// hooks nor draw from the dropout RNG stream.
+    ///
+    /// `broadcast: Some((target, n))` runs `n` identical batch slices from
+    /// the batch-1 `input`, and the result equals the pass on
+    /// `input.repeat_batch(n)`. When `target` is an injectable layer that is
+    /// its own resume point, the pass runs at batch 1 up to and including
+    /// `target`, and `target`'s output is broadcast to batch `n` before its
+    /// forward hooks fire. Inference layers are pointwise in the batch, so
+    /// on `n` identical slices that output *is* the broadcast: `target`'s
     /// hooks and every later layer see exactly the tensors of the
-    /// repeated-input pass; hooks on the layers before `target` see the
+    /// repeated-input pass, and hooks on the layers before `target` see the
     /// batch-1 tensors every slice shares. Any other target (a layer inside
-    /// a residual or branch block, whose other path would carry batch 1
-    /// past it) and any training pass run on the repeated input.
-    pub fn forward_from_broadcast(
+    /// a residual or branch block, whose other path would carry batch 1 past
+    /// it) and any training pass run on the repeated input. The target must
+    /// not run before the pass's start. Without a broadcast the pass neither
+    /// repeats nor copies `input`.
+    pub fn forward_from(
         &mut self,
         from: Option<LayerId>,
-        target: LayerId,
         input: &Tensor,
-        n: usize,
+        broadcast: Option<(LayerId, usize)>,
     ) -> Option<Tensor> {
-        let injectable = self
-            .layer_infos
-            .iter()
-            .any(|l| l.id == target && l.kind.is_injectable());
-        let broadcast = !self.training && injectable && self.resume_point(target) == Some(target);
-        let wide = (!broadcast).then(|| input.repeat_batch(n));
-        let (mut ctx, root) = self.forward_ctx();
-        ctx.broadcast = broadcast.then_some((target, n));
-        let x = wide.as_ref().unwrap_or(input);
-        let out = match from {
-            Some(start) => ctx.forward_child_from(root, start, x),
-            None => Some(ctx.forward_child(root, x)),
+        // `Network::new` numbers the modules 0.. in pre-order.
+        if from.is_some_and(|id| id.index() >= self.layer_infos.len()) {
+            return None;
+        }
+        let at_target = broadcast.filter(|&(target, _)| {
+            !self.training
+                && self
+                    .layer_infos
+                    .get(target.index())
+                    .is_some_and(|l| l.kind.is_injectable())
+                && self.resume_point(target) == Some(target)
+        });
+        let wide = match (broadcast, at_target) {
+            (Some((_, n)), None) => Some(input.repeat_batch(n)),
+            _ => None,
         };
+        let (mut ctx, root) = self.forward_ctx();
+        // Any id in a root that is not a `Sequential` resumes at the root.
+        ctx.start = from.filter(|_| root.kind() == LayerKind::Sequential);
+        ctx.broadcast = at_target;
+        let out = ctx.forward_child(root, wide.as_ref().unwrap_or(input));
         debug_assert!(
-            out.is_none() || ctx.broadcast.is_none(),
-            "{target} never ran after the pass's start"
+            ctx.broadcast.is_none(),
+            "{broadcast:?} never ran after the pass's start"
         );
         if let Some(wide) = wide {
             wide.into_pool();
         }
-        out
+        Some(out)
     }
 
     /// A forward context over this network's mode, hooks, RNG, recorder,
@@ -768,6 +768,7 @@ impl Network {
             capture: None,
             backend: &self.backend,
             plan: self.plan,
+            start: None,
             broadcast: None,
         };
         (ctx, self.root.as_mut())
@@ -1054,7 +1055,7 @@ mod tests {
             }
         });
         let resumed = net
-            .forward_from(target, &cached.expect("captured"))
+            .forward_from(Some(target), &cached.expect("captured"), None)
             .unwrap();
         assert_eq!(resumed, full);
     }
@@ -1078,7 +1079,8 @@ mod tests {
         });
         net.forward(&x);
         assert_eq!(fired.swap(0, Ordering::Relaxed), 3, "all leaves hook");
-        net.forward_from(target, &cached.unwrap()).unwrap();
+        net.forward_from(Some(target), &cached.unwrap(), None)
+            .unwrap();
         assert_eq!(
             fired.load(Ordering::Relaxed),
             1,
@@ -1087,10 +1089,38 @@ mod tests {
     }
 
     #[test]
+    fn any_id_in_a_non_sequential_root_resumes_at_the_root() {
+        use crate::layer::container::Residual;
+        let mut rng = SeededRng::new(2);
+        let body = Sequential::new(vec![
+            Box::new(Conv2d::new(
+                3,
+                3,
+                3,
+                rustfi_tensor::ConvSpec::new().padding(1),
+                &mut rng,
+            )),
+            Box::new(Relu::new()),
+        ]);
+        let mut net = Network::new(Box::new(Residual::new(Box::new(body))));
+        let x = Tensor::ones(&[1, 3, 6, 6]);
+        let full = net.forward(&x);
+        for id in 0..net.layer_infos().len() {
+            let id = LayerId::from_index(id);
+            assert_eq!(net.resume_point(id), Some(LayerId::from_index(0)));
+            assert_eq!(net.forward_from(Some(id), &x, None), Some(full.clone()));
+        }
+    }
+
+    #[test]
     fn forward_from_unknown_target_is_none() {
         let mut net = tiny_net();
         assert!(net
-            .forward_from(LayerId::from_index(99), &Tensor::ones(&[1, 3, 6, 6]))
+            .forward_from(
+                Some(LayerId::from_index(99)),
+                &Tensor::ones(&[1, 3, 6, 6]),
+                None
+            )
             .is_none());
         assert!(net.resume_point(LayerId::from_index(99)).is_none());
     }

@@ -27,8 +27,8 @@ pub const CAMPAIGN_TRIAL_NS: &str = "campaign.trial_ns";
 /// Trials whose forward pass resumed from a cached golden-prefix activation.
 pub const CAMPAIGN_PREFIX_HITS: &str = "campaign.prefix_hits";
 
-/// Trials that fell back to a full forward pass (entry evicted, layer not
-/// whitelisted, or image not cached).
+/// Trials that fell back to a full forward pass (entry evicted, or image not
+/// cached).
 pub const CAMPAIGN_PREFIX_MISSES: &str = "campaign.prefix_misses";
 
 /// Estimated floating-point operations skipped by prefix-cache hits

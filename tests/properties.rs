@@ -359,6 +359,49 @@ proptest! {
         prop_assert!(stats.bytes <= budget);
     }
 
+    /// Resumed and broadcast passes are exact on architectures that contain
+    /// `Residual` and `Branches` containers, with the plan off and on. For
+    /// every module id, the pass that starts there from the activation its
+    /// resume point received in a full pass equals the full pass; an id
+    /// inside a container resumes at that container. For every injectable
+    /// layer, a pass broadcast 3 slices wide there — from the input or from
+    /// the layer's resume point — equals the pass on the repeated input.
+    #[test]
+    fn resumed_passes_equal_full_passes(case in fuzz::container_cases()) {
+        let mut net = case.arch.build();
+        let hw = case.arch.image_hw;
+        let x = Tensor::rand_normal(
+            &[1, case.arch.in_channels, hw, hw],
+            0.0,
+            1.0,
+            &mut SeededRng::new(case.seed),
+        );
+        // Captured unplanned: a planned pass never dispatches the members of
+        // a fused group, so it would not tap them.
+        let mut inputs: Vec<Option<Tensor>> = vec![None; net.module_count()];
+        net.forward_with_capture(&x, &mut |id, t| inputs[id.index()] = Some(t.clone()));
+        let ids: Vec<_> = net.layer_infos().iter().map(|l| l.id).collect();
+        for plan in [false, true] {
+            net.set_plan(plan);
+            let full = net.forward(&x);
+            let wide = net.forward(&x.repeat_batch(3));
+            for &id in &ids {
+                let resume = net.resume_point(id).unwrap();
+                let act = inputs[resume.index()].as_ref().unwrap();
+                let resumed = net.forward_from(Some(id), act, None);
+                prop_assert_eq!(resumed.as_ref(), Some(&full), "{} plan {}", id, plan);
+            }
+            for target in net.injectable_layers() {
+                let from_input = net.forward_from(None, &x, Some((target, 3)));
+                prop_assert_eq!(from_input.as_ref(), Some(&wide), "{} plan {}", target, plan);
+                let resume = net.resume_point(target).unwrap();
+                let act = inputs[resume.index()].as_ref().unwrap();
+                let resumed = net.forward_from(Some(resume), act, Some((target, 3)));
+                prop_assert_eq!(resumed.as_ref(), Some(&wide), "{} plan {}", target, plan);
+            }
+        }
+    }
+
     /// Fused batched trials produce bit-identical records to serial
     /// execution for every generated architecture, fusion width, guard
     /// mode, quantization regime, and prefix-cache setting.
