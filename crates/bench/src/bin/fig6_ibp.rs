@@ -27,6 +27,7 @@ use rustfi_data::SynthSpec;
 use rustfi_nn::{checkpoint, train, Network};
 use rustfi_quant::int8;
 use rustfi_robust::ibp::{IbpNet, IbpSpec, IbpTrainConfig};
+use rustfi_tensor::qkernels;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -70,7 +71,7 @@ fn first_two_layer_rate(
 ) -> (f64, usize) {
     let model = Arc::new(models::Custom::new("bitflip-int8-b456", |old, ctx| {
         let bit = 4 + ctx.rng.below(3) as u32;
-        let scale = int8::scale_for_max_abs(ctx.tensor_max_abs);
+        let scale = qkernels::scale_for_max_abs(ctx.tensor_max_abs);
         int8::flip_bit_in_quantized(old, scale, bit)
     }));
     let mut sdcs = 0;

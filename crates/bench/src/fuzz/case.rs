@@ -45,6 +45,8 @@ pub struct FuzzCase {
     /// Compiled forward plan (weight prepacking + fused GEMM epilogues)
     /// for the accelerated run; the reference always runs unplanned.
     pub plan: bool,
+    /// Watchdog step budget for both runs; `None` disables it.
+    pub max_steps: Option<usize>,
 }
 
 impl FuzzCase {
@@ -58,6 +60,7 @@ impl FuzzCase {
     pub fn sample_with(seed: u64, forced: ForcedTopology) -> Self {
         let rng = SeededRng::new(seed);
         let arch = ArchSpec::sample_with(&mut rng.fork(1), forced);
+        let leaves = arch.leaf_count();
         let mut k = rng.fork(2);
         let quant = match k.below(4) {
             0 => QuantMode::Simulated,
@@ -93,6 +96,13 @@ impl FuzzCase {
             shards: if k.chance(0.5) { 1 } else { k.range(2, 4) },
             // Drawn last so older seeds keep the knobs they replayed with.
             plan: k.chance(0.5),
+            // Drawn after `plan` for the same reason: no budget, one no pass
+            // reaches, or one that cuts passes inside the network.
+            max_steps: match k.below(3) {
+                0 => None,
+                1 => Some(leaves + k.below(leaves)),
+                _ => Some(k.below(leaves)),
+            },
         }
     }
 
@@ -105,6 +115,7 @@ impl FuzzCase {
             threads: Some(1),
             quant: self.quant,
             guard: self.guard,
+            max_steps: self.max_steps,
             pool_budget_bytes: 0,
             ..rustfi::CampaignConfig::default()
         }
@@ -149,7 +160,8 @@ impl FuzzCase {
              prefix_budget_kib = {prefix}\n\
              pool_budget_bytes = {pool}\n\
              shards = {shards}\n\
-             plan = {plan}\n",
+             plan = {plan}\n\
+             max_steps = {max_steps}\n",
             arch = self.arch,
             seed = self.seed,
             fr = self.forced.residual,
@@ -165,6 +177,7 @@ impl FuzzCase {
             pool = self.pool_budget_bytes,
             shards = self.shards,
             plan = self.plan,
+            max_steps = steps_str(self.max_steps),
         )
     }
 }
@@ -173,7 +186,7 @@ impl fmt::Display for FuzzCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "seed={:#x} {} faults={} quant={} guard={} threads={} fusion={} prefix={}KiB pool={}B shards={} plan={} arch=[{}]",
+            "seed={:#x} {} faults={} quant={} guard={} threads={} fusion={} prefix={}KiB pool={}B shards={} plan={} max_steps={} arch=[{}]",
             self.seed,
             if self.forced.residual || self.forced.branches {
                 "forced-topology"
@@ -189,6 +202,7 @@ impl fmt::Display for FuzzCase {
             self.pool_budget_bytes,
             self.shards,
             self.plan,
+            steps_str(self.max_steps),
             self.arch,
         )
     }
@@ -200,6 +214,10 @@ fn quant_str(q: QuantMode) -> &'static str {
         QuantMode::Simulated => "simulated",
         QuantMode::Int8 => "int8",
     }
+}
+
+fn steps_str(max_steps: Option<usize>) -> String {
+    max_steps.map_or_else(|| "none".into(), |n| n.to_string())
 }
 
 fn guard_str(g: GuardMode) -> &'static str {
@@ -272,6 +290,12 @@ pub fn parse_case_file(text: &str) -> Result<FuzzCase, String> {
             "pool_budget_bytes" => case.pool_budget_bytes = parse_usize(&value)?,
             "shards" => case.shards = parse_usize(&value)?.max(1),
             "plan" => case.plan = parse_bool(&value)?,
+            "max_steps" => {
+                case.max_steps = match value.as_str() {
+                    "none" => None,
+                    n => Some(parse_usize(n)?),
+                }
+            }
             other => return Err(format!("unknown case-file key {other:?}")),
         }
     }
@@ -357,6 +381,7 @@ mod tests {
         let mut seen_prefix_off = false;
         let mut seen_plan = false;
         let mut seen_unplanned = false;
+        let mut seen_budgets = [false; 3];
         for seed in 0..64u64 {
             let c = FuzzCase::sample(seed);
             seen_int8 |= c.quant == QuantMode::Int8;
@@ -366,11 +391,21 @@ mod tests {
             seen_prefix_off |= c.prefix_budget_kib == 0;
             seen_plan |= c.plan;
             seen_unplanned |= !c.plan;
+            let leaves = c.arch.leaf_count();
+            seen_budgets[match c.max_steps {
+                None => 0,
+                Some(n) if n >= leaves => 1,
+                Some(_) => 2,
+            }] = true;
             assert!((3..=4).contains(&c.images));
             assert!((6..=12).contains(&c.trials));
             assert!((2..=4).contains(&c.threads));
         }
         assert!(seen_int8 && seen_weight && seen_sharded && seen_fused && seen_prefix_off);
         assert!(seen_plan && seen_unplanned, "plan knob exercises both arms");
+        assert_eq!(
+            seen_budgets, [true; 3],
+            "none, unreached and inside budgets"
+        );
     }
 }

@@ -12,8 +12,9 @@
 //!    (conv / grouped conv / norm / activation / pooling, `Residual` and
 //!    `Branches` containers, via [`rustfi_nn::zoo::random::ArchSpec`]),
 //!    random input data, a fault-injection configuration (neuron or weight
-//!    faults, guard mode, quantization mode) and campaign knobs (threads,
-//!    fusion width, prefix budget, pool budget, shard count).
+//!    faults, guard mode, quantization mode, watchdog budget) and campaign
+//!    knobs (threads, fusion width, prefix budget, pool budget, shard
+//!    count).
 //! 2. [`run_case`] executes the case through strategy *pairs* — a serial
 //!    reference vs. the fully accelerated path, the unsharded run vs. a
 //!    merged multi-shard run — and asserts records, counts and merged

@@ -27,10 +27,10 @@
 //! carry independent faults, after the fault-free prefix they share has run
 //! once, at batch 1. Guards and INT8 quantization are evaluated per
 //! sample, so a NaN in one trial never touches its batch siblings, and a
-//! chunk whose forward pass panics is replayed serially. Like prefix caching
-//! and journaling, fusion is invisible in the results: records are
-//! bit-identical to serial execution for every seed, worker count, and
-//! fusion width (property-tested).
+//! chunk whose forward pass panics or trips the watchdog is replayed
+//! serially. Like prefix caching and journaling, fusion is invisible in the
+//! results: records are bit-identical to serial execution for every seed,
+//! worker count, and fusion width (property-tested).
 
 use crate::config::FiConfig;
 use crate::error::FiError;
@@ -287,9 +287,12 @@ pub struct CampaignConfig {
     pub quant: QuantMode,
     /// NaN/Inf guard-hook behaviour during trials.
     pub guard: GuardMode,
-    /// Per-trial step budget: a forward pass dispatching more than this many
-    /// leaf layers is cut short and classified [`OutcomeKind::Hang`].
-    /// `None` disables the watchdog.
+    /// Per-trial step budget: a trial whose forward pass reaches a leaf
+    /// layer whose position in a full pass exceeds this is cut short and
+    /// classified [`OutcomeKind::Hang`] (see
+    /// [`rustfi_nn::GuardConfig::max_steps`]). A resumed or fused pass trips
+    /// at the same leaf as a full one, so the prefix cache and fusion stay
+    /// on under the watchdog. `None` disables the watchdog.
     pub max_steps: Option<usize>,
     /// Golden-prefix activation caching ([`crate::prefix::PrefixCacheConfig`]):
     /// snapshot the input of the injection layer's resume point during the
@@ -297,9 +300,7 @@ pub struct CampaignConfig {
     /// pixels. Only the layer the fault mode names is snapshotted, or every
     /// injectable layer under a `Random` selection. Purely a throughput
     /// optimization — trial records are bit-identical with or without it (a
-    /// property test asserts this). Ignored when [`Self::max_steps`] is set,
-    /// because the watchdog counts executed layers and a resumed pass
-    /// executes fewer of them.
+    /// property test asserts this).
     pub prefix_cache: Option<crate::prefix::PrefixCacheConfig>,
     /// Trial fusion ([`FusionConfig`]): run up to `max_batch` trials that
     /// share an `(injection layer, image)` pair as one batched forward pass
@@ -310,9 +311,8 @@ pub struct CampaignConfig {
     /// the spine (see [`rustfi_nn::Network::forward_from`]).
     /// Purely a throughput optimization — records are bit-identical to
     /// serial execution (a property test asserts this). Applies to neuron
-    /// faults only, and — like the prefix cache — stands down when
-    /// [`Self::max_steps`] is set, because the watchdog counts per-pass
-    /// layer dispatches.
+    /// faults only. A chunk whose pass trips [`Self::max_steps`] replays
+    /// its trials serially.
     pub fusion: Option<FusionConfig>,
     /// Compiled forward plans: every network (golden and per-worker) packs
     /// its conv weights into GEMM-microkernel panel layouts at campaign
@@ -707,20 +707,14 @@ impl<'a> Campaign<'a> {
                 Some(table)
             }
         };
-        // The watchdog counts executed layers, so a resumed (shorter) pass
-        // would classify Hang differently: caching stands down under it.
-        let mut prefix = cfg
-            .prefix_cache
-            .as_ref()
-            .filter(|_| cfg.max_steps.is_none())
-            .map(|pc| {
-                GoldenPrefix::new(
-                    golden.net(),
-                    golden.profile(),
-                    self.mode.layer(),
-                    pc.budget_bytes,
-                )
-            });
+        let mut prefix = cfg.prefix_cache.as_ref().map(|pc| {
+            GoldenPrefix::new(
+                golden.net(),
+                golden.profile(),
+                self.mode.layer(),
+                pc.budget_bytes,
+            )
+        });
         // With guard hooks in play, an uncached trial scans the prefix
         // layers' activations while a cached one skips them. Golden
         // prefixes are clean, so that only matters if the *golden* run
@@ -733,7 +727,6 @@ impl<'a> Campaign<'a> {
                     detect_non_finite: true,
                     short_circuit: false,
                     max_steps: None,
-                    per_sample: false,
                 },
             )
         });
@@ -804,14 +797,10 @@ impl<'a> Campaign<'a> {
             .clamp(1, span.max(1));
         let root = SeededRng::new(cfg.seed);
         // Trial fusion: batch trials sharing an (injection layer, image)
-        // pair into one forward pass. Neuron faults only (a weight fault
-        // mutates the one set of weights every slice shares), and — like
-        // the prefix cache — it stands down under the watchdog, whose step
-        // accounting is per forward pass, not per trial.
+        // pair into one forward pass. Neuron faults only: a weight fault
+        // mutates the one set of weights every slice shares.
         let fusion_width = match (&cfg.fusion, &self.mode) {
-            (Some(f), FaultMode::Neuron(_)) if f.max_batch >= 2 && cfg.max_steps.is_none() => {
-                Some(f.max_batch)
-            }
+            (Some(f), FaultMode::Neuron(_)) if f.max_batch >= 2 => Some(f.max_batch),
             _ => None,
         };
         // Journal-replayed trials count as already done so a resumed
@@ -859,14 +848,13 @@ impl<'a> Campaign<'a> {
         let units = fusion_width
             .map(|width| plan_fused_units(&env, width))
             .transpose()?;
-        let per_sample = units.is_some();
         let worker_results = parallel::map_indexed(workers, |w| {
             // Enable this worker thread's tensor pool for the duration of
             // its trial loop; dropped (and cleared) on exit so pooling never
             // leaks outside the campaign.
             let _pool = rustfi_tensor::tpool::budget_scope(cfg.pool_budget_bytes);
             let local = env.shared_recorder.map(|_| Arc::new(LocalRecorder::new()));
-            let mut worker = build_worker(&env, local, per_sample, golden_cell.lock().take())?;
+            let mut worker = build_worker(&env, local, golden_cell.lock().take())?;
             let mut records = Vec::new();
             let mut run = |unit: &WorkUnit| -> Result<(), FiError> {
                 match unit {
@@ -1022,8 +1010,6 @@ struct Worker {
     /// unit boundaries (one lock-free push per unit) so recording never
     /// serializes workers.
     local: Option<Arc<LocalRecorder>>,
-    /// Whether the guard judges batch samples apart (fused runs).
-    per_sample: bool,
 }
 
 /// A worker recording into `local`; also used to rebuild after a crashed
@@ -1036,7 +1022,6 @@ struct Worker {
 fn build_worker(
     env: &RunEnv<'_>,
     local: Option<Arc<LocalRecorder>>,
-    per_sample: bool,
     recycled: Option<FaultInjector>,
 ) -> Result<Worker, FiError> {
     let cfg = env.cfg;
@@ -1069,16 +1054,10 @@ fn build_worker(
                 detect_non_finite: cfg.guard != GuardMode::Off,
                 short_circuit: cfg.guard == GuardMode::ShortCircuit,
                 max_steps: cfg.max_steps,
-                per_sample,
             },
         )
     });
-    Ok(Worker {
-        fi,
-        guard,
-        local,
-        per_sample,
-    })
+    Ok(Worker { fi, guard, local })
 }
 
 impl TrialRecord {
@@ -1221,7 +1200,7 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
                 let detail = parallel::shield::payload_message(payload.as_ref());
                 // The unwind may have interrupted a weight mutation or hook
                 // bookkeeping: rebuild this worker's injector from scratch.
-                *w = build_worker(env, w.local.take(), w.per_sample, None)?;
+                *w = build_worker(env, w.local.take(), None)?;
                 TrialRecord {
                     outcome: OutcomeKind::Crash { detail },
                     ..base
@@ -1464,15 +1443,20 @@ fn run_fused_chunk(
     // that layer is on the spine.
     let start = PassStart::new(env.prefix, layer, image_index);
     let broadcast = Some((env.profile.layers()[layer].id, n));
-    let shielded = parallel::shield::run_quietly(|| start.run(fi, env.images, broadcast));
-    let Ok(out) = shielded else {
-        // One slice's fault panicked and unwound the whole fused pass
-        // (per-sample guards never interrupt, so this is a genuine crash).
-        // Rebuild and replay the chunk serially: every trial re-runs in
-        // isolation and produces exactly the record a serial campaign
-        // would, including which trial crashed.
-        *w = build_worker(env, w.local.take(), w.per_sample, None)?;
-        return trials.iter().map(|p| run_one_trial(env, w, p.t)).collect();
+    let out = match parallel::shield::run_quietly(|| start.run(fi, env.images, broadcast)) {
+        Ok(out) => out,
+        // The pass unwound: the watchdog's deadline (a per-sample pass never
+        // short-circuits) or a panic in one slice's fault. Replay the chunk
+        // serially: every trial re-runs in isolation and produces exactly
+        // the record a serial campaign would, including which trial hung or
+        // crashed. A panic may have left the network mid-mutation, so only
+        // a deadline keeps the worker.
+        Err(payload) => {
+            if !payload.is::<DeadlineInterrupt>() {
+                *w = build_worker(env, w.local.take(), None)?;
+            }
+            return trials.iter().map(|p| run_one_trial(env, w, p.t)).collect();
+        }
     };
 
     // Per-sample classification — each slice judged exactly as a batch-1
@@ -2127,7 +2111,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cache_stands_down_under_the_watchdog() {
+    fn prefix_cache_serves_trials_under_the_watchdog() {
         use crate::prefix::PrefixCacheConfig;
 
         let images = images();
@@ -2139,20 +2123,30 @@ mod tests {
             FaultMode::Neuron(NeuronSelect::Random),
             Arc::new(RandomUniform::default()),
         );
-        let result = campaign
+        let cfg = CampaignConfig {
+            trials: 8,
+            seed: 24,
+            threads: Some(2),
+            max_steps: Some(1000),
+            ..CampaignConfig::default()
+        };
+        let serial = campaign
             .run(&CampaignConfig {
-                trials: 8,
-                seed: 24,
-                threads: Some(2),
-                max_steps: Some(1000),
-                prefix_cache: Some(PrefixCacheConfig::default()),
-                ..CampaignConfig::default()
+                threads: Some(1),
+                ..cfg.clone()
             })
             .unwrap();
-        assert!(
-            result.prefix.is_none(),
-            "step accounting would differ on a resumed pass"
-        );
+        let result = campaign
+            .run(&CampaignConfig {
+                prefix_cache: Some(PrefixCacheConfig::default()),
+                ..cfg
+            })
+            .unwrap();
+        let stats = result
+            .prefix
+            .expect("the cache stays on under the watchdog");
+        assert!(stats.hits > 0, "{stats:?}");
+        assert_eq!(result.records, serial.records);
     }
 
     #[test]
@@ -2458,7 +2452,7 @@ mod tests {
     }
 
     #[test]
-    fn fusion_stands_down_for_weight_faults_and_watchdog() {
+    fn fusion_stands_down_for_weight_faults_and_width_one() {
         let images = images();
         let labels = aligned_labels(&images);
         let weight = Campaign::new(
@@ -2488,19 +2482,6 @@ mod tests {
             FaultMode::Neuron(NeuronSelect::Random),
             Arc::new(RandomUniform::default()),
         );
-        let result = neuron
-            .run(&CampaignConfig {
-                trials: 8,
-                seed: 34,
-                max_steps: Some(1000),
-                fusion: Some(FusionConfig::default()),
-                ..CampaignConfig::default()
-            })
-            .unwrap();
-        assert!(
-            result.fusion.is_none(),
-            "step budgets count per forward pass; fusion stands down"
-        );
         // A width below 2 cannot fuse anything.
         let result = neuron
             .run(&CampaignConfig {
@@ -2511,6 +2492,108 @@ mod tests {
             })
             .unwrap();
         assert!(result.fusion.is_none());
+    }
+
+    #[test]
+    fn fusion_runs_under_the_watchdog() {
+        let images = images();
+        let labels = aligned_labels(&images);
+        let campaign = Campaign::new(
+            &factory,
+            &images,
+            &labels,
+            FaultMode::Neuron(NeuronSelect::Random),
+            Arc::new(RandomUniform::default()),
+        );
+        let cfg = CampaignConfig {
+            trials: 8,
+            seed: 34,
+            max_steps: Some(1000),
+            ..CampaignConfig::default()
+        };
+        let serial = campaign
+            .run(&CampaignConfig {
+                threads: Some(1),
+                ..cfg.clone()
+            })
+            .unwrap();
+        let result = campaign
+            .run(&CampaignConfig {
+                fusion: Some(FusionConfig::default()),
+                ..cfg
+            })
+            .unwrap();
+        let stats = result.fusion.expect("fusion stays on under the watchdog");
+        assert!(stats.fused_trials > 0, "{stats:?}");
+        assert_eq!(result.records, serial.records);
+    }
+
+    #[test]
+    fn watchdog_classifies_every_strategy_alike() {
+        use crate::prefix::PrefixCacheConfig;
+
+        let images = images();
+        let labels = aligned_labels(&images);
+        // +Inf survives ReLU and pooling, so a guard sees it at the leaf
+        // after the injection: a budget between the two makes the trial a
+        // Hang, a budget past it a DUE under a short-circuiting guard.
+        let campaign = Campaign::new(
+            &factory,
+            &images,
+            &labels,
+            FaultMode::Neuron(NeuronSelect::Random),
+            Arc::new(StuckAt::new(f32::INFINITY)),
+        );
+        let leaves = {
+            let mut net = factory();
+            let probe = GuardHook::install(&net, GuardConfig::default());
+            net.forward(&images.select_batch(0));
+            probe.steps()
+        };
+        let budgets = std::iter::once(None).chain((0..=leaves + 1).map(Some));
+        let mut split = false;
+        let mut k = 0usize;
+        for guard in [GuardMode::Off, GuardMode::Record, GuardMode::ShortCircuit] {
+            for max_steps in budgets.clone() {
+                let cfg = CampaignConfig {
+                    trials: 24,
+                    seed: 37,
+                    threads: Some(1),
+                    guard,
+                    max_steps,
+                    ..CampaignConfig::default()
+                };
+                let serial = campaign.run(&cfg).unwrap();
+                split |= serial.counts.due > 0 && serial.counts.hang > 0;
+                for prefix_cache in [None, Some(PrefixCacheConfig::default())] {
+                    let (threads, width, plan) = (1 + k % 3, 2 + k % 7, k / 2 % 2 == 1);
+                    k += 1;
+                    let what = format!(
+                        "{guard:?}, max_steps {max_steps:?}, prefix {}, width {width}, \
+                         {threads} threads, plan {plan}",
+                        prefix_cache.is_some()
+                    );
+                    let fast = campaign
+                        .run(&CampaignConfig {
+                            threads: Some(threads),
+                            prefix_cache: prefix_cache.clone(),
+                            fusion: Some(FusionConfig::with_width(width)),
+                            plan,
+                            ..cfg.clone()
+                        })
+                        .unwrap();
+                    assert_eq!(fast.records, serial.records, "{what}");
+                    assert_eq!(fast.counts, serial.counts, "{what}");
+                    let fusion = fast.fusion.expect("fusion stats reported");
+                    assert_eq!(fusion.fused_trials + fusion.serial_trials, 24, "{what}");
+                    assert_eq!(fast.prefix.is_some(), prefix_cache.is_some(), "{what}");
+                    if let Some(p) = fast.prefix {
+                        assert_eq!(p.hits + p.misses, 24, "{what}");
+                    }
+                }
+            }
+        }
+        assert!(split, "some budget splits trials into DUEs and Hangs");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use rustfi_nn::{Backend, CalibrationTable, HookHandle, LayerId, Network};
 use rustfi_obs::{Event as ObsEvent, InjectionEvent, InjectionSite, Recorder};
 use rustfi_quant::int8;
-use rustfi_tensor::{SeededRng, Tensor};
+use rustfi_tensor::{qkernels, SeededRng, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -51,11 +51,14 @@ fn perturb_activation(
     ctx: &mut PerturbCtx<'_>,
 ) -> (f32, Option<(i8, i8)>) {
     if int8_words {
-        let scale = int8::scale_for_max_abs(ctx.tensor_max_abs);
+        let scale = qkernels::scale_for_max_abs(ctx.tensor_max_abs);
         ctx.quant_scale = Some(scale);
-        let word = int8::quantize(old, scale);
+        let word = qkernels::quantize_one(old, scale);
         if let Some(new_word) = model.perturb_i8(word, ctx) {
-            return (int8::dequantize(new_word, scale), Some((word, new_word)));
+            return (
+                qkernels::dequantize_one(new_word, scale),
+                Some((word, new_word)),
+            );
         }
     }
     (model.perturb(old, ctx), None)
@@ -585,8 +588,8 @@ impl FaultInjector {
         if let Some(rec) = self.recorder.lock().as_ref() {
             let t = self.trial.load(Ordering::Relaxed);
             let (before, after) = (
-                int8::dequantize(old_w, scale),
-                int8::dequantize(new_w, scale),
+                qkernels::dequantize_one(old_w, scale),
+                qkernels::dequantize_one(new_w, scale),
             );
             rec.event(ObsEvent::Injection(InjectionEvent {
                 trial: (t != NO_TRIAL).then_some(t),

@@ -6,7 +6,7 @@
 
 use crate::perturbation::{PerturbCtx, PerturbationModel};
 use rustfi_quant::int8;
-use rustfi_tensor::bits;
+use rustfi_tensor::{bits, qkernels};
 use std::sync::Arc;
 
 /// How a bit-flip model chooses its bit.
@@ -219,8 +219,8 @@ impl PerturbationModel for MultiBitFlipInt8 {
     }
     fn perturb(&self, original: f32, ctx: &mut PerturbCtx<'_>) -> f32 {
         let scale = ctx.int8_scale();
-        let q = int8::quantize(original, scale);
-        int8::dequantize(self.flip_word(q, ctx), scale)
+        let q = qkernels::quantize_one(original, scale);
+        qkernels::dequantize_one(self.flip_word(q, ctx), scale)
     }
     fn perturb_i8(&self, stored: i8, ctx: &mut PerturbCtx<'_>) -> Option<i8> {
         Some(self.flip_word(stored, ctx))
@@ -392,16 +392,16 @@ mod tests {
             let m = MultiBitFlipInt8::new(count);
             for _ in 0..50 {
                 let mut c = ctx(&mut rng);
-                let scale = rustfi_quant::int8::scale_for_max_abs(c.tensor_max_abs);
+                let scale = qkernels::scale_for_max_abs(c.tensor_max_abs);
                 let original = 1.0f32;
-                let q_before = rustfi_quant::int8::quantize(original, scale);
+                let q_before = qkernels::quantize_one(original, scale);
                 let v = m.perturb(original, &mut c);
-                let q_after = rustfi_quant::int8::quantize(v, scale);
+                let q_after = qkernels::quantize_one(v, scale);
                 // Quantizing the output may clamp at ±127 (e.g. a flip to
                 // -128 reads back as -127), so compare via dequantized
                 // distance only when unclamped.
                 if (-127..=127).contains(&(q_after as i32))
-                    && v == rustfi_quant::int8::dequantize(q_after, scale)
+                    && v == qkernels::dequantize_one(q_after, scale)
                 {
                     let diff = (q_before as u8) ^ (q_after as u8);
                     assert_eq!(
@@ -475,17 +475,17 @@ mod tests {
                 &MultiBitFlipInt8::new(3),
             ] {
                 let scale = 0.1f32;
-                let stored = int8::quantize(2.3, scale);
+                let stored = qkernels::quantize_one(2.3, scale);
                 let mut rng_a = SeededRng::new(seed);
                 let mut ca = ctx(&mut rng_a);
                 ca.quant_scale = Some(scale);
-                let via_f32 = model.perturb(int8::dequantize(stored, scale), &mut ca);
+                let via_f32 = model.perturb(qkernels::dequantize_one(stored, scale), &mut ca);
                 let mut rng_b = SeededRng::new(seed);
                 let mut cb = ctx(&mut rng_b);
                 cb.quant_scale = Some(scale);
                 let via_word = model.perturb_i8(stored, &mut cb).expect("int8 form");
                 assert_eq!(
-                    int8::quantize(via_f32, scale),
+                    qkernels::quantize_one(via_f32, scale),
                     via_word,
                     "seed {seed} model {}",
                     model.name()

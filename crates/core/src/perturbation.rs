@@ -36,7 +36,7 @@ impl PerturbCtx<'_> {
     /// `max|tensor| / 127`.
     pub fn int8_scale(&self) -> f32 {
         self.quant_scale
-            .unwrap_or_else(|| rustfi_quant::int8::scale_for_max_abs(self.tensor_max_abs))
+            .unwrap_or_else(|| rustfi_tensor::qkernels::scale_for_max_abs(self.tensor_max_abs))
     }
 }
 

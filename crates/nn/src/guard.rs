@@ -9,9 +9,10 @@
 //! - records the first layer whose output contains NaN/Inf (DUE provenance);
 //! - optionally *short-circuits* the rest of the forward pass the moment a
 //!   non-finite activation appears, by raising a [`NonFiniteInterrupt`];
-//! - optionally enforces a step budget: a forward pass that dispatches more
-//!   than `max_steps` leaf layers raises a [`DeadlineInterrupt`] (the
-//!   cooperative watchdog campaigns use to classify hangs).
+//! - optionally enforces a step budget: a forward pass raises a
+//!   [`DeadlineInterrupt`] at the first leaf layer it dispatches whose
+//!   position in a full pass exceeds `max_steps` (the cooperative watchdog
+//!   campaigns use to classify hangs).
 //!
 //! Interrupts are delivered with [`std::panic::resume_unwind`], which unwinds
 //! *without* invoking the panic hook — no backtrace spew — and is caught by
@@ -23,34 +24,31 @@
 //! **next** leaf layer it propagates to, not at the injection site itself.
 
 use crate::hook::HookHandle;
-use crate::module::{LayerId, Network};
+use crate::module::{LayerId, LayerKind, Network};
 use parking_lot::Mutex;
 use rustfi_obs::{Event as ObsEvent, GuardEvent as ObsGuardEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// What a [`GuardHook`] watches for.
+/// What a [`GuardHook`] watches for. Whether a pass is judged as one tensor
+/// or per batch slice is up to the pass: see [`GuardHook::reset`] and
+/// [`GuardHook::reset_samples`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardConfig {
     /// Scan every leaf layer's output for NaN/Inf.
     pub detect_non_finite: bool,
-    /// Abort the forward pass on the first non-finite activation (implies
-    /// `detect_non_finite`). The aborted inference has no output; the caller
-    /// classifies it from the interrupt payload instead.
+    /// Abort a whole-tensor pass on the first non-finite activation
+    /// (implies `detect_non_finite`). The aborted inference has no output;
+    /// the caller classifies it from the interrupt payload instead.
     pub short_circuit: bool,
-    /// Maximum leaf-layer dispatches per [`GuardHook::reset`] window before a
-    /// [`DeadlineInterrupt`] fires. `None` disables the watchdog.
+    /// Step budget: a pass raises a [`DeadlineInterrupt`] at the first leaf
+    /// layer it dispatches whose position in a full pass exceeds it. Leaf
+    /// positions count 1.. in pre-order, the order a full pass dispatches
+    /// them in, so a full pass trips after exactly `max_steps` dispatches,
+    /// and a pass that resumes after its first layers (or broadcasts at a
+    /// layer) trips at the same leaf as the full pass. `None` disables the
+    /// watchdog.
     pub max_steps: Option<usize>,
-    /// Scan each leading-axis (batch) sample independently and record
-    /// per-sample non-finite provenance (see
-    /// [`GuardHook::first_non_finite_for`]). Fused campaigns use this so a
-    /// NaN in one trial's batch slice never condemns its siblings, while a
-    /// NaN in a batch-1 tensor seen after [`GuardHook::reset_samples`]`(n)`
-    /// (the prefix all `n` slices share) is charged to every slice. A
-    /// per-sample guard **never short-circuits** — aborting the pass would
-    /// discard the still-healthy samples sharing the batch — but the global
-    /// first-non-finite record (and its event) is maintained identically.
-    pub per_sample: bool,
 }
 
 impl Default for GuardConfig {
@@ -59,7 +57,6 @@ impl Default for GuardConfig {
             detect_non_finite: true,
             short_circuit: false,
             max_steps: None,
-            per_sample: false,
         }
     }
 }
@@ -77,19 +74,23 @@ pub struct NonFiniteInterrupt {
 /// Interrupt payload: the forward pass exceeded the guard's step budget.
 #[derive(Debug, Clone, Copy)]
 pub struct DeadlineInterrupt {
-    /// Leaf-layer dispatches counted when the budget tripped.
+    /// The position in a full pass of the leaf layer that tripped the
+    /// budget: how many leaf dispatches a full pass makes up to and
+    /// including it.
     pub steps: usize,
 }
+
+/// The first layer (id and name) seen with a non-finite output, if any.
+type Provenance = Option<(LayerId, String)>;
 
 #[derive(Default)]
 struct GuardState {
     steps: AtomicUsize,
-    first_non_finite: Mutex<Option<(LayerId, String)>>,
-    /// Per-sample provenance table (only populated when
-    /// [`GuardConfig::per_sample`] is set): slot `b` holds the first layer
-    /// whose batch element `b` went non-finite. Grown on demand, sized by
-    /// [`GuardHook::reset_samples`].
-    sample_non_finite: Mutex<Vec<Option<(LayerId, String)>>>,
+    first_non_finite: Mutex<Provenance>,
+    /// The per-sample provenance table of a pass started by
+    /// [`GuardHook::reset_samples`], `None` for a whole-tensor pass: slot
+    /// `b` holds the first layer whose batch element `b` went non-finite.
+    sample_non_finite: Mutex<Option<Vec<Provenance>>>,
 }
 
 /// An installed guard. Dropping it does *not* unregister the hook; call
@@ -111,42 +112,50 @@ impl GuardHook {
         let hook_state = Arc::clone(&state);
         let recorder = net.recorder();
         let scan = cfg.detect_non_finite || cfg.short_circuit;
+        // Each leaf's position in a full pass, by id (ids are pre-order). The
+        // containers dispatch no hooks and keep position 0, which no budget
+        // is below.
+        let mut leaves = 0;
+        let position: Vec<usize> = net
+            .layer_infos()
+            .iter()
+            .map(|l| match l.kind {
+                LayerKind::Sequential | LayerKind::Residual | LayerKind::Branches => 0,
+                _ => {
+                    leaves += 1;
+                    leaves
+                }
+            })
+            .collect();
         let handle = net.hooks().register_forward_all(move |ctx, out| {
-            let steps = hook_state.steps.fetch_add(1, Ordering::Relaxed) + 1;
+            hook_state.steps.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = &recorder {
                 rec.counter_add("nn.guard_checks", 1);
             }
-            if let Some(budget) = cfg.max_steps {
-                if steps > budget {
-                    if let Some(rec) = &recorder {
-                        rec.event(ObsEvent::Guard(ObsGuardEvent::Deadline { steps }));
-                    }
-                    std::panic::resume_unwind(Box::new(DeadlineInterrupt { steps }));
+            let at = position[ctx.id.index()];
+            if cfg.max_steps.is_some_and(|budget| at > budget) {
+                if let Some(rec) = &recorder {
+                    rec.event(ObsEvent::Guard(ObsGuardEvent::Deadline { steps: at }));
                 }
+                std::panic::resume_unwind(Box::new(DeadlineInterrupt { steps: at }));
             }
             if scan && out.data().iter().any(|v| !v.is_finite()) {
-                if cfg.per_sample {
+                let mut samples = hook_state.sample_non_finite.lock();
+                let per_sample = samples.is_some();
+                if let Some(table) = samples.as_mut() {
                     // Attribute the corruption to the batch slices that carry
                     // it: slot `b` keeps the *first* layer where sample `b`
                     // went bad, exactly as the global record would at batch 1.
-                    let mut table = hook_state.sample_non_finite.lock();
-                    let blame = |slot: &mut Option<(LayerId, String)>| {
+                    let blame = |slot: &mut Provenance| {
                         slot.get_or_insert_with(|| (ctx.id, ctx.name.to_string()));
                     };
-                    let samples = out.sample_slices().count();
-                    if samples == 1 {
+                    if out.sample_slices().count() == 1 {
                         // A batch-1 tensor during a pass over several slices
                         // is the prefix they all share (see
                         // `Network::forward_from`): every slice
                         // carries its value.
-                        if table.is_empty() {
-                            table.push(None);
-                        }
                         table.iter_mut().for_each(blame);
                     } else {
-                        if table.len() < samples {
-                            table.resize(samples, None);
-                        }
                         for (slot, slice) in table.iter_mut().zip(out.sample_slices()) {
                             if slice.iter().any(|v| !v.is_finite()) {
                                 blame(slot);
@@ -168,7 +177,7 @@ impl GuardHook {
                         }));
                     }
                 }
-                if cfg.short_circuit && fresh && !cfg.per_sample {
+                if cfg.short_circuit && fresh && !per_sample {
                     std::panic::resume_unwind(Box::new(NonFiniteInterrupt {
                         layer: ctx.id,
                         layer_name: ctx.name.to_string(),
@@ -179,30 +188,38 @@ impl GuardHook {
         Self { handle, state }
     }
 
-    /// Clears the step counter and non-finite provenance. Call between
+    /// Starts a whole-tensor pass: clears the step counter and non-finite
+    /// provenance. The pass short-circuits as configured. Call between
     /// inferences that should be judged independently.
     pub fn reset(&self) {
         self.state.steps.store(0, Ordering::Relaxed);
         *self.state.first_non_finite.lock() = None;
-        self.state.sample_non_finite.lock().clear();
+        *self.state.sample_non_finite.lock() = None;
     }
 
-    /// [`GuardHook::reset`], then sizes the per-sample provenance table for a
-    /// fused batch of `n` trials.
+    /// Starts a pass over `n` batch slices that judges each slice on its own
+    /// (see [`GuardHook::first_non_finite_for`]): [`GuardHook::reset`], then
+    /// an empty provenance slot per slice. Fused campaigns use this so a
+    /// NaN in one trial's slice never condemns its siblings, while a NaN in
+    /// a batch-1 tensor (the prefix all `n` slices share) is charged to
+    /// every slice. Such a pass **never short-circuits** — aborting it would
+    /// discard the still-healthy slices sharing the batch — but the global
+    /// first-non-finite record (and its event) is kept as in a whole-tensor
+    /// pass.
     pub fn reset_samples(&self, n: usize) {
         self.reset();
-        *self.state.sample_non_finite.lock() = vec![None; n];
+        *self.state.sample_non_finite.lock() = Some(vec![None; n]);
     }
 
-    /// The first layer observed with a non-finite output *in batch sample
-    /// `b`*, if any. Only populated under [`GuardConfig::per_sample`].
+    /// The first layer observed with a non-finite output *in batch slice
+    /// `b`* of the pass [`GuardHook::reset_samples`] started, if any; `None`
+    /// in a whole-tensor pass.
     pub fn first_non_finite_for(&self, b: usize) -> Option<(LayerId, String)> {
         self.state
             .sample_non_finite
             .lock()
-            .get(b)
-            .cloned()
-            .flatten()
+            .as_ref()
+            .and_then(|table| table.get(b).cloned().flatten())
     }
 
     /// Leaf-layer dispatches seen since the last [`GuardHook::reset`].
@@ -357,7 +374,6 @@ mod tests {
         let guard = GuardHook::install(
             &net,
             GuardConfig {
-                per_sample: true,
                 // Per-sample mode must refuse to short-circuit even when asked.
                 short_circuit: true,
                 ..GuardConfig::default()
@@ -384,13 +400,7 @@ mod tests {
         let (mut net, x) = net_and_input();
         let conv = first_conv(&net);
         flood_inf(&net, conv);
-        let guard = GuardHook::install(
-            &net,
-            GuardConfig {
-                per_sample: true,
-                ..GuardConfig::default()
-            },
-        );
+        let guard = GuardHook::install(&net, GuardConfig::default());
         guard.reset_samples(1);
         net.forward(&x);
         assert_eq!(guard.first_non_finite_for(0), guard.first_non_finite());

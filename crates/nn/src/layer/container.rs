@@ -135,7 +135,7 @@ impl Module for Sequential {
     /// begins at the child holding its start. An empty container returns a
     /// pooled copy of `input`.
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut i = ctx.first_child(self.meta.id, &self.children);
+        let mut i = ctx.first_child(&self.children);
         // `None` means `input` is still the current activation.
         let mut x: Option<Tensor> = None;
         while i < self.children.len() {
@@ -169,15 +169,6 @@ impl Module for Sequential {
             std::mem::replace(&mut g, next).into_pool();
         }
         g
-    }
-
-    /// Descends toward `target`: the resume point sits inside (or is) the
-    /// child that holds it, because the preceding siblings can be skipped.
-    fn resume_point(&self, target: LayerId) -> Option<LayerId> {
-        if self.meta.id == target {
-            return Some(target);
-        }
-        self.children.iter().find_map(|c| c.resume_point(target))
     }
 
     fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {

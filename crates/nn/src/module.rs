@@ -144,12 +144,13 @@ pub struct ForwardCtx<'a> {
     /// Whether the pass runs under a compiled forward plan (prepacked conv
     /// weight panels + fused GEMM epilogues). See [`Network::set_plan`].
     plan: bool,
-    /// Where the pass starts, set by [`Network::forward_from`]: while it is
-    /// `Some(id)`, each [`Sequential`] on the way runs from the child holding
-    /// `id` (see [`ForwardCtx::first_child`]). The start is cleared at
-    /// [`Module::resume_point`]`(id)` — `id` itself or the first child on the
-    /// way that is not a `Sequential` — which receives the pass's input, so
-    /// every module after it runs in full.
+    /// Where the pass starts, set by [`Network::forward_from`]: the resume
+    /// point of the pass's `from` layer, or `None` when the pass starts at
+    /// the root. While it is `Some(id)`, each [`Sequential`] on the way runs
+    /// from its last child numbered at or below `id` — the child holding it,
+    /// ids being pre-order (see [`ForwardCtx::first_child`]). The start is
+    /// cleared at `id` itself, which receives the pass's input, so every
+    /// module after it runs in full.
     ///
     /// [`Sequential`]: crate::layer::container::Sequential
     start: Option<LayerId>,
@@ -218,24 +219,19 @@ impl ForwardCtx<'_> {
     }
 
     /// The index of the first of a `Sequential` container's `children`
-    /// that this pass runs: the child holding the pass's start while the
-    /// pass descends toward it through the container `id`, else 0. The
-    /// start is cleared when the pass reaches its resume point: the
-    /// container `id` itself (every child runs), or a returned child that is
-    /// not a `Sequential` (it runs in full).
-    pub(crate) fn first_child(&mut self, id: LayerId, children: &[Box<dyn Module>]) -> usize {
+    /// that this pass runs: while the pass descends toward its start, the
+    /// last child numbered at or below it (ids are pre-order, so that child
+    /// holds the start), else 0. The start is cleared when that child is
+    /// the start itself.
+    pub(crate) fn first_child(&mut self, children: &[Box<dyn Module>]) -> usize {
         let Some(start) = self.start else {
             return 0;
         };
-        if start == id {
-            self.start = None;
-            return 0;
-        }
         let i = children
-            .iter()
-            .position(|c| c.contains(start))
+            .partition_point(|c| c.meta().id <= start)
+            .checked_sub(1)
             .expect("a pass descends only into the container holding its start");
-        if children[i].kind() != LayerKind::Sequential {
+        if children[i].meta().id == start {
             self.start = None;
         }
         i
@@ -342,32 +338,6 @@ pub trait Module: Send {
     ///
     /// Implementations may panic if called without a preceding `forward`.
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor;
-
-    /// Whether this subtree (the module itself or any descendant) carries
-    /// the given id.
-    fn contains(&self, id: LayerId) -> bool {
-        let mut found = false;
-        self.visit(&mut |m| found |= m.meta().id == id);
-        found
-    }
-
-    /// The module whose *input* must be cached so a later forward pass can
-    /// be resumed just before `target` executes (see
-    /// [`Network::forward_from`]).
-    ///
-    /// Resumption is only sound on a chain of [`Sequential`] containers: a
-    /// `Sequential` can skip the children before the one holding `target`,
-    /// but any other topology (residual/branch blocks, leaves) needs its
-    /// whole input, so the descent stops there. The default — correct for
-    /// every leaf and non-sequential container — is therefore the module
-    /// itself when it contains `target`, and `None` otherwise.
-    /// [`Sequential`] overrides this to descend into the child holding
-    /// `target`.
-    ///
-    /// [`Sequential`]: crate::layer::container::Sequential
-    fn resume_point(&self, target: LayerId) -> Option<LayerId> {
-        self.contains(target).then(|| self.meta().id)
-    }
 
     /// Propagates an input shape through this subtree without running it,
     /// returning the output shape or a typed [`ShapeError`] naming the first
@@ -520,11 +490,14 @@ pub struct LayerInfo {
 /// wraps.
 ///
 /// Building a `Network` assigns every module a [`LayerId`] in deterministic
-/// pre-order and auto-names unnamed layers.
+/// pre-order, auto-names unnamed layers, and records every module's
+/// [`Network::resume_point`].
 pub struct Network {
     root: Box<dyn Module>,
     hooks: Arc<HookRegistry>,
     layer_infos: Vec<LayerInfo>,
+    /// Each module's resume point, by id.
+    resume: Vec<LayerId>,
     rng: SeededRng,
     training: bool,
     recorder: Option<Arc<dyn Recorder>>,
@@ -536,21 +509,31 @@ impl Network {
     /// Wraps a module tree, assigning ids and names.
     pub fn new(root: Box<dyn Module>) -> Self {
         let mut root = root;
-        let mut counter = 0u32;
+        let mut layer_infos = Vec::new();
+        let mut resume = Vec::new();
+        // The outermost module that is not a `Sequential` whose subtree the
+        // visit is in, as (id, one past its last descendant's index).
+        let mut block: Option<(LayerId, usize)> = None;
         root.visit_mut(&mut |m| {
             let kind = m.kind();
+            let id = LayerId(layer_infos.len() as u32);
             let meta = m.meta_mut();
-            meta.id = LayerId(counter);
+            meta.id = id;
             if meta.name.is_empty() {
-                meta.name = format!("{}{}", kind.short_name(), counter);
+                meta.name = format!("{}{}", kind.short_name(), id.0);
             }
-            counter += 1;
-        });
-        let mut layer_infos = Vec::with_capacity(counter as usize);
-        root.visit_mut(&mut |m| {
-            let id = m.meta().id;
-            let name = m.meta().name.clone();
-            let kind = m.kind();
+            let name = meta.name.clone();
+            match block {
+                Some((at, end)) if id.index() < end => resume.push(at),
+                _ => {
+                    resume.push(id);
+                    if kind != LayerKind::Sequential {
+                        let mut size = 0;
+                        m.visit(&mut |_| size += 1);
+                        block = Some((id, id.index() + size));
+                    }
+                }
+            }
             let weight_dims = m.weight_mut().map(|w| w.dims().to_vec());
             layer_infos.push(LayerInfo {
                 id,
@@ -563,6 +546,7 @@ impl Network {
             root,
             hooks: Arc::new(HookRegistry::new()),
             layer_infos,
+            resume,
             rng: SeededRng::new(0xD0_07),
             training: false,
             recorder: None,
@@ -674,8 +658,9 @@ impl Network {
     /// intermediates — clone what you keep.
     ///
     /// This is how a campaign snapshots golden prefix activations: capture
-    /// at the [`Network::resume_point`] of an injection layer, then start
-    /// trial passes there with [`Network::forward_from`].
+    /// the input of an injection layer's [`Network::resume_point`], then
+    /// start trial passes there with [`Network::forward_from`]`(Some(layer),
+    /// ..)`.
     pub fn forward_with_capture(
         &mut self,
         input: &Tensor,
@@ -687,9 +672,17 @@ impl Network {
     }
 
     /// The module whose input must be cached to later resume a forward pass
-    /// just before `target` (see [`Module::resume_point`]).
+    /// just before `target` (see [`Network::forward_from`]): the outermost
+    /// module on the path from the root to `target` that is `target` itself
+    /// or not a [`Sequential`]. A `Sequential` can skip the children before
+    /// the one holding `target`, but any other container (a residual or
+    /// branch block) needs its whole input, so the descent stops there.
+    /// `None` when `target` is not a module of this network. A lookup:
+    /// [`Network::new`] computes every module's resume point once.
+    ///
+    /// [`Sequential`]: crate::layer::container::Sequential
     pub fn resume_point(&self, target: LayerId) -> Option<LayerId> {
-        self.root.resume_point(target)
+        self.resume.get(target.index()).copied()
     }
 
     /// Runs a forward pass that starts at `from` and is `broadcast` wide.
@@ -699,8 +692,10 @@ impl Network {
     /// [`Network::resume_point`]`(from)` and feeds `input` — the activation
     /// that resume point received in a full pass (see
     /// [`Network::forward_with_capture`]) — to the rest. A layer inside a
-    /// residual or branch block resumes at that block. Returns `None` when
-    /// `from` is not a layer of this network.
+    /// residual or branch block resumes at that block. The skip needs no
+    /// search: ids are pre-order, so each [`Sequential`] on the way starts
+    /// at its last child numbered at or below the resume point. Returns
+    /// `None` when `from` is not a layer of this network.
     ///
     /// Resuming is exact only when the skipped prefix is fault-free and the
     /// pass is inference-mode: skipped layers neither run their forward
@@ -720,16 +715,18 @@ impl Network {
     /// it) and any training pass run on the repeated input. The target must
     /// not run before the pass's start. Without a broadcast the pass neither
     /// repeats nor copies `input`.
+    ///
+    /// [`Sequential`]: crate::layer::container::Sequential
     pub fn forward_from(
         &mut self,
         from: Option<LayerId>,
         input: &Tensor,
         broadcast: Option<(LayerId, usize)>,
     ) -> Option<Tensor> {
-        // `Network::new` numbers the modules 0.. in pre-order.
-        if from.is_some_and(|id| id.index() >= self.layer_infos.len()) {
-            return None;
-        }
+        let start = match from {
+            Some(id) => Some(self.resume_point(id)?),
+            None => None,
+        };
         let at_target = broadcast.filter(|&(target, _)| {
             !self.training
                 && self
@@ -743,8 +740,8 @@ impl Network {
             _ => None,
         };
         let (mut ctx, root) = self.forward_ctx();
-        // Any id in a root that is not a `Sequential` resumes at the root.
-        ctx.start = from.filter(|_| root.kind() == LayerKind::Sequential);
+        // A pass that resumes at the root (id 0) runs all of it.
+        ctx.start = start.filter(|&at| at != LayerId(0));
         ctx.broadcast = at_target;
         let out = ctx.forward_child(root, wide.as_ref().unwrap_or(input));
         debug_assert!(

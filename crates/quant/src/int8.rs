@@ -9,10 +9,11 @@
 //! ```
 //!
 //! The rounding rule itself — half-away-from-zero ties, NaN→0, ±∞
-//! saturation — lives in **one place**, [`rustfi_tensor::qkernels`]: this
-//! module's scalar f32-simulation helpers and the real stored-`i8` path
+//! saturation — lives in **one place**, [`rustfi_tensor::qkernels`]
+//! (`scale_for_max_abs`, `quantize_one`, `dequantize_one`): this module's
+//! f32-simulation helpers and the real stored-`i8` path
 //! ([`rustfi_tensor::QTensor`], the quantized conv/linear kernels) both
-//! delegate to it, so the simulated and real INT8 paths produce
+//! call it, so the simulated and real INT8 paths produce
 //! bit-identical quantized words by construction. The SIMD slice variants
 //! ([`quantize_slice`], [`dequantize_slice`], [`requantize_slice`]) are
 //! re-exported here for callers that work on whole buffers.
@@ -30,19 +31,6 @@ pub const QMAX: i32 = 127;
 /// Number of bits in the INT8 representation.
 pub const INT8_BITS: u32 = 8;
 
-/// Quantization scale that maps `max_abs` to [`QMAX`].
-///
-/// A non-finite `max_abs` (which arises when quantizing activations that an
-/// upstream fault has driven to ±∞) saturates to the largest finite range,
-/// mirroring hardware that clamps at the representable maximum.
-///
-/// # Panics
-///
-/// Panics if `max_abs` is negative or NaN.
-pub fn scale_for_max_abs(max_abs: f32) -> f32 {
-    qkernels::scale_for_max_abs(max_abs)
-}
-
 /// Scale for quantizing a slice of values (dynamic range over the slice).
 ///
 /// Non-finite elements (possible under upstream fault injection) are ignored
@@ -58,29 +46,10 @@ pub fn tensor_scale(t: &Tensor) -> f32 {
     slice_scale(t.data())
 }
 
-/// Quantizes a value to INT8 with the given scale.
-///
-/// Infinite inputs saturate to ±[`QMAX`]; NaN quantizes to 0 (Rust's
-/// saturating float→int cast), so faulty activations stay representable.
-/// Delegates to [`rustfi_tensor::qkernels::quantize_one`] — the single
-/// rounding implementation shared with the stored-INT8 inference path.
-///
-/// # Panics
-///
-/// Panics if `scale` is not positive.
-pub fn quantize(x: f32, scale: f32) -> i8 {
-    qkernels::quantize_one(x, scale)
-}
-
-/// Dequantizes an INT8 value.
-pub fn dequantize(q: i8, scale: f32) -> f32 {
-    qkernels::dequantize_one(q, scale)
-}
-
 /// Rounds a value through the INT8 grid ("fake quantization"): the result is
 /// an FP32 value representable in INT8 under `scale`.
 pub fn fake_quantize(x: f32, scale: f32) -> f32 {
-    dequantize(quantize(x, scale), scale)
+    qkernels::dequantize_one(qkernels::quantize_one(x, scale), scale)
 }
 
 /// Fake-quantizes every element of a tensor with its own dynamic per-tensor
@@ -111,7 +80,7 @@ pub fn flip_bit_i8(q: i8, bit: u32) -> i8 {
 ///
 /// Panics if `bit >= 8` or `scale` is not positive.
 pub fn flip_bit_in_quantized(x: f32, scale: f32, bit: u32) -> f32 {
-    dequantize(flip_bit_i8(quantize(x, scale), bit), scale)
+    qkernels::dequantize_one(flip_bit_i8(qkernels::quantize_one(x, scale), bit), scale)
 }
 
 #[cfg(test)]
@@ -121,7 +90,7 @@ mod tests {
 
     #[test]
     fn quantize_roundtrip_error_below_half_step() {
-        let scale = scale_for_max_abs(10.0);
+        let scale = qkernels::scale_for_max_abs(10.0);
         for &x in &[0.0f32, 1.0, -3.7, 9.99, -10.0] {
             let err = (fake_quantize(x, scale) - x).abs();
             assert!(err <= scale / 2.0 + 1e-6, "x={x}, err={err}");
@@ -130,16 +99,16 @@ mod tests {
 
     #[test]
     fn quantize_clamps_out_of_range() {
-        let scale = scale_for_max_abs(1.0);
-        assert_eq!(quantize(100.0, scale), 127);
-        assert_eq!(quantize(-100.0, scale), -127);
+        let scale = qkernels::scale_for_max_abs(1.0);
+        assert_eq!(qkernels::quantize_one(100.0, scale), 127);
+        assert_eq!(qkernels::quantize_one(-100.0, scale), -127);
     }
 
     #[test]
     fn zero_maps_to_zero() {
-        let scale = scale_for_max_abs(5.0);
-        assert_eq!(quantize(0.0, scale), 0);
-        assert_eq!(dequantize(0, scale), 0.0);
+        let scale = qkernels::scale_for_max_abs(5.0);
+        assert_eq!(qkernels::quantize_one(0.0, scale), 0);
+        assert_eq!(qkernels::dequantize_one(0, scale), 0.0);
     }
 
     #[test]
@@ -190,7 +159,7 @@ mod tests {
 
     #[test]
     fn high_bit_flip_moves_value_by_half_range() {
-        let scale = scale_for_max_abs(127.0); // scale = 1
+        let scale = qkernels::scale_for_max_abs(127.0); // scale = 1
         let before = 10.0;
         let after = flip_bit_in_quantized(before, scale, 6);
         assert!((after - before).abs() >= 63.9, "bit 6 is worth 64 steps");
@@ -198,7 +167,7 @@ mod tests {
 
     #[test]
     fn lsb_flip_is_one_step() {
-        let scale = scale_for_max_abs(127.0);
+        let scale = qkernels::scale_for_max_abs(127.0);
         let after = flip_bit_in_quantized(10.0, scale, 0);
         assert!(((after - 10.0).abs() - 1.0).abs() < 1e-6);
     }
@@ -212,16 +181,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid max_abs")]
     fn rejects_nan_max() {
-        scale_for_max_abs(f32::NAN);
+        qkernels::scale_for_max_abs(f32::NAN);
     }
 
     #[test]
     fn infinite_range_saturates() {
-        let scale = scale_for_max_abs(f32::INFINITY);
+        let scale = qkernels::scale_for_max_abs(f32::INFINITY);
         assert!(scale.is_finite() && scale > 0.0);
-        assert_eq!(quantize(f32::INFINITY, scale), 127);
-        assert_eq!(quantize(f32::NEG_INFINITY, scale), -127);
-        assert_eq!(quantize(f32::NAN, scale), 0);
+        assert_eq!(qkernels::quantize_one(f32::INFINITY, scale), 127);
+        assert_eq!(qkernels::quantize_one(f32::NEG_INFINITY, scale), -127);
+        assert_eq!(qkernels::quantize_one(f32::NAN, scale), 0);
     }
 
     #[test]

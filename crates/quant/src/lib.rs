@@ -16,10 +16,10 @@
 //! ```
 //! use rustfi_quant::int8;
 //!
-//! // Quantize a neuron value in a feature map whose max |activation| is 6.35.
-//! let scale = int8::scale_for_max_abs(6.35);
-//! let q = int8::quantize(1.0, scale);
-//! let back = int8::dequantize(q, scale);
+//! // Snap a neuron value to the INT8 grid of a feature map whose max
+//! // |activation| is 6.35.
+//! let scale = int8::slice_scale(&[6.35, -2.0, 1.0]);
+//! let back = int8::fake_quantize(1.0, scale);
 //! assert!((back - 1.0).abs() < scale, "round-trip error below one step");
 //!
 //! // A hardware bit flip in the stored INT8 value, seen at FP32 level:
