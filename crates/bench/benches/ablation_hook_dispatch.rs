@@ -45,19 +45,6 @@ impl Module for PerturbLayer {
     fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         grad_out.clone()
     }
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
-        f(self)
-    }
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
-        f(self)
-    }
-    fn find_mut(&mut self, id: rustfi_nn::LayerId) -> Option<&mut dyn Module> {
-        if self.meta.id == id {
-            Some(self)
-        } else {
-            None
-        }
-    }
 }
 
 /// LeNet rebuilt with a perturbation layer after each conv — the topology

@@ -8,7 +8,7 @@
 //! allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
-//! Eight measurements keep the assertion honest:
+//! Nine measurements keep the assertion honest:
 //!
 //! 1. With pooling *disabled* (budget 0), the same passes must allocate —
 //!    proving the counter actually observes the forward path (a vacuously
@@ -36,11 +36,16 @@
 //!    runs on a golden-prefix hit — from the cached input of a residual
 //!    block of the net of case 5 must allocate nothing: starting a pass
 //!    inside the network neither copies its input nor draws scratch.
+//! 9. A hooked pass — the planned lenet of case 4 with one forward hook on
+//!    a conv (what every neuron trial installs) and a detect-only
+//!    `GuardHook` (an all-layer hook, so it fires after every leaf) — must
+//!    allocate nothing either: a dispatch that fires hooks fires them from
+//!    a snapshot of the hook table, never a fresh list.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
 use rustfi_bench::alloc_count::{self, CountingAlloc};
-use rustfi_nn::{zoo, Backend, CalibrationTable, ZooConfig};
+use rustfi_nn::{zoo, Backend, CalibrationTable, GuardConfig, GuardHook, ZooConfig};
 use rustfi_tensor::{tpool, SeededRng, Tensor};
 use std::sync::Arc;
 
@@ -195,6 +200,25 @@ fn main() {
         resumed == 0.0,
         "planned INT8 resume without a broadcast allocated at steady state \
          ({resumed:.3} allocations/pass)"
+    );
+    let hooked = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let conv = net.injectable_layers()[0];
+        let hook = net
+            .hooks()
+            .register_forward(conv, |_, out| out.data_mut()[0] = 0.5);
+        let guard = GuardHook::install(&net, GuardConfig::default());
+        let allocs = alloc_count::steady_state_forward_allocs(&mut net, &input, 8, 64);
+        assert!(guard.steps() > 0, "the guard fired on the hooked passes");
+        guard.uninstall(&net);
+        net.hooks().remove(hook);
+        allocs
+    };
+    println!("alloc_gate: hooked       -> {hooked:.1} allocations/pass");
+    assert!(
+        hooked == 0.0,
+        "hooked forward path allocated at steady state — hook dispatch must \
+         not collect the firing hooks ({hooked:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

@@ -956,6 +956,17 @@ impl RunEnv<'_> {
     fn pending(&self, t: usize) -> bool {
         !self.journal.is_some_and(|j| j.done.contains_key(&t))
     }
+
+    /// Trial `t`'s seed and the eligible image it runs on, as `(seed, image
+    /// index, clean confidence)`: the seed is the root stream's fork `t`,
+    /// and the image is drawn from fork 3 of that seed. Serial and fused
+    /// trials both draw here, so they run every trial on the same image.
+    fn draw(&self, t: usize) -> (u64, usize, f32) {
+        let seed = self.root.fork(t as u64).seed();
+        let mut pick_rng = SeededRng::new(seed).fork(3);
+        let (image_index, clean_conf) = self.eligible[pick_rng.below(self.eligible.len())];
+        (seed, image_index, clean_conf)
+    }
 }
 
 /// Shared tallies behind [`FusionStats`].
@@ -1122,9 +1133,7 @@ fn record_from_row(
 /// planning panicked and for chunks replayed after a crash — which is what
 /// makes fused records bit-identical to serial ones.
 fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialRecord, FiError> {
-    let trial_seed = env.root.fork(t as u64).seed();
-    let mut pick_rng = SeededRng::new(trial_seed).fork(3);
-    let (image_index, clean_conf) = env.eligible[pick_rng.below(env.eligible.len())];
+    let (trial_seed, image_index, clean_conf) = env.draw(t);
     let fi = &mut w.fi;
     fi.restore();
     fi.reseed(trial_seed);
@@ -1356,9 +1365,7 @@ fn plan_fused_units(env: &RunEnv<'_>, width: usize) -> Result<Vec<WorkUnit>, FiE
     let mut groups: BTreeMap<(usize, usize), Vec<PlannedTrial>> = BTreeMap::new();
     let mut serial: Vec<usize> = Vec::new();
     for t in (env.range.0..env.range.1).filter(|&t| env.pending(t)) {
-        let seed = env.root.fork(t as u64).seed();
-        let mut pick_rng = SeededRng::new(seed).fork(3);
-        let (image_index, clean_conf) = env.eligible[pick_rng.below(env.eligible.len())];
+        let (seed, image_index, clean_conf) = env.draw(t);
         // The plan stream a serial declare would draw from after
         // `reseed(seed)`.
         let mut plan_rng = SeededRng::new(seed).fork(1);

@@ -24,7 +24,7 @@
 //! **next** leaf layer it propagates to, not at the injection site itself.
 
 use crate::hook::HookHandle;
-use crate::module::{LayerId, LayerKind, Network};
+use crate::module::{LayerId, Network};
 use parking_lot::Mutex;
 use rustfi_obs::{Event as ObsEvent, GuardEvent as ObsGuardEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -119,12 +119,12 @@ impl GuardHook {
         let position: Vec<usize> = net
             .layer_infos()
             .iter()
-            .map(|l| match l.kind {
-                LayerKind::Sequential | LayerKind::Residual | LayerKind::Branches => 0,
-                _ => {
-                    leaves += 1;
-                    leaves
+            .map(|l| {
+                if l.kind.is_container() {
+                    return 0;
                 }
+                leaves += 1;
+                leaves
             })
             .collect();
         let handle = net.hooks().register_forward_all(move |ctx, out| {

@@ -2,17 +2,25 @@
 //! is built on.
 //!
 //! Hooks attach to a [`HookRegistry`] shared by all layers of a [`Network`].
-//! A *forward hook* runs after a leaf layer computes its output and may
-//! mutate it in place (this is how neuron perturbations are injected without
-//! touching the network topology or the framework internals). A *gradient
-//! hook* runs during the backward pass with the gradient flowing into a
-//! layer's output (this is what Grad-CAM consumes).
+//! Layers never call them: the dispatch that runs every module fires them,
+//! as PyTorch's `Module.__call__` does. A *forward hook* runs after a
+//! non-container module computes its output
+//! ([`ForwardCtx::forward_child`]) and may mutate it in place (this is how
+//! neuron perturbations are injected without touching the network topology
+//! or the framework internals). A *gradient hook* runs during the backward
+//! pass, before such a module's `backward`, with the gradient flowing into
+//! its output ([`BackwardCtx::backward_child`]; this is what Grad-CAM
+//! consumes).
 //!
-//! Dispatch cost with no hooks registered is a single read-locked emptiness
+//! Dispatch cost with no hooks registered is a single atomic emptiness
 //! check per layer, matching the paper's "single check on every layer"
-//! overhead claim (§III-C); `rustfi-bench` measures it.
+//! overhead claim (§III-C); `rustfi-bench` measures it. A dispatch that
+//! fires takes a snapshot of the hook table (one `Arc` clone under the read
+//! lock) and so never allocates.
 //!
 //! [`Network`]: crate::module::Network
+//! [`ForwardCtx::forward_child`]: crate::module::ForwardCtx::forward_child
+//! [`BackwardCtx::backward_child`]: crate::module::BackwardCtx::backward_child
 
 use crate::module::{LayerId, LayerKind};
 use parking_lot::RwLock;
@@ -51,14 +59,20 @@ enum Target {
 ///
 /// Cheap to share (`Arc`) and safe to mutate while inference runs on another
 /// thread; hooks fire in registration order.
+///
+/// Each table sits behind an `Arc`: a dispatch fires from a snapshot it
+/// clones under the read lock, and registration and removal copy the table
+/// only while such a snapshot is alive ([`Arc::make_mut`]) — which is what
+/// lets a hook remove itself while it fires.
 pub struct HookRegistry {
-    forward: RwLock<HookTable<Arc<ForwardHookFn>>>,
-    grad: RwLock<HookTable<Arc<GradHookFn>>>,
+    forward: RwLock<Arc<HookTable<Arc<ForwardHookFn>>>>,
+    grad: RwLock<Arc<HookTable<Arc<GradHookFn>>>>,
     forward_nonempty: AtomicBool,
     grad_nonempty: AtomicBool,
     next_handle: AtomicU64,
 }
 
+#[derive(Clone)]
 struct HookTable<H> {
     by_layer: HashMap<LayerId, Vec<(HookHandle, H)>>,
     all: Vec<(HookHandle, H)>,
@@ -102,14 +116,23 @@ impl<H> HookTable<H> {
     fn count(&self) -> usize {
         self.all.len() + self.by_layer.values().map(Vec::len).sum::<usize>()
     }
+
+    /// The hooks that fire on layer `id`, in firing order: the all-layer
+    /// hooks, then the layer's own.
+    fn hooks_for(&self, id: LayerId) -> impl Iterator<Item = &H> {
+        self.all
+            .iter()
+            .chain(self.by_layer.get(&id).into_iter().flatten())
+            .map(|(_, h)| h)
+    }
 }
 
 impl HookRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self {
-            forward: RwLock::new(HookTable::new()),
-            grad: RwLock::new(HookTable::new()),
+            forward: RwLock::new(Arc::new(HookTable::new())),
+            grad: RwLock::new(Arc::new(HookTable::new())),
             forward_nonempty: AtomicBool::new(false),
             grad_nonempty: AtomicBool::new(false),
             next_handle: AtomicU64::new(1),
@@ -126,9 +149,11 @@ impl HookRegistry {
         F: Fn(&LayerCtx<'_>, &mut Tensor) + Send + Sync + 'static,
     {
         let handle = self.fresh_handle();
-        self.forward
-            .write()
-            .insert(Target::Layer(layer), handle, Arc::new(hook));
+        Arc::make_mut(&mut self.forward.write()).insert(
+            Target::Layer(layer),
+            handle,
+            Arc::new(hook),
+        );
         self.forward_nonempty.store(true, Ordering::Release);
         handle
     }
@@ -140,9 +165,7 @@ impl HookRegistry {
         F: Fn(&LayerCtx<'_>, &mut Tensor) + Send + Sync + 'static,
     {
         let handle = self.fresh_handle();
-        self.forward
-            .write()
-            .insert(Target::All, handle, Arc::new(hook));
+        Arc::make_mut(&mut self.forward.write()).insert(Target::All, handle, Arc::new(hook));
         self.forward_nonempty.store(true, Ordering::Release);
         handle
     }
@@ -153,35 +176,21 @@ impl HookRegistry {
         F: Fn(&LayerCtx<'_>, &Tensor) + Send + Sync + 'static,
     {
         let handle = self.fresh_handle();
-        self.grad
-            .write()
-            .insert(Target::Layer(layer), handle, Arc::new(hook));
+        Arc::make_mut(&mut self.grad.write()).insert(Target::Layer(layer), handle, Arc::new(hook));
         self.grad_nonempty.store(true, Ordering::Release);
         handle
     }
 
     /// Removes a hook by handle. Returns whether anything was removed.
     pub fn remove(&self, handle: HookHandle) -> bool {
-        let mut fwd = self.forward.write();
-        if fwd.remove(handle) {
-            if fwd.is_empty() {
-                self.forward_nonempty.store(false, Ordering::Release);
-            }
-            return true;
-        }
-        drop(fwd);
-        let mut grad = self.grad.write();
-        let removed = grad.remove(handle);
-        if removed && grad.is_empty() {
-            self.grad_nonempty.store(false, Ordering::Release);
-        }
-        removed
+        remove_from(&self.forward, &self.forward_nonempty, handle)
+            || remove_from(&self.grad, &self.grad_nonempty, handle)
     }
 
     /// Removes every hook.
     pub fn clear(&self) {
-        *self.forward.write() = HookTable::new();
-        *self.grad.write() = HookTable::new();
+        *self.forward.write() = Arc::new(HookTable::new());
+        *self.grad.write() = Arc::new(HookTable::new());
         self.forward_nonempty.store(false, Ordering::Release);
         self.grad_nonempty.store(false, Ordering::Release);
     }
@@ -216,27 +225,13 @@ impl HookRegistry {
         if !self.forward_nonempty.load(Ordering::Acquire) {
             return 0;
         }
-        // Clone the Arc list out of the lock so hooks can re-enter the
-        // registry (e.g. a hook that removes itself).
-        let hooks: Vec<Arc<ForwardHookFn>> = {
-            let table = self.forward.read();
-            table
-                .all
-                .iter()
-                .map(|(_, h)| Arc::clone(h))
-                .chain(
-                    table
-                        .by_layer
-                        .get(&ctx.id)
-                        .into_iter()
-                        .flatten()
-                        .map(|(_, h)| Arc::clone(h)),
-                )
-                .collect()
-        };
-        let fired = hooks.len();
-        for hook in hooks {
+        // Fire from a snapshot, not under the lock, so hooks can re-enter
+        // the registry (e.g. a hook that removes itself).
+        let table = Arc::clone(&self.forward.read());
+        let mut fired = 0;
+        for hook in table.hooks_for(ctx.id) {
             hook(ctx, out);
+            fired += 1;
         }
         fired
     }
@@ -246,26 +241,27 @@ impl HookRegistry {
         if !self.grad_nonempty.load(Ordering::Acquire) {
             return;
         }
-        let hooks: Vec<Arc<GradHookFn>> = {
-            let table = self.grad.read();
-            table
-                .all
-                .iter()
-                .map(|(_, h)| Arc::clone(h))
-                .chain(
-                    table
-                        .by_layer
-                        .get(&ctx.id)
-                        .into_iter()
-                        .flatten()
-                        .map(|(_, h)| Arc::clone(h)),
-                )
-                .collect()
-        };
-        for hook in hooks {
+        let table = Arc::clone(&self.grad.read());
+        for hook in table.hooks_for(ctx.id) {
             hook(ctx, grad_out);
         }
     }
+}
+
+/// Removes `handle` from one of a registry's tables, clearing its
+/// `nonempty` flag when that empties the table.
+fn remove_from<H: Clone>(
+    table: &RwLock<Arc<HookTable<H>>>,
+    nonempty: &AtomicBool,
+    handle: HookHandle,
+) -> bool {
+    let mut guard = table.write();
+    let table = Arc::make_mut(&mut guard);
+    let removed = table.remove(handle);
+    if removed && table.is_empty() {
+        nonempty.store(false, Ordering::Release);
+    }
+    removed
 }
 
 impl Default for HookRegistry {

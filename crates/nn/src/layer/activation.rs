@@ -1,7 +1,7 @@
 //! Activation functions.
 
 use crate::module::{
-    leaf_boilerplate, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module,
+    meta_accessors, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module,
 };
 use rustfi_tensor::Tensor;
 
@@ -33,24 +33,22 @@ impl Default for Relu {
 }
 
 impl Module for Relu {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Relu
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         // One fused pass fills both the activation and the backward mask,
         // rewriting the cached mask buffer in place at steady state.
         let mut out = Tensor::from_pool(input.dims());
         let mask = rustfi_tensor::tpool::reuse_slot(&mut self.mask, input.dims());
         input.relu_mask_into(&mut out, mask);
-        ctx.run_forward_hooks(&self.meta, LayerKind::Relu, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Relu, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let mask = self
             .mask
             .as_ref()

@@ -7,7 +7,7 @@
 //! `[0, 1]`; a leaky ReLU lets negative corruptions through scaled).
 
 use crate::module::{
-    leaf_boilerplate, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module,
+    meta_accessors, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module,
 };
 use rustfi_tensor::Tensor;
 
@@ -44,23 +44,21 @@ impl Default for Sigmoid {
 }
 
 impl Module for Sigmoid {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Relu // grouped with activations; not injectable
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut out = input.map(stable_sigmoid);
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
+        let out = input.map(stable_sigmoid);
         rustfi_tensor::tpool::reuse_slot(&mut self.output, out.dims())
             .data_mut()
             .copy_from_slice(out.data());
-        ctx.run_forward_hooks(&self.meta, LayerKind::Relu, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Relu, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let y = self
             .output
             .as_ref()
@@ -92,23 +90,21 @@ impl Default for Tanh {
 }
 
 impl Module for Tanh {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Relu
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut out = input.map(f32::tanh);
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
+        let out = input.map(f32::tanh);
         rustfi_tensor::tpool::reuse_slot(&mut self.output, out.dims())
             .data_mut()
             .copy_from_slice(out.data());
-        ctx.run_forward_hooks(&self.meta, LayerKind::Relu, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Relu, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let y = self
             .output
             .as_ref()
@@ -144,22 +140,20 @@ impl LeakyRelu {
 }
 
 impl Module for LeakyRelu {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Relu
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         let mut out = Tensor::from_pool(input.dims());
         let mask = rustfi_tensor::tpool::reuse_slot(&mut self.mask, input.dims());
         input.leaky_relu_mask_into(self.slope, &mut out, mask);
-        ctx.run_forward_hooks(&self.meta, LayerKind::Relu, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Relu, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let mask = self
             .mask
             .as_ref()

@@ -4,7 +4,7 @@
 //! (ShuffleNet's group-mixing permutation).
 
 use crate::module::{
-    BackwardCtx, ForwardCtx, FusePartner, LayerId, LayerKind, LayerMeta, Module, Param,
+    meta_accessors, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module,
 };
 use rustfi_tensor::{Act, Tensor};
 
@@ -110,16 +110,10 @@ impl Sequential {
 }
 
 impl Module for Sequential {
+    meta_accessors!();
+
     fn kind(&self) -> LayerKind {
         LayerKind::Sequential
-    }
-
-    fn meta(&self) -> &LayerMeta {
-        &self.meta
-    }
-
-    fn meta_mut(&mut self) -> &mut LayerMeta {
-        &mut self.meta
     }
 
     fn infer_dims(&self, input: &[usize]) -> Result<Vec<usize>, crate::shape::ShapeError> {
@@ -163,45 +157,20 @@ impl Module for Sequential {
         let Some(first) = children.next() else {
             return grad_out.pooled_copy();
         };
-        let mut g = first.backward(grad_out, ctx);
+        let mut g = ctx.backward_child(first.as_mut(), grad_out);
         for child in children {
-            let next = child.backward(&g, ctx);
+            let next = ctx.backward_child(child.as_mut(), &g);
             std::mem::replace(&mut g, next).into_pool();
         }
         g
     }
 
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
-        f(self);
-        for child in &self.children {
-            child.visit(f);
-        }
+    fn children(&self) -> &[Box<dyn Module>] {
+        &self.children
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
-        f(self);
-        for child in &mut self.children {
-            child.visit_mut(f);
-        }
-    }
-
-    fn find_mut(&mut self, id: LayerId) -> Option<&mut dyn Module> {
-        if self.meta.id == id {
-            return Some(self);
-        }
-        self.children.iter_mut().find_map(|c| c.find_mut(id))
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
-        for child in &mut self.children {
-            child.for_each_param(f);
-        }
-    }
-
-    fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for child in &mut self.children {
-            child.for_each_state(f);
-        }
+    fn children_mut(&mut self) -> &mut [Box<dyn Module>] {
+        &mut self.children
     }
 }
 
@@ -211,8 +180,8 @@ impl Module for Sequential {
 /// when present, is typically a 1×1 strided convolution matching shapes.
 pub struct Residual {
     pub(crate) meta: LayerMeta,
-    body: Box<dyn Module>,
-    shortcut: Option<Box<dyn Module>>,
+    /// The body, then the projection shortcut when there is one.
+    paths: Vec<Box<dyn Module>>,
 }
 
 impl Residual {
@@ -220,8 +189,7 @@ impl Residual {
     pub fn new(body: Box<dyn Module>) -> Self {
         Self {
             meta: LayerMeta::default(),
-            body,
-            shortcut: None,
+            paths: vec![body],
         }
     }
 
@@ -229,28 +197,21 @@ impl Residual {
     pub fn with_shortcut(body: Box<dyn Module>, shortcut: Box<dyn Module>) -> Self {
         Self {
             meta: LayerMeta::default(),
-            body,
-            shortcut: Some(shortcut),
+            paths: vec![body, shortcut],
         }
     }
 }
 
 impl Module for Residual {
+    meta_accessors!();
+
     fn kind(&self) -> LayerKind {
         LayerKind::Residual
     }
 
-    fn meta(&self) -> &LayerMeta {
-        &self.meta
-    }
-
-    fn meta_mut(&mut self) -> &mut LayerMeta {
-        &mut self.meta
-    }
-
     fn infer_dims(&self, input: &[usize]) -> Result<Vec<usize>, crate::shape::ShapeError> {
-        let body = self.body.infer_dims(input)?;
-        let skip = match &self.shortcut {
+        let body = self.paths[0].infer_dims(input)?;
+        let skip = match self.paths.get(1) {
             Some(s) => s.infer_dims(input)?,
             None => input.to_vec(),
         };
@@ -265,10 +226,10 @@ impl Module for Residual {
     }
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut main = ctx.forward_child(self.body.as_mut(), input);
+        let mut main = ctx.forward_child(self.paths[0].as_mut(), input);
         // Sum in place into the body output; the projection output (when
         // any) is dead afterwards, so it goes back to the pool.
-        match &mut self.shortcut {
+        match self.paths.get_mut(1) {
             Some(s) => {
                 let skip = ctx.forward_child(s.as_mut(), input);
                 assert_eq!(
@@ -298,10 +259,10 @@ impl Module for Residual {
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        let mut g_body = self.body.backward(grad_out, ctx);
-        match &mut self.shortcut {
+        let mut g_body = ctx.backward_child(self.paths[0].as_mut(), grad_out);
+        match self.paths.get_mut(1) {
             Some(s) => {
-                let g_skip = s.backward(grad_out, ctx);
+                let g_skip = ctx.backward_child(s.as_mut(), grad_out);
                 g_body.add_assign(&g_skip);
                 g_skip.into_pool();
             }
@@ -310,44 +271,12 @@ impl Module for Residual {
         g_body
     }
 
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
-        f(self);
-        self.body.visit(f);
-        if let Some(s) = &self.shortcut {
-            s.visit(f);
-        }
+    fn children(&self) -> &[Box<dyn Module>] {
+        &self.paths
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
-        f(self);
-        self.body.visit_mut(f);
-        if let Some(s) = &mut self.shortcut {
-            s.visit_mut(f);
-        }
-    }
-
-    fn find_mut(&mut self, id: LayerId) -> Option<&mut dyn Module> {
-        if self.meta.id == id {
-            return Some(self);
-        }
-        if let Some(m) = self.body.find_mut(id) {
-            return Some(m);
-        }
-        self.shortcut.as_mut().and_then(|s| s.find_mut(id))
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
-        self.body.for_each_param(f);
-        if let Some(s) = &mut self.shortcut {
-            s.for_each_param(f);
-        }
-    }
-
-    fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        self.body.for_each_state(f);
-        if let Some(s) = &mut self.shortcut {
-            s.for_each_state(f);
-        }
+    fn children_mut(&mut self) -> &mut [Box<dyn Module>] {
+        &mut self.paths
     }
 }
 
@@ -390,16 +319,10 @@ impl Branches {
 }
 
 impl Module for Branches {
+    meta_accessors!();
+
     fn kind(&self) -> LayerKind {
         LayerKind::Branches
-    }
-
-    fn meta(&self) -> &LayerMeta {
-        &self.meta
-    }
-
-    fn meta_mut(&mut self) -> &mut LayerMeta {
-        &mut self.meta
     }
 
     fn infer_dims(&self, input: &[usize]) -> Result<Vec<usize>, crate::shape::ShapeError> {
@@ -465,7 +388,7 @@ impl Module for Branches {
         };
         for b in &mut self.branches {
             let part = parts.next().expect("one gradient per branch");
-            let g = b.backward(&part, ctx);
+            let g = ctx.backward_child(b.as_mut(), &part);
             part.into_pool();
             match &mut grad_in {
                 Some(acc) => {
@@ -478,37 +401,12 @@ impl Module for Branches {
         grad_in.expect("at least one branch")
     }
 
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
-        f(self);
-        for b in &self.branches {
-            b.visit(f);
-        }
+    fn children(&self) -> &[Box<dyn Module>] {
+        &self.branches
     }
 
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
-        f(self);
-        for b in &mut self.branches {
-            b.visit_mut(f);
-        }
-    }
-
-    fn find_mut(&mut self, id: LayerId) -> Option<&mut dyn Module> {
-        if self.meta.id == id {
-            return Some(self);
-        }
-        self.branches.iter_mut().find_map(|b| b.find_mut(id))
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
-        for b in &mut self.branches {
-            b.for_each_param(f);
-        }
-    }
-
-    fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for b in &mut self.branches {
-            b.for_each_state(f);
-        }
+    fn children_mut(&mut self) -> &mut [Box<dyn Module>] {
+        &mut self.branches
     }
 }
 
@@ -565,6 +463,8 @@ impl ChannelShuffle {
 }
 
 impl Module for ChannelShuffle {
+    meta_accessors!();
+
     fn kind(&self) -> LayerKind {
         LayerKind::ChannelShuffle
     }
@@ -588,39 +488,12 @@ impl Module for ChannelShuffle {
         Ok(input.to_vec())
     }
 
-    fn meta(&self) -> &LayerMeta {
-        &self.meta
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
+        self.permute(input, false)
     }
 
-    fn meta_mut(&mut self) -> &mut LayerMeta {
-        &mut self.meta
-    }
-
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        let mut out = self.permute(input, false);
-        ctx.run_forward_hooks(&self.meta, LayerKind::ChannelShuffle, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::ChannelShuffle, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         self.permute(grad_out, true)
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
-        f(self);
-    }
-
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
-        f(self);
-    }
-
-    fn find_mut(&mut self, id: LayerId) -> Option<&mut dyn Module> {
-        if self.meta.id == id {
-            Some(self)
-        } else {
-            None
-        }
     }
 }
 

@@ -1,8 +1,6 @@
 //! 2-D convolution layer.
 
-use crate::module::{
-    leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param,
-};
+use crate::module::{meta_accessors, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param};
 use rustfi_tensor::{
     conv2d, conv2d_backward, conv2d_planned, conv2d_q, conv2d_q_planned, Act, BnFoldView, ConvSpec,
     Im2colPlan, PackedA, PackedConvI16, QTensor, SeededRng, Tensor,
@@ -11,8 +9,8 @@ use rustfi_tensor::{
 /// A 2-D convolution with learned weights and bias.
 ///
 /// Weights are Kaiming-normal initialized (`std = sqrt(2 / fan_in)`), biases
-/// start at zero. The layer runs forward hooks on its output — convolution
-/// outputs are the "neurons" that fault injection targets.
+/// start at zero. Forward hooks see its output — convolution outputs are the
+/// "neurons" that fault injection targets.
 pub struct Conv2d {
     pub(crate) meta: LayerMeta,
     weight: Tensor,
@@ -183,7 +181,7 @@ impl Conv2d {
 }
 
 impl Module for Conv2d {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Conv2d
@@ -228,14 +226,12 @@ impl Module for Conv2d {
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
         if ctx.plan_active() {
-            let mut out = self.forward_planned(input, ctx, None, Act::None);
-            ctx.run_forward_hooks(&self.meta, LayerKind::Conv2d, &mut out);
-            return out;
+            return self.forward_planned(input, ctx, None, Act::None);
         }
         rustfi_tensor::tpool::reuse_slot(&mut self.cached_input, input.dims())
             .data_mut()
             .copy_from_slice(input.data());
-        let mut out = match ctx.input_scale(self.meta.id) {
+        match ctx.input_scale(self.meta.id) {
             Some(scale) => {
                 let qw = self
                     .qweight
@@ -243,9 +239,7 @@ impl Module for Conv2d {
                 conv2d_q(input, qw, &self.bias, &self.spec, scale)
             }
             None => conv2d(input, &self.weight, &self.bias, &self.spec),
-        };
-        ctx.run_forward_hooks(&self.meta, LayerKind::Conv2d, &mut out);
-        out
+        }
     }
 
     fn forward_fused(
@@ -261,8 +255,7 @@ impl Module for Conv2d {
         Some(self.forward_planned(input, ctx, bn, act))
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Conv2d, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let input = self
             .cached_input
             .as_ref()

@@ -1,15 +1,13 @@
 //! Fully-connected layer.
 
-use crate::module::{
-    leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param,
-};
+use crate::module::{meta_accessors, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param};
 use rustfi_tensor::linalg::{self, matmul};
 use rustfi_tensor::{linear_q, QTensor, SeededRng, Tensor};
 
 /// A fully-connected (dense) layer: `y = x W^T + b`.
 ///
 /// Input is `[batch, in_features]`; output `[batch, out_features]`. Linear
-/// outputs are neurons, so the layer runs forward hooks and is injectable.
+/// outputs are neurons, so forward hooks see them and the layer is injectable.
 /// Compiled forward plans cover convolutions only: this layer runs the same
 /// forward with or without one.
 pub struct Linear {
@@ -53,7 +51,7 @@ impl Linear {
 }
 
 impl Module for Linear {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Linear
@@ -90,7 +88,7 @@ impl Module for Linear {
         rustfi_tensor::tpool::reuse_slot(&mut self.cached_input, input.dims())
             .data_mut()
             .copy_from_slice(input.data());
-        let mut out = match ctx.input_scale(self.meta.id) {
+        match ctx.input_scale(self.meta.id) {
             Some(scale) => {
                 // The quantized GEMM consumes `W` in its natural
                 // `[out, in]` layout — no transpose scratch needed.
@@ -115,13 +113,10 @@ impl Module for Linear {
                 out.bias_add_rows(&self.bias);
                 out
             }
-        };
-        ctx.run_forward_hooks(&self.meta, LayerKind::Linear, &mut out);
-        out
+        }
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Linear, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let input = self
             .cached_input
             .as_ref()

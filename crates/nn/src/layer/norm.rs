@@ -1,7 +1,7 @@
 //! Batch normalization.
 
 use crate::module::{
-    leaf_boilerplate, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module, Param,
+    meta_accessors, BackwardCtx, ForwardCtx, FusePartner, LayerKind, LayerMeta, Module, Param,
 };
 use rustfi_tensor::{BnFoldView, Tensor};
 
@@ -65,7 +65,7 @@ impl BatchNorm2d {
 }
 
 impl Module for BatchNorm2d {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::BatchNorm2d
@@ -162,12 +162,10 @@ impl Module for BatchNorm2d {
             inv_std: inv_stds,
             training: ctx.training,
         });
-        ctx.run_forward_hooks(&self.meta, LayerKind::BatchNorm2d, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::BatchNorm2d, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let cache = self
             .cache
             .as_ref()

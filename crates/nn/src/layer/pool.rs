@@ -1,6 +1,6 @@
 //! Pooling layers.
 
-use crate::module::{leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module};
+use crate::module::{meta_accessors, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module};
 use rustfi_tensor::{
     avg_pool2d, avg_pool2d_backward, max_pool2d_backward, max_pool2d_into, PoolSpec, Tensor,
 };
@@ -56,7 +56,7 @@ impl MaxPool2d {
 }
 
 impl Module for MaxPool2d {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::MaxPool2d
@@ -66,7 +66,7 @@ impl Module for MaxPool2d {
         pool_infer_dims(&self.meta, LayerKind::MaxPool2d, &self.spec, input)
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         // Recycle the argmax and dims vecs across forwards of the same shape.
         let (mut argmax, mut dims) = self.cached.take().unwrap_or_default();
         dims.clear();
@@ -77,12 +77,10 @@ impl Module for MaxPool2d {
         let mut out = Tensor::from_pool(&[n, c, self.spec.out_size(h), self.spec.out_size(w)]);
         max_pool2d_into(input, &self.spec, &mut out, &mut argmax);
         self.cached = Some((argmax, dims));
-        ctx.run_forward_hooks(&self.meta, LayerKind::MaxPool2d, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::MaxPool2d, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let (argmax, dims) = self
             .cached
             .as_ref()
@@ -110,7 +108,7 @@ impl AvgPool2d {
 }
 
 impl Module for AvgPool2d {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::AvgPool2d
@@ -120,15 +118,12 @@ impl Module for AvgPool2d {
         pool_infer_dims(&self.meta, LayerKind::AvgPool2d, &self.spec, input)
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         store_dims(&mut self.input_dims, input.dims());
-        let mut out = avg_pool2d(input, &self.spec);
-        ctx.run_forward_hooks(&self.meta, LayerKind::AvgPool2d, &mut out);
-        out
+        avg_pool2d(input, &self.spec)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::AvgPool2d, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
@@ -160,7 +155,7 @@ impl Default for GlobalAvgPool {
 }
 
 impl Module for GlobalAvgPool {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::GlobalAvgPool
@@ -177,7 +172,7 @@ impl Module for GlobalAvgPool {
         Ok(vec![n, c, 1, 1])
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         let (n, c, h, w) = input.dims4();
         store_dims(&mut self.input_dims, input.dims());
         let norm = 1.0 / (h * w) as f32;
@@ -189,12 +184,10 @@ impl Module for GlobalAvgPool {
                 out.fmap_mut(bn, ch)[0] = s * norm;
             }
         }
-        ctx.run_forward_hooks(&self.meta, LayerKind::GlobalAvgPool, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::GlobalAvgPool, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()

@@ -1,6 +1,6 @@
 //! Shape and regularization layers: [`Flatten`] and [`Dropout`].
 
-use crate::module::{leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module};
+use crate::module::{meta_accessors, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module};
 use rustfi_tensor::Tensor;
 
 /// Flattens `[n, c, h, w]` (or any rank ≥ 2) into `[n, rest]`.
@@ -26,7 +26,7 @@ impl Default for Flatten {
 }
 
 impl Module for Flatten {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Flatten
@@ -43,7 +43,7 @@ impl Module for Flatten {
         Ok(vec![input[0], input[1..].iter().product()])
     }
 
-    fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
         assert!(input.ndim() >= 2, "flatten expects rank >= 2");
         let dims_buf = self.input_dims.get_or_insert_with(Vec::new);
         dims_buf.clear();
@@ -52,12 +52,10 @@ impl Module for Flatten {
         let rest = input.len() / n;
         let mut out = Tensor::from_pool(&[n, rest]);
         out.data_mut().copy_from_slice(input.data());
-        ctx.run_forward_hooks(&self.meta, LayerKind::Flatten, &mut out);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Flatten, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let dims = self
             .input_dims
             .as_ref()
@@ -101,7 +99,7 @@ impl Dropout {
 }
 
 impl Module for Dropout {
-    leaf_boilerplate!();
+    meta_accessors!();
 
     fn kind(&self) -> LayerKind {
         LayerKind::Dropout
@@ -109,7 +107,7 @@ impl Module for Dropout {
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
         let mask = rustfi_tensor::tpool::reuse_slot(&mut self.mask, input.dims());
-        let mut out = if ctx.training && self.p > 0.0 {
+        if ctx.training && self.p > 0.0 {
             let keep = 1.0 - self.p;
             let scale = 1.0 / keep;
             let p = self.p as f64;
@@ -121,13 +119,10 @@ impl Module for Dropout {
         } else {
             mask.data_mut().fill(1.0);
             input.pooled_copy()
-        };
-        ctx.run_forward_hooks(&self.meta, LayerKind::Dropout, &mut out);
-        out
+        }
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
-        ctx.run_grad_hooks(&self.meta, LayerKind::Dropout, grad_out);
+    fn backward(&mut self, grad_out: &Tensor, _ctx: &mut BackwardCtx<'_>) -> Tensor {
         let mask = self
             .mask
             .as_ref()

@@ -8,10 +8,15 @@
 //!
 //! - every layer implements [`Module`] and carries a stable [`LayerId`];
 //! - a [`Network`] owns a module tree plus a shared [`HookRegistry`];
-//! - after computing its output, each *leaf* layer runs the forward hooks
-//!   registered for its id (or for all layers), handing them `&mut Tensor` —
-//!   exactly the mutation point PyTorchFI uses to corrupt neurons;
-//! - backward passes symmetrically run *gradient hooks*, which is what
+//! - layers only compute: as PyTorch's `Module.__call__` does, the one
+//!   dispatch that runs every module ([`ForwardCtx::forward_child`]) fires
+//!   the forward hooks registered for a *leaf* layer's id (or for all
+//!   layers) after it returns, handing them `&mut Tensor` — exactly the
+//!   mutation point PyTorchFI uses to corrupt neurons;
+//! - containers only list their children ([`Module::children`]), so
+//!   traversal, lookup by id and the parameter walks are written once;
+//! - backward passes symmetrically fire *gradient hooks* before each leaf's
+//!   `backward` ([`BackwardCtx::backward_child`]), which is what
 //!   Grad-CAM-style interpretability consumes.
 //!
 //! Training is supported end-to-end: every layer implements `backward`,
@@ -26,9 +31,11 @@
 //! use rustfi_tensor::Tensor;
 //!
 //! let mut net = zoo::lenet(&ZooConfig::tiny(10));
-//! // Register a forward hook that zeroes neuron (0, 0, 0, 0) of layer 0.
-//! let id = net.layer_infos()[0].id;
-//! net.hooks().register_forward(id, |_ctx, out| out.data_mut()[0] = 0.0);
+//! // Register a forward hook that zeroes neuron (0, 0, 0, 0) of the first
+//! // conv. (Layer 0 is the root `Sequential`: hooks never fire on
+//! // containers.)
+//! let conv = net.injectable_layers()[0];
+//! net.hooks().register_forward(conv, |_ctx, out| out.data_mut()[0] = 0.0);
 //! let y = net.forward(&Tensor::zeros(&[1, 3, 16, 16]));
 //! assert_eq!(y.dims()[0], 1);
 //! ```

@@ -58,6 +58,15 @@ impl LayerKind {
         matches!(self, LayerKind::Conv2d | LayerKind::Linear)
     }
 
+    /// Whether modules of this kind only compose their children. Hooks
+    /// never fire on containers, only on the modules they run.
+    pub fn is_container(&self) -> bool {
+        matches!(
+            self,
+            LayerKind::Sequential | LayerKind::Residual | LayerKind::Branches
+        )
+    }
+
     /// Lower-case short name used when auto-naming layers.
     pub fn short_name(&self) -> &'static str {
         match self {
@@ -195,14 +204,46 @@ impl ForwardCtx<'_> {
     /// Forwards through `child`, wrapping the call in a per-layer span when a
     /// recorder is installed. Containers route every child through this so
     /// the trace shows the module tree as nested spans.
+    ///
+    /// This is where forward hooks fire, as PyTorch's `Module.__call__` fires
+    /// them: after any non-container `child` returns, inside its span, with
+    /// `&mut` access to its output. When the pass broadcasts at `child`, its
+    /// batch-1 output is first replaced by the batch broadcast, so the hooks
+    /// and every later module see batch `n`.
     pub fn forward_child(&mut self, child: &mut dyn Module, input: &Tensor) -> Tensor {
-        self.dispatch(child, Some(input), |child, ctx| child.forward(input, ctx))
+        self.dispatch(child, Some(input), |child, ctx| {
+            let mut out = child.forward(input, ctx);
+            let kind = child.kind();
+            if kind.is_container() {
+                return out;
+            }
+            let meta = child.meta();
+            if let Some((_, n)) = ctx.broadcast.take_if(|(id, _)| *id == meta.id) {
+                let wide = out.repeat_batch(n);
+                std::mem::replace(&mut out, wide).into_pool();
+            }
+            let fired = ctx.hooks.dispatch_forward(
+                &LayerCtx {
+                    id: meta.id,
+                    name: &meta.name,
+                    kind,
+                },
+                &mut out,
+            );
+            if fired > 0 {
+                if let Some(rec) = ctx.recorder {
+                    rec.counter_add("nn.hook_dispatches", fired as u64);
+                }
+            }
+            out
+        })
     }
 
     /// Fused-group analogue of [`ForwardCtx::forward_child`]: runs `child`
     /// (a conv group leader) with the partner batch-norm fold and activation
     /// applied inside its GEMM write-back, firing the capture tap and
-    /// recorder span exactly as a normal child dispatch would. Returns
+    /// recorder span exactly as a normal child dispatch would. It fires no
+    /// hooks: containers fuse only groups no hook observes. Returns
     /// `None` when the child has no fused forward (default [`Module`]
     /// implementation) — by then the tap and span have fired, so callers
     /// pass only children that fuse.
@@ -227,9 +268,7 @@ impl ForwardCtx<'_> {
         let Some(start) = self.start else {
             return 0;
         };
-        let i = children
-            .partition_point(|c| c.meta().id <= start)
-            .checked_sub(1)
+        let i = child_holding(children, start)
             .expect("a pass descends only into the container holding its start");
         if children[i].meta().id == start {
             self.start = None;
@@ -265,30 +304,6 @@ impl ForwardCtx<'_> {
         );
         out
     }
-
-    /// Runs all forward hooks registered for `meta`'s layer, letting them
-    /// mutate `out` in place. Leaf layers call this once per forward. When
-    /// the pass broadcasts at this layer, `out` is first replaced by its
-    /// batch broadcast, so the hooks and every later layer see batch `n`.
-    pub fn run_forward_hooks(&mut self, meta: &LayerMeta, kind: LayerKind, out: &mut Tensor) {
-        if let Some((_, n)) = self.broadcast.take_if(|(id, _)| *id == meta.id) {
-            let wide = out.repeat_batch(n);
-            std::mem::replace(out, wide).into_pool();
-        }
-        let fired = self.hooks.dispatch_forward(
-            &LayerCtx {
-                id: meta.id,
-                name: &meta.name,
-                kind,
-            },
-            out,
-        );
-        if fired > 0 {
-            if let Some(rec) = self.recorder {
-                rec.counter_add("nn.hook_dispatches", fired as u64);
-            }
-        }
-    }
 }
 
 /// Per-backward-pass context threaded through the module tree.
@@ -301,17 +316,24 @@ impl<'a> BackwardCtx<'a> {
         Self { hooks }
     }
 
-    /// Runs all gradient hooks registered for `meta`'s layer with the
-    /// gradient flowing *into* the layer's output.
-    pub fn run_grad_hooks(&mut self, meta: &LayerMeta, kind: LayerKind, grad_out: &Tensor) {
-        self.hooks.dispatch_grad(
-            &LayerCtx {
-                id: meta.id,
-                name: &meta.name,
-                kind,
-            },
-            grad_out,
-        );
+    /// Propagates `grad_out` back through `child`. Containers route every
+    /// child through this, and it is where gradient hooks fire: before any
+    /// non-container `child` runs its `backward`, with the gradient flowing
+    /// into that child's output.
+    pub fn backward_child(&mut self, child: &mut dyn Module, grad_out: &Tensor) -> Tensor {
+        let kind = child.kind();
+        if !kind.is_container() {
+            let meta = child.meta();
+            self.hooks.dispatch_grad(
+                &LayerCtx {
+                    id: meta.id,
+                    name: &meta.name,
+                    kind,
+                },
+                grad_out,
+            );
+        }
+        child.backward(grad_out, self)
     }
 }
 
@@ -328,11 +350,15 @@ pub trait Module: Send {
     /// Mutable identity data; used by [`Network::new`] to assign ids.
     fn meta_mut(&mut self) -> &mut LayerMeta;
 
-    /// Computes the layer's output. Leaf layers must run forward hooks on
-    /// their output before returning.
+    /// Computes the layer's output. A layer only computes: the dispatch
+    /// that called it ([`ForwardCtx::forward_child`]) fires the forward hooks
+    /// on what it returns. Containers run their children through that same
+    /// dispatch.
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor;
 
     /// Propagates the gradient, accumulating into parameter gradients.
+    /// Containers run their children through
+    /// [`BackwardCtx::backward_child`], which fires the gradient hooks.
     ///
     /// # Panics
     ///
@@ -357,21 +383,35 @@ pub trait Module: Send {
         Ok(input.to_vec())
     }
 
-    /// Pre-order traversal over this module and all descendants.
-    fn visit(&self, f: &mut dyn FnMut(&dyn Module));
-    /// Mutable pre-order traversal.
-    fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module));
-    /// Finds the module with the given id in this subtree.
-    fn find_mut(&mut self, id: LayerId) -> Option<&mut dyn Module>;
+    /// The module's direct children, in the order their subtrees are
+    /// numbered. Leaves have none (the default).
+    fn children(&self) -> &[Box<dyn Module>] {
+        &[]
+    }
+
+    /// Mutable access to [`Module::children`].
+    fn children_mut(&mut self) -> &mut [Box<dyn Module>] {
+        &mut []
+    }
 
     /// Calls `f` for each `(value, grad)` parameter pair, in a deterministic
-    /// order. Leaves with no parameters do nothing.
-    fn for_each_param(&mut self, _f: &mut dyn FnMut(Param<'_>)) {}
+    /// order. The default walks the children; leaves with parameters
+    /// override it.
+    fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
+        for child in self.children_mut() {
+            child.for_each_param(f);
+        }
+    }
 
     /// Calls `f` for each persistent tensor (parameters *plus* buffers such
     /// as batch-norm running statistics), in a deterministic order. Used by
-    /// checkpointing.
-    fn for_each_state(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
+    /// checkpointing. The default walks the children; leaves with state
+    /// override it.
+    fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        for child in self.children_mut() {
+            child.for_each_state(f);
+        }
+    }
 
     /// The layer's weight tensor, if it has one (conv/linear/batch-norm).
     fn weight_mut(&mut self) -> Option<&mut Tensor> {
@@ -443,9 +483,48 @@ pub trait Module: Send {
     }
 }
 
-/// Shorthand implementations of the identity/traversal methods for layers
-/// without children.
-macro_rules! leaf_boilerplate {
+impl<'m> dyn Module + 'm {
+    /// Pre-order traversal over this module and all descendants.
+    pub fn visit(&self, f: &mut dyn FnMut(&dyn Module)) {
+        f(self);
+        for child in self.children() {
+            child.visit(f);
+        }
+    }
+
+    /// Mutable pre-order traversal.
+    pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Module)) {
+        f(self);
+        for child in self.children_mut() {
+            child.visit_mut(f);
+        }
+    }
+
+    /// The module numbered `id` in this subtree. The descent needs no
+    /// search: ids are pre-order, so the child holding `id` is the last
+    /// child numbered at or below it.
+    pub fn find_mut(&mut self, id: LayerId) -> Option<&mut (dyn Module + 'm)> {
+        let mut m = self;
+        while m.meta().id != id {
+            let i = child_holding(m.children(), id)?;
+            m = m.children_mut()[i].as_mut();
+        }
+        Some(m)
+    }
+}
+
+/// The index of the child whose subtree holds `id`: ids are pre-order, so
+/// it is the last child numbered at or below `id`. `None` when every child
+/// is numbered above `id` (or there are none).
+fn child_holding(children: &[Box<dyn Module>], id: LayerId) -> Option<usize> {
+    children
+        .partition_point(|c| c.meta().id <= id)
+        .checked_sub(1)
+}
+
+/// Shorthand implementations of [`Module::meta`] and [`Module::meta_mut`]
+/// for modules that keep their identity in a `meta` field.
+macro_rules! meta_accessors {
     () => {
         fn meta(&self) -> &$crate::module::LayerMeta {
             &self.meta
@@ -453,25 +532,9 @@ macro_rules! leaf_boilerplate {
         fn meta_mut(&mut self) -> &mut $crate::module::LayerMeta {
             &mut self.meta
         }
-        fn visit(&self, f: &mut dyn FnMut(&dyn $crate::module::Module)) {
-            f(self)
-        }
-        fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn $crate::module::Module)) {
-            f(self)
-        }
-        fn find_mut(
-            &mut self,
-            id: $crate::module::LayerId,
-        ) -> Option<&mut dyn $crate::module::Module> {
-            if self.meta.id == id {
-                Some(self)
-            } else {
-                None
-            }
-        }
     };
 }
-pub(crate) use leaf_boilerplate;
+pub(crate) use meta_accessors;
 
 /// Summary of one layer of a built network.
 #[derive(Debug, Clone)]
@@ -646,7 +709,8 @@ impl Network {
         self.rng = SeededRng::new(seed);
     }
 
-    /// Runs a forward pass, dispatching forward hooks at every leaf layer.
+    /// Runs a forward pass, dispatching forward hooks after every
+    /// non-container module.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
         let (mut ctx, root) = self.forward_ctx();
         ctx.forward_child(root, input)
@@ -777,8 +841,7 @@ impl Network {
     /// Parameter gradients accumulate; call [`Network::zero_grad`] between
     /// optimization steps.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ctx = BackwardCtx::new(&self.hooks);
-        self.root.backward(grad_out, &mut ctx)
+        BackwardCtx::new(&self.hooks).backward_child(self.root.as_mut(), grad_out)
     }
 
     /// Zeroes all accumulated parameter gradients.
@@ -1120,6 +1183,52 @@ mod tests {
             )
             .is_none());
         assert!(net.resume_point(LayerId::from_index(99)).is_none());
+    }
+
+    #[test]
+    fn grad_hooks_fire_once_per_leaf_in_reverse_preorder() {
+        use crate::layer::container::Residual;
+        use crate::layer::{Flatten, Linear};
+        use std::sync::Mutex;
+        let mut rng = SeededRng::new(3);
+        let spec = rustfi_tensor::ConvSpec::new();
+        let body = Sequential::new(vec![
+            Box::new(Conv2d::new(2, 2, 3, spec.padding(1), &mut rng)),
+            Box::new(Relu::new()),
+        ]);
+        let mut net = Network::new(Box::new(Sequential::new(vec![
+            Box::new(Conv2d::new(3, 2, 1, spec, &mut rng)),
+            Box::new(Residual::new(Box::new(body))),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(2 * 4 * 4, 3, &mut rng)),
+        ])));
+        // A hook on every module: the containers' must never fire.
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        for info in net.layer_infos() {
+            let log = Arc::clone(&fired);
+            net.hooks().register_grad(info.id, move |ctx, g| {
+                log.lock()
+                    .unwrap()
+                    .push((ctx.id, ctx.kind, g.dims().to_vec()));
+            });
+        }
+        let y = net.forward(&Tensor::ones(&[1, 3, 4, 4]));
+        net.backward(&Tensor::ones(y.dims()));
+        let mut leaves: Vec<_> = net
+            .layer_infos()
+            .iter()
+            .filter(|l| !l.kind.is_container())
+            .map(|l| (l.id, l.kind))
+            .collect();
+        leaves.reverse();
+        let fired = fired.lock().unwrap();
+        let order: Vec<_> = fired.iter().map(|&(id, kind, _)| (id, kind)).collect();
+        assert_eq!(order, leaves);
+        assert_eq!(
+            fired[0].2,
+            [1, 3],
+            "the head sees the gradient of its output"
+        );
     }
 
     #[test]

@@ -439,6 +439,65 @@ proptest! {
         prop_assert_eq!(net.resume_point(LayerId::from_index(tree.len())), None);
     }
 
+    /// Layer lookups find every weighted module of architectures with
+    /// `Residual` and `Branches` containers, and nothing else. A marker
+    /// written through `layer_weight_mut(id)` for each module that
+    /// `layer_infos()` lists with weights lands in that module's weight:
+    /// every weighted module yields (weight, bias) to `for_each_param`, so
+    /// param `2k` is the weight of the `k`-th weighted module in pre-order.
+    /// Every other id, containers included, and the first id past the
+    /// network have no weight.
+    #[test]
+    fn layer_lookups_find_each_weighted_module(case in fuzz::container_cases()) {
+        let mut net = case.arch.build();
+        let mut markers = Vec::new();
+        for info in net.layer_infos().to_vec() {
+            let weight = net.layer_weight_mut(info.id);
+            prop_assert_eq!(weight.is_some(), info.weight_dims.is_some(), "{}", info.id);
+            if let Some(w) = weight {
+                let marker = 1000.0 + markers.len() as f32;
+                w.data_mut()[0] = marker;
+                markers.push(marker);
+            }
+        }
+        let past = LayerId::from_index(net.module_count());
+        prop_assert!(net.layer_weight_mut(past).is_none());
+        let mut params = Vec::new();
+        net.for_each_param(&mut |p| params.push(p.value.data()[0]));
+        prop_assert_eq!(params.len(), 2 * markers.len());
+        for (k, &marker) in markers.iter().enumerate() {
+            prop_assert_eq!(params[2 * k], marker, "weighted module {}", k);
+        }
+    }
+
+    /// On a full forward pass of an architecture with `Residual` and
+    /// `Branches` containers, an all-layer forward hook fires once on each
+    /// non-container module of `layer_infos()`, in pre-order, and sees its
+    /// kind.
+    #[test]
+    fn forward_hooks_fire_once_per_leaf_in_preorder(case in fuzz::container_cases()) {
+        let mut net = case.arch.build();
+        let hw = case.arch.image_hw;
+        let x = Tensor::rand_normal(
+            &[1, case.arch.in_channels, hw, hw],
+            0.0,
+            1.0,
+            &mut SeededRng::new(case.seed),
+        );
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&fired);
+        net.hooks()
+            .register_forward_all(move |ctx, _| log.lock().unwrap().push((ctx.id, ctx.kind)));
+        net.forward(&x);
+        let leaves: Vec<_> = net
+            .layer_infos()
+            .iter()
+            .filter(|l| !l.kind.is_container())
+            .map(|l| (l.id, l.kind))
+            .collect();
+        prop_assert_eq!(&*fired.lock().unwrap(), &leaves);
+    }
+
     /// Fused batched trials produce bit-identical records to serial
     /// execution for every generated architecture, fusion width, guard
     /// mode, quantization regime, and prefix-cache setting.
