@@ -44,7 +44,7 @@ use rustfi::{
 use rustfi_bench::{env_usize, zoo_config_for, QuickMode};
 use rustfi_nn::{zoo, Network, ZooConfig};
 use rustfi_tensor::pack::{matmul_packed_a, Epilogue, PackedA};
-use rustfi_tensor::qkernels::{matmul_i8_nt, matmul_i8_nt_portable};
+use rustfi_tensor::qkernels::{int8_conv_simd, matmul_i8_nt, matmul_i8_nt_portable};
 use rustfi_tensor::{
     conv2d_q, conv2d_q_planned, kernels, matmul, matmul_into, parallel, tpool, Act, ConvSpec,
     PackedConvI16, QTensor, SeededRng, Tensor,
@@ -338,7 +338,7 @@ fn bench_int8_conv(c: &mut Criterion, rows: &mut Vec<Int8ConvRow>) {
         let w = Tensor::rand_normal(&[oc, ch, k, k], 0.0, 0.5, &mut rng);
         let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
         let qw = QTensor::quantize_per_channel(&w);
-        let panel = PackedConvI16::pack(qw.data(), [oc, ch, k, k]);
+        let panel = PackedConvI16::pack(qw.data(), [oc, ch, k, k], 1);
         let scale = 0.02f32;
         let unplanned = || conv2d_q(&x, &qw, &b, &spec, scale);
         let planned = || conv2d_q_planned(&x, &qw, &panel, &b, &spec, scale, None, Act::None);
@@ -945,6 +945,7 @@ fn write_json(
          \x20 \"int8_matmul\": [\n{}\n  ],\n\
          \x20 \"int8_matmul_geomean_speedup\": {:.3},\n\
          \x20 \"int8_matmul_simd\": \"{}\",\n\
+         \x20 \"int8_conv_simd\": \"{}\",\n\
          \x20 \"int8_conv\": [\n{}\n  ],\n\
          \x20 \"int8_conv_planned_geomean\": {:.3},\n\
          \x20 \"elementwise\": [\n{}\n  ],\n\
@@ -990,6 +991,7 @@ fn write_json(
                 .map(|r| r.portable_s / r.dispatched_s)
         ),
         int8_matmul_simd(),
+        int8_conv_simd(),
         int8_conv_json.join(",\n"),
         geomean(int8_conv_rows.iter().map(|r| r.unplanned_s / r.planned_s)),
         elemwise_json.join(",\n"),

@@ -129,7 +129,11 @@ impl Conv2d {
                 let &[oc, cg, kh, kw] = qw.dims() else {
                     unreachable!("conv qweights are rank 4");
                 };
-                self.wide = Some(PackedConvI16::pack(qw.data(), [oc, cg, kh, kw]));
+                self.wide = Some(PackedConvI16::pack(
+                    qw.data(),
+                    [oc, cg, kh, kw],
+                    self.spec.groups,
+                ));
             }
         }
         self.wide_stale = false;
@@ -383,7 +387,7 @@ mod tests {
         use std::sync::Arc;
         let spec = ConvSpec::new().padding(1).stride(2);
         let dims = [4usize, 6, 3, 3];
-        let fresh = |w: &[i8]| PackedConvI16::pack(w, dims);
+        let fresh = |w: &[i8]| PackedConvI16::pack(w, dims, spec.groups);
 
         // Panel bytes: a write then its undo, at first/middle/last words.
         let mut conv = Conv2d::new(6, 4, 3, spec, &mut SeededRng::new(7));

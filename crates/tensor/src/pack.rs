@@ -245,20 +245,27 @@ impl PackedA {
     }
 }
 
-/// Lane granularity of a [`PackedConvI16`] segment: one AVX2 register of
-/// `i16` words.
+/// Output channels per [`PackedConvI16`] block: the 16 `i32` accumulator
+/// lanes of one AVX-512 register (two AVX2 registers).
 pub(crate) const CONV_LANES: usize = 16;
 
 /// INT8 convolution weights `[oc, cg, kh, kw]` pre-widened to `i16` and laid
-/// out for the implicit-GEMM convolution kernel.
+/// out for the implicit-GEMM convolution kernel, which computes each block
+/// of 16 output channels as an outer product with a tile of output pixels.
 ///
-/// Row `o` (one output channel) holds `kh` segments, one per kernel row
-/// `ky`. Segment `ky` is the `(kx, c)` run `w[o][c][ky][kx]` at lane
-/// `kx * cg + c` — the order in which a channels-last input plane stores
-/// the `kw` pixels one kernel row covers — zero-padded to
-/// [`seg`](Self::seg) lanes, a multiple of 16 (one AVX2 register). The kernel
-/// multiplies whole segments against the plane, so the padding lanes must
-/// stay zero: every write goes through a source index, never a pad lane.
+/// The words are `[group][⌈og/16⌉ blocks][ky][seg/2 k-pairs][16 lanes][2]`.
+/// Within kernel row `ky`, lane `l` of the segment is the `(kx, c)` word
+/// `w[o][c][ky][kx]` at `l = kx * cg + c` — the order in which a
+/// channels-last input plane stores the `kw` pixels one kernel row covers —
+/// and [`seg`](Self::seg) is `kw * cg` rounded up to an even count. Segment
+/// lanes go in pairs: k-pair `q` of a block holds, for each of its 16
+/// channels, lanes `2q` and `2q + 1` side by side, so one 32-word vector
+/// meets one broadcast input pair in a single multiply-add. The odd pad
+/// lane of an odd `kw * cg` must stay zero, because the kernel multiplies
+/// it against a real plane word. No block straddles two groups; rows past a
+/// group's last channel (pad rows) stay zero too, and the kernel never
+/// stores their sums. Every write goes through a source index, never a pad
+/// slot.
 ///
 /// Integer accumulation is exact, so this `(ky, kx, c)` order gives the same
 /// sums as the `(c, ky, kx)` order of the unplanned im2row GEMM. Packing is
@@ -266,24 +273,32 @@ pub(crate) const CONV_LANES: usize = 16;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedConvI16 {
     dims: [usize; 4],
+    groups: usize,
     seg: usize,
     buf: Vec<i16>,
 }
 
 impl PackedConvI16 {
     /// Packs `src`, the row-major `i8` words of an `[oc, cg, kh, kw]` weight
-    /// tensor.
+    /// tensor whose `oc` output channels form `groups` equal groups.
     ///
     /// # Panics
     ///
-    /// Panics if `src.len()` disagrees with `dims`.
-    pub fn pack(src: &[i8], dims: [usize; 4]) -> Self {
+    /// Panics if `groups` is zero or does not divide `oc`, or if
+    /// `src.len()` disagrees with `dims`.
+    pub fn pack(src: &[i8], dims: [usize; 4], groups: usize) -> Self {
         let [oc, cg, kh, kw] = dims;
-        let seg = (kw * cg).div_ceil(CONV_LANES) * CONV_LANES;
+        assert!(
+            groups > 0 && oc.is_multiple_of(groups),
+            "{oc} output channels do not split into {groups} groups"
+        );
+        let seg = (kw * cg).next_multiple_of(2);
+        let blocks = groups * (oc / groups).div_ceil(CONV_LANES);
         let mut p = Self {
             dims,
+            groups,
             seg,
-            buf: vec![0; oc * kh * seg],
+            buf: vec![0; blocks * kh * seg * CONV_LANES],
         };
         p.repack(src);
         p
@@ -299,11 +314,12 @@ impl PackedConvI16 {
         assert_eq!(src.len(), oc * cg * kh * kw, "source length != weight dims");
         let mut words = src.iter();
         for o in 0..oc {
+            let row = self.row_base(o);
             for c in 0..cg {
                 for ky in 0..kh {
-                    let seg = &mut self.buf[(o * kh + ky) * self.seg..][..self.seg];
                     for kx in 0..kw {
-                        seg[kx * cg + c] = *words.next().expect("length checked") as i16;
+                        let slot = row + self.lane_offset(ky, kx * cg + c);
+                        self.buf[slot] = *words.next().expect("length checked") as i16;
                     }
                 }
             }
@@ -326,7 +342,25 @@ impl PackedConvI16 {
         );
         let (o, rem) = (index / (cg * kh * kw), index % (cg * kh * kw));
         let (c, ky, kx) = (rem / (kh * kw), rem / kw % kh, rem % kw);
-        self.buf[(o * kh + ky) * self.seg + kx * cg + c] = word as i16;
+        let slot = self.row_base(o) + self.lane_offset(ky, kx * cg + c);
+        self.buf[slot] = word as i16;
+    }
+
+    /// Slot of output channel `o`'s word at kernel row 0, segment lane 0:
+    /// its block's start plus its lane pair within the block.
+    #[inline]
+    fn row_base(&self, o: usize) -> usize {
+        let [oc, _, kh, _] = self.dims;
+        let og = oc / self.groups;
+        let block = o / og * og.div_ceil(CONV_LANES) + o % og / CONV_LANES;
+        block * kh * self.seg * CONV_LANES + o % og % CONV_LANES * 2
+    }
+
+    /// Offset of kernel row `ky`, segment lane `lane` from a
+    /// [`row_base`](Self::row_base).
+    #[inline]
+    fn lane_offset(&self, ky: usize, lane: usize) -> usize {
+        (ky * self.seg + lane / 2 * 2) * CONV_LANES + lane % 2
     }
 
     /// The packed weight dimensions `[oc, cg, kh, kw]`.
@@ -334,18 +368,22 @@ impl PackedConvI16 {
         self.dims
     }
 
-    /// Lanes per kernel-row segment: `kw * cg` rounded up to a multiple
-    /// of 16.
+    /// The number of groups the output channels split into.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// Lanes per kernel-row segment: `kw * cg` rounded up to an even count.
     pub fn seg(&self) -> usize {
         self.seg
     }
 
-    /// Lanes per output-channel row: `kh * seg`.
-    pub fn row_len(&self) -> usize {
-        self.dims[2] * self.seg
+    /// Words per group: `⌈og/16⌉` blocks of `kh * seg * 16`.
+    pub fn group_len(&self) -> usize {
+        self.buf.len() / self.groups
     }
 
-    /// The packed words, `[oc, kh, seg]`.
+    /// The packed words, `[group][block][ky][seg/2][16][2]`.
     pub fn data(&self) -> &[i16] {
         &self.buf
     }
@@ -687,47 +725,74 @@ mod tests {
 
     #[test]
     fn conv_panel_layout_is_ky_kx_c_with_zero_padded_segments() {
-        // [oc=2, cg=3, kh=2, kw=2]: kw*cg = 6 real lanes per 16-lane segment.
-        let dims = [2usize, 3, 2, 2];
-        let src: Vec<i8> = (0..24).map(|i| i as i8 + 1).collect();
-        let p = PackedConvI16::pack(&src, dims);
-        assert_eq!((p.seg(), p.row_len(), p.data().len()), (16, 32, 64));
-        for o in 0..2 {
-            for c in 0..3 {
-                for ky in 0..2 {
-                    for kx in 0..2 {
-                        let word = src[((o * 3 + c) * 2 + ky) * 2 + kx];
-                        let slot = (o * 2 + ky) * 16 + kx * 3 + c;
-                        assert_eq!(p.data()[slot], word as i16, "o{o} c{c} ky{ky} kx{kx}");
+        // kw*cg = 9 real lanes per 10-lane segment (one odd pad lane); 20
+        // channels as one group (a full block, then 4 rows and 12 pad rows)
+        // and as two groups of 10 (one block each, 6 pad rows).
+        let (oc, cg, kh, kw) = (20usize, 3usize, 2usize, 3usize);
+        let src: Vec<i8> = (0..oc * cg * kh * kw)
+            .map(|i| (i % 127) as i8 + 1)
+            .collect();
+        for (groups, blocks_per_group) in [(1usize, 2usize), (2, 1)] {
+            let p = PackedConvI16::pack(&src, [oc, cg, kh, kw], groups);
+            let block_len = kh * 10 * 16;
+            assert_eq!(
+                (p.seg(), p.group_len(), p.data().len()),
+                (
+                    10,
+                    blocks_per_group * block_len,
+                    groups * blocks_per_group * block_len
+                )
+            );
+            let og = oc / groups;
+            let mut want = vec![0i16; p.data().len()];
+            for o in 0..oc {
+                let (g, r) = (o / og, o % og);
+                let block = g * blocks_per_group + r / 16;
+                for c in 0..cg {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let l = kx * cg + c;
+                            let slot = (((block * kh + ky) * 5 + l / 2) * 16 + r % 16) * 2 + l % 2;
+                            want[slot] = src[((o * cg + c) * kh + ky) * kw + kx] as i16;
+                        }
                     }
                 }
             }
-            for ky in 0..2 {
-                let pad = &p.data()[(o * 2 + ky) * 16 + 6..][..10];
-                assert!(pad.iter().all(|&v| v == 0), "pad lanes stay zero");
-            }
+            // Every other slot — pad rows and the pad lane — is zero.
+            assert_eq!(p.data(), &want[..], "groups {groups}");
+            assert_eq!(
+                want.iter().filter(|&&v| v != 0).count(),
+                src.len(),
+                "every source word lands in its own slot"
+            );
         }
     }
 
     #[test]
     fn conv_panel_word_writes_match_a_fresh_pack() {
-        let dims = [4usize, 5, 3, 3];
-        let len = 4 * 5 * 9;
-        let src: Vec<i8> = (0..len).map(|i| (i * 37 % 255) as u8 as i8).collect();
-        let blessed = PackedConvI16::pack(&src, dims);
-        let mut live = blessed.clone();
-        let mut faulty = src.clone();
-        for index in [0usize, 1, 44, 91, len - 1] {
-            let flipped = (src[index] as u8 ^ 0x80) as i8;
-            faulty[index] = flipped;
-            live.set_word(index, flipped);
-            assert_eq!(live, PackedConvI16::pack(&faulty, dims), "apply @{index}");
-            faulty[index] = src[index];
-            live.set_word(index, src[index]);
-            assert_eq!(live, blessed, "undo @{index}");
+        // A one-block panel, and two groups of 18 rows (two blocks each).
+        for (dims, groups) in [([4usize, 5, 3, 3], 1usize), ([36, 3, 3, 3], 2)] {
+            let len = dims.iter().product::<usize>();
+            let src: Vec<i8> = (0..len).map(|i| (i * 37 % 255) as u8 as i8).collect();
+            let blessed = PackedConvI16::pack(&src, dims, groups);
+            let mut live = blessed.clone();
+            let mut faulty = src.clone();
+            for index in [0usize, 1, 44, 91, len / 2 + 3, len - 28, len - 1] {
+                let flipped = (src[index] as u8 ^ 0x80) as i8;
+                faulty[index] = flipped;
+                live.set_word(index, flipped);
+                assert_eq!(
+                    live,
+                    PackedConvI16::pack(&faulty, dims, groups),
+                    "apply @{index}"
+                );
+                faulty[index] = src[index];
+                live.set_word(index, src[index]);
+                assert_eq!(live, blessed, "undo @{index}");
+            }
+            let mut repacked = blessed.clone();
+            repacked.repack(&faulty);
+            assert_eq!(repacked, blessed);
         }
-        let mut repacked = blessed.clone();
-        repacked.repack(&faulty);
-        assert_eq!(repacked, blessed);
     }
 }

@@ -24,10 +24,13 @@
 //! tail (`simd_kernel!`), except [`quantize_slice`], whose rounding needs a
 //! hand-vectorized AVX2 body. [`matmul_i8_nt`] follows the `linalg`
 //! `block_rows` pattern with a hand-vectorized AVX2 body: `i8` operands are
-//! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`; the
-//! planned convolution's implicit GEMM does the same over a channels-last
-//! input plane. Integer arithmetic is exact, so the AVX2 and portable
-//! kernels are bit-identical regardless of accumulation order.
+//! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`. The
+//! planned convolution's implicit GEMM computes blocks of 16 output
+//! channels as outer products with tiles of output pixels read from a
+//! channels-last input plane, and picks its body at run time: AVX-512 VNNI
+//! (`vpdpwssd`), AVX2 (`pmaddwd` + `paddd`) or portable ([`int8_conv_simd`]
+//! names the one in use). Integer arithmetic is exact, so every SIMD body
+//! is bit-identical to its portable twin regardless of accumulation order.
 
 use crate::kernels::simd_kernel;
 #[cfg(doc)]
@@ -394,7 +397,8 @@ pub(crate) struct PlaneConv {
     pub stride: usize,
     /// Kernel rows.
     pub kh: usize,
-    /// Lanes per kernel-row segment ([`PackedConvI16::seg`]).
+    /// Lanes per kernel-row segment ([`PackedConvI16::seg`]): `kw * cg`
+    /// rounded up to an even count.
     pub seg: usize,
     /// Output rows.
     pub oh: usize,
@@ -412,22 +416,86 @@ impl PlaneConv {
     }
 
     /// Plane words the kernel may read: the last pixel's last segment,
-    /// including the pad lanes past its run (the panel holds zeros there).
+    /// including the pad lane past its run (the panel holds zeros there).
     pub fn plane_reach(&self) -> usize {
         self.base(self.oh * self.ow - 1) + (self.kh - 1) * self.wp * self.cg + self.seg
+    }
+
+    /// Panel words of one block of [`CONV_LANES`] output channels.
+    fn block_len(&self) -> usize {
+        self.kh * self.seg * CONV_LANES
+    }
+}
+
+/// The bodies of [`conv_i16_implicit`]. All three walk the same
+/// [`PackedConvI16`] layout and compute the same exact integer sums.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConvBody {
+    /// `vpdpwssd` into one 16-lane `zmm` accumulator per pixel.
+    Avx512Vnni,
+    /// `vpmaddwd` + `vpaddd` into two 8-lane `ymm` halves per pixel, or the
+    /// low half alone for a block of at most 8 channels.
+    Avx2,
+    /// Plain loops: the reference the SIMD bodies are tested against.
+    Portable,
+}
+
+impl ConvBody {
+    /// Every body, fastest first.
+    pub(crate) const ALL: [ConvBody; 3] = [Self::Avx512Vnni, Self::Avx2, Self::Portable];
+
+    /// Whether this CPU can run the body.
+    pub(crate) fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                Self::Avx512Vnni => has!("avx512f") && has!("avx512vnni"),
+                Self::Avx2 => has!("avx2"),
+                Self::Portable => true,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Self::Portable
+        }
+    }
+
+    /// The fastest body this CPU supports.
+    pub(crate) fn detect() -> Self {
+        Self::ALL
+            .into_iter()
+            .find(|b| b.supported())
+            .expect("the portable body runs anywhere")
+    }
+}
+
+/// Name of the INT8 convolution body this CPU dispatches to:
+/// `"avx512vnni"`, `"avx2"` or `"portable"`.
+pub fn int8_conv_simd() -> &'static str {
+    match ConvBody::detect() {
+        ConvBody::Avx512Vnni => "avx512vnni",
+        ConvBody::Avx2 => "avx2",
+        ConvBody::Portable => "portable",
     }
 }
 
 /// Implicit-GEMM INT8 convolution of one sample group:
-/// `acc[r][p] = Σ_ky Σ_l panel[r][ky][l] · plane[base(p) + ky·wp·cg + l]`
-/// for `rows` output channels of a [`PackedConvI16`] panel and every output
-/// pixel `p`, read straight from the channels-last `plane` — no im2row
-/// matrix, no gather map.
+/// `acc[r][p] = Σ_ky Σ_l w[r][ky][l] · plane[base(p) + ky·wp·cg + l]`
+/// for `rows` output channels of one group of a [`PackedConvI16`] panel and
+/// every output pixel `p`, read straight from the channels-last `plane` — no
+/// im2row matrix, no gather map.
+///
+/// Each block of 16 channels is an outer product with a tile of pixels: per
+/// kernel row and k-pair, one vector of the 16 channels' weight pairs meets
+/// each pixel's broadcast input pair in one multiply-add, so every
+/// accumulator lane is one channel's running sum and no horizontal
+/// reduction is left. The tile is stored transposed into `acc[r][p]`.
 ///
 /// Each sum is an exact integer dot product over the same `cg·kh·kw` real
 /// products as the im2row GEMM of [`conv2d_q`](crate::conv2d_q), plus pad
-/// lanes whose panel words are zero, so the AVX2 and portable kernels are
-/// bit-identical to it and to each other. Counts as one integer GEMM.
+/// lanes and pad rows whose panel words are zero, so every body is
+/// bit-identical to it and to the others. Counts as one integer GEMM.
 ///
 /// # Panics
 ///
@@ -441,57 +509,260 @@ pub(crate) fn conv_i16_implicit(
     acc: &mut [i32],
 ) {
     crate::opcount::count_matmul_i8();
-    assert!(
-        geo.seg.is_multiple_of(CONV_LANES) && geo.seg > 0,
-        "bad segment"
-    );
+    conv_implicit_on(ConvBody::detect(), plane, panel, rows, geo, acc);
+}
+
+/// [`conv_i16_implicit`] on a chosen body.
+///
+/// # Panics
+///
+/// As [`conv_i16_implicit`], and if the CPU does not support `body`.
+fn conv_implicit_on(
+    body: ConvBody,
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    assert!(geo.seg.is_multiple_of(2) && geo.seg > 0, "bad segment");
     assert!(geo.oh * geo.ow > 0, "empty output");
     assert!(plane.len() >= geo.plane_reach(), "plane too short");
-    assert!(panel.len() >= rows * geo.kh * geo.seg, "panel too short");
+    assert!(
+        panel.len() >= rows.div_ceil(CONV_LANES) * geo.block_len(),
+        "panel too short"
+    );
     assert!(acc.len() >= rows * geo.oh * geo.ow, "accumulator too short");
     assert!(
         geo.kh * geo.seg <= i32::MAX as usize / (QMAX * QMAX) as usize,
         "k={} could overflow the i32 accumulator",
         geo.kh * geo.seg
     );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: reached only after runtime detection confirms AVX2; the
-        // asserts above bound every read and write the kernel makes.
-        unsafe { conv_implicit_avx2(plane, panel, rows, geo, acc) };
-        return;
+    assert!(body.supported(), "{body:?} is not supported on this CPU");
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU supports the body, and the asserts above bound
+        // every read and write it makes.
+        ConvBody::Avx512Vnni => unsafe { conv_implicit_vnni(plane, panel, rows, geo, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        ConvBody::Avx2 => unsafe { conv_implicit_avx2(plane, panel, rows, geo, acc) },
+        _ => conv_implicit_portable(plane, panel, rows, geo, acc),
     }
-    conv_implicit_impl(plane, panel, rows, geo, acc);
 }
 
-fn conv_implicit_impl(plane: &[i16], panel: &[i16], rows: usize, geo: &PlaneConv, acc: &mut [i32]) {
-    let (ohw, row_len, ky_step) = (geo.oh * geo.ow, geo.kh * geo.seg, geo.wp * geo.cg);
-    for r in 0..rows {
-        let w = &panel[r * row_len..][..row_len];
-        for p in 0..ohw {
-            let base = geo.base(p);
-            let mut sum = 0i32;
-            for ky in 0..geo.kh {
-                let x = &plane[base + ky * ky_step..][..geo.seg];
-                for (&a, &b) in w[ky * geo.seg..][..geo.seg].iter().zip(x) {
-                    sum += a as i32 * b as i32;
+/// Lanes of one channel's kernel row that [`conv_implicit_portable`]
+/// de-interleaves at a time; even, so no k-pair is split.
+const PORTABLE_LANES: usize = 256;
+
+/// Portable body: per output channel and kernel row, copies the channel's
+/// weight pairs out of its block into a contiguous run (in chunks of
+/// [`PORTABLE_LANES`]), then takes one contiguous dot product per pixel,
+/// which the compiler vectorizes.
+fn conv_implicit_portable(
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    let (ohw, ky_step) = (geo.oh * geo.ow, geo.wp * geo.cg);
+    let mut w = [0i16; PORTABLE_LANES];
+    for (r, acc) in acc[..rows * ohw].chunks_exact_mut(ohw).enumerate() {
+        acc.fill(0);
+        let (block, lane) = (r / CONV_LANES, 2 * (r % CONV_LANES));
+        let block = &panel[block * geo.block_len()..][..geo.block_len()];
+        for (ky, wk) in block.chunks_exact(geo.seg * CONV_LANES).enumerate() {
+            for (c, wc) in wk.chunks(PORTABLE_LANES * CONV_LANES).enumerate() {
+                let w = &mut w[..wc.len() / CONV_LANES];
+                for (d, s) in w.chunks_exact_mut(2).zip(wc.chunks_exact(2 * CONV_LANES)) {
+                    d.copy_from_slice(&s[lane..][..2]);
+                }
+                let xo = ky * ky_step + c * PORTABLE_LANES;
+                for (p, a) in acc.iter_mut().enumerate() {
+                    let x = &plane[geo.base(p) + xo..][..w.len()];
+                    let dot: i32 = w.iter().zip(x).map(|(&w, &x)| w as i32 * x as i32).sum();
+                    *a += dot;
                 }
             }
-            acc[r * ohw + p] = sum;
         }
     }
 }
 
-/// Register-blocked AVX2 body: tiles of 2 output channels × 4 pixels keep
-/// 8 `pmaddwd` accumulators in registers, each loaded weight vector feeding
-/// 4 pixels and each loaded plane vector 2 channels; a channel's 4 pixel
-/// sums leave the tile as one vector store.
+/// Pixels per AVX-512 tile: one `zmm` accumulator each.
+#[cfg(target_arch = "x86_64")]
+const VNNI_PIXELS: usize = 16;
+
+/// AVX-512 VNNI body: per 16-channel block, tiles of [`VNNI_PIXELS`]
+/// pixels, then 1-pixel tiles for the rest.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VNNI, and the slices must
+/// cover the geometry as [`conv_implicit_on`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+unsafe fn conv_implicit_vnni(
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    let ohw = geo.oh * geo.ow;
+    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
+        let w = panel.as_ptr().add(block * geo.block_len());
+        let tile = Tile {
+            r0,
+            rows: (rows - r0).min(CONV_LANES),
+        };
+        let mut p = 0;
+        while p + VNNI_PIXELS <= ohw {
+            vnni_tile::<VNNI_PIXELS>(plane, w, tile, p, geo, acc);
+            p += VNNI_PIXELS;
+        }
+        while p < ohw {
+            vnni_tile::<1>(plane, w, tile, p, geo, acc);
+            p += 1;
+        }
+    }
+}
+
+/// The output channels of one block: `rows` (at most [`CONV_LANES`])
+/// starting at `r0`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Tile {
+    r0: usize,
+    rows: usize,
+}
+
+/// Stores a tile's `[pixel][channel]` sums transposed into `acc[r][p]`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn store_transposed<const P: usize>(
+    sums: &[[i32; CONV_LANES]; P],
+    tile: Tile,
+    p0: usize,
+    ohw: usize,
+    acc: &mut [i32],
+) {
+    for r in 0..tile.rows {
+        let dst = &mut acc[(tile.r0 + r) * ohw + p0..][..P];
+        for (d, s) in dst.iter_mut().zip(sums) {
+            *d = s[r];
+        }
+    }
+}
+
+/// One block × `P`-pixel tile of the AVX-512 VNNI body.
+///
+/// # Safety
+///
+/// As [`conv_implicit_vnni`], with `w` the block's first panel word and
+/// `p0 + P` at most `oh * ow`: every plane read then ends by
+/// `geo.plane_reach()`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vnni_tile<const P: usize>(
+    plane: &[i16],
+    w: *const i16,
+    tile: Tile,
+    p0: usize,
+    geo: &PlaneConv,
+    acc: &mut [i32],
+) {
+    use std::arch::x86_64::*;
+
+    let x: [*const i16; P] = std::array::from_fn(|j| plane.as_ptr().add(geo.base(p0 + j)));
+    let mut a = [_mm512_setzero_si512(); P];
+    let mut wk = w;
+    for ky in 0..geo.kh {
+        let xo = ky * geo.wp * geo.cg;
+        let mut l = 0;
+        while l < geo.seg {
+            let wv = _mm512_loadu_si512(wk as *const __m512i);
+            wk = wk.add(2 * CONV_LANES);
+            for j in 0..P {
+                let pair = (x[j].add(xo + l) as *const i32).read_unaligned();
+                a[j] = _mm512_dpwssd_epi32(a[j], wv, _mm512_set1_epi32(pair));
+            }
+            l += 2;
+        }
+    }
+    let ohw = geo.oh * geo.ow;
+    if let Ok(a) = <&[__m512i; 16]>::try_from(&a[..]) {
+        for (r, v) in transpose_16x16(a).into_iter().enumerate().take(tile.rows) {
+            let dst = &mut acc[(tile.r0 + r) * ohw + p0..][..16];
+            _mm512_storeu_si512(dst.as_mut_ptr() as *mut __m512i, v);
+        }
+        return;
+    }
+    let mut sums = [[0i32; CONV_LANES]; P];
+    for (s, v) in sums.iter_mut().zip(a) {
+        _mm512_storeu_si512(s.as_mut_ptr() as *mut __m512i, v);
+    }
+    store_transposed(&sums, tile, p0, ohw, acc);
+}
+
+/// Transposes 16 vectors of 16 `i32` lanes: lane `j` of output `r` is lane
+/// `r` of input `j`. Within each 128-bit lane, two rounds of unpacks
+/// transpose 4×4 blocks; two rounds of 128-bit lane shuffles then put the
+/// blocks in place.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_16x16(
+    a: &[std::arch::x86_64::__m512i; 16],
+) -> [std::arch::x86_64::__m512i; 16] {
+    use std::arch::x86_64::*;
+    // b[2m], b[2m+1]: lane pairs (4L, 4L+1) and (4L+2, 4L+3) of a[2m],
+    // a[2m+1], interleaved.
+    let b: [__m512i; 16] = std::array::from_fn(|j| {
+        let (x, y) = (a[j & !1], a[j | 1]);
+        if j % 2 == 0 {
+            _mm512_unpacklo_epi32(x, y)
+        } else {
+            _mm512_unpackhi_epi32(x, y)
+        }
+    });
+    // c[4n+q], 128-bit lane L: lane 4L+q of a[4n..4n+4].
+    let c: [__m512i; 16] = std::array::from_fn(|j| {
+        let (n4, q) = (j & !3, j % 4);
+        let (x, y) = (b[n4 + q / 2], b[n4 + q / 2 + 2]);
+        if q % 2 == 0 {
+            _mm512_unpacklo_epi64(x, y)
+        } else {
+            _mm512_unpackhi_epi64(x, y)
+        }
+    });
+    // Output 4L+q gathers 128-bit lane L of c[q], c[4+q], c[8+q], c[12+q].
+    let even = |x, y| _mm512_shuffle_i32x4::<0b10_00_10_00>(x, y);
+    let odd = |x, y| _mm512_shuffle_i32x4::<0b11_01_11_01>(x, y);
+    let mut out = [_mm512_setzero_si512(); 16];
+    for q in 0..4 {
+        let (d0, d1) = (even(c[q], c[4 + q]), odd(c[q], c[4 + q]));
+        let (d2, d3) = (even(c[8 + q], c[12 + q]), odd(c[8 + q], c[12 + q]));
+        out[q] = even(d0, d2);
+        out[4 + q] = even(d1, d3);
+        out[8 + q] = odd(d0, d2);
+        out[12 + q] = odd(d1, d3);
+    }
+    out
+}
+
+/// Pixels per AVX2 tile of a two-half block (16 accumulators would not fit
+/// the 16 `ymm` registers) and of a low-half block.
+#[cfg(target_arch = "x86_64")]
+const AVX2_PIXELS: (usize, usize) = (4, 8);
+
+/// AVX2 body: per block, tiles of two 8-channel `ymm` halves, or of the low
+/// half alone when the block holds at most 8 channels (its high half is all
+/// pad rows), then 1-pixel tiles for the rest.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2, and the slices must cover the geometry as
-/// [`conv_i16_implicit`] asserts: `plane` at least `geo.plane_reach()`
-/// words, `panel` `rows` full rows, `acc` `rows * oh * ow` entries.
+/// [`conv_implicit_on`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn conv_implicit_avx2(
@@ -501,103 +772,86 @@ unsafe fn conv_implicit_avx2(
     geo: &PlaneConv,
     acc: &mut [i32],
 ) {
-    let mut r = 0;
-    while r + 2 <= rows {
-        implicit_rows::<2>(plane, panel, r, geo, acc);
-        r += 2;
-    }
-    if r < rows {
-        implicit_rows::<1>(plane, panel, r, geo, acc);
-    }
-}
-
-/// All pixels of output channels `r0..r0 + R`.
-///
-/// # Safety
-///
-/// As [`conv_implicit_avx2`], with `r0 + R` at most its `rows`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn implicit_rows<const R: usize>(
-    plane: &[i16],
-    panel: &[i16],
-    r0: usize,
-    geo: &PlaneConv,
-    acc: &mut [i32],
-) {
     let ohw = geo.oh * geo.ow;
-    let mut p = 0;
-    while p + 4 <= ohw {
-        implicit_tile::<R, 4>(plane, panel, r0, p, geo, acc);
-        p += 4;
-    }
-    while p < ohw {
-        implicit_tile::<R, 1>(plane, panel, r0, p, geo, acc);
-        p += 1;
+    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
+        let w = panel.as_ptr().add(block * geo.block_len());
+        let tile = Tile {
+            r0,
+            rows: (rows - r0).min(CONV_LANES),
+        };
+        let mut p = 0;
+        if tile.rows > CONV_LANES / 2 {
+            while p + AVX2_PIXELS.0 <= ohw {
+                avx2_tile::<2, { AVX2_PIXELS.0 }>(plane, w, tile, p, geo, acc);
+                p += AVX2_PIXELS.0;
+            }
+            while p < ohw {
+                avx2_tile::<2, 1>(plane, w, tile, p, geo, acc);
+                p += 1;
+            }
+        } else {
+            while p + AVX2_PIXELS.1 <= ohw {
+                avx2_tile::<1, { AVX2_PIXELS.1 }>(plane, w, tile, p, geo, acc);
+                p += AVX2_PIXELS.1;
+            }
+            while p < ohw {
+                avx2_tile::<1, 1>(plane, w, tile, p, geo, acc);
+                p += 1;
+            }
+        }
     }
 }
 
-/// One `R` channels × `P` pixels tile, written to `acc[r][p]`.
+/// One block × `P`-pixel tile of the AVX2 body over the block's first `H`
+/// 8-channel halves.
 ///
 /// # Safety
 ///
-/// As [`implicit_rows`], with `p0 + P` at most `oh * ow`: every plane read
-/// then ends by `geo.plane_reach()`.
+/// As [`conv_implicit_avx2`], with `w` the block's first panel word, `p0 +
+/// P` at most `oh * ow`, and `H == 1` only when the block's high half holds
+/// pad rows alone.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-// Index loops name the register tile's (channel, pixel) cells.
+// Index loops name the register tile's (half, pixel) cells.
 #[allow(clippy::needless_range_loop)]
-unsafe fn implicit_tile<const R: usize, const P: usize>(
+unsafe fn avx2_tile<const H: usize, const P: usize>(
     plane: &[i16],
-    panel: &[i16],
-    r0: usize,
+    w: *const i16,
+    tile: Tile,
     p0: usize,
     geo: &PlaneConv,
     acc: &mut [i32],
 ) {
     use std::arch::x86_64::*;
 
-    let (ohw, row_len, ky_step) = (geo.oh * geo.ow, geo.kh * geo.seg, geo.wp * geo.cg);
     let x: [*const i16; P] = std::array::from_fn(|j| plane.as_ptr().add(geo.base(p0 + j)));
-    let w: [*const i16; R] = std::array::from_fn(|i| panel.as_ptr().add((r0 + i) * row_len));
-    let mut a = [[_mm256_setzero_si256(); P]; R];
+    let mut a = [[_mm256_setzero_si256(); P]; H];
+    let mut wk = w;
     for ky in 0..geo.kh {
-        let (xo, wo) = (ky * ky_step, ky * geo.seg);
+        let xo = ky * geo.wp * geo.cg;
         let mut l = 0;
         while l < geo.seg {
-            let xv: [__m256i; P] =
-                std::array::from_fn(|j| _mm256_loadu_si256(x[j].add(xo + l) as *const __m256i));
-            for i in 0..R {
-                let wv = _mm256_loadu_si256(w[i].add(wo + l) as *const __m256i);
-                for j in 0..P {
-                    a[i][j] = _mm256_add_epi32(a[i][j], _mm256_madd_epi16(wv, xv[j]));
+            let wv: [__m256i; H] = std::array::from_fn(|h| {
+                _mm256_loadu_si256(wk.add(h * CONV_LANES) as *const __m256i)
+            });
+            wk = wk.add(2 * CONV_LANES);
+            for j in 0..P {
+                let pair = (x[j].add(xo + l) as *const i32).read_unaligned();
+                let xv = _mm256_set1_epi32(pair);
+                for h in 0..H {
+                    a[h][j] = _mm256_add_epi32(a[h][j], _mm256_madd_epi16(wv[h], xv));
                 }
             }
-            l += CONV_LANES;
+            l += 2;
         }
     }
-    for i in 0..R {
-        let dst = acc.as_mut_ptr().add((r0 + i) * ohw + p0);
-        let mut j = 0;
-        while j + 4 <= P {
-            // Three horizontal adds fold four pixels' 8-lane partial sums
-            // into one vector of their four totals.
-            let s01 = _mm256_hadd_epi32(a[i][j], a[i][j + 1]);
-            let s23 = _mm256_hadd_epi32(a[i][j + 2], a[i][j + 3]);
-            let s = _mm256_hadd_epi32(s01, s23);
-            let t = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256::<1>(s));
-            _mm_storeu_si128(dst.add(j) as *mut __m128i, t);
-            j += 4;
-        }
-        while j < P {
-            let v = a[i][j];
-            let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
-            let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b00_00_00_01>(s));
-            *dst.add(j) = _mm_cvtsi128_si32(s);
-            j += 1;
+    let mut sums = [[0i32; CONV_LANES]; P];
+    for j in 0..P {
+        for h in 0..H {
+            _mm256_storeu_si256(sums[j].as_mut_ptr().add(h * 8) as *mut __m256i, a[h][j]);
         }
     }
+    store_transposed(&sums, tile, p0, geo.oh * geo.ow, acc);
 }
 
 #[cfg(test)]
@@ -752,20 +1006,30 @@ mod tests {
     }
 
     #[test]
-    fn implicit_conv_dispatch_matches_portable_and_direct_sums() {
+    fn implicit_conv_bodies_match_direct_sums() {
         use crate::pack::PackedConvI16;
-        // (rows, cg, kh, kw, stride, oh, ow): 2-row tiles and single-row
-        // remainders, 4-pixel tiles and single-pixel remainders, segments
-        // with and without pad lanes, multi-vector segments, stride 2.
+        let bodies: Vec<ConvBody> = ConvBody::ALL
+            .into_iter()
+            .filter(|b| b.supported())
+            .collect();
+        assert!(bodies.contains(&ConvBody::detect()));
+        // (rows, cg, kh, kw, stride, oh, ow): one, 8 (a low-half AVX2
+        // block), 9, 16, 17 and 33 rows (second and third blocks of 1 row);
+        // pixel counts off every tile width; odd `kw * cg` (a pad lane);
+        // stride 2; multi-vector segments; a segment longer than the
+        // portable body's chunk.
         for &(rows, cg, kh, kw, stride, oh, ow) in &[
             (1usize, 1usize, 1usize, 1usize, 1usize, 1usize, 1usize),
-            (4, 3, 3, 3, 1, 4, 4),
-            (5, 8, 3, 3, 2, 3, 5),
-            (8, 32, 3, 3, 1, 4, 4),
-            (7, 5, 1, 1, 2, 2, 3),
-            (6, 7, 5, 5, 1, 2, 2),
+            (8, 3, 3, 3, 1, 4, 5),
+            (9, 5, 1, 1, 2, 3, 7),
+            (16, 8, 3, 3, 1, 4, 4),
+            (17, 7, 5, 5, 2, 2, 3),
+            (33, 32, 3, 3, 1, 3, 6),
+            (16, 16, 3, 3, 2, 5, 5),
+            (8, 8, 3, 3, 1, 3, 11),
+            (3, 87, 2, 3, 1, 2, 3),
         ] {
-            let seg = (kw * cg).div_ceil(CONV_LANES) * CONV_LANES;
+            let seg = (kw * cg).next_multiple_of(2);
             let wp = (ow - 1) * stride + kw;
             let geo = PlaneConv {
                 wp,
@@ -776,39 +1040,69 @@ mod tests {
                 oh,
                 ow,
             };
-            // Exactly the reach: the kernel must never read past it.
-            let plane: Vec<i16> = probe_i8(geo.plane_reach(), 41 + rows as u64)
+            // Inputs span ±127 and the weights reach -128 (a faulted word).
+            // The plane is exactly the reach long; words past it in the
+            // same buffer are poison that any over-read would pick up.
+            let reach = geo.plane_reach();
+            let mut buf: Vec<i16> = probe_i8(reach, 41 + rows as u64)
                 .into_iter()
-                .map(i16::from)
+                .enumerate()
+                .map(|(i, v)| match i % 5 {
+                    0 => 127,
+                    1 => -127,
+                    _ => i16::from(v),
+                })
                 .collect();
-            let words = probe_i8(rows * cg * kh * kw, 43 + cg as u64);
-            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw]);
+            buf.resize(reach + 64, i16::MAX);
+            let plane = &buf[..reach];
+            let mut words = probe_i8(rows * cg * kh * kw, 43 + cg as u64);
+            for w in words.iter_mut().step_by(3) {
+                *w = i8::MIN;
+            }
+            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
             let ohw = oh * ow;
-            let mut fast = vec![7i32; rows * ohw];
-            let mut slow = vec![9i32; rows * ohw];
-            conv_i16_implicit(&plane, panel.data(), rows, &geo, &mut fast);
-            conv_implicit_impl(&plane, panel.data(), rows, &geo, &mut slow);
-            assert_eq!(
-                fast, slow,
-                "dispatch vs portable {rows}x{cg}x{kh}x{kw}/{stride}"
-            );
+            let mut want = vec![0i32; rows * ohw];
             for r in 0..rows {
                 for p in 0..ohw {
                     let (oy, ox) = (p / ow, p % ow);
-                    let mut want = 0i32;
                     for c in 0..cg {
                         for ky in 0..kh {
                             for kx in 0..kw {
                                 let x =
                                     plane[((oy * stride + ky) * wp + ox * stride + kx) * cg + c];
                                 let w = words[((r * cg + c) * kh + ky) * kw + kx];
-                                want += x as i32 * w as i32;
+                                want[r * ohw + p] += x as i32 * w as i32;
                             }
                         }
                     }
-                    assert_eq!(fast[r * ohw + p], want, "row {r} pixel {p}");
                 }
             }
+            let case = format!("{rows}x{cg}x{kh}x{kw}/{stride} -> {oh}x{ow}");
+            for &body in &bodies {
+                // A sentinel past the accumulator must survive.
+                let mut got = vec![7i32; rows * ohw + 1];
+                conv_implicit_on(body, plane, panel.data(), rows, &geo, &mut got);
+                assert_eq!(got[..rows * ohw], want[..], "{body:?} {case}");
+                assert_eq!(got[rows * ohw], 7, "{body:?} {case}: wrote past acc");
+            }
+        }
+
+        // Every word at its extreme: the largest sums any body meets.
+        let geo = PlaneConv {
+            wp: 6,
+            cg: 32,
+            stride: 1,
+            kh: 3,
+            seg: 96,
+            oh: 4,
+            ow: 4,
+        };
+        let plane = vec![127i16; geo.plane_reach()];
+        let panel = PackedConvI16::pack(&vec![i8::MIN; 17 * 32 * 9], [17, 32, 3, 3], 1);
+        for &body in &bodies {
+            let mut got = vec![0i32; 17 * 16];
+            conv_implicit_on(body, &plane, panel.data(), 17, &geo, &mut got);
+            assert!(got.iter().all(|&s| s == 288 * 127 * -128), "{body:?}");
         }
     }
 

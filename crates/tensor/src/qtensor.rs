@@ -482,7 +482,11 @@ pub fn conv2d_q_planned(
     assert_eq!(wc, c / spec.groups, "weight channel mismatch");
     assert_eq!(bias.len(), oc, "bias length != out_channels");
     assert!(input_scale > 0.0, "input scale must be positive");
-    assert_eq!(panel.dims(), [oc, wc, kh, kw], "panel shape mismatch");
+    assert_eq!(
+        (panel.dims(), panel.groups()),
+        ([oc, wc, kh, kw], spec.groups),
+        "panel shape mismatch"
+    );
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let cg = c / spec.groups;
@@ -502,7 +506,7 @@ pub fn conv2d_q_planned(
     let gplane = hp * wp * cg;
     // The last group's reads may run up to one segment past its region.
     let plane_len = (spec.groups - 1) * gplane + geo.plane_reach().max(gplane);
-    let grow = og * panel.row_len();
+    let glen = panel.group_len();
 
     let bdata = bias.data();
     // The epilogue writes every element exactly once, so the buffer may come
@@ -522,7 +526,7 @@ pub fn conv2d_q_planned(
             for g in 0..spec.groups {
                 conv_i16_implicit(
                     &plane[g * gplane..],
-                    &panel.data()[g * grow..][..grow],
+                    &panel.data()[g * glen..][..glen],
                     og,
                     &geo,
                     acc,
@@ -813,7 +817,7 @@ mod tests {
             let b = Tensor::rand_normal(&[4], 0.0, 0.1, &mut rng);
             let qw = QTensor::quantize_per_channel(&w);
             let scale = 0.02f32;
-            let panel = PackedConvI16::pack(qw.data(), [4, 4 / spec.groups, 3, 3]);
+            let panel = PackedConvI16::pack(qw.data(), [4, 4 / spec.groups, 3, 3], spec.groups);
 
             // Serial chain: conv2d_q then a standalone ReLU pass.
             let mut serial = conv2d_q(&x, &qw, &b, &spec, scale);

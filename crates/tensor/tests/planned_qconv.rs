@@ -107,7 +107,7 @@ proptest! {
         padding in 0usize..3,
         groups_idx in 0usize..3,
         cg in 1usize..8,
-        og in 1usize..7,
+        og in 1usize..40,
         batch in 1usize..4,
         hw in 5usize..10,
         variant in 0usize..6,
@@ -142,7 +142,7 @@ proptest! {
         let bn = (variant >= 3).then_some(&fold);
         let act = [Act::None, Act::Relu, Act::LeakyRelu(0.1)][variant % 3];
 
-        let panel = PackedConvI16::pack(qw.data(), [oc, cg, k, k]);
+        let panel = PackedConvI16::pack(qw.data(), [oc, cg, k, k], groups);
         let planned =
             conv2d_q_planned(&x, &qw, &panel, &b, &spec, scale, bn.map(Fold::view), act);
         let serial = serial_chain(&x, &qw, &b, &spec, scale, bn, act);
