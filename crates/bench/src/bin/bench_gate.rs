@@ -34,6 +34,7 @@
 //! bench with its defaults and commit the regenerated `BENCH_campaign.json`.
 
 use rustfi_bench::{env_f64, gate, QuickMode};
+use rustfi_obs::json::parse_json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -60,8 +61,9 @@ fn main() -> ExitCode {
     let min_ratio = env_f64("RUSTFI_GATE_MIN_RATIO", 0.75);
 
     let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench_gate: cannot read {path}: {e}"))
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("bench_gate: cannot read {path}: {e}"));
+        parse_json(&text).unwrap_or_else(|e| panic!("bench_gate: {path} is not JSON: {e}"))
     };
     let baseline = read(&baseline_path);
     let fresh = read(&fresh_path);

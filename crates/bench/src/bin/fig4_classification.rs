@@ -28,13 +28,13 @@
 //! `RUSTFI_INT8_TRIALS` (default `RUSTFI_TRIALS`/10) per regime for the
 //! quantization comparison.
 
+use rustfi::report::rate_ci95;
 use rustfi::{models, Campaign, CampaignConfig, FaultMode, GuardMode, NeuronSelect, QuantMode};
 use rustfi_bench::{
     env_usize, factory_from_checkpoint, fig4_models, outcome_table_header, outcome_table_row,
     train_and_checkpoint,
 };
 use rustfi_data::SynthSpec;
-use rustfi_obs::{wilson_interval, Z_95};
 use std::sync::Arc;
 
 fn main() {
@@ -100,20 +100,13 @@ fn main() {
     );
     println!("{:<12} {:>26} {:>26}", "model", "simulated", "real-int8");
     for (model, sim, int8) in &quant_rows {
-        println!("{:<12} {:>26} {:>26}", model, sdc_ci(sim), sdc_ci(int8));
+        println!(
+            "{:<12} {:>26} {:>26}",
+            model,
+            rate_ci95(&sim.counts, sim.counts.sdc),
+            rate_ci95(&int8.counts, int8.counts.sdc)
+        );
     }
-}
-
-/// `"x.xx% [lo.xx, hi.xx]"`: the SDC rate with its 95% Wilson interval.
-fn sdc_ci(r: &rustfi::CampaignResult) -> String {
-    let n = r.counts.total() as u64;
-    let (lo, hi) = wilson_interval(r.counts.sdc as u64, n, Z_95);
-    let p = if n == 0 {
-        0.0
-    } else {
-        r.counts.sdc as f64 / n as f64
-    };
-    format!("{:.2}% [{:.2}, {:.2}]", p * 100.0, lo * 100.0, hi * 100.0)
 }
 
 /// Guard-hook ablation on the first (AlexNet) checkpoint: every trial

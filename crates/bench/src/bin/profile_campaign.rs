@@ -1,10 +1,14 @@
 //! Campaign profiler: runs a neuron bit-flip campaign with the full
 //! observability stack armed and reports where the time goes.
 //!
-//! Output:
-//! - a per-layer table joining forward wall time (from layer spans) with
-//!   injection trials and SDC counts (from the campaign result);
-//! - trial latency summary and kernel-call counters;
+//! Output, each statistic printed once:
+//! - a per-layer table of forward wall time (from layer spans); its `inj`
+//!   column is the injectable-layer index the statistical report uses;
+//! - kernel-call counters;
+//! - the statistical report: the per-layer SDC/DUE table with 95% Wilson
+//!   intervals, counted from the campaign's trial records
+//!   ([`rustfi::report::per_layer_table`]), and trial latency quantiles
+//!   from the recorder's timing histograms;
 //! - a Chrome `trace_event` JSON file loadable in Perfetto or
 //!   `chrome://tracing` (one row per worker thread, one slice per layer);
 //! - the Prometheus text exposition of all counters and timings.
@@ -18,13 +22,14 @@
 //! `profile_campaign.trace.json`), `RUSTFI_EVENTS_PATH` (optional JSONL
 //! event-stream dump).
 
+use rustfi::report::per_layer_table;
 use rustfi::{
     models, Campaign, CampaignConfig, FaultMode, GuardMode, ModelProfile, NeuronSelect,
     ProgressRecorder,
 };
 use rustfi_bench::env_usize;
 use rustfi_nn::{train, zoo, ZooConfig};
-use rustfi_obs::{FanoutRecorder, Recorder, StatsRecorder, TraceRecorder};
+use rustfi_obs::{latency_summary, Recorder, TraceRecorder};
 use rustfi_tensor::{opcount, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -51,15 +56,7 @@ fn main() {
     println!("profile_campaign — {model} (untrained, imagenet-like config), {trials} trials");
     opcount::reset();
     opcount::enable(true);
-    // Tee the stream: the trace recorder keeps everything for the Chrome
-    // trace / per-layer join, the stats recorder folds outcomes and
-    // latencies into fixed-memory streaming statistics.
     let recorder = Arc::new(TraceRecorder::new());
-    let stats_rec = Arc::new(StatsRecorder::default());
-    let fanout = Arc::new(FanoutRecorder::new(vec![
-        recorder.clone() as Arc<dyn Recorder>,
-        stats_rec.clone() as Arc<dyn Recorder>,
-    ]));
     let campaign = Campaign::new(
         &factory,
         &images,
@@ -73,56 +70,45 @@ fn main() {
             seed: 0x9806,
             threads,
             guard: GuardMode::Record,
-            recorder: Some(fanout as Arc<dyn Recorder>),
+            recorder: Some(recorder.clone() as Arc<dyn Recorder>),
             progress: Some(ProgressRecorder::stderr(trials.div_ceil(10).max(1))),
             ..CampaignConfig::default()
         })
         .expect("campaign config is valid");
     opcount::enable(false);
 
-    // Join the recorder's per-layer wall time (keyed by network layer index)
-    // with the campaign's per-injectable-layer trial/SDC counts.
+    // Per-layer wall time, keyed by network layer index; `inj` maps each
+    // injectable layer to its row in the statistical report.
     let snap = recorder.snapshot();
     let profile = ModelProfile::discover(
         &mut factory(),
         [1, cfg.in_channels, cfg.image_hw, cfg.image_hw],
     );
     println!(
-        "\n{:<5} {:<8} {:<24} {:>8} {:>10} {:>10} {:>7} {:>5}",
-        "layer", "kind", "name", "calls", "mean µs", "total ms", "trials", "SDC"
+        "\n{:<5} {:<8} {:<24} {:>8} {:>10} {:>10} {:>4}",
+        "layer", "kind", "name", "calls", "mean µs", "total ms", "inj"
     );
     for row in snap.layer_times() {
-        let injected = profile
+        let inj = profile
             .layers()
             .iter()
             .position(|l| l.id.index() == row.layer)
-            .and_then(|i| result.per_layer.get(i));
-        let (t, s) = injected.copied().unwrap_or((0, 0));
+            .map_or(String::from("-"), |i| i.to_string());
         println!(
-            "{:<5} {:<8} {:<24} {:>8} {:>10.1} {:>10.2} {:>7} {:>5}",
+            "{:<5} {:<8} {:<24} {:>8} {:>10.1} {:>10.2} {:>4}",
             row.layer,
             row.kind,
             row.name,
             row.calls,
             row.mean_ns() as f64 / 1_000.0,
             row.total_ns as f64 / 1e6,
-            t,
-            s
+            inj
         );
     }
 
-    if let Some(stat) = snap.timings.get("campaign.trial_ns") {
-        println!(
-            "\ntrials: {} | mean {:.2} ms | min {:.2} ms | max {:.2} ms",
-            stat.count,
-            stat.mean_ns() as f64 / 1e6,
-            stat.min_ns as f64 / 1e6,
-            stat.max_ns as f64 / 1e6
-        );
-    }
     let ops = opcount::counts();
     println!(
-        "kernel calls: conv2d {} | matmul {} | elementwise {} | pool {} | norm {}",
+        "\nkernel calls: conv2d {} | matmul {} | elementwise {} | pool {} | norm {}",
         ops.conv2d, ops.matmul, ops.elementwise, ops.pool, ops.norm
     );
     let tail = ops.elementwise + ops.pool + ops.norm;
@@ -133,23 +119,9 @@ fn main() {
             100.0 * tail as f64 / total as f64
         );
     }
-    println!(
-        "outcomes: masked {} sdc {} due {} crash {} hang {} (SDC rate {:.3}%)",
-        result.counts.masked,
-        result.counts.sdc,
-        result.counts.due,
-        result.counts.crash,
-        result.counts.hang,
-        100.0 * result.sdc_rate()
-    );
-
-    // Streaming statistical report: per-layer SDC/DUE rates with 95% Wilson
-    // score intervals, plus latency quantiles from the log-linear
-    // histograms. Nothing here stored per-record.
-    let stats = stats_rec.snapshot();
     println!("\n# Statistical report (95% Wilson intervals)");
-    print!("{}", stats.sdc_table());
-    print!("{}", stats.latency_summary());
+    print!("{}", per_layer_table(&result.per_layer, &result.counts));
+    print!("{}", latency_summary(&snap.timings));
 
     recorder
         .write_chrome_trace(&trace_path)

@@ -21,7 +21,7 @@ use rustfi::CampaignResult;
 use rustfi_data::SynthSpec;
 use rustfi_nn::train::TrainConfig;
 use rustfi_nn::{checkpoint, train, zoo, Network, ZooConfig};
-use rustfi_obs::{wilson_interval, Z_99};
+use rustfi_obs::Z_99;
 use std::path::PathBuf;
 
 /// Reads an override from the environment (`RUSTFI_TRIALS`, …), falling back
@@ -101,22 +101,43 @@ impl QuickMode {
 /// machine's absolute speed, so the committed baseline stays meaningful on
 /// any CI runner; absolute trials/sec would not.
 pub mod gate {
-    /// How to pull one gated metric out of a bench summary.
-    type Extract = fn(&str) -> Option<f64>;
+    use rustfi_obs::json::Value;
 
-    /// Extracts the JSON number following `"key":` at or after byte `from`.
-    ///
-    /// The bench summary is flat enough that positional scanning beats a
-    /// JSON dependency; `from` disambiguates keys that repeat across
-    /// sections (each matmul row has its own `"speedup"`).
-    pub fn json_f64(text: &str, key: &str, from: usize) -> Option<f64> {
-        let needle = format!("\"{key}\":");
-        let at = from + text.get(from..)?.find(&needle)? + needle.len();
-        let rest = text[at..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
+    /// The gated ratios: each metric's name and its key path in a bench
+    /// summary, outermost key first.
+    const RATIOS: [(&str, &[&str]); 9] = [
+        ("matmul_geomean_speedup", &["matmul_geomean_speedup"]),
+        (
+            "packed_vs_unpacked_geomean",
+            &["packed_vs_unpacked_geomean"],
+        ),
+        (
+            "int8_matmul_geomean_speedup",
+            &["int8_matmul_geomean_speedup"],
+        ),
+        ("int8_conv_planned_geomean", &["int8_conv_planned_geomean"]),
+        (
+            "elementwise_geomean_speedup",
+            &["elementwise_geomean_speedup"],
+        ),
+        ("prefix_cache_speedup", &["campaign", "speedup"]),
+        ("fused_speedup", &["campaign", "fused_speedup"]),
+        (
+            "planned_fused_vs_f32_fused",
+            &["campaign", "planned_fused_vs_f32_fused"],
+        ),
+        ("int8_fused_vs_f32", &["campaign", "int8_fused_vs_f32"]),
+    ];
+
+    /// The value at `path` (object keys, outermost first) in a parsed
+    /// bench summary.
+    fn lookup<'v, 'a>(summary: &'v Value<'a>, path: &[&str]) -> Option<&'v Value<'a>> {
+        path.iter().try_fold(summary, |v, key| v.get(key))
+    }
+
+    /// The number at `path` in a parsed bench summary.
+    fn number(summary: &Value<'_>, path: &[&str]) -> Option<f64> {
+        lookup(summary, path)?.as_f64()
     }
 
     /// One gated metric: the fresh run must retain at least `min_ratio` of
@@ -140,47 +161,21 @@ pub mod gate {
         }
     }
 
-    /// Builds the gated comparisons between two bench summaries. A metric
-    /// missing from either file is skipped (older baselines may predate it);
-    /// an empty return therefore means the files share no comparable metric.
-    pub fn checks(baseline: &str, fresh: &str) -> Vec<Check> {
-        let mut out = Vec::new();
-        let pairs: [(&'static str, Extract); 9] = [
-            ("matmul_geomean_speedup", |t| {
-                json_f64(t, "matmul_geomean_speedup", 0)
-            }),
-            ("packed_vs_unpacked_geomean", |t| {
-                json_f64(t, "packed_vs_unpacked_geomean", 0)
-            }),
-            ("int8_matmul_geomean_speedup", |t| {
-                json_f64(t, "int8_matmul_geomean_speedup", 0)
-            }),
-            ("int8_conv_planned_geomean", |t| {
-                json_f64(t, "int8_conv_planned_geomean", 0)
-            }),
-            ("elementwise_geomean_speedup", |t| {
-                json_f64(t, "elementwise_geomean_speedup", 0)
-            }),
-            ("prefix_cache_speedup", |t| {
-                let at = t.find("\"campaign\"")?;
-                json_f64(t, "speedup", at)
-            }),
-            ("fused_speedup", |t| json_f64(t, "fused_speedup", 0)),
-            ("planned_fused_vs_f32_fused", |t| {
-                json_f64(t, "planned_fused_vs_f32_fused", 0)
-            }),
-            ("int8_fused_vs_f32", |t| json_f64(t, "int8_fused_vs_f32", 0)),
-        ];
-        for (name, get) in pairs {
-            if let (Some(b), Some(f)) = (get(baseline), get(fresh)) {
-                out.push(Check {
+    /// Builds the gated comparisons between two parsed bench summaries
+    /// ([`rustfi_obs::json::parse_json`]). A metric missing from either
+    /// summary is skipped (older baselines may predate it); an empty return
+    /// therefore means the summaries share no comparable metric.
+    pub fn checks(baseline: &Value<'_>, fresh: &Value<'_>) -> Vec<Check> {
+        RATIOS
+            .iter()
+            .filter_map(|&(name, path)| {
+                Some(Check {
                     name,
-                    baseline: b,
-                    fresh: f,
-                });
-            }
-        }
-        out
+                    baseline: number(baseline, path)?,
+                    fresh: number(fresh, path)?,
+                })
+            })
+            .collect()
     }
 
     /// Absolute within-run floors, judged against the fresh summary alone
@@ -192,17 +187,17 @@ pub mod gate {
     /// runner-speed independent. The floors only apply when the summary
     /// says the AVX2 kernels actually dispatched; a portable-only host has
     /// no microkernel for packing to feed and is skipped.
-    pub fn absolute_floors(fresh: &str) -> Vec<Check> {
+    pub fn absolute_floors(fresh: &Value<'_>) -> Vec<Check> {
         let mut out = Vec::new();
-        if fresh.contains("\"int8_matmul_simd\": \"avx2\"") {
-            if let Some(f) = json_f64(fresh, "int8_matmul_geomean_speedup", 0) {
+        if lookup(fresh, &["int8_matmul_simd"]).and_then(Value::as_str) == Some("avx2") {
+            if let Some(f) = number(fresh, &["int8_matmul_geomean_speedup"]) {
                 out.push(Check {
                     name: "int8_matmul_floor_1.5x",
                     baseline: 1.5,
                     fresh: f,
                 });
             }
-            if let Some(f) = json_f64(fresh, "planned_fused_vs_f32_fused", 0) {
+            if let Some(f) = number(fresh, &["campaign", "planned_fused_vs_f32_fused"]) {
                 out.push(Check {
                     name: "planned_fused_floor_1.25x",
                     baseline: 1.25,
@@ -451,7 +446,7 @@ pub fn outcome_table_row(name: &str, accuracy: Option<f32>, r: &CampaignResult) 
         Some(a) => format!("{:>8.1}%", 100.0 * a),
         None => format!("{:>9}", "-"),
     };
-    let (lo, hi) = wilson_interval(r.counts.sdc as u64, r.counts.total() as u64, Z_99);
+    let (lo, hi) = r.counts.wilson(r.counts.sdc, Z_99);
     let ci = format!("[{:.3}%, {:.3}%]", 100.0 * lo, 100.0 * hi);
     format!(
         "{:<12} {} {:>9} {:>8} {:>7} {:>7} {:>6} {:>5} {:>10.3}% {:>20} {:>9.3}%",
@@ -474,6 +469,7 @@ pub use rustfi_obs::mean_seconds;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rustfi_obs::json::{parse_json, Value};
 
     #[test]
     fn fig3_has_19_pairs() {
@@ -567,14 +563,45 @@ mod tests {
   }
 }"#;
 
+    fn json(text: &str) -> Value<'static> {
+        parse_json(text).unwrap()
+    }
+
+    /// `v` written back with every object's keys in reverse order and no
+    /// whitespace.
+    fn reordered(v: &Value<'_>) -> String {
+        let join = |items: Vec<String>| items.join(",");
+        match v {
+            Value::Null => "null".into(),
+            Value::Bool(b) => b.to_string(),
+            Value::Num(n) => n.to_string(),
+            Value::Str(s) => format!("{s:?}"),
+            Value::Arr(items) => format!("[{}]", join(items.iter().map(reordered).collect())),
+            Value::Obj(fields) => format!(
+                "{{{}}}",
+                join(
+                    fields
+                        .iter()
+                        .rev()
+                        .map(|(k, v)| format!("{k:?}:{}", reordered(v)))
+                        .collect()
+                )
+            ),
+        }
+    }
+
     #[test]
-    fn gate_scans_the_right_speedups() {
-        use gate::json_f64;
-        assert_eq!(json_f64(FAKE_BENCH, "matmul_geomean_speedup", 0), Some(2.0));
-        // The campaign's own "speedup", not the matmul row's.
-        let at = FAKE_BENCH.find("\"campaign\"").unwrap();
-        assert_eq!(json_f64(FAKE_BENCH, "speedup", at), Some(4.0));
-        assert_eq!(json_f64(FAKE_BENCH, "no_such_key", 0), None);
+    fn gate_reads_the_blessed_summary_by_key_path() {
+        let blessed = json(include_str!("../../../BENCH_campaign.json"));
+        let checks = gate::checks(&blessed, &blessed);
+        assert_eq!(checks.len(), 9);
+        assert!(checks.iter().all(|c| c.ratio() == 1.0), "{checks:?}");
+        let floors = gate::absolute_floors(&blessed);
+        assert_eq!(floors.len(), 2);
+        // Key order and whitespace are not part of the format.
+        let shuffled = json(&reordered(&blessed));
+        assert_eq!(gate::checks(&blessed, &shuffled), checks);
+        assert_eq!(gate::absolute_floors(&shuffled), floors);
     }
 
     #[test]
@@ -582,9 +609,11 @@ mod tests {
         let fresh = FAKE_BENCH
             .replace("4.000", "3.200") // prefix speedup dropped to 0.8x
             .replace("8.000", "5.000"); // fused speedup dropped to 0.625x
-        let checks = gate::checks(FAKE_BENCH, &fresh);
+        let checks = gate::checks(&json(FAKE_BENCH), &json(&fresh));
         assert_eq!(checks.len(), 4);
         let by_name = |n: &str| checks.iter().find(|c| c.name == n).unwrap();
+        // The campaign's own "speedup", not the matmul row's.
+        assert_eq!(by_name("prefix_cache_speedup").baseline, 4.0);
         assert!(by_name("matmul_geomean_speedup").passes(0.75), "unchanged");
         assert!(
             by_name("elementwise_geomean_speedup").passes(0.75),
@@ -594,7 +623,10 @@ mod tests {
         assert!(!by_name("fused_speedup").passes(0.75), "0.625 < 0.75");
         // A metric absent from one side is skipped, not failed.
         let old_baseline = FAKE_BENCH.replace("\"fused_speedup\": 8.000", "\"x\": 0");
-        assert_eq!(gate::checks(&old_baseline, FAKE_BENCH).len(), 3);
+        assert_eq!(
+            gate::checks(&json(&old_baseline), &json(FAKE_BENCH)).len(),
+            3
+        );
         // Nonsense values never pass.
         let broken = gate::Check {
             name: "x",
@@ -625,7 +657,8 @@ mod tests {
 
     #[test]
     fn gate_compares_int8_metrics_when_both_sides_have_them() {
-        let checks = gate::checks(FAKE_BENCH_INT8, FAKE_BENCH_INT8);
+        let int8 = json(FAKE_BENCH_INT8);
+        let checks = gate::checks(&int8, &int8);
         assert_eq!(checks.len(), 9);
         let by_name = |n: &str| checks.iter().find(|c| c.name == n).unwrap();
         // The int8 geomean key must not be confused with the f32 one.
@@ -636,12 +669,12 @@ mod tests {
         assert_eq!(by_name("planned_fused_vs_f32_fused").fresh, 1.6);
         assert_eq!(by_name("int8_conv_planned_geomean").fresh, 2.2);
         // An old baseline without the int8/packing keys skips them, not fails.
-        assert_eq!(gate::checks(FAKE_BENCH, FAKE_BENCH_INT8).len(), 4);
+        assert_eq!(gate::checks(&json(FAKE_BENCH), &int8).len(), 4);
     }
 
     #[test]
     fn int8_floor_applies_only_when_avx2_dispatched() {
-        let floors = gate::absolute_floors(FAKE_BENCH_INT8);
+        let floors = gate::absolute_floors(&json(FAKE_BENCH_INT8));
         assert_eq!(floors.len(), 2);
         let by_name = |n: &str| floors.iter().find(|c| c.name == n).unwrap();
         assert!(
@@ -653,18 +686,24 @@ mod tests {
             "1.6 clears the 1.25 floor"
         );
         let slow = FAKE_BENCH_INT8.replace("2.500", "1.400");
-        assert!(!gate::absolute_floors(&slow)[0].passes(1.0), "1.4 < 1.5");
+        assert!(
+            !gate::absolute_floors(&json(&slow))[0].passes(1.0),
+            "1.4 < 1.5"
+        );
         let slow_plan = FAKE_BENCH_INT8.replace("1.600", "1.100");
         assert!(
-            !gate::absolute_floors(&slow_plan)[1].passes(1.0),
+            !gate::absolute_floors(&json(&slow_plan))[1].passes(1.0),
             "1.1 < 1.25"
         );
         let portable = FAKE_BENCH_INT8.replace("\"avx2\"", "\"portable\"");
         assert!(
-            gate::absolute_floors(&portable).is_empty(),
+            gate::absolute_floors(&json(&portable)).is_empty(),
             "portable hosts measure 1.0x by construction and are exempt"
         );
-        assert!(gate::absolute_floors(FAKE_BENCH).is_empty(), "no int8 data");
+        assert!(
+            gate::absolute_floors(&json(FAKE_BENCH)).is_empty(),
+            "no int8 data"
+        );
     }
 
     #[test]

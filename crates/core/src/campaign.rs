@@ -37,7 +37,7 @@ use crate::error::FiError;
 use crate::injector::{FaultInjector, FusedTrialFault, NeuronFault, QuantMode, WeightFault};
 use crate::journal::{read_journal_repairing, JournalHeader, JournalWriter};
 use crate::location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect};
-use crate::metrics::{classify_outcome, confidence, top1, OutcomeCounts, OutcomeKind};
+use crate::metrics::{classify_outcome, confidence, tally, top1, OutcomeCounts, OutcomeKind};
 use crate::perturbation::PerturbationModel;
 use crate::prefix::{GoldenPrefix, PassStart};
 use parking_lot::Mutex;
@@ -425,8 +425,11 @@ pub struct CampaignResult {
     pub records: Vec<TrialRecord>,
     /// Totals.
     pub counts: OutcomeCounts,
-    /// Per-injectable-layer `(trials, sdcs)`.
-    pub per_layer: Vec<(usize, usize)>,
+    /// Per-injectable-layer tallies, sized to the highest layer a record
+    /// hit plus one ([`crate::metrics::tally`]); equal to the
+    /// [`crate::shard::MergedCampaign::per_layer`] of the same campaign's
+    /// shard journals.
+    pub per_layer: Vec<OutcomeCounts>,
     /// How many test images were eligible (classified correctly clean).
     pub eligible_images: usize,
     /// Prefix-cache counters (`None` when caching was off or bypassed).
@@ -453,10 +456,9 @@ impl CampaignResult {
 
     /// SDC rate for one injectable layer (0 if it saw no trials).
     pub fn layer_sdc_rate(&self, layer: usize) -> f64 {
-        match self.per_layer.get(layer) {
-            Some(&(trials, sdcs)) if trials > 0 => sdcs as f64 / trials as f64,
-            _ => 0.0,
-        }
+        self.per_layer
+            .get(layer)
+            .map_or(0.0, OutcomeCounts::sdc_rate)
     }
 
     /// Mean confidence drop of the golden class across trials.
@@ -764,9 +766,9 @@ impl<'a> Campaign<'a> {
         }
         drop(golden_guard);
         // The golden injector already paid for a model build and a profiling
-        // forward; recycle both. The profile feeds fusion planning and the
-        // per-layer aggregation, and the injector itself is handed to the
-        // first worker that asks instead of being rebuilt from scratch.
+        // forward; recycle both. The profile feeds fusion planning, and the
+        // injector itself is handed to the first worker that asks instead of
+        // being rebuilt from scratch.
         let profile = golden.profile().clone();
         let golden_cell: Mutex<Option<FaultInjector>> = Mutex::new(Some(golden));
         if eligible.is_empty() {
@@ -888,19 +890,7 @@ impl<'a> Campaign<'a> {
         }
         all_records.sort_by_key(|r| r.trial);
 
-        // Aggregate.
-        let mut counts = OutcomeCounts::default();
-        let layer_count = profile.len();
-        let mut per_layer = vec![(0usize, 0usize); layer_count];
-        for r in &all_records {
-            counts.record(&r.outcome);
-            if r.layer < per_layer.len() {
-                per_layer[r.layer].0 += 1;
-                if r.outcome == OutcomeKind::Sdc {
-                    per_layer[r.layer].1 += 1;
-                }
-            }
-        }
+        let (counts, per_layer) = tally(&all_records);
         // Durability point: every worker has flushed its LocalRecorder into
         // the shared recorder by now; ask the recorder to push buffered
         // state to its backing store (telemetry sidecar, flight postmortem)
@@ -1541,7 +1531,7 @@ mod tests {
         assert_eq!(result.records.len(), 64);
         assert_eq!(result.counts.total(), 64);
         assert_eq!(result.eligible_images, 6);
-        let layer_trials: usize = result.per_layer.iter().map(|(t, _)| t).sum();
+        let layer_trials: usize = result.per_layer.iter().map(OutcomeCounts::total).sum();
         assert_eq!(layer_trials, 64);
         for (i, r) in result.records.iter().enumerate() {
             assert_eq!(r.trial, i);
@@ -1695,6 +1685,29 @@ mod tests {
     }
 
     #[test]
+    fn images_of_the_wrong_channel_count_are_a_typed_error() {
+        let images = Tensor::from_fn(&[2, 1, 16, 16], |i| ((i as f32) * 0.013).sin());
+        let labels = [0, 1];
+        let campaign = Campaign::new(
+            &factory,
+            &images,
+            &labels,
+            FaultMode::Neuron(NeuronSelect::Random),
+            Arc::new(RandomUniform::default()),
+        );
+        let err = campaign
+            .run(&CampaignConfig {
+                trials: 4,
+                ..CampaignConfig::default()
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, FiError::BadInputShape { expected, .. } if expected == &[1, 1, 16, 16]),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn per_layer_restriction_only_hits_that_layer() {
         let images = images();
         let labels = aligned_labels(&images);
@@ -1714,7 +1727,7 @@ mod tests {
             })
             .unwrap();
         assert!(result.records.iter().all(|r| r.layer == 2));
-        assert_eq!(result.per_layer[2].0, 20);
+        assert_eq!(result.per_layer[2].total(), 20);
     }
 
     /// A perturbation model that panics on a seeded fraction of trials.
@@ -1933,7 +1946,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, rustfi_obs::Event::Guard(_))));
         assert!(snap.counters.contains_key("fi.injections"));
-        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count, 24);
+        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count(), 24);
 
         let updates = updates.lock();
         assert!(!updates.is_empty(), "progress fired");
@@ -2798,7 +2811,7 @@ mod tests {
             Some(stats.groups)
         );
         let widths = snap.timings.get("campaign.fused_width").unwrap();
-        assert_eq!(widths.count, stats.groups);
+        assert_eq!(widths.count(), stats.groups);
         assert!(
             snap.timings.contains_key("campaign.fused_chunk_ns"),
             "chunk wall time recorded"

@@ -243,10 +243,17 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// Returns [`FiError::NoInjectableLayers`] if the model has no conv or
-    /// linear layers.
+    /// Returns [`FiError::BadInputShape`] if the model rejects the input
+    /// shape `config` describes (the detail names the first layer whose
+    /// geometry rejects it), and [`FiError::NoInjectableLayers`] if the
+    /// model has no conv or linear layers.
     pub fn new(mut net: Network, config: FiConfig) -> Result<Self, FiError> {
-        let profile = ModelProfile::discover(&mut net, config.input_dims());
+        let input = config.input_dims();
+        net.infer_dims(&input).map_err(|e| FiError::BadInputShape {
+            expected: input.to_vec(),
+            detail: e.to_string(),
+        })?;
+        let profile = ModelProfile::discover(&mut net, input);
         if profile.is_empty() {
             return Err(FiError::NoInjectableLayers);
         }
@@ -757,6 +764,27 @@ mod tests {
     fn injector() -> FaultInjector {
         let net = zoo::lenet(&ZooConfig::tiny(10));
         FaultInjector::new(net, FiConfig::for_input(&[1, 3, 16, 16])).unwrap()
+    }
+
+    #[test]
+    fn an_input_shape_the_model_rejects_is_a_typed_error() {
+        let net = zoo::lenet(&ZooConfig::tiny(10));
+        let conv = net.injectable_layers()[0];
+        let first_conv = net
+            .layer_infos()
+            .iter()
+            .find(|l| l.id == conv)
+            .unwrap()
+            .name
+            .clone();
+        let err = FaultInjector::new(net, FiConfig::for_input(&[1, 1, 16, 16])).unwrap_err();
+        match &err {
+            FiError::BadInputShape { expected, detail } => {
+                assert_eq!(expected, &[1, 1, 16, 16]);
+                assert!(detail.starts_with(&format!("{first_conv}:")), "{err}");
+            }
+            other => panic!("expected BadInputShape, got {other}"),
+        }
     }
 
     fn x() -> Tensor {

@@ -1,5 +1,8 @@
-//! Outcome classification for injection experiments.
+//! Outcome classification for injection experiments, and the one place a
+//! campaign's outcomes are tallied ([`tally`]).
 
+use crate::campaign::TrialRecord;
+use rustfi_obs::wilson_interval;
 use rustfi_tensor::Tensor;
 
 /// What a single injection did to the inference result.
@@ -158,12 +161,51 @@ impl OutcomeCounts {
             self.sdc as f64 / self.total() as f64
         }
     }
+
+    /// The Wilson score interval on the rate of `hits` (one of this
+    /// tally's fields, e.g. `self.sdc`) among its trials, at critical value
+    /// `z` ([`rustfi_obs::Z_95`], [`rustfi_obs::Z_99`]). `(0, 1)` when the
+    /// tally is empty.
+    pub fn wilson(&self, hits: usize, z: f64) -> (f64, f64) {
+        wilson_interval(hits as u64, self.total() as u64, z)
+    }
+}
+
+impl std::ops::AddAssign for OutcomeCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.masked += other.masked;
+        self.sdc += other.sdc;
+        self.due += other.due;
+        self.crash += other.crash;
+        self.hang += other.hang;
+    }
+}
+
+/// Tallies trial records: the campaign totals, and one [`OutcomeCounts`]
+/// per injectable layer. The per-layer vector is sized to the highest layer
+/// any record hit, plus one — the only size a journal merge can know — so a
+/// campaign run and the merge of its shard journals give equal tallies. A
+/// trial that crashed before a layer was planned (`layer == usize::MAX`)
+/// counts in the totals only.
+pub fn tally(records: &[TrialRecord]) -> (OutcomeCounts, Vec<OutcomeCounts>) {
+    let mut all = OutcomeCounts::default();
+    let mut per_layer: Vec<OutcomeCounts> = Vec::new();
+    for r in records {
+        all.record(&r.outcome);
+        if r.layer != usize::MAX {
+            if r.layer >= per_layer.len() {
+                per_layer.resize(r.layer + 1, OutcomeCounts::default());
+            }
+            per_layer[r.layer].record(&r.outcome);
+        }
+    }
+    (all, per_layer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustfi_obs::{wilson_interval, Z_99};
+    use rustfi_obs::Z_99;
 
     #[test]
     fn top1_and_ties() {
@@ -223,11 +265,48 @@ mod tests {
         assert_eq!(c.total(), 100);
         assert_eq!((c.crash, c.hang), (1, 1));
         assert!((c.sdc_rate() - 0.02).abs() < 1e-9);
-        let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
+        let (lo, hi) = c.wilson(c.sdc, Z_99);
         assert!(
             lo > 0.0 && lo < 0.02 && hi > 0.02 && hi < 0.1,
             "[{lo}, {hi}]"
         );
+    }
+
+    #[test]
+    fn tally_sizes_layers_to_the_highest_hit_and_sums_to_the_totals() {
+        let record = |layer: usize, outcome: OutcomeKind| TrialRecord {
+            trial: 0,
+            image_index: 0,
+            layer,
+            site: None,
+            outcome,
+            due_layer: None,
+            top5_miss: false,
+            confidence_delta: 0.0,
+        };
+        let records = [
+            record(2, OutcomeKind::Sdc),
+            record(0, OutcomeKind::Masked),
+            record(2, OutcomeKind::Due),
+            record(
+                usize::MAX,
+                OutcomeKind::Crash {
+                    detail: "before planning".into(),
+                },
+            ),
+        ];
+        let (all, per_layer) = tally(&records);
+        assert_eq!(per_layer.len(), 3, "sized to the highest layer hit");
+        assert_eq!(per_layer[1], OutcomeCounts::default());
+        assert_eq!((per_layer[2].sdc, per_layer[2].due), (1, 1));
+        assert_eq!(all.total(), 4);
+        let mut summed = OutcomeCounts::default();
+        for c in &per_layer {
+            summed += *c;
+        }
+        summed.crash += 1; // the crash before planning has no layer
+        assert_eq!(summed, all);
+        assert_eq!(tally(&[]), (OutcomeCounts::default(), Vec::new()));
     }
 
     #[test]
@@ -251,7 +330,7 @@ mod tests {
     fn empty_counts_are_safe() {
         let c = OutcomeCounts::default();
         assert_eq!(c.sdc_rate(), 0.0);
-        assert_eq!(wilson_interval(0, c.total() as u64, Z_99), (0.0, 1.0));
+        assert_eq!(c.wilson(c.sdc, Z_99), (0.0, 1.0));
         // No SDCs in 100 trials still bounds the rate away from certainty.
         let (lo, hi) = wilson_interval(0, 100, Z_99);
         assert_eq!(lo, 0.0);

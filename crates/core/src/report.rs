@@ -2,14 +2,19 @@
 //!
 //! The paper positions PyTorchFI as a *research tool*; in practice that
 //! means campaign results end up in plots and spreadsheets. This module
-//! renders a [`CampaignResult`] as a human-readable summary and exports the
-//! per-trial records as CSV for downstream analysis.
+//! renders a [`CampaignResult`] as a human-readable summary, renders the
+//! per-layer SDC/DUE table with Wilson intervals that every campaign report
+//! prints ([`per_layer_table`]), and exports the per-trial records as CSV
+//! for downstream analysis.
 
 use crate::campaign::CampaignResult;
-use rustfi_obs::{wilson_interval, Z_99};
+use crate::metrics::OutcomeCounts;
+use rustfi_obs::{Z_95, Z_99};
 use std::fmt::Write as _;
 
-/// Renders a multi-line human-readable summary of a campaign.
+/// Renders a multi-line human-readable summary of a campaign: outcome
+/// totals, the SDC rate with its 99% Wilson interval, and the
+/// [`per_layer_table`].
 pub fn summarize(result: &CampaignResult) -> String {
     let mut out = String::new();
     let c = &result.counts;
@@ -24,7 +29,7 @@ pub fn summarize(result: &CampaignResult) -> String {
         "outcomes: {} masked | {} SDC | {} DUE | {} crash | {} hang",
         c.masked, c.sdc, c.due, c.crash, c.hang
     );
-    let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
+    let (lo, hi) = c.wilson(c.sdc, Z_99);
     let _ = writeln!(
         out,
         "SDC rate: {:.4}% (99% Wilson CI [{:.4}%, {:.4}%]) | top-5 miss rate: {:.4}% | mean confidence delta: {:+.4}",
@@ -34,22 +39,49 @@ pub fn summarize(result: &CampaignResult) -> String {
         100.0 * result.top5_miss_rate(),
         result.mean_confidence_delta()
     );
-    if result.per_layer.iter().any(|&(t, _)| t > 0) {
-        let _ = writeln!(out, "per-layer vulnerability:");
-        for (layer, &(trials, sdcs)) in result.per_layer.iter().enumerate() {
-            if trials == 0 {
-                continue;
-            }
-            let rate = 100.0 * sdcs as f64 / trials as f64;
-            let bar_len = (rate * 4.0).round() as usize;
-            let _ = writeln!(
-                out,
-                "  layer {layer:>3}: {trials:>7} trials {sdcs:>6} SDC {rate:>7.3}% {}",
-                "#".repeat(bar_len.min(60))
-            );
-        }
+    if c.total() > 0 {
+        out.push_str(&per_layer_table(&result.per_layer, c));
     }
     out
+}
+
+/// The per-layer SDC/DUE table: one row per injectable layer that drew a
+/// trial (its trials, SDC and DUE rates with 95% Wilson intervals, crashes
+/// and hangs), then an `all` row over `overall`, which also counts trials
+/// that crashed before a layer was planned.
+pub fn per_layer_table(per_layer: &[OutcomeCounts], overall: &OutcomeCounts) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:>5} {:>8} {:>22} {:>22} {:>6} {:>6}",
+        "layer", "trials", "sdc% [95% CI]", "due% [95% CI]", "crash", "hang"
+    );
+    let layers = per_layer
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.total() > 0)
+        .map(|(layer, c)| (layer.to_string(), c));
+    for (label, c) in layers.chain([(String::from("all"), overall)]) {
+        let _ = writeln!(
+            out,
+            "{label:>5} {:>8} {:>22} {:>22} {:>6} {:>6}",
+            c.total(),
+            rate_ci95(c, c.sdc),
+            rate_ci95(c, c.due),
+            c.crash,
+            c.hang
+        );
+    }
+    out
+}
+
+/// `"x.xx% [lo.xx, hi.xx]"`: the rate of `hits` (one of `c`'s fields) among
+/// `c`'s trials with its 95% Wilson interval, in percent.
+pub fn rate_ci95(c: &OutcomeCounts, hits: usize) -> String {
+    let (lo, hi) = c.wilson(hits, Z_95);
+    let n = c.total();
+    let p = if n == 0 { 0.0 } else { hits as f64 / n as f64 };
+    format!("{:.2}% [{:.2}, {:.2}]", p * 100.0, lo * 100.0, hi * 100.0)
 }
 
 /// CSV header matching [`to_csv`]'s rows.
@@ -96,7 +128,7 @@ mod tests {
     use super::*;
     use crate::campaign::TrialRecord;
     use crate::location::NeuronSite;
-    use crate::metrics::{OutcomeCounts, OutcomeKind};
+    use crate::metrics::{tally, OutcomeKind};
 
     fn sample_result() -> CampaignResult {
         let records = vec![
@@ -149,14 +181,11 @@ mod tests {
                 confidence_delta: 0.0,
             },
         ];
-        let mut counts = OutcomeCounts::default();
-        for r in &records {
-            counts.record(&r.outcome);
-        }
+        let (counts, per_layer) = tally(&records);
         CampaignResult {
             records,
             counts,
-            per_layer: vec![(1, 1), (1, 0), (1, 0)],
+            per_layer,
             eligible_images: 10,
             prefix: None,
             fusion: None,
@@ -171,8 +200,34 @@ mod tests {
             s.contains("1 masked | 1 SDC | 1 DUE | 1 crash | 0 hang"),
             "{s}"
         );
-        assert!(s.contains("per-layer vulnerability"), "{s}");
-        assert!(s.contains("layer   0"), "{s}");
+        let r = sample_result();
+        assert!(
+            s.ends_with(&per_layer_table(&r.per_layer, &r.counts)),
+            "{s}"
+        );
+    }
+
+    #[test]
+    fn per_layer_table_lists_layers_that_drew_trials_then_all() {
+        let mut per_layer = vec![OutcomeCounts::default(); 6];
+        per_layer[5] = OutcomeCounts {
+            masked: 7,
+            sdc: 1,
+            ..OutcomeCounts::default()
+        };
+        let overall = OutcomeCounts {
+            masked: 397,
+            sdc: 3,
+            ..OutcomeCounts::default()
+        };
+        // The rows of a 400-trial alexnet campaign's report, layer 5 and
+        // `all`, character for character.
+        assert_eq!(
+            per_layer_table(&per_layer, &overall),
+            "layer   trials          sdc% [95% CI]          due% [95% CI]  crash   hang\n\
+             \x20   5        8   12.50% [2.24, 47.09]    0.00% [0.00, 32.44]      0      0\n\
+             \x20 all      400     0.75% [0.26, 2.18]     0.00% [0.00, 0.95]      0      0\n"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::campaign::{CampaignConfig, FaultMode, TrialRecord};
 use crate::error::FiError;
 use crate::journal::{read_journal, JournalHeader};
-use crate::metrics::{OutcomeCounts, OutcomeKind};
+use crate::metrics::{tally, OutcomeCounts};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -143,11 +143,11 @@ pub struct MergedCampaign {
     pub records: Vec<TrialRecord>,
     /// Outcome totals over `records`.
     pub counts: OutcomeCounts,
-    /// Per-injectable-layer `(trials, sdcs)`, sized to the highest layer
-    /// observed in the records (a single-process [`crate::CampaignResult`]
-    /// sizes this to the model profile instead, so compare `records` and
-    /// `counts` for identity, not this).
-    pub per_layer: Vec<(usize, usize)>,
+    /// Per-injectable-layer tallies over `records`, counted by
+    /// [`crate::metrics::tally`] exactly as a single-process
+    /// [`crate::CampaignResult`] counts its own: a complete merge's equal
+    /// that run's.
+    pub per_layer: Vec<OutcomeCounts>,
     /// Shards whose journal was missing or whose trial range is incomplete.
     pub missing_shards: Vec<usize>,
     /// Trial ids in `0..trials` with no record.
@@ -276,29 +276,14 @@ pub fn merge_shard_journals(paths: &[PathBuf]) -> Result<MergedCampaign, FiError
         .collect();
     let missing_trials = identity.trials - merged.len();
 
-    let mut counts = OutcomeCounts::default();
-    let layer_count = merged
-        .values()
-        .filter(|r| r.layer != usize::MAX)
-        .map(|r| r.layer + 1)
-        .max()
-        .unwrap_or(0);
-    let mut per_layer = vec![(0usize, 0usize); layer_count];
-    for r in merged.values() {
-        counts.record(&r.outcome);
-        if r.layer < per_layer.len() {
-            per_layer[r.layer].0 += 1;
-            if r.outcome == OutcomeKind::Sdc {
-                per_layer[r.layer].1 += 1;
-            }
-        }
-    }
+    let records: Vec<TrialRecord> = merged.into_values().collect();
+    let (counts, per_layer) = tally(&records);
     Ok(MergedCampaign {
         seed: identity.seed,
         trials: identity.trials,
         config_hash: identity.config_hash,
         shard_count: identity.shard_count,
-        records: merged.into_values().collect(),
+        records,
         counts,
         per_layer,
         missing_shards,
@@ -312,6 +297,7 @@ mod tests {
     use crate::campaign::GuardMode;
     use crate::journal::JournalWriter;
     use crate::location::{NeuronSelect, NeuronSite};
+    use crate::metrics::OutcomeKind;
 
     #[test]
     fn plans_are_contiguous_even_and_exhaustive() {

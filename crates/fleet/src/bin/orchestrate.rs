@@ -12,13 +12,17 @@
 //!
 //! Run with: `cargo run -p rustfi-fleet --bin orchestrate --release`
 //!
+//! Report: a complete fleet prints its merged outcome totals and the
+//! per-layer SDC/DUE table with 95% Wilson intervals, both counted from the
+//! shard journals, so the report is the same for any shard count.
+//!
 //! Observability: `--trace <out.json>` turns on fleet telemetry — each
 //! worker streams spans/events to a crash-safe sidecar next to its journal,
 //! keeps a `.flight` postmortem ring, and the orchestrator merges every
 //! sidecar (restarts included) into one clock-normalized Chrome trace at
-//! `out.json` (open in Perfetto), prints the per-layer SDC/DUE table with
-//! 95% Wilson intervals and latency quantiles, and with `--prom <out.prom>`
-//! also writes the aggregated Prometheus dump.
+//! `out.json` (open in Perfetto) and prints trial and fused-chunk latency
+//! quantiles; `--prom <out.prom>` also writes the aggregated Prometheus
+//! dump.
 //!
 //! Knobs (on top of the testbed's `RUSTFI_MODEL`/`RUSTFI_TRIALS`/
 //! `RUSTFI_SEED`/`RUSTFI_IMAGES`/`RUSTFI_FUSION`/`RUSTFI_THREADS`):
@@ -27,6 +31,7 @@
 //! `RUSTFI_HEARTBEAT_TIMEOUT_MS` (default 30000), `RUSTFI_POLL_MS`
 //! (default 50), `RUSTFI_FLEET_DEADLINE_MS` (optional wall-clock budget).
 
+use rustfi::report::per_layer_table;
 use rustfi::shard::plan_shards;
 use rustfi::ProgressRecorder;
 use rustfi_fleet::testbed::{env_usize, Testbed};
@@ -34,7 +39,7 @@ use rustfi_fleet::{
     orchestrate, run_shard_worker, run_shard_worker_observed, worker_env, FleetConfig, FleetReport,
     ENV_SHARD_ATTEMPT, ENV_SHARD_COUNT, ENV_SHARD_INDEX, ENV_SHARD_JOURNAL, ENV_SHARD_TELEMETRY,
 };
-use rustfi_obs::CampaignStats;
+use rustfi_obs::latency_summary;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
@@ -104,6 +109,7 @@ fn main() {
                 m.counts.crash,
                 m.counts.hang
             );
+            print!("{}", per_layer_table(&m.per_layer, &m.counts));
         }
         Some(m) => {
             println!(
@@ -161,8 +167,8 @@ fn parse_args() -> (Option<PathBuf>, Option<PathBuf>) {
     (trace, prom)
 }
 
-/// Writes the merged Chrome trace / Prometheus dump and prints the
-/// statistical campaign report from whatever telemetry the fleet harvested.
+/// Writes the merged Chrome trace / Prometheus dump and prints the latency
+/// summary from whatever telemetry the fleet harvested.
 fn render_telemetry(
     report: &FleetReport,
     trace_out: Option<&std::path::Path>,
@@ -193,12 +199,10 @@ fn render_telemetry(
     for (shard, path) in &report.flights {
         println!("flight postmortem (shard {shard}): {}", path.display());
     }
-    let mut stats = CampaignStats::default();
-    for lane in &telemetry.lanes {
-        stats.ingest_batch(&lane.batch);
-    }
-    print!("{}", stats.sdc_table());
-    print!("{}", stats.latency_summary());
+    print!(
+        "{}",
+        latency_summary(&telemetry.aggregated_snapshot().timings)
+    );
 }
 
 fn worker_main(w: &rustfi_fleet::WorkerEnv) {

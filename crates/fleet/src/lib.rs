@@ -593,11 +593,7 @@ where
                 last_reported = done;
                 let mut counts = OutcomeCounts::default();
                 for s in &shards {
-                    counts.masked += s.counts.masked;
-                    counts.sdc += s.counts.sdc;
-                    counts.due += s.counts.due;
-                    counts.crash += s.counts.crash;
-                    counts.hang += s.counts.hang;
+                    counts += s.counts;
                 }
                 pr.emit(&ProgressUpdate {
                     done,

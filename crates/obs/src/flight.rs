@@ -29,7 +29,7 @@ use crate::clock::now_ns;
 use crate::event::Event;
 use crate::json::{lines, parse_line, Value};
 use crate::recorder::{close_span, Recorder, SpanCtx, SpanRecord, SpanToken};
-use crate::sidecar::SidecarHeader;
+use crate::sidecar::{encode_span_into, SidecarHeader};
 
 /// Flight-file schema version (the `rustfi_flight` header field).
 pub const FLIGHT_VERSION: u64 = 1;
@@ -206,20 +206,7 @@ impl Recorder for FlightRecorder {
 
     fn span(&self, span: SpanRecord) {
         let mut payload = String::with_capacity(96);
-        payload.push_str("{\"span\":{\"name\":\"");
-        crate::event::escape_json_into(&span.name, &mut payload);
-        payload.push_str("\",\"kind\":\"");
-        crate::event::escape_json_into(span.kind, &mut payload);
-        let _ = write!(
-            payload,
-            "\",\"layer\":{},\"start_ns\":{},\"dur_ns\":{},\"tid\":{}}}}}",
-            span.layer
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "null".into()),
-            span.start_ns,
-            span.dur_ns,
-            span.tid
-        );
+        encode_span_into(&mut payload, &span);
         self.push_payload(payload);
     }
 

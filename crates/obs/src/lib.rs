@@ -30,6 +30,12 @@
 //!   [`LocalRecorder`] and merge into a shared [`TraceRecorder`] at trial
 //!   boundaries via a lock-free batch stack, so observation never serializes
 //!   the workers and never perturbs thread-count invariance.
+//! - **One home per statistic.** Every duration summary — a snapshot's
+//!   timings, the fleet merge, the Prometheus exporter, the
+//!   [`latency_summary`] — is a fixed-memory [`StreamingHistogram`].
+//!   Outcome tallies are not re-counted from the event stream here: they
+//!   come from trial records (`rustfi::metrics`), whose reports take their
+//!   intervals from [`wilson_interval`].
 //!
 //! ```
 //! use rustfi_obs::{Recorder, SpanCtx, TraceRecorder};
@@ -74,12 +80,6 @@ pub use recorder::{
 pub use sidecar::{
     flight_path, read_sidecar, sidecar_path, SidecarHeader, SidecarRead, SidecarRecorder,
 };
-pub use stats::{
-    wilson_interval, CampaignStats, OutcomeCounts, StatsRecorder, StreamingHistogram, Z_95, Z_99,
-};
+pub use stats::{latency_summary, wilson_interval, StreamingHistogram, Z_95, Z_99};
 pub use timing::{mean_seconds, time, Stopwatch};
-pub use trace::{LayerTimeRow, ObsSnapshot, TimingStat, TraceRecorder};
-
-/// Name the satellite tasks use: the memory-collecting recorder whose
-/// flagship export is the Chrome trace.
-pub type ChromeTraceRecorder = TraceRecorder;
+pub use trace::{LayerTimeRow, ObsSnapshot, TraceRecorder};

@@ -100,7 +100,7 @@ mod tests {
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.counters.get("fi.injections"), Some(&1));
-        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count, 1);
+        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count(), 1);
 
         // Buffer is now empty: a second flush merges nothing.
         local.flush_into(&shared);

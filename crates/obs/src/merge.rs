@@ -132,8 +132,8 @@ impl MergedTelemetry {
 
     /// One aggregated snapshot across every lane: counters summed, timing
     /// histograms folded, spans rebased onto the fleet timeline, events
-    /// concatenated in lane order. This is what the fleet-level stats and
-    /// Prometheus dump consume.
+    /// concatenated in lane order. The fleet's latency summary reads its
+    /// timings.
     pub fn aggregated_snapshot(&self) -> ObsSnapshot {
         let epoch = self.fleet_epoch_unix_ns();
         let mut snap = ObsSnapshot::default();
@@ -144,29 +144,16 @@ impl MergedTelemetry {
                 snap.spans.push(span);
             }
             snap.events.extend(lane.batch.events.iter().cloned());
-            for (name, delta) in &lane.batch.counters {
-                *snap.counters.entry(name).or_insert(0) += delta;
-            }
-            for (name, ns) in &lane.batch.timings {
-                snap.timings.entry(name).or_default().observe(*ns);
-            }
+            snap.add_totals(&lane.batch);
         }
         snap
     }
 
-    /// Per-lane snapshots (un-rebased), for labeled Prometheus export.
+    /// One lane's counter totals and timing histograms, for labeled
+    /// Prometheus export (which renders nothing else).
     fn lane_snapshot(lane: &ShardLane) -> ObsSnapshot {
-        let mut snap = ObsSnapshot {
-            spans: lane.batch.spans.clone(),
-            events: lane.batch.events.clone(),
-            ..ObsSnapshot::default()
-        };
-        for (name, delta) in &lane.batch.counters {
-            *snap.counters.entry(name).or_insert(0) += delta;
-        }
-        for (name, ns) in &lane.batch.timings {
-            snap.timings.entry(name).or_default().observe(*ns);
-        }
+        let mut snap = ObsSnapshot::default();
+        snap.add_totals(&lane.batch);
         snap
     }
 
@@ -389,7 +376,7 @@ mod tests {
 
         let snap = merged.aggregated_snapshot();
         assert_eq!(snap.counters.get("fi.injections"), Some(&2));
-        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count, 1);
+        assert_eq!(snap.timings.get("campaign.trial_ns").unwrap().count(), 1);
         assert_eq!(snap.events.len(), 1);
         // Fleet epoch = shard 0's anchor (wall 1000ms, local 500ns →
         // epoch = 1000ms·1e6 − 500). Shard 0's span at local 500 lands at 500.

@@ -57,21 +57,21 @@ pub fn prometheus_text_labeled(snapshots: &[(&ObsSnapshot, &[(&str, &str)])]) ->
         for (snap, labels) in snapshots {
             if let Some(stat) = snap.timings.get(name) {
                 let ls = label_set(labels);
-                let _ = writeln!(out, "rustfi_{metric}_seconds_count{ls} {}", stat.count);
+                let _ = writeln!(out, "rustfi_{metric}_seconds_count{ls} {}", stat.count());
                 let _ = writeln!(
                     out,
                     "rustfi_{metric}_seconds_sum{ls} {}",
-                    seconds(stat.total_ns)
+                    seconds(stat.sum())
                 );
                 let _ = writeln!(
                     out,
                     "rustfi_{metric}_seconds_min{ls} {}",
-                    seconds(stat.min_ns)
+                    seconds(stat.min())
                 );
                 let _ = writeln!(
                     out,
                     "rustfi_{metric}_seconds_max{ls} {}",
-                    seconds(stat.max_ns)
+                    seconds(stat.max())
                 );
             }
         }
@@ -152,14 +152,14 @@ fn seconds(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TimingStat;
+    use crate::stats::StreamingHistogram;
     use std::collections::BTreeMap;
 
     #[test]
     fn renders_counters_and_summaries() {
         let mut snap = ObsSnapshot::default();
         snap.counters.insert("fi.injections", 42);
-        let mut stat = TimingStat::default();
+        let mut stat = StreamingHistogram::default();
         stat.observe(1_500_000_000);
         stat.observe(500_000_000);
         snap.timings.insert("campaign.trial_ns", stat);
@@ -261,7 +261,7 @@ mod tests {
         a.counters.insert("fi.injections", 7);
         let mut b = ObsSnapshot::default();
         b.counters.insert("fi.injections", 5);
-        let mut stat = TimingStat::default();
+        let mut stat = StreamingHistogram::default();
         stat.observe(250_000_000);
         b.timings.insert("campaign.trial_ns", stat);
 

@@ -313,7 +313,7 @@ mod tests {
             assert_eq!(snap.spans.len(), 1);
             assert_eq!(snap.spans[0].name, "conv1");
             assert_eq!(snap.counters.get("c"), Some(&5));
-            assert_eq!(snap.timings.get("h").map(|t| t.count), Some(1));
+            assert_eq!(snap.timings.get("h").map(|t| t.count()), Some(1));
         }
     }
 

@@ -196,7 +196,9 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-fn encode_span_into(out: &mut String, span: &SpanRecord) {
+/// Appends `span` as one `{"span":{…}}` object (no newline): the encoding
+/// sidecar lines and flight-ring items share.
+pub(crate) fn encode_span_into(out: &mut String, span: &SpanRecord) {
     out.push_str("{\"span\":{\"name\":\"");
     escape_json_into(&span.name, out);
     out.push_str("\",\"kind\":\"");
@@ -208,7 +210,7 @@ fn encode_span_into(out: &mut String, span: &SpanRecord) {
         }
         None => out.push_str("null"),
     }
-    let _ = writeln!(
+    let _ = write!(
         out,
         ",\"start_ns\":{},\"dur_ns\":{},\"tid\":{}}}}}",
         span.start_ns, span.dur_ns, span.tid
@@ -245,6 +247,7 @@ impl Recorder for SidecarRecorder {
     fn span(&self, span: SpanRecord) {
         let mut line = String::with_capacity(128);
         encode_span_into(&mut line, &span);
+        line.push('\n');
         self.write_chunk(&line);
     }
 
@@ -278,6 +281,7 @@ impl Recorder for SidecarRecorder {
         );
         for span in &batch.spans {
             encode_span_into(&mut chunk, span);
+            chunk.push('\n');
         }
         for event in &batch.events {
             encode_event_into(&mut chunk, event);
@@ -457,6 +461,39 @@ mod tests {
             read.batch.timings,
             vec![("campaign.trial_ns", 123_456), ("campaign.trial_ns", 999)]
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sidecars_and_flight_rings_read_a_span_back_alike() {
+        let dir = tmpdir("span_encoding");
+        let span = SpanRecord {
+            name: "odd \"name\"\nsecond line".into(),
+            kind: "conv",
+            layer: None,
+            start_ns: 42,
+            dur_ns: 7,
+            tid: 3,
+        };
+        let sidecar = dir.join("s.telemetry.jsonl");
+        let rec = SidecarRecorder::create(&sidecar, 0, 1, 0).unwrap();
+        rec.span(span.clone());
+        drop(rec);
+        assert_eq!(
+            read_sidecar(&sidecar).unwrap().batch.spans,
+            vec![span.clone()]
+        );
+
+        let ring = dir.join("s.flight");
+        let flight = crate::flight::FlightRecorder::new(4).with_path(&ring, None);
+        flight.span(span.clone());
+        flight.flush();
+        let entries = crate::flight::read_flight(&ring).unwrap().entries;
+        assert_eq!(entries.len(), 1);
+        match decode_line(&entries[0].2) {
+            Some(Line::Span(read)) => assert_eq!(read, span),
+            _ => panic!("flight item is not a span: {:?}", entries[0].2),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,29 +1,26 @@
-//! Streaming campaign statistics: per-layer and overall SDC/DUE rates with
-//! Wilson score intervals, and latency quantiles — all computed without
-//! storing per-record data.
+//! Campaign statistics that are not tallies: the Wilson score interval
+//! every published rate carries, and the fixed-memory histogram every
+//! duration summary uses.
 //!
-//! The paper reports point-estimate SDC rates; TensorFI-style practice adds
-//! statistical confidence, which matters exactly when rates are small (the
-//! paper's headline is "<1% SDC for single INT8 flips" — a claim that is
-//! meaningless without an interval at realistic trial counts). The Wilson
-//! score interval behaves well at small `n` and extreme `p`, unlike the
-//! normal approximation.
+//! Outcome tallies are not kept here. They are counted from trial records
+//! by `rustfi::metrics` (in process and after a journal merge alike) and
+//! rendered by `rustfi::report`, every rate with its [`wilson_interval`]:
+//! the paper reports point-estimate SDC rates, and its headline ("<1% SDC
+//! for single INT8 flips") means little without an interval at realistic
+//! trial counts. The Wilson score interval behaves well at small `n` and extreme
+//! `p`, unlike the normal approximation.
 //!
-//! Latency quantiles come from a fixed-size **log-linear histogram** (values
-//! below 16 exact, then 16 sub-buckets per octave): ~8 KB of memory, ≤ ~6%
-//! relative error at any quantile, no per-observation storage. This is what
-//! lets the fleet's merged report quote p50/p90/p99 trial latency over
-//! millions of trials from counters alone.
+//! Durations fold into a **log-linear histogram** (values below 16 exact,
+//! then 16 sub-buckets per octave): ~8 KB of memory, ≤ ~6% relative error
+//! at any quantile, exact count, sum, min and max, and no per-observation
+//! storage. Every recorder snapshot, the fleet telemetry merge and the
+//! Prometheus exporter hold these, so [`latency_summary`] can quote
+//! p50/p90/p99 trial latency over millions of trials from counters alone.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use parking_lot::Mutex;
-
-use crate::event::Event;
 use crate::names::{CAMPAIGN_FUSED_CHUNK_NS, CAMPAIGN_TRIAL_NS};
-use crate::recorder::{ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken};
-use crate::trace::ObsSnapshot;
 
 /// The two-sided Wilson score interval for a binomial proportion:
 /// `hits` successes in `n` trials at critical value `z` (1.96 ≈ 95%).
@@ -134,6 +131,20 @@ impl StreamingHistogram {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
+    /// Smallest observation (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest observation (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
     /// The `q`-quantile (`0.0 ..= 1.0`): exact at the extremes (tracked
     /// min/max), bucket-midpoint accurate (≤ ~6% relative error) elsewhere.
     /// Returns 0 when empty.
@@ -173,191 +184,30 @@ impl StreamingHistogram {
     }
 }
 
-/// Outcome tallies for one layer (or the whole campaign).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeCounts {
-    /// Trials whose output matched the golden run.
-    pub masked: u64,
-    /// Silent data corruptions (top-1 changed).
-    pub sdc: u64,
-    /// Detected uncorrectable errors (guard fired).
-    pub due: u64,
-    /// Trials that panicked.
-    pub crash: u64,
-    /// Trials that tripped the step watchdog.
-    pub hang: u64,
-    /// Unknown labels (foreign telemetry).
-    pub unknown: u64,
-}
-
-impl OutcomeCounts {
-    /// Total trials observed.
-    pub fn total(&self) -> u64 {
-        self.masked + self.sdc + self.due + self.crash + self.hang + self.unknown
-    }
-
-    fn add(&mut self, outcome: &str) {
-        match outcome {
-            "masked" => self.masked += 1,
-            "sdc" => self.sdc += 1,
-            "due" => self.due += 1,
-            "crash" => self.crash += 1,
-            "hang" => self.hang += 1,
-            _ => self.unknown += 1,
-        }
-    }
-}
-
-/// Streaming statistics over a campaign's event/timing stream: per-layer and
-/// overall outcome tallies plus latency histograms. Fixed memory — nothing
-/// here grows with trial count.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignStats {
-    /// Outcome tallies by injectable layer index.
-    pub per_layer: BTreeMap<usize, OutcomeCounts>,
-    /// Whole-campaign outcome tallies.
-    pub overall: OutcomeCounts,
-    /// Per-trial latency (the `campaign.trial_ns` stream).
-    pub trial_ns: StreamingHistogram,
-    /// Per-fused-chunk latency (the `campaign.fused_chunk_ns` stream).
-    pub fused_chunk_ns: StreamingHistogram,
-}
-
-impl CampaignStats {
-    /// Consumes one event (only trial outcomes carry statistics).
-    pub fn ingest_event(&mut self, event: &Event) {
-        if let Event::TrialOutcome(e) = event {
-            // A crash before fault planning reports layer usize::MAX;
-            // keep it out of the per-layer table but in the overall row.
-            self.overall.add(e.outcome);
-            if e.layer != usize::MAX {
-                self.per_layer.entry(e.layer).or_default().add(e.outcome);
-            }
-        }
-    }
-
-    /// Consumes one timing observation.
-    pub fn ingest_timing(&mut self, name: &str, ns: u64) {
-        if name == CAMPAIGN_TRIAL_NS {
-            self.trial_ns.observe(ns);
-        } else if name == CAMPAIGN_FUSED_CHUNK_NS {
-            self.fused_chunk_ns.observe(ns);
-        }
-    }
-
-    /// Builds stats from an already-collected snapshot. Timing histograms
-    /// are approximated from the snapshot's [`TimingStat`] summaries when
-    /// raw observations are gone; prefer feeding a [`StatsRecorder`] live
-    /// or ingesting a raw [`ObsBatch`].
-    ///
-    /// [`TimingStat`]: crate::TimingStat
-    pub fn from_events(events: &[Event]) -> CampaignStats {
-        let mut stats = CampaignStats::default();
-        for e in events {
-            stats.ingest_event(e);
-        }
-        stats
-    }
-
-    /// Ingests a raw batch (events + timing observations), e.g. a merged
-    /// sidecar lane.
-    pub fn ingest_batch(&mut self, batch: &ObsBatch) {
-        for e in &batch.events {
-            self.ingest_event(e);
-        }
-        for (name, ns) in &batch.timings {
-            self.ingest_timing(name, *ns);
-        }
-    }
-
-    /// Ingests an aggregated snapshot (events plus raw-span-derived
-    /// timings are already folded; only events remain to consume).
-    pub fn ingest_snapshot_events(&mut self, snap: &ObsSnapshot) {
-        for e in &snap.events {
-            self.ingest_event(e);
-        }
-    }
-
-    /// Folds another stats object into this one.
-    pub fn merge_from(&mut self, other: &CampaignStats) {
-        for (layer, counts) in &other.per_layer {
-            let row = self.per_layer.entry(*layer).or_default();
-            row.masked += counts.masked;
-            row.sdc += counts.sdc;
-            row.due += counts.due;
-            row.crash += counts.crash;
-            row.hang += counts.hang;
-            row.unknown += counts.unknown;
-        }
-        let o = &other.overall;
-        self.overall.masked += o.masked;
-        self.overall.sdc += o.sdc;
-        self.overall.due += o.due;
-        self.overall.crash += o.crash;
-        self.overall.hang += o.hang;
-        self.overall.unknown += o.unknown;
-        self.trial_ns.merge_from(&other.trial_ns);
-        self.fused_chunk_ns.merge_from(&other.fused_chunk_ns);
-    }
-
-    /// Renders the per-layer SDC/DUE table with 95% Wilson intervals.
-    pub fn sdc_table(&self) -> String {
-        let mut out = String::new();
+/// The latency summary of a snapshot's timings: one line each for the
+/// trial and fused-chunk streams (`n`, mean, p50, p90, p99, max); empty
+/// when neither stream was observed.
+pub fn latency_summary(timings: &BTreeMap<&'static str, StreamingHistogram>) -> String {
+    let mut out = String::new();
+    for (label, name) in [
+        ("trial", CAMPAIGN_TRIAL_NS),
+        ("fused chunk", CAMPAIGN_FUSED_CHUNK_NS),
+    ] {
+        let Some(hist) = timings.get(name).filter(|h| h.count() > 0) else {
+            continue;
+        };
         let _ = writeln!(
             out,
-            "{:>5} {:>8} {:>22} {:>22} {:>6} {:>6}",
-            "layer", "trials", "sdc% [95% CI]", "due% [95% CI]", "crash", "hang"
+            "{label:>12} latency: n={} mean={} p50={} p90={} p99={} max={}",
+            hist.count(),
+            fmt_ns(hist.mean()),
+            fmt_ns(hist.quantile(0.50)),
+            fmt_ns(hist.quantile(0.90)),
+            fmt_ns(hist.quantile(0.99)),
+            fmt_ns(hist.max())
         );
-        for (layer, counts) in &self.per_layer {
-            let _ = writeln!(out, "{:>5} {}", layer, rate_row(counts));
-        }
-        let _ = writeln!(out, "{:>5} {}", "all", rate_row(&self.overall));
-        out
     }
-
-    /// Renders the latency-quantile summary (empty string when no timing
-    /// stream was observed).
-    pub fn latency_summary(&self) -> String {
-        let mut out = String::new();
-        for (label, hist) in [
-            ("trial", &self.trial_ns),
-            ("fused chunk", &self.fused_chunk_ns),
-        ] {
-            if hist.count() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{label:>12} latency: n={} mean={} p50={} p90={} p99={} max={}",
-                hist.count(),
-                fmt_ns(hist.mean()),
-                fmt_ns(hist.quantile(0.50)),
-                fmt_ns(hist.quantile(0.90)),
-                fmt_ns(hist.quantile(0.99)),
-                fmt_ns(hist.max)
-            );
-        }
-        out
-    }
-}
-
-fn rate_row(c: &OutcomeCounts) -> String {
-    let n = c.total();
-    format!(
-        "{:>8} {:>22} {:>22} {:>6} {:>6}",
-        n,
-        rate_ci(c.sdc, n),
-        rate_ci(c.due, n),
-        c.crash,
-        c.hang
-    )
-}
-
-/// `"x.xx% [lo.xx, hi.xx]"` with a 95% Wilson interval.
-fn rate_ci(hits: u64, n: u64) -> String {
-    let (lo, hi) = wilson_interval(hits, n, Z_95);
-    let p = if n == 0 { 0.0 } else { hits as f64 / n as f64 };
-    format!("{:.2}% [{:.2}, {:.2}]", p * 100.0, lo * 100.0, hi * 100.0)
+    out
 }
 
 /// Human nanoseconds: `950ns`, `12.3µs`, `4.56ms`, `1.23s`.
@@ -370,54 +220,9 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// A [`Recorder`] that folds the event/timing stream straight into
-/// [`CampaignStats`] — fixed memory, suitable for fanning alongside a
-/// sidecar or trace recorder in arbitrarily long campaigns.
-#[derive(Default)]
-pub struct StatsRecorder {
-    stats: Mutex<CampaignStats>,
-}
-
-impl StatsRecorder {
-    /// An empty stats recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Owned copy of the accumulated statistics.
-    pub fn snapshot(&self) -> CampaignStats {
-        self.stats.lock().clone()
-    }
-}
-
-impl Recorder for StatsRecorder {
-    fn layer_enter(&self) -> SpanToken {
-        0
-    }
-
-    fn layer_exit(&self, _ctx: &SpanCtx<'_>, _token: SpanToken) {}
-
-    fn span(&self, _span: SpanRecord) {}
-
-    fn event(&self, event: Event) {
-        self.stats.lock().ingest_event(&event);
-    }
-
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-
-    fn observe_ns(&self, name: &'static str, ns: u64) {
-        self.stats.lock().ingest_timing(name, ns);
-    }
-
-    fn merge(&self, batch: ObsBatch) {
-        self.stats.lock().ingest_batch(&batch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TrialOutcomeEvent;
 
     #[test]
     fn wilson_matches_known_values() {
@@ -496,44 +301,22 @@ mod tests {
         }
     }
 
-    fn outcome(trial: usize, layer: usize, outcome: &'static str) -> Event {
-        Event::TrialOutcome(TrialOutcomeEvent {
-            trial,
-            layer,
-            outcome,
-            due_layer: None,
-        })
-    }
-
     #[test]
-    fn stats_recorder_accumulates_rates_and_latency() {
-        let rec = StatsRecorder::new();
-        for t in 0..80 {
-            rec.event(outcome(
-                t,
-                t % 2,
-                if t % 10 == 0 { "sdc" } else { "masked" },
-            ));
-            rec.observe_ns(CAMPAIGN_TRIAL_NS, 1_000 + t as u64);
+    fn latency_summary_reads_the_campaign_streams_only() {
+        let mut timings = BTreeMap::new();
+        let mut trial = StreamingHistogram::default();
+        for t in 0..80u64 {
+            trial.observe(1_000 + t);
         }
-        rec.event(outcome(80, usize::MAX, "crash"));
-        rec.observe_ns("some.other.timing", 5);
+        timings.insert(CAMPAIGN_TRIAL_NS, trial);
+        let mut other = StreamingHistogram::default();
+        other.observe(5);
+        timings.insert("some.other.timing", other);
 
-        let stats = rec.snapshot();
-        assert_eq!(stats.overall.total(), 81);
-        assert_eq!(stats.overall.sdc, 8);
-        assert_eq!(stats.overall.crash, 1);
-        assert_eq!(stats.per_layer.len(), 2, "usize::MAX layer excluded");
-        assert_eq!(
-            stats.per_layer[&0].total() + stats.per_layer[&1].total(),
-            80
-        );
-        assert_eq!(stats.trial_ns.count(), 80);
-
-        let table = stats.sdc_table();
-        assert!(table.contains("sdc% [95% CI]"), "{table}");
-        assert!(table.lines().count() >= 4, "{table}");
-        let latency = stats.latency_summary();
-        assert!(latency.contains("p99"), "{latency}");
+        let latency = latency_summary(&timings);
+        assert_eq!(latency.lines().count(), 1, "{latency}");
+        assert!(latency.contains("trial latency: n=80 "), "{latency}");
+        assert!(latency.contains("max=1.1µs"), "{latency}");
+        assert!(latency_summary(&BTreeMap::new()).is_empty());
     }
 }

@@ -18,43 +18,11 @@ use parking_lot::Mutex;
 
 use crate::event::Event;
 use crate::recorder::{close_span, ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken};
+use crate::stats::StreamingHistogram;
 
 /// Default cap on retained spans (~1M); past it, spans are counted but
 /// dropped so an unbounded campaign cannot exhaust memory.
 pub const DEFAULT_MAX_SPANS: usize = 1 << 20;
-
-/// Count / total / min / max summary of a duration histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimingStat {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations, nanoseconds.
-    pub total_ns: u64,
-    /// Smallest observation, nanoseconds.
-    pub min_ns: u64,
-    /// Largest observation, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl TimingStat {
-    /// Folds in one observation.
-    pub fn observe(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
 
 /// Aggregated per-layer wall time, derived from spans carrying a layer index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +56,7 @@ pub struct ObsSnapshot {
     /// Counter totals by name.
     pub counters: BTreeMap<&'static str, u64>,
     /// Duration histograms by name.
-    pub timings: BTreeMap<&'static str, TimingStat>,
+    pub timings: BTreeMap<&'static str, StreamingHistogram>,
     /// Spans discarded because the retention cap was hit.
     pub dropped_spans: u64,
 }
@@ -112,20 +80,21 @@ impl ObsSnapshot {
         }
         by_layer.into_values().collect()
     }
-}
 
-/// Internal mutexed aggregate.
-#[derive(Default)]
-struct State {
-    spans: Vec<SpanRecord>,
-    events: Vec<Event>,
-    counters: BTreeMap<&'static str, u64>,
-    timings: BTreeMap<&'static str, TimingStat>,
-    dropped_spans: u64,
-}
+    /// Adds a batch's counter deltas and folds its timing observations
+    /// into the duration histograms.
+    pub(crate) fn add_totals(&mut self, batch: &ObsBatch) {
+        for (name, delta) in &batch.counters {
+            *self.counters.entry(name).or_insert(0) += delta;
+        }
+        for (name, ns) in &batch.timings {
+            self.timings.entry(name).or_default().observe(*ns);
+        }
+    }
 
-impl State {
+    /// Folds a whole batch in, retaining spans up to `max_spans`.
     fn absorb(&mut self, batch: ObsBatch, max_spans: usize) {
+        self.add_totals(&batch);
         for span in batch.spans {
             if self.spans.len() < max_spans {
                 self.spans.push(span);
@@ -134,12 +103,6 @@ impl State {
             }
         }
         self.events.extend(batch.events);
-        for (name, delta) in batch.counters {
-            *self.counters.entry(name).or_insert(0) += delta;
-        }
-        for (name, ns) in batch.timings {
-            self.timings.entry(name).or_default().observe(ns);
-        }
     }
 }
 
@@ -151,7 +114,7 @@ struct Node {
 /// In-memory collecting [`Recorder`] with lock-free batch merging and
 /// exporters for Chrome `trace_event` JSON, JSONL, and Prometheus text.
 pub struct TraceRecorder {
-    state: Mutex<State>,
+    state: Mutex<ObsSnapshot>,
     /// Treiber stack of merged-but-not-yet-absorbed batches.
     pending: AtomicPtr<Node>,
     max_spans: usize,
@@ -173,7 +136,7 @@ impl TraceRecorder {
     /// counted in [`ObsSnapshot::dropped_spans`] and discarded).
     pub fn with_max_spans(max_spans: usize) -> Self {
         TraceRecorder {
-            state: Mutex::new(State::default()),
+            state: Mutex::new(ObsSnapshot::default()),
             pending: AtomicPtr::new(ptr::null_mut()),
             max_spans,
         }
@@ -181,7 +144,7 @@ impl TraceRecorder {
 
     /// Pops the whole pending stack and folds it into `state`, restoring
     /// merge order (the stack is LIFO).
-    fn drain_pending(&self, state: &mut State) {
+    fn drain_pending(&self, state: &mut ObsSnapshot) {
         let mut head = self.pending.swap(ptr::null_mut(), Ordering::AcqRel);
         let mut batches = Vec::new();
         while !head.is_null() {
@@ -201,13 +164,7 @@ impl TraceRecorder {
     pub fn snapshot(&self) -> ObsSnapshot {
         let mut state = self.state.lock();
         self.drain_pending(&mut state);
-        ObsSnapshot {
-            spans: state.spans.clone(),
-            events: state.events.clone(),
-            counters: state.counters.clone(),
-            timings: state.timings.clone(),
-            dropped_spans: state.dropped_spans,
-        }
+        state.clone()
     }
 
     /// Chrome `trace_event` JSON of the current snapshot (Perfetto-loadable).
@@ -347,8 +304,8 @@ mod tests {
         assert_eq!(snap.spans[0].name, "conv1");
         assert_eq!(snap.counters.get("c"), Some(&5));
         let t = snap.timings.get("t").unwrap();
-        assert_eq!((t.count, t.total_ns, t.min_ns, t.max_ns), (2, 30, 10, 20));
-        assert_eq!(t.mean_ns(), 15);
+        assert_eq!((t.count(), t.sum(), t.min(), t.max()), (2, 30, 10, 20));
+        assert_eq!(t.mean(), 15);
         assert_eq!(snap.events.len(), 1);
     }
 

@@ -5,11 +5,10 @@
 //!
 //! Run with: `cargo run --example resiliency_campaign --release`
 
-use rustfi::{models, Campaign, CampaignConfig, FaultMode, GuardMode, NeuronSelect};
+use rustfi::{models, report, Campaign, CampaignConfig, FaultMode, GuardMode, NeuronSelect};
 use rustfi_data::SynthSpec;
 use rustfi_nn::train::{accuracy, fit, TrainConfig};
 use rustfi_nn::{checkpoint, zoo, ZooConfig};
-use rustfi_obs::{wilson_interval, Z_99};
 use std::sync::Arc;
 
 fn main() {
@@ -74,34 +73,9 @@ fn main() {
         )
         .expect("campaign runs to completion");
 
-    println!(
-        "eligible images: {} | outcomes: {} masked, {} SDC, {} DUE, {} crash, {} hang",
-        result.eligible_images,
-        result.counts.masked,
-        result.counts.sdc,
-        result.counts.due,
-        result.counts.crash,
-        result.counts.hang
-    );
-    let c = &result.counts;
-    let (lo, hi) = wilson_interval(c.sdc as u64, c.total() as u64, Z_99);
-    println!(
-        "SDC rate: {:.3}% (99% Wilson CI [{:.3}%, {:.3}%]), mean confidence delta {:+.4}",
-        100.0 * result.sdc_rate(),
-        100.0 * lo,
-        100.0 * hi,
-        result.mean_confidence_delta()
-    );
-    println!("\nper-layer vulnerability (trials / SDCs / rate):");
-    for (layer, &(t, s)) in result.per_layer.iter().enumerate() {
-        if t == 0 {
-            continue;
-        }
-        println!(
-            "  layer {layer:>2}: {t:>5} trials, {s:>4} SDCs, {:>6.2}%",
-            100.0 * s as f64 / t as f64
-        );
-    }
+    // Outcome totals, the SDC rate with its 99% Wilson interval, and the
+    // per-layer SDC/DUE table with 95% Wilson intervals.
+    print!("{}", report::summarize(&result));
     std::fs::remove_file(&ckpt).ok();
     std::fs::remove_file(&journal).ok();
 }

@@ -650,8 +650,8 @@ proptest! {
     /// invariance: for any generated architecture and execution strategy,
     /// splitting a campaign into 1, 2, 3, or 5 shards — each run
     /// independently through its own journal, as fleet worker processes
-    /// would — and merging the shard journals yields records and counts
-    /// identical to the unsharded run.
+    /// would — and merging the shard journals yields records, counts and
+    /// per-layer tallies identical to the unsharded run.
     #[test]
     fn shard_invariance(case in fuzz::cases()) {
         let fx = CaseFixture::new(&case).unwrap();
@@ -685,6 +685,7 @@ proptest! {
             prop_assert!(merged.is_complete(), "{count} shards left gaps");
             prop_assert_eq!(&merged.records, &reference.records, "{} shards", count);
             prop_assert_eq!(merged.counts, reference.counts);
+            prop_assert_eq!(&merged.per_layer, &reference.per_layer, "{} shards", count);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -741,6 +742,7 @@ proptest! {
         prop_assert!(merged.is_complete());
         prop_assert_eq!(&merged.records, &serial.records);
         prop_assert_eq!(merged.counts, serial.counts);
+        prop_assert_eq!(&merged.per_layer, &serial.per_layer);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
