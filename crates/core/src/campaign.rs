@@ -773,7 +773,7 @@ impl<'a> Campaign<'a> {
         let golden_cell: Mutex<Option<FaultInjector>> = Mutex::new(Some(golden));
         if eligible.is_empty() {
             // Durability point even for degenerate runs: streaming recorders
-            // (telemetry sidecars, flight rings) get their flush hook.
+            // (telemetry sidecars) get their flush hook.
             if let Some(rec) = &cfg.recorder {
                 rec.flush();
             }
@@ -893,8 +893,8 @@ impl<'a> Campaign<'a> {
         let (counts, per_layer) = tally(&all_records);
         // Durability point: every worker has flushed its LocalRecorder into
         // the shared recorder by now; ask the recorder to push buffered
-        // state to its backing store (telemetry sidecar, flight postmortem)
-        // before the result is reported. In-memory recorders no-op.
+        // state to its backing store (a telemetry sidecar) before the result
+        // is reported. In-memory recorders no-op.
         if let Some(rec) = &cfg.recorder {
             rec.flush();
         }

@@ -4,7 +4,10 @@
 //! have to rerun completed trials. [`JournalWriter`] appends one JSON object
 //! per finished [`TrialRecord`] — written and flushed line-atomically, so a
 //! kill can at worst lose the line being written — and [`read_journal`]
-//! replays a journal, tolerating a truncated final line.
+//! replays a journal, tolerating a truncated final line. A watcher that
+//! follows a journal while a worker appends to it (the fleet orchestrator)
+//! keeps a [`JournalTail`], which reads only the bytes appended since its
+//! last read.
 //!
 //! Because every trial's randomness derives only from `(campaign seed, trial
 //! index)`, a resumed campaign that runs just the missing trials produces
@@ -35,11 +38,11 @@
 use crate::campaign::TrialRecord;
 use crate::error::FiError;
 use crate::location::NeuronSite;
-use crate::metrics::OutcomeKind;
+use crate::metrics::{OutcomeCounts, OutcomeKind};
 use rustfi_obs::json::{self, Value};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Journal format version this build writes and accepts.
@@ -255,6 +258,69 @@ fn read_journal_inner(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>, u
     Ok((header, records, valid_len))
 }
 
+/// Follows a journal that another process is appending to, reading each
+/// byte once: [`JournalTail::read_new`] parses only what lies past the last
+/// complete line it consumed and keeps running totals, so watching a growing
+/// journal costs time linear in its size rather than in size × reads.
+///
+/// Lines are classified as [`read_journal`] classifies them. A final line
+/// without its newline waits for the next read. A complete line that does
+/// not parse stops the read in front of it and is returned as the error
+/// [`read_journal`] reports for it; the totals keep every record before it.
+/// The file must only grow, as a journal does: a resume truncates nothing
+/// but a torn tail, which the tail never consumes.
+#[derive(Debug, Default)]
+pub struct JournalTail {
+    /// Bytes consumed: the offset just past the last complete line read.
+    offset: u64,
+    /// Complete lines consumed, the header included.
+    lines: usize,
+    records: usize,
+    counts: OutcomeCounts,
+}
+
+impl JournalTail {
+    /// Reads the lines appended to `path` since the last call.
+    pub fn read_new(&mut self, path: &Path) -> Result<(), FiError> {
+        let io = |e| FiError::io(format!("reading journal {}", path.display()), e);
+        let mut file = File::open(path).map_err(io)?;
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(self.offset))
+            .and_then(|_| file.read_to_end(&mut bytes))
+            .map_err(io)?;
+        for (line, complete) in json::lines(&bytes) {
+            if !complete {
+                break;
+            }
+            if self.lines == 0 {
+                parse_header(line)?;
+            } else {
+                let parsed = parse_journal_line(line).map_err(|detail| FiError::Journal {
+                    line: self.lines + 1,
+                    detail,
+                })?;
+                if let JournalLine::Record(r) = parsed {
+                    self.records += 1;
+                    self.counts.record(&r.outcome);
+                }
+            }
+            self.lines += 1;
+            self.offset += line.len() as u64 + 1;
+        }
+        Ok(())
+    }
+
+    /// Trial records read so far.
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// Their outcome tally.
+    pub fn counts(&self) -> OutcomeCounts {
+        self.counts
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------------
@@ -286,7 +352,7 @@ fn record_to_json(r: &TrialRecord) -> String {
     let _ = write!(s, ",\"outcome\":\"{}\"", r.outcome.label());
     if let OutcomeKind::Crash { detail } = &r.outcome {
         s.push_str(",\"detail\":\"");
-        escape_json_into(detail, &mut s);
+        json::escape_into(detail, &mut s);
         s.push('"');
     }
     s.push_str(",\"due_layer\":");
@@ -309,22 +375,6 @@ fn record_to_json(r: &TrialRecord) -> String {
         r.top5_miss
     );
     s
-}
-
-fn escape_json_into(raw: &str, out: &mut String) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -715,6 +765,92 @@ mod tests {
         std::fs::write(&path, &whole).unwrap();
         let (_, rs) = read_journal(&path).unwrap();
         assert_eq!(rs, [records[0].clone(), crash]);
+    }
+
+    fn append_raw(path: &Path, bytes: &str) {
+        OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(bytes.as_bytes()))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_tail_counts_what_read_journal_counts_reading_only_new_bytes() {
+        let path = tmp("tail.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let records = sample_records();
+        let mut tail = JournalTail::default();
+        assert!(
+            matches!(tail.read_new(&path), Err(FiError::Io { .. })),
+            "no journal yet"
+        );
+        drop(JournalWriter::create(&path, JournalHeader::solo(7, 4, 1)).unwrap());
+        let line = |r: &TrialRecord| format!("{}\n", record_to_json(r));
+        let torn = line(&records[2]);
+        let (head, rest) = torn.split_at(torn.len() / 2);
+        // Records and heartbeats, then a torn tail that the next append
+        // completes: after each, the tail's totals are read_journal's.
+        let appends = [
+            String::new(),
+            line(&records[0]),
+            String::from("{\"heartbeat\":1}\n"),
+            head.to_string(),
+            format!("{rest}{}", line(&records[1])),
+            line(&records[3]),
+        ];
+        for (i, append) in appends.iter().enumerate() {
+            append_raw(&path, append);
+            tail.read_new(&path).unwrap();
+            let (_, rs) = read_journal(&path).unwrap();
+            let mut counts = OutcomeCounts::default();
+            for r in &rs {
+                counts.record(&r.outcome);
+            }
+            assert_eq!(
+                (tail.records(), tail.counts()),
+                (rs.len(), counts),
+                "append {i}"
+            );
+        }
+
+        // Bytes already consumed are never read again: scribble over them,
+        // and the tail still counts just the one record appended after.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let body = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        for b in &mut bytes[body..] {
+            if *b != b'\n' {
+                *b = b'#';
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        append_raw(&path, &line(&records[0]));
+        tail.read_new(&path).unwrap();
+        assert_eq!(tail.records(), records.len() + 1);
+        assert!(
+            read_journal(&path).is_err(),
+            "the scribbled lines are corrupt"
+        );
+    }
+
+    #[test]
+    fn a_tail_stops_in_front_of_a_corrupt_line() {
+        let path = tmp("tail-corrupt.jsonl");
+        let records = sample_records();
+        let mut w = JournalWriter::create(&path, JournalHeader::solo(8, 4, 0)).unwrap();
+        w.append(&records[0], &path).unwrap();
+        drop(w);
+        append_raw(
+            &path,
+            &format!("not json\n{}\n", record_to_json(&records[1])),
+        );
+        let mut tail = JournalTail::default();
+        for _ in 0..2 {
+            // The line stays in the way: each read stops at line 3 again.
+            let err = tail.read_new(&path).unwrap_err();
+            assert!(matches!(err, FiError::Journal { line: 3, .. }), "{err}");
+            assert_eq!(tail.records(), 1, "the record before it counts once");
+        }
     }
 
     #[test]

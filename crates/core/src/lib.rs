@@ -72,8 +72,8 @@ pub use config::FiConfig;
 pub use error::FiError;
 pub use injector::{FaultInjector, NeuronFault, QuantMode, WeightFault};
 pub use journal::{
-    append_heartbeat, read_journal, read_journal_repairing, JournalHeader, JournalWriter,
-    JOURNAL_VERSION,
+    append_heartbeat, read_journal, read_journal_repairing, JournalHeader, JournalTail,
+    JournalWriter, JOURNAL_VERSION,
 };
 pub use location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect, WeightSite};
 pub use metrics::{classify_outcome, OutcomeCounts, OutcomeKind};

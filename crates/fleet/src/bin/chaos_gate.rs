@@ -1,21 +1,23 @@
 //! CI chaos gate: proves the fleet's crash story end to end.
 //!
 //! Two legs, both against the same single-process reference run and both
-//! with fleet telemetry on (sidecars + flight recorders):
+//! with fleet telemetry on (one sidecar per worker attempt):
 //!
 //! 1. **kill leg** — a 4-shard fleet where the orchestrator SIGKILLs one
 //!    worker mid-run (after it has journaled a few records). The gate
 //!    asserts the death was detected, the shard restarted with backoff and
 //!    resumed from its torn journal, and the merged report is
-//!    **bit-identical** to the uninterrupted reference. It then asserts the
-//!    telemetry survived the murder: the merged Chrome trace has a lane for
-//!    every shard *and* a restart sub-lane for the victim, and the victim
-//!    left a non-empty `.flight` postmortem.
+//!    **bit-identical** to the uninterrupted reference. It then reads the
+//!    fleet dir's sidecars and asserts the telemetry survived the murder:
+//!    the merged Chrome trace has a lane for every shard *and* a restart
+//!    sub-lane for the victim, the killed attempt's sidecar (its postmortem)
+//!    reads back with at most one torn line, and the victim's last attempt
+//!    recorded trial outcomes.
 //! 2. **hang leg** — one worker (first attempt only) hangs before writing a
 //!    byte. The gate asserts the heartbeat deadline caught it, the restart
 //!    recovered, and the merged report is again bit-identical.
 //!
-//! Artifacts (merged trace + flight postmortems) are copied into
+//! Artifacts (merged trace + the killed attempt's sidecar) are copied into
 //! `RUSTFI_CHAOS_ARTIFACTS` (default `chaos-artifacts/`) for CI upload.
 //!
 //! Exits non-zero on any violation. Run with:
@@ -29,8 +31,8 @@ use rustfi_fleet::{
     ENV_SHARD_ATTEMPT, ENV_SHARD_COUNT, ENV_SHARD_INDEX, ENV_SHARD_JOURNAL, ENV_SHARD_TELEMETRY,
 };
 use rustfi_obs::json::{parse_json, Value};
-use rustfi_obs::read_flight;
-use std::path::PathBuf;
+use rustfi_obs::{Event, MergedTelemetry};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
@@ -99,7 +101,7 @@ fn main() {
         "the killed shard was never restarted: {report:?}"
     );
     check_identical("kill leg", &reference, &report);
-    check_telemetry(&report, &artifacts);
+    check_telemetry(&fleet.dir, &artifacts);
 
     // Leg 2: a worker hangs before writing anything; the heartbeat
     // deadline must catch it.
@@ -139,7 +141,7 @@ fn fleet_config(trials: usize, dir: PathBuf) -> FleetConfig {
     fleet
 }
 
-fn worker_cmd(exe: &PathBuf, index: usize, path: &std::path::Path, attempt: usize) -> Command {
+fn worker_cmd(exe: &PathBuf, index: usize, path: &Path, attempt: usize) -> Command {
     let mut cmd = Command::new(exe);
     cmd.env(ENV_SHARD_INDEX, index.to_string())
         .env(ENV_SHARD_COUNT, SHARDS.to_string())
@@ -178,15 +180,21 @@ fn check_identical(
     );
 }
 
-/// The kill leg's telemetry assertions: a lane for every shard, a restart
-/// sub-lane for the victim, a parseable merged Chrome trace, and a
-/// non-empty flight postmortem for the killed shard. Copies the artifacts
+/// The kill leg's telemetry assertions, over the sidecars in the fleet dir:
+/// a lane for every shard, a restart sub-lane for the victim, a parseable
+/// merged Chrome trace, the killed attempt's sidecar readable with at most
+/// the one torn line a kill leaves, and trial outcomes in the victim's last
+/// attempt. The killed attempt's own lane may hold no outcome: a worker
+/// appends a unit's records to its journal before it writes the unit's
+/// telemetry, so the kill can land between the two. Copies the artifacts
 /// out for CI upload.
-fn check_telemetry(report: &rustfi_fleet::FleetReport, artifacts: &std::path::Path) {
-    let telemetry = report
-        .telemetry
-        .as_ref()
-        .expect("kill leg: observed workers left no telemetry sidecars");
+fn check_telemetry(dir: &Path, artifacts: &Path) {
+    let telemetry = MergedTelemetry::from_dir(dir).expect("kill leg: reading the fleet dir");
+    assert!(
+        telemetry.skipped.is_empty(),
+        "kill leg: unreadable sidecars: {:?}",
+        telemetry.skipped
+    );
     let shards_present = telemetry.shards_present();
     assert_eq!(
         shards_present.len(),
@@ -223,30 +231,48 @@ fn check_telemetry(report: &rustfi_fleet::FleetReport, artifacts: &std::path::Pa
         "trace lanes (pids) don't cover every shard: {pids:?}"
     );
 
-    // The victim's flight postmortem: present, parseable, non-empty.
-    let (_, flight) = report
-        .flights
+    // The victim's postmortem is its killed attempt's own sidecar.
+    let victim: Vec<_> = telemetry
+        .lanes
         .iter()
-        .find(|(shard, _)| *shard == VICTIM)
-        .expect("kill leg: victim left no flight postmortem");
-    let post = read_flight(flight).expect("victim flight postmortem unreadable");
-    assert_eq!(post.shard, Some(VICTIM));
+        .filter(|l| l.header.shard == VICTIM)
+        .collect();
+    let killed = victim
+        .iter()
+        .find(|l| l.header.attempt == 0)
+        .expect("kill leg: the killed attempt left no sidecar");
     assert!(
-        post.seq > 0 && !post.entries.is_empty(),
-        "victim flight postmortem is empty: seq={} entries={}",
-        post.seq,
-        post.entries.len()
+        killed.torn_lines <= 1,
+        "killed attempt's sidecar has {} torn lines; a kill tears at most one",
+        killed.torn_lines
     );
-    std::fs::copy(flight, artifacts.join("victim.flight")).expect("copying flight artifact");
+    let outcomes = |lane: &rustfi_obs::ShardLane| {
+        lane.batch
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::TrialOutcome(_)))
+            .count()
+    };
+    let last = victim.last().expect("victim lanes");
+    assert!(
+        outcomes(last) > 0,
+        "victim's last attempt {} recorded no trial outcome",
+        last.header.attempt
+    );
+    let artifact = artifacts.join("victim.attempt-0000.telemetry.jsonl");
+    std::fs::copy(&killed.path, &artifact).expect("copying the killed attempt's sidecar");
 
     println!(
         "kill leg telemetry OK: {} lanes (victim attempts {:?}), {} trace events, \
-         victim flight holds {} of {} items — artifacts in {}",
+         killed attempt's sidecar holds {} spans and {} events ({} torn), \
+         last attempt {} outcomes — artifacts in {}",
         telemetry.lanes.len(),
         victim_attempts,
         events.len(),
-        post.entries.len(),
-        post.seq,
+        killed.batch.spans.len(),
+        killed.batch.events.len(),
+        killed.torn_lines,
+        outcomes(last),
         artifacts.display()
     );
 }

@@ -17,12 +17,13 @@
 //! shard journals, so the report is the same for any shard count.
 //!
 //! Observability: `--trace <out.json>` turns on fleet telemetry — each
-//! worker streams spans/events to a crash-safe sidecar next to its journal,
-//! keeps a `.flight` postmortem ring, and the orchestrator merges every
-//! sidecar (restarts included) into one clock-normalized Chrome trace at
+//! worker attempt streams spans/events to its own crash-safe sidecar next
+//! to its journal (a killed attempt's final moments are that file's tail),
+//! and once the fleet ends this binary merges every sidecar in the fleet
+//! dir (restarts included) into one clock-normalized Chrome trace at
 //! `out.json` (open in Perfetto) and prints trial and fused-chunk latency
 //! quantiles; `--prom <out.prom>` also writes the aggregated Prometheus
-//! dump.
+//! dump. Without either flag no sidecar is written or read.
 //!
 //! Knobs (on top of the testbed's `RUSTFI_MODEL`/`RUSTFI_TRIALS`/
 //! `RUSTFI_SEED`/`RUSTFI_IMAGES`/`RUSTFI_FUSION`/`RUSTFI_THREADS`):
@@ -36,11 +37,11 @@ use rustfi::shard::plan_shards;
 use rustfi::ProgressRecorder;
 use rustfi_fleet::testbed::{env_usize, Testbed};
 use rustfi_fleet::{
-    orchestrate, run_shard_worker, run_shard_worker_observed, worker_env, FleetConfig, FleetReport,
+    orchestrate, run_shard_worker, run_shard_worker_observed, worker_env, FleetConfig,
     ENV_SHARD_ATTEMPT, ENV_SHARD_COUNT, ENV_SHARD_INDEX, ENV_SHARD_JOURNAL, ENV_SHARD_TELEMETRY,
 };
-use rustfi_obs::latency_summary;
-use std::path::PathBuf;
+use rustfi_obs::{latency_summary, MergedTelemetry};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
@@ -97,7 +98,9 @@ fn main() {
         report.restarts,
         report.hung_kills
     );
-    render_telemetry(&report, trace_out.as_deref(), prom_out.as_deref());
+    if telemetry_on {
+        render_telemetry(&fleet.dir, trace_out.as_deref(), prom_out.as_deref());
+    }
     match &report.merged {
         Some(m) if report.is_complete() => {
             println!(
@@ -167,18 +170,15 @@ fn parse_args() -> (Option<PathBuf>, Option<PathBuf>) {
     (trace, prom)
 }
 
-/// Writes the merged Chrome trace / Prometheus dump and prints the latency
-/// summary from whatever telemetry the fleet harvested.
-fn render_telemetry(
-    report: &FleetReport,
-    trace_out: Option<&std::path::Path>,
-    prom_out: Option<&std::path::Path>,
-) {
-    let Some(telemetry) = &report.telemetry else {
-        if trace_out.is_some() || prom_out.is_some() {
+/// Merges the telemetry sidecars in the fleet dir, writes the Chrome trace /
+/// Prometheus dump, and prints the latency summary.
+fn render_telemetry(dir: &Path, trace_out: Option<&Path>, prom_out: Option<&Path>) {
+    let telemetry = match MergedTelemetry::from_dir(dir) {
+        Ok(t) if !t.lanes.is_empty() => t,
+        _ => {
             eprintln!("no telemetry sidecars found; nothing to export");
+            return;
         }
-        return;
     };
     if let Some(path) = trace_out {
         match telemetry.write_chrome_trace(path) {
@@ -195,9 +195,6 @@ fn render_telemetry(
             Ok(()) => println!("prometheus dump: {}", path.display()),
             Err(e) => eprintln!("writing prometheus dump {}: {e}", path.display()),
         }
-    }
-    for (shard, path) in &report.flights {
-        println!("flight postmortem (shard {shard}): {}", path.display());
     }
     print!(
         "{}",

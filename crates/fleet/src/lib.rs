@@ -29,18 +29,23 @@
 //!
 //! The orchestrator is a dependency-free poll loop over
 //! [`std::process::Child`] handles — no async runtime — which keeps the
-//! fleet layer as auditable as the journal format it builds on.
+//! fleet layer as auditable as the journal format it builds on. It reads
+//! each journal incrementally ([`rustfi::JournalTail`]) for progress and
+//! liveness, and reads nothing else.
+//!
+//! An observed worker ([`run_shard_worker_observed`]) streams its telemetry
+//! to one crash-safe sidecar per attempt, next to its journal; that sidecar
+//! is all the telemetry a fleet writes. A killed attempt's final moments are
+//! the tail of its own sidecar, which its restart never touches. Callers
+//! that want the fleet's trace read the sidecars themselves with
+//! [`rustfi_obs::MergedTelemetry::from_dir`] on the fleet dir.
 
 use rustfi::campaign::{ProgressRecorder, ProgressUpdate};
 use rustfi::shard::{merge_shard_journals, plan_shards, MergedCampaign, ShardSpec};
 use rustfi::{
-    append_heartbeat, read_journal, Campaign, CampaignConfig, CampaignResult, FiError,
-    OutcomeCounts,
+    append_heartbeat, Campaign, CampaignConfig, CampaignResult, FiError, JournalTail, OutcomeCounts,
 };
-use rustfi_obs::{
-    flight_path, names as obs_names, FanoutRecorder, FlightRecorder, MergedTelemetry, Recorder,
-    SidecarRecorder, DEFAULT_FLIGHT_CAP,
-};
+use rustfi_obs::{names as obs_names, Recorder, SidecarRecorder};
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,9 +65,8 @@ pub const ENV_SHARD_JOURNAL: &str = "RUSTFI_SHARD_JOURNAL";
 /// so chaos harnesses can misbehave on one attempt only.
 pub const ENV_SHARD_ATTEMPT: &str = "RUSTFI_SHARD_ATTEMPT";
 /// Environment variable switching workers into observed mode (`"1"`):
-/// each worker streams its telemetry to a per-attempt sidecar and keeps a
-/// flight-recorder postmortem next to its journal
-/// (see [`run_shard_worker_observed`]).
+/// each worker streams its telemetry to a per-attempt sidecar next to its
+/// journal (see [`run_shard_worker_observed`]).
 pub const ENV_SHARD_TELEMETRY: &str = "RUSTFI_SHARD_TELEMETRY";
 
 /// A worker process's shard assignment, decoded from the environment.
@@ -120,25 +124,11 @@ impl Heartbeat {
     /// resumable), and I/O failures are swallowed; liveness reporting must
     /// never take a worker down.
     pub fn start(path: PathBuf, every: Duration) -> Self {
-        Self::start_with_tick(path, every, || {})
-    }
-
-    /// Like [`Heartbeat::start`], but also runs `tick` once per beat from
-    /// the heartbeat thread. The observed worker path uses this to snapshot
-    /// its flight-recorder ring to disk periodically: a SIGKILL gives no
-    /// chance to flush, so the on-disk postmortem trails reality by at most
-    /// one heartbeat interval.
-    pub fn start_with_tick(
-        path: PathBuf,
-        every: Duration,
-        tick: impl Fn() + Send + 'static,
-    ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             while !seen.load(Ordering::Relaxed) {
                 let _ = append_heartbeat(&path);
-                tick();
                 // Park until the next beat; drop() unparks the thread (an
                 // unpark that comes first is not lost).
                 let due = Instant::now() + every;
@@ -193,21 +183,16 @@ pub fn run_shard_worker(
     campaign.run_shard(cfg, spec, journal)
 }
 
-/// [`run_shard_worker`] plus the fleet-telemetry tentpole: the worker's
-/// observability stream goes to a per-attempt crash-safe sidecar
-/// (`<journal>.attempt-NNNN.telemetry.jsonl`), and a bounded flight-recorder
-/// ring keeps the last [`DEFAULT_FLIGHT_CAP`] spans/events for the
-/// `<journal stem>.flight` postmortem. Three flush paths arm the postmortem:
-/// an initial snapshot before the campaign starts (an instantly-killed
-/// worker still leaves one), a periodic snapshot from the heartbeat thread
-/// (a SIGKILL loses at most one heartbeat interval of history), and a
-/// panic-hook snapshot.
+/// [`run_shard_worker`] with the worker's telemetry streamed to a crash-safe
+/// sidecar for this attempt (`<journal stem>.attempt-NNNN.telemetry.jsonl`,
+/// see [`rustfi_obs::sidecar_path`]). The sidecar replaces any recorder in
+/// `cfg.recorder`. It is flushed after every trial or fused chunk, so a
+/// killed attempt's final moments are the tail of its own file.
 ///
-/// Any recorder already in `cfg.recorder` keeps receiving everything via a
-/// [`FanoutRecorder`]. Recording is proven record-invariant by the workspace
-/// property tests, so an observed worker's journal stays bit-identical to an
-/// unobserved one's. Telemetry failures (sidecar unwritable, snapshot I/O
-/// errors) degrade to running unobserved — they never fail the shard.
+/// Recording is proven record-invariant by the workspace property tests, so
+/// an observed worker's journal stays bit-identical to an unobserved one's.
+/// A sidecar that cannot be created never fails the shard: it then runs with
+/// `cfg` as given.
 pub fn run_shard_worker_observed(
     campaign: &Campaign<'_>,
     cfg: &CampaignConfig,
@@ -216,45 +201,13 @@ pub fn run_shard_worker_observed(
     attempt: u32,
     heartbeat_every: Duration,
 ) -> Result<CampaignResult, FiError> {
-    discard_stillborn_journal(journal)
-        .map_err(|e| FiError::io(format!("inspecting journal {}", journal.display()), e))?;
     let mut cfg = cfg.clone();
-    let mut inner: Vec<Arc<dyn Recorder>> = Vec::new();
-    let mut flight_for_beat: Option<Arc<FlightRecorder>> = None;
-    match SidecarRecorder::create_for_journal(journal, spec.index, spec.count, attempt) {
-        Ok(sidecar) => {
-            let identity = sidecar.header();
-            inner.push(Arc::new(sidecar));
-            let flight = Arc::new(
-                FlightRecorder::new(DEFAULT_FLIGHT_CAP)
-                    .with_path(&flight_path(journal), Some(identity)),
-            );
-            FlightRecorder::arm_panic_flush(&flight);
-            flight.snapshot_to_disk();
-            flight_for_beat = Some(Arc::clone(&flight));
-            inner.push(flight);
-        }
-        Err(_) => {
-            // Telemetry must never take the worker down; run unobserved.
-        }
+    if let Ok(sidecar) =
+        SidecarRecorder::create_for_journal(journal, spec.index, spec.count, attempt)
+    {
+        cfg.recorder = Some(Arc::new(sidecar));
     }
-    if let Some(existing) = cfg.recorder.take() {
-        inner.push(existing);
-    }
-    cfg.recorder = match inner.len() {
-        0 => None,
-        1 => inner.pop(),
-        _ => Some(Arc::new(FanoutRecorder::new(inner))),
-    };
-    let _beat = match flight_for_beat {
-        Some(flight) => {
-            Heartbeat::start_with_tick(journal.to_path_buf(), heartbeat_every, move || {
-                flight.snapshot_to_disk()
-            })
-        }
-        None => Heartbeat::start(journal.to_path_buf(), heartbeat_every),
-    };
-    campaign.run_shard(&cfg, spec, journal)
+    run_shard_worker(campaign, &cfg, spec, journal, heartbeat_every)
 }
 
 /// Test-only fault injection for the fleet itself (a fault-injection tool's
@@ -361,15 +314,6 @@ pub struct FleetReport {
     pub abandoned: Vec<usize>,
     /// Per-shard postmortem detail for every entry in `abandoned`.
     pub abandoned_detail: Vec<AbandonedShard>,
-    /// Flight-recorder postmortems harvested from the fleet dir after the
-    /// run: `(shard index, path)`. Killed and hung workers leave one
-    /// because the heartbeat thread snapshots the ring periodically.
-    pub flights: Vec<(usize, PathBuf)>,
-    /// Merged worker telemetry (sidecars found in the fleet dir), when any
-    /// worker ran observed ([`run_shard_worker_observed`]). Carries the
-    /// clock-normalized fleet timeline: render with
-    /// [`MergedTelemetry::chrome_trace`] / `prometheus`.
-    pub telemetry: Option<MergedTelemetry>,
     /// Fleet wall time.
     pub elapsed: Duration,
 }
@@ -394,10 +338,11 @@ struct ShardState {
     failures: usize,
     /// When to (re)launch; `None` while running, done, or abandoned.
     launch_at: Option<Instant>,
+    /// The journal's length at the last poll: any change is activity.
     last_len: u64,
     last_activity: Instant,
-    records: usize,
-    counts: OutcomeCounts,
+    /// Records and outcomes read from the journal so far.
+    journal: JournalTail,
     attempt: usize,
     chaos_fired: bool,
     done: bool,
@@ -409,8 +354,8 @@ impl ShardState {
         !self.done && !self.abandoned
     }
 
-    /// Re-reads the shard journal if it grew; growth (records or
-    /// heartbeats) is the liveness signal.
+    /// Reads what was appended to the shard journal if its length changed;
+    /// growth (records or heartbeats) is the liveness signal.
     fn observe(&mut self, now: Instant) {
         let Ok(meta) = std::fs::metadata(&self.path) else {
             return;
@@ -420,17 +365,9 @@ impl ShardState {
         }
         self.last_len = meta.len();
         self.last_activity = now;
-        // Tolerant read: a worker may be mid-append (torn tail) — that's
-        // fine — and a just-created file may not have its header yet, which
-        // read_journal reports as an error we simply skip this poll.
-        if let Ok((_, records)) = read_journal(&self.path) {
-            let mut counts = OutcomeCounts::default();
-            for r in &records {
-                counts.record(&r.outcome);
-            }
-            self.records = records.len();
-            self.counts = counts;
-        }
+        // A torn tail (a worker mid-append) waits for the next poll. A read
+        // error keeps the totals so far; the final merge reports it.
+        let _ = self.journal.read_new(&self.path);
     }
 
     /// Books one failure: schedules a backed-off relaunch while budget
@@ -509,8 +446,7 @@ where
                 launch_at: Some(start),
                 last_len: 0,
                 last_activity: start,
-                records: 0,
-                counts: OutcomeCounts::default(),
+                journal: JournalTail::default(),
                 attempt: 0,
                 chaos_fired: false,
                 done: false,
@@ -519,14 +455,14 @@ where
             s.observe(start);
             // A shard whose journal already covers its whole range (a rerun
             // orchestrator over a finished fleet) needs no worker at all.
-            if s.records >= s.spec.trials() && s.last_len > 0 {
+            if s.journal.records() >= s.spec.trials() && s.last_len > 0 {
                 s.done = true;
                 s.launch_at = None;
             }
             s
         })
         .collect();
-    let resumed: usize = shards.iter().map(|s| s.records).sum();
+    let resumed: usize = shards.iter().map(|s| s.journal.records()).sum();
     let (mut spawns, mut restarts, mut hung_kills) = (0u64, 0u64, 0u64);
     let mut last_reported = usize::MAX;
 
@@ -546,7 +482,7 @@ where
                     if chaos.shard == s.spec.index
                         && s.attempt == 1
                         && !s.chaos_fired
-                        && s.records >= chaos.after_records
+                        && s.journal.records() >= chaos.after_records
                     {
                         s.chaos_fired = true;
                         let _ = child.kill(); // SIGKILL on unix
@@ -587,13 +523,13 @@ where
             }
         }
 
-        let done: usize = shards.iter().map(|s| s.records).sum();
+        let done: usize = shards.iter().map(|s| s.journal.records()).sum();
         if let Some(pr) = &cfg.progress {
             if done != last_reported {
                 last_reported = done;
                 let mut counts = OutcomeCounts::default();
                 for s in &shards {
-                    counts += s.counts;
+                    counts += s.journal.counts();
                 }
                 pr.emit(&ProgressUpdate {
                     done,
@@ -628,25 +564,10 @@ where
             shard: s.spec.index,
             restarts: s.attempt.saturating_sub(1),
             last_activity_age: now.duration_since(s.last_activity),
-            records: s.records,
+            records: s.journal.records(),
             trials: s.spec.trials(),
         })
         .collect();
-    // Harvest whatever telemetry the workers left behind: flight
-    // postmortems next to each journal (killed/hung workers leave one via
-    // the heartbeat thread's periodic snapshots) and the telemetry
-    // sidecars, merged onto one clock-normalized fleet timeline.
-    let flights: Vec<(usize, PathBuf)> = shards
-        .iter()
-        .filter_map(|s| {
-            let p = flight_path(&s.path);
-            p.exists().then_some((s.spec.index, p))
-        })
-        .collect();
-    let telemetry = match MergedTelemetry::from_dir(&cfg.dir) {
-        Ok(t) if !t.lanes.is_empty() => Some(t),
-        _ => None,
-    };
     if let Some(r) = &cfg.recorder {
         r.counter_add(obs_names::FLEET_SPAWNS, spawns);
         r.counter_add(obs_names::FLEET_RESTARTS, restarts);
@@ -666,8 +587,6 @@ where
         hung_kills,
         abandoned,
         abandoned_detail,
-        flights,
-        telemetry,
         elapsed: start.elapsed(),
     })
 }
@@ -675,7 +594,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustfi::{JournalHeader, JournalWriter, NeuronSite, OutcomeKind, TrialRecord};
+    use rustfi::{
+        read_journal, JournalHeader, JournalWriter, NeuronSite, OutcomeKind, TrialRecord,
+    };
     use std::process::Command;
 
     fn record(trial: usize) -> TrialRecord {
@@ -895,9 +816,17 @@ mod tests {
         discard_stillborn_journal(&dir.join("absent.jsonl")).unwrap();
     }
 
+    fn outcome_events(batch: &rustfi_obs::ObsBatch) -> usize {
+        batch
+            .events
+            .iter()
+            .filter(|e| matches!(e, rustfi_obs::Event::TrialOutcome(_)))
+            .count()
+    }
+
     #[test]
-    fn observed_worker_leaves_sidecar_and_flight_and_identical_records() {
-        use rustfi_obs::{read_flight, read_sidecar, sidecar_path};
+    fn observed_worker_leaves_a_sidecar_and_identical_records() {
+        use rustfi_obs::{read_sidecar, sidecar_path, MergedTelemetry};
 
         let dir = tmp_dir("observed");
         let tb = testbed::Testbed::from_env();
@@ -940,30 +869,89 @@ mod tests {
             (sc.header.shard, sc.header.shards, sc.header.attempt),
             (0, 1, 2)
         );
-        let outcomes = sc
-            .batch
-            .events
-            .iter()
-            .filter(|e| matches!(e, rustfi_obs::Event::TrialOutcome(_)))
-            .count();
-        assert_eq!(outcomes, cfg.trials, "one outcome event per trial");
+        assert_eq!(
+            outcome_events(&sc.batch),
+            cfg.trials,
+            "one outcome event per trial"
+        );
 
-        // The flight postmortem exists (campaign-end flush at minimum) and
-        // carries the shard identity.
-        let fl = read_flight(&flight_path(&journal)).unwrap();
-        assert_eq!(fl.shard, Some(0));
-        assert_eq!(fl.attempt, Some(2));
-        assert!(fl.seq > 0, "the ring saw the run");
-
-        // An orchestrator over this directory harvests both.
-        let report = orchestrate(&fast_cfg(cfg.trials, 1, dir), |_s, _p, _a| {
-            panic!("finished shard must not relaunch")
-        })
-        .unwrap();
-        assert_eq!(report.flights.len(), 1);
-        let telemetry = report.telemetry.expect("sidecar was found and merged");
+        // It is the only file telemetry adds, and the fleet dir's merge
+        // reads it.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "plain.jsonl",
+                "shard-0000-of-0001.attempt-0002.telemetry.jsonl",
+                "shard-0000-of-0001.jsonl"
+            ]
+        );
+        let telemetry = MergedTelemetry::from_dir(&dir).unwrap();
         assert_eq!(telemetry.lanes.len(), 1);
+        assert!(telemetry.skipped.is_empty());
         assert!(telemetry.chrome_trace().contains("\"traceEvents\""));
+    }
+
+    #[test]
+    fn a_killed_attempts_sidecar_survives_its_restart() {
+        use rustfi_obs::{sidecar_path, MergedTelemetry};
+
+        let dir = tmp_dir("postmortem");
+        let tb = testbed::Testbed::from_env();
+        let mut cfg = tb.campaign_config();
+        cfg.trials = 12;
+        let factory = tb.factory();
+        let campaign = tb.campaign(&factory);
+        let spec = plan_shards(cfg.trials, 1)[0];
+        let every = Duration::from_millis(50);
+        let plain =
+            run_shard_worker(&campaign, &cfg, &spec, &dir.join("plain.jsonl"), every).unwrap();
+
+        // Attempt 0 runs; a kill then leaves its journal at `kept` records
+        // and a torn half line.
+        let journal = dir.join("shard-0000-of-0001.jsonl");
+        run_shard_worker_observed(&campaign, &cfg, &spec, &journal, 0, every).unwrap();
+        let kept = 5;
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let body: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with("{\"heartbeat\""))
+            .collect();
+        let next = body[kept + 1];
+        let killed = format!("{}\n{}", body[..=kept].join("\n"), &next[..next.len() / 2]);
+        std::fs::write(&journal, killed).unwrap();
+        let first = sidecar_path(&journal, 0);
+        let postmortem = std::fs::read(&first).unwrap();
+
+        // Attempt 1 resumes the shard, writing its own sidecar.
+        let resumed =
+            run_shard_worker_observed(&campaign, &cfg, &spec, &journal, 1, every).unwrap();
+        assert_eq!(
+            std::fs::read(&first).unwrap(),
+            postmortem,
+            "the restart rewrote the killed attempt's sidecar"
+        );
+        assert_eq!(
+            resumed.records, plain.records,
+            "the resumed shard's records"
+        );
+
+        let telemetry = MergedTelemetry::from_dir(&dir).unwrap();
+        assert_eq!(telemetry.attempts_for(0), vec![0, 1]);
+        let lanes: Vec<usize> = telemetry
+            .lanes
+            .iter()
+            .map(|l| outcome_events(&l.batch))
+            .collect();
+        assert_eq!(
+            lanes,
+            vec![cfg.trials, cfg.trials - kept],
+            "attempt 1 reruns only the trials its journal lacked"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace-wide "recorders never perturb campaign results" invariant,
 //! extended to sidecar-enabled *fleet* runs: a sharded campaign whose
-//! workers stream telemetry sidecars and keep flight-recorder postmortems
-//! merges to records bit-identical to the same fleet run unobserved.
+//! workers stream telemetry sidecars merges to records bit-identical to the
+//! same fleet run unobserved.
 //!
 //! This is the property that makes `orchestrate --trace` free to recommend:
 //! turning fleet observability on cannot change a single merged record.

@@ -9,7 +9,8 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{escape_json_into, Event};
+use crate::event::Event;
+use crate::json::escape_into;
 use crate::trace::ObsSnapshot;
 
 /// Renders a snapshot as a Chrome `trace_event` JSON object
@@ -21,7 +22,7 @@ pub fn chrome_trace_json(snap: &ObsSnapshot) -> String {
     for span in &snap.spans {
         sep(&mut out, &mut first);
         out.push_str("{\"name\":\"");
-        escape_json_into(&span.name, &mut out);
+        escape_into(&span.name, &mut out);
         let _ = write!(
             out,
             "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Value;
+use crate::json::{escape_into, Value};
 
 /// Where an injection landed inside a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,7 +158,7 @@ impl Event {
                     s,
                     ",\"kind\":\"non_finite\",\"layer\":{layer},\"layer_name\":\""
                 );
-                escape_json_into(layer_name, &mut s);
+                escape_into(layer_name, &mut s);
                 s.push('"');
             }
             Event::Guard(GuardEvent::Deadline { steps }) => {
@@ -305,23 +305,6 @@ pub(crate) fn push_f32(out: &mut String, v: f32) {
         out.push_str("\"inf\"");
     } else {
         out.push_str("\"-inf\"");
-    }
-}
-
-/// Escapes a string for embedding inside JSON double quotes.
-pub(crate) fn escape_json_into(raw: &str, out: &mut String) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

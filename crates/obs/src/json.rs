@@ -1,6 +1,7 @@
-//! The workspace's one JSON reader (the build environment is hermetic — no
-//! serde): journals, telemetry sidecars, flight postmortems and the
-//! exporters' round-trip tests all decode through it.
+//! The workspace's one JSON reader, and its one string escaper (the build
+//! environment is hermetic — no serde): journals, telemetry sidecars and the
+//! exporters' round-trip tests all decode through it, and every writer
+//! escapes its strings with [`escape_into`].
 //!
 //! It is byte-oriented and linear in its input. Each string is scanned once,
 //! and one without escapes — every key, and almost every value the writers
@@ -11,6 +12,7 @@
 //! line torn inside a multi-byte character is just another unparseable line.
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Nesting depth past which a document is refused, so a corrupted line
 /// cannot overflow the reader's stack.
@@ -132,6 +134,23 @@ pub fn lines(bytes: &[u8]) -> impl Iterator<Item = (&[u8], bool)> {
             Some((b'\n', line)) => (line, true),
             _ => (seg, false),
         })
+}
+
+/// Appends `raw` to `out` escaped for embedding inside JSON double quotes.
+pub fn escape_into(raw: &str, out: &mut String) {
+    for c in raw.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 struct Parser<'a> {

@@ -1,69 +1,26 @@
-//! Line-atomic JSONL event export, following the campaign journal's
-//! discipline: one event per line, written and flushed as a unit, so a
-//! reader tailing the file never sees a torn record and a crash loses at
-//! most the final line.
+//! JSONL event export: a finished snapshot's events, one JSON object per
+//! line.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use crate::event::Event;
 use crate::trace::ObsSnapshot;
 
-/// Streaming writer: one [`Event`] per line, flushed per line.
-pub struct EventJsonlWriter {
-    out: BufWriter<File>,
-    lines: u64,
-}
-
-impl EventJsonlWriter {
-    /// Creates (truncating) `path` and returns a writer.
-    pub fn create(path: &Path) -> std::io::Result<Self> {
-        Ok(EventJsonlWriter {
-            out: BufWriter::new(File::create(path)?),
-            lines: 0,
-        })
-    }
-
-    /// Opens `path` for appending (creating it if absent).
-    pub fn append(path: &Path) -> std::io::Result<Self> {
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(EventJsonlWriter {
-            out: BufWriter::new(f),
-            lines: 0,
-        })
-    }
-
-    /// Writes one event as a full line and flushes, so the line is atomic
-    /// with respect to crashes and concurrent readers.
-    pub fn write(&mut self, event: &Event) -> std::io::Result<()> {
-        let mut line = event.to_json();
-        line.push('\n');
-        self.out.write_all(line.as_bytes())?;
-        self.out.flush()?;
-        self.lines += 1;
-        Ok(())
-    }
-
-    /// Lines written through this writer.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-}
-
-/// Writes every event in `snap` to `path` as JSONL (truncates first).
+/// Writes every event in `snap` to `path` as JSONL, one event per line
+/// (truncating the file first). The whole file is written at once: the
+/// snapshot is already finished.
 pub fn write_events_jsonl(snap: &ObsSnapshot, path: &Path) -> std::io::Result<()> {
-    let mut w = EventJsonlWriter::create(path)?;
+    let mut text = String::with_capacity(128 * snap.events.len());
     for event in &snap.events {
-        w.write(event)?;
+        text.push_str(&event.to_json());
+        text.push('\n');
     }
-    Ok(())
+    std::fs::write(path, text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{GuardEvent, TrialOutcomeEvent};
+    use crate::event::{Event, GuardEvent, TrialOutcomeEvent};
     use crate::json::parse_json;
 
     fn events() -> Vec<Event> {
@@ -100,18 +57,6 @@ mod tests {
         for line in &lines {
             let v = parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
             assert!(v.get("type").is_some());
-        }
-
-        // Appending keeps earlier lines intact.
-        let mut w = EventJsonlWriter::append(&path).unwrap();
-        w.write(&Event::Guard(GuardEvent::Deadline { steps: 3 }))
-            .unwrap();
-        assert_eq!(w.lines_written(), 1);
-        drop(w);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        for line in text.lines() {
-            parse_json(line).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -23,13 +23,18 @@
 //!   that produced them; [`TrialOutcomeEvent`] streams the campaign taxonomy.
 //! - **Standard formats.** [`chrome_trace_json`] emits Chrome `trace_event`
 //!   JSON loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev);
-//!   [`EventJsonlWriter`] streams line-atomic JSONL next to the campaign
-//!   journal; [`prometheus_text`] snapshots counters/histograms in Prometheus
+//!   [`write_events_jsonl`] dumps a snapshot's events as JSONL;
+//!   [`prometheus_text`] snapshots counters/histograms in Prometheus
 //!   exposition format.
 //! - **Campaign-friendly aggregation.** Workers record into a per-thread
 //!   [`LocalRecorder`] and merge into a shared [`TraceRecorder`] at trial
 //!   boundaries via a lock-free batch stack, so observation never serializes
 //!   the workers and never perturbs thread-count invariance.
+//! - **One telemetry file per fleet worker attempt.** A fleet worker streams
+//!   everything to a crash-safe [`SidecarRecorder`], flushed after every
+//!   trial or fused chunk, so a killed attempt's final moments are the tail
+//!   of its own sidecar. [`MergedTelemetry::from_dir`] reads a fleet's
+//!   sidecars onto one clock-normalized timeline when a caller asks for it.
 //! - **One home per statistic.** Every duration summary — a snapshot's
 //!   timings, the fleet merge, the Prometheus exporter, the
 //!   [`latency_summary`] — is a fixed-memory [`StreamingHistogram`].
@@ -53,7 +58,6 @@
 pub mod chrome;
 pub mod clock;
 pub mod event;
-pub mod flight;
 pub mod json;
 pub mod jsonl;
 pub mod local;
@@ -69,17 +73,12 @@ pub mod trace;
 pub use chrome::chrome_trace_json;
 pub use clock::{now_ns, thread_tid};
 pub use event::{Event, GuardEvent, InjectionEvent, InjectionSite, TrialOutcomeEvent};
-pub use flight::{read_flight, FlightRead, FlightRecorder, DEFAULT_FLIGHT_CAP};
-pub use jsonl::{write_events_jsonl, EventJsonlWriter};
+pub use jsonl::write_events_jsonl;
 pub use local::LocalRecorder;
 pub use merge::{merge_shard_telemetry, MergedTelemetry, ShardLane};
 pub use prom::{prometheus_text, prometheus_text_labeled};
-pub use recorder::{
-    FanoutRecorder, NullRecorder, ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken,
-};
-pub use sidecar::{
-    flight_path, read_sidecar, sidecar_path, SidecarHeader, SidecarRead, SidecarRecorder,
-};
+pub use recorder::{NullRecorder, ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken};
+pub use sidecar::{read_sidecar, sidecar_path, SidecarHeader, SidecarRead, SidecarRecorder};
 pub use stats::{latency_summary, wilson_interval, StreamingHistogram, Z_95, Z_99};
-pub use timing::{mean_seconds, time, Stopwatch};
+pub use timing::{mean_seconds, time};
 pub use trace::{LayerTimeRow, ObsSnapshot, TraceRecorder};

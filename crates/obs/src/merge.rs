@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::chrome::micros;
-use crate::event::escape_json_into;
+use crate::json::escape_into;
 use crate::recorder::ObsBatch;
 use crate::sidecar::{read_sidecar, SidecarHeader};
 use crate::trace::ObsSnapshot;
@@ -228,7 +228,7 @@ impl MergedTelemetry {
             for span in &lane.batch.spans {
                 sep(&mut out, &mut first);
                 out.push_str("{\"name\":\"");
-                escape_json_into(&span.name, &mut out);
+                escape_into(&span.name, &mut out);
                 let _ = write!(
                     out,
                     "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}",

@@ -110,7 +110,7 @@ pub fn metric_help(name: &str) -> &'static str {
 ///
 /// The [`Recorder`](crate::Recorder) API keys counters, timings, and span
 /// kinds by `&'static str` (keeping the trait object-safe and allocation-free
-/// on the hot path). Telemetry read back from sidecar/flight files arrives as
+/// on the hot path). Telemetry read back from sidecar files arrives as
 /// owned strings; interning lets the readers rebuild
 /// [`ObsBatch`](crate::ObsBatch)es that flow through the existing exporters.
 /// Interned strings are leaked, bounded by the number of *distinct* metric

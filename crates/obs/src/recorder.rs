@@ -122,86 +122,10 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Durability point: asks the recorder to push buffered state to its
-    /// backing store (a sidecar file, a flight-recorder snapshot). Campaigns
-    /// call this once at the end of a run; streaming recorders may also
-    /// flush on their own cadence. In-memory recorders need not override the
-    /// default no-op.
+    /// backing store (a telemetry sidecar). Campaigns call this once at the
+    /// end of a run; streaming recorders may also flush on their own
+    /// cadence. In-memory recorders need not override the default no-op.
     fn flush(&self) {}
-}
-
-/// Tees every call to a set of inner recorders, in order.
-///
-/// This is how a fleet worker records to its telemetry sidecar *and* its
-/// crash flight recorder (and optionally an in-memory [`TraceRecorder`]) at
-/// once without the instrumented code knowing. `layer_enter` reads the clock
-/// once and hands the same token to every inner recorder on exit, so fanned
-/// spans carry identical timestamps.
-///
-/// [`TraceRecorder`]: crate::TraceRecorder
-pub struct FanoutRecorder {
-    inner: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl FanoutRecorder {
-    /// Builds a fanout over the given recorders.
-    pub fn new(inner: Vec<std::sync::Arc<dyn Recorder>>) -> Self {
-        FanoutRecorder { inner }
-    }
-}
-
-impl Recorder for FanoutRecorder {
-    fn layer_enter(&self) -> SpanToken {
-        now_ns()
-    }
-
-    fn layer_exit(&self, ctx: &SpanCtx<'_>, token: SpanToken) {
-        let span = close_span(ctx, token);
-        for rec in &self.inner {
-            rec.span(span.clone());
-        }
-    }
-
-    fn span(&self, span: SpanRecord) {
-        for rec in &self.inner {
-            rec.span(span.clone());
-        }
-    }
-
-    fn event(&self, event: Event) {
-        for rec in &self.inner {
-            rec.event(event.clone());
-        }
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        for rec in &self.inner {
-            rec.counter_add(name, delta);
-        }
-    }
-
-    fn observe_ns(&self, name: &'static str, ns: u64) {
-        for rec in &self.inner {
-            rec.observe_ns(name, ns);
-        }
-    }
-
-    fn merge(&self, batch: ObsBatch) {
-        match self.inner.split_last() {
-            None => {}
-            Some((last, rest)) => {
-                for rec in rest {
-                    rec.merge(batch.clone());
-                }
-                last.merge(batch);
-            }
-        }
-    }
-
-    fn flush(&self) {
-        for rec in &self.inner {
-            rec.flush();
-        }
-    }
 }
 
 /// Helper for collecting recorders: builds the [`SpanRecord`] for a span
@@ -283,38 +207,6 @@ mod tests {
         a.extend(b);
         assert!(!a.is_empty());
         assert_eq!(a.counters, vec![("c", 2)]);
-    }
-
-    #[test]
-    fn fanout_tees_to_every_inner_recorder() {
-        use crate::trace::TraceRecorder;
-        use std::sync::Arc;
-        let a = Arc::new(TraceRecorder::new());
-        let b = Arc::new(TraceRecorder::new());
-        let fan = FanoutRecorder::new(vec![a.clone(), b.clone()]);
-        let token = fan.layer_enter();
-        fan.layer_exit(
-            &SpanCtx {
-                name: "conv1",
-                kind: "conv",
-                layer: Some(0),
-            },
-            token,
-        );
-        fan.counter_add("c", 3);
-        fan.observe_ns("h", 10);
-        fan.merge(ObsBatch {
-            counters: vec![("c", 2)],
-            ..ObsBatch::default()
-        });
-        fan.flush();
-        for rec in [&a, &b] {
-            let snap = rec.snapshot();
-            assert_eq!(snap.spans.len(), 1);
-            assert_eq!(snap.spans[0].name, "conv1");
-            assert_eq!(snap.counters.get("c"), Some(&5));
-            assert_eq!(snap.timings.get("h").map(|t| t.count()), Some(1));
-        }
     }
 
     #[test]

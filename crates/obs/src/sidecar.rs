@@ -6,7 +6,9 @@
 //! chance to export. The [`SidecarRecorder`] therefore follows the campaign
 //! journal's discipline exactly: a header line first, then one JSON object
 //! per line, each write flushed whole, so a crash tears at most the final
-//! line and [`read_sidecar`] recovers the valid prefix.
+//! line and [`read_sidecar`] recovers the valid prefix. Every worker attempt
+//! writes its own sidecar ([`sidecar_path`]), so a killed attempt's final
+//! moments are the tail of its own file: a restart never overwrites them.
 //!
 //! The header carries a **monotonic clock anchor**: the recorder's
 //! process-local [`now_ns`] reading at header-write time paired with the
@@ -25,8 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use parking_lot::Mutex;
 
 use crate::clock::now_ns;
-use crate::event::{escape_json_into, Event};
-use crate::json::{lines, parse_line, Value};
+use crate::event::Event;
+use crate::json::{escape_into, lines, parse_line, Value};
 use crate::names::intern;
 use crate::recorder::{close_span, ObsBatch, Recorder, SpanCtx, SpanRecord, SpanToken};
 
@@ -93,21 +95,6 @@ pub fn sidecar_path(journal: &Path, attempt: u32) -> PathBuf {
         .map(|n| n.strip_suffix(".jsonl").unwrap_or(n))
         .unwrap_or("journal");
     journal.with_file_name(format!("{stem}.attempt-{attempt:04}.telemetry.jsonl"))
-}
-
-/// The flight-recorder postmortem path for a given journal path:
-/// `shard-0001-of-0003.jsonl` → `shard-0001-of-0003.flight`.
-///
-/// Unlike sidecars there is one flight file per shard, not per attempt — it
-/// always holds the *latest* attempt's final moments, which is what a
-/// postmortem wants.
-pub fn flight_path(journal: &Path) -> PathBuf {
-    let stem = journal
-        .file_name()
-        .and_then(|n| n.to_str())
-        .map(|n| n.strip_suffix(".jsonl").unwrap_or(n))
-        .unwrap_or("journal");
-    journal.with_file_name(format!("{stem}.flight"))
 }
 
 /// Streaming [`Recorder`] that writes every span/event/counter/timing to a
@@ -196,13 +183,12 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Appends `span` as one `{"span":{…}}` object (no newline): the encoding
-/// sidecar lines and flight-ring items share.
-pub(crate) fn encode_span_into(out: &mut String, span: &SpanRecord) {
+/// Appends `span` as one `{"span":{…}}` object (no newline).
+fn encode_span_into(out: &mut String, span: &SpanRecord) {
     out.push_str("{\"span\":{\"name\":\"");
-    escape_json_into(&span.name, out);
+    escape_into(&span.name, out);
     out.push_str("\",\"kind\":\"");
-    escape_json_into(span.kind, out);
+    escape_into(span.kind, out);
     out.push_str("\",\"layer\":");
     match span.layer {
         Some(l) => {
@@ -219,13 +205,13 @@ pub(crate) fn encode_span_into(out: &mut String, span: &SpanRecord) {
 
 fn encode_counter_into(out: &mut String, name: &str, delta: u64) {
     out.push_str("{\"counter\":\"");
-    escape_json_into(name, out);
+    escape_into(name, out);
     let _ = writeln!(out, "\",\"delta\":{delta}}}");
 }
 
 fn encode_timing_into(out: &mut String, name: &str, ns: u64) {
     out.push_str("{\"timing\":\"");
-    escape_json_into(name, out);
+    escape_into(name, out);
     let _ = writeln!(out, "\",\"ns\":{ns}}}");
 }
 
@@ -465,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn sidecars_and_flight_rings_read_a_span_back_alike() {
+    fn a_span_with_escapes_reads_back_exactly() {
         let dir = tmpdir("span_encoding");
         let span = SpanRecord {
             name: "odd \"name\"\nsecond line".into(),
@@ -479,21 +465,7 @@ mod tests {
         let rec = SidecarRecorder::create(&sidecar, 0, 1, 0).unwrap();
         rec.span(span.clone());
         drop(rec);
-        assert_eq!(
-            read_sidecar(&sidecar).unwrap().batch.spans,
-            vec![span.clone()]
-        );
-
-        let ring = dir.join("s.flight");
-        let flight = crate::flight::FlightRecorder::new(4).with_path(&ring, None);
-        flight.span(span.clone());
-        flight.flush();
-        let entries = crate::flight::read_flight(&ring).unwrap().entries;
-        assert_eq!(entries.len(), 1);
-        match decode_line(&entries[0].2) {
-            Some(Line::Span(read)) => assert_eq!(read, span),
-            _ => panic!("flight item is not a span: {:?}", entries[0].2),
-        }
+        assert_eq!(read_sidecar(&sidecar).unwrap().batch.spans, vec![span]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -562,10 +534,6 @@ mod tests {
         assert_eq!(
             sidecar_path(journal, 3),
             Path::new("/tmp/fleet/shard-0002-of-0004.attempt-0003.telemetry.jsonl")
-        );
-        assert_eq!(
-            flight_path(journal),
-            Path::new("/tmp/fleet/shard-0002-of-0004.flight")
         );
     }
 }

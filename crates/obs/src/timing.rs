@@ -3,50 +3,11 @@
 
 use std::time::{Duration, Instant};
 
-/// A restartable stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl Stopwatch {
-    /// A stopwatch running from now.
-    pub fn start() -> Self {
-        Stopwatch {
-            started: Instant::now(),
-        }
-    }
-
-    /// Time since start (or the last [`Stopwatch::lap`]).
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// [`Stopwatch::elapsed`] in seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
-    /// Returns the elapsed time and restarts the stopwatch.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let lap = now - self.started;
-        self.started = now;
-        lap
-    }
-}
-
 /// Runs `f` once, returning its result and wall time.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let sw = Stopwatch::start();
+    let started = Instant::now();
     let r = f();
-    (r, sw.elapsed())
+    (r, started.elapsed())
 }
 
 /// Mean wall-clock seconds of `n` runs of `f` (0.0 when `n` is 0).
@@ -54,11 +15,11 @@ pub fn mean_seconds(n: usize, mut f: impl FnMut()) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let sw = Stopwatch::start();
+    let started = Instant::now();
     for _ in 0..n {
         f();
     }
-    sw.elapsed_secs() / n as f64
+    started.elapsed().as_secs_f64() / n as f64
 }
 
 #[cfg(test)]
@@ -70,15 +31,6 @@ mod tests {
         let (v, d) = time(|| 40 + 2);
         assert_eq!(v, 42);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn lap_restarts() {
-        let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(1));
-        let first = sw.lap();
-        assert!(first >= Duration::from_millis(1));
-        assert!(sw.elapsed() < first + Duration::from_millis(50));
     }
 
     #[test]

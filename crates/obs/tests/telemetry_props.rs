@@ -1,11 +1,7 @@
-//! Property tests for the fleet-telemetry layer (ISSUE 7 satellite):
-//!
-//! - sidecar merge determinism: partitioning one event/timing stream across
-//!   any number of shard sidecars recovers the same multiset of events,
-//!   counters, and timings — shard count and partition boundaries must not
-//!   change what the merged report sees;
-//! - the flight-recorder ring keeps *exactly* the last N items under
-//!   wraparound, for any capacity and push count.
+//! Property test for the fleet-telemetry layer: sidecar merge determinism.
+//! Partitioning one event/timing stream across any number of shard sidecars
+//! recovers the same multiset of events, counters, and timings — shard count
+//! and partition boundaries must not change what the merged report sees.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -14,8 +10,8 @@ use proptest::prelude::*;
 
 use rustfi_obs::sidecar::{sidecar_path, SidecarRecorder};
 use rustfi_obs::{
-    merge_shard_telemetry, Event, FlightRecorder, InjectionEvent, InjectionSite, MergedTelemetry,
-    ObsBatch, Recorder, SpanRecord, TrialOutcomeEvent,
+    merge_shard_telemetry, Event, InjectionEvent, InjectionSite, MergedTelemetry, ObsBatch,
+    Recorder, SpanRecord, TrialOutcomeEvent,
 };
 
 /// SplitMix64 — deriving item streams from a proptest seed keeps each case
@@ -161,31 +157,5 @@ proptest! {
                 "merge differs at {} shards", shards);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The flight ring retains exactly the last `min(pushes, cap)` items,
-    /// in order, with a correct total count — under any wraparound factor.
-    #[test]
-    fn flight_ring_keeps_exactly_the_last_n(cap in 1usize..64, pushes in 0usize..300) {
-        let rec = FlightRecorder::new(cap);
-        for i in 0..pushes {
-            rec.event(Event::TrialOutcome(TrialOutcomeEvent {
-                trial: i,
-                layer: 0,
-                outcome: "masked",
-                due_layer: None,
-            }));
-        }
-        let entries = rec.entries();
-        prop_assert_eq!(entries.len(), pushes.min(cap));
-        prop_assert_eq!(rec.total_seen(), pushes as u64);
-        let expect_first = pushes.saturating_sub(cap);
-        for (offset, entry) in entries.iter().enumerate() {
-            prop_assert_eq!(entry.seq, (expect_first + offset) as u64);
-            prop_assert!(
-                entry.payload.contains(&format!("\"trial\":{},", expect_first + offset)),
-                "entry {} holds trial {}", offset, expect_first + offset
-            );
-        }
     }
 }

@@ -237,16 +237,12 @@ proptest! {
     /// Observability is read-only: for any generated architecture and
     /// execution strategy, campaigns run with no recorder, with the
     /// [`rustfi_obs::NullRecorder`], with the full
-    /// [`rustfi_obs::TraceRecorder`], and with the fleet-telemetry stack
-    /// (disk-streaming [`rustfi_obs::SidecarRecorder`] fanned out with a
-    /// [`rustfi_obs::FlightRecorder`] ring) produce bit-identical trial
-    /// records.
+    /// [`rustfi_obs::TraceRecorder`], and with a fleet worker's telemetry
+    /// sidecar (the disk-streaming [`rustfi_obs::SidecarRecorder`]) produce
+    /// bit-identical trial records.
     #[test]
     fn recorders_never_perturb_campaign_results(case in fuzz::cases()) {
-        use rustfi_obs::{
-            FanoutRecorder, FlightRecorder, NullRecorder, Recorder, SidecarRecorder,
-            TraceRecorder,
-        };
+        use rustfi_obs::{NullRecorder, Recorder, SidecarRecorder, TraceRecorder};
         let fx = CaseFixture::new(&case).unwrap();
         let factory = fx.factory();
         let campaign = Campaign::new(
@@ -290,8 +286,8 @@ proptest! {
             true
         );
 
-        // The fleet-telemetry stack streams to disk mid-campaign, which
-        // must be just as invisible as the in-memory recorders.
+        // A fleet worker's sidecar streams to disk mid-campaign, which must
+        // be just as invisible as the in-memory recorders.
         let dir = std::env::temp_dir().join(format!(
             "rustfi_props_sidecar_{}_{:x}",
             std::process::id(),
@@ -299,12 +295,7 @@ proptest! {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let sidecar = SidecarRecorder::create(&dir.join("run.telemetry.jsonl"), 0, 1, 0).unwrap();
-        let flight = FlightRecorder::new(64).with_path(&dir.join("run.flight"), None);
-        let fanout = Arc::new(FanoutRecorder::new(vec![
-            Arc::new(sidecar) as Arc<dyn Recorder>,
-            Arc::new(flight) as Arc<dyn Recorder>,
-        ]));
-        let observed = run(Some(fanout as Arc<dyn Recorder>));
+        let observed = run(Some(Arc::new(sidecar) as Arc<dyn Recorder>));
         prop_assert_eq!(&plain, &observed);
         let sc = rustfi_obs::read_sidecar(&dir.join("run.telemetry.jsonl")).unwrap();
         prop_assert_eq!(sc.torn_lines, 0);
@@ -316,7 +307,6 @@ proptest! {
                 .count(),
             case.trials
         );
-        prop_assert!(rustfi_obs::read_flight(&dir.join("run.flight")).unwrap().seq > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
