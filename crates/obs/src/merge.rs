@@ -20,7 +20,8 @@
 //! quiet, attempt 1 tracks pick up where the orchestrator relaunched it.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::chrome::micros;
@@ -184,63 +185,81 @@ impl MergedTelemetry {
     /// The merged fleet Chrome trace: one process lane per shard, one
     /// thread group per (attempt, worker thread) within it, all spans
     /// rebased onto the fleet timeline. Loadable in Perfetto /
-    /// `chrome://tracing`.
+    /// `chrome://tracing`. The same bytes
+    /// [`write_chrome_trace`](Self::write_chrome_trace) streams to a file.
     pub fn chrome_trace(&self) -> String {
-        let epoch = self.fleet_epoch_unix_ns();
         let total: usize = self.lanes.iter().map(|l| l.batch.spans.len() + 2).sum();
-        let mut out = String::with_capacity(64 + 160 * total);
-        out.push_str("{\"traceEvents\":[");
+        let mut out = Vec::with_capacity(64 + 160 * total);
+        self.render_chrome_trace(&mut out)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(out).expect("the trace is rendered from strings")
+    }
+
+    /// Streams [`MergedTelemetry::chrome_trace`] to `path` through a
+    /// buffered writer, so the rendered trace is never held in memory.
+    pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
+        let mut out = BufWriter::new(File::create(path)?);
+        self.render_chrome_trace(&mut out)?;
+        out.flush()
+    }
+
+    /// Renders the trace into `out`, event by event.
+    fn render_chrome_trace(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let epoch = self.fleet_epoch_unix_ns();
+        out.write_all(b"{\"traceEvents\":[")?;
         let mut first = true;
         // Metadata: name every shard lane and every attempt sub-lane.
         for shard in self.shards_present() {
-            sep(&mut out, &mut first);
-            let _ = write!(
+            sep(out, &mut first)?;
+            write!(
                 out,
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
                  \"args\":{{\"name\":\"shard {shard}\"}}}}",
                 shard + 1
-            );
-            sep(&mut out, &mut first);
-            let _ = write!(
+            )?;
+            sep(out, &mut first)?;
+            write!(
                 out,
                 "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
                  \"args\":{{\"sort_index\":{shard}}}}}",
                 shard + 1
-            );
+            )?;
         }
         for lane in &self.lanes {
             let pid = lane.header.shard + 1;
             let tids: BTreeSet<u32> = lane.batch.spans.iter().map(|s| s.tid).collect();
             for tid in tids {
                 let fleet_tid = fleet_tid(lane.header.attempt, tid);
-                sep(&mut out, &mut first);
-                let _ = write!(
+                sep(out, &mut first)?;
+                write!(
                     out,
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{fleet_tid},\
                      \"args\":{{\"name\":\"attempt {} · worker {tid}\"}}}}",
                     lane.header.attempt
-                );
+                )?;
             }
         }
-        // Spans, rebased.
+        // Spans, rebased. Names are escaped into one reused buffer.
+        let mut name = String::new();
         for lane in &self.lanes {
             let pid = lane.header.shard + 1;
             for span in &lane.batch.spans {
-                sep(&mut out, &mut first);
-                out.push_str("{\"name\":\"");
-                escape_into(&span.name, &mut out);
-                let _ = write!(
+                sep(out, &mut first)?;
+                name.clear();
+                escape_into(&span.name, &mut name);
+                write!(
                     out,
-                    "\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}",
+                    "{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                     \"pid\":{pid},\"tid\":{}",
                     span.kind,
                     micros(lane.fleet_ns(span.start_ns, epoch)),
                     micros(span.dur_ns),
                     fleet_tid(lane.header.attempt, span.tid)
-                );
+                )?;
                 if let Some(layer) = span.layer {
-                    let _ = write!(out, ",\"args\":{{\"layer\":{layer}}}");
+                    write!(out, ",\"args\":{{\"layer\":{layer}}}")?;
                 }
-                out.push('}');
+                out.write_all(b"}")?;
             }
         }
         // Events, as instants on their shard's lane (events carry no
@@ -250,8 +269,8 @@ impl MergedTelemetry {
             let pid = lane.header.shard + 1;
             let ts = lane.fleet_ns(lane.header.anchor_ns, epoch);
             for event in &lane.batch.events {
-                sep(&mut out, &mut first);
-                let _ = write!(
+                sep(out, &mut first)?;
+                write!(
                     out,
                     "{{\"name\":\"{}\",\"cat\":\"fi\",\"ph\":\"i\",\"ts\":{},\"s\":\"p\",\
                      \"pid\":{pid},\"tid\":{},\"args\":{}}}",
@@ -259,16 +278,10 @@ impl MergedTelemetry {
                     micros(ts),
                     fleet_tid(lane.header.attempt, 1),
                     event.to_json()
-                );
+                )?;
             }
         }
-        out.push_str("]}");
-        out
-    }
-
-    /// Writes [`MergedTelemetry::chrome_trace`] to `path`.
-    pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.chrome_trace())
+        out.write_all(b"]}")
     }
 }
 
@@ -278,11 +291,12 @@ fn fleet_tid(attempt: u32, tid: u32) -> u64 {
     attempt as u64 * 1_000 + tid as u64
 }
 
-fn sep(out: &mut String, first: &mut bool) {
+fn sep(out: &mut impl Write, first: &mut bool) -> std::io::Result<()> {
     if *first {
         *first = false;
+        Ok(())
     } else {
-        out.push(',');
+        out.write_all(b",")
     }
 }
 
@@ -441,6 +455,11 @@ mod tests {
                 .count(),
             3
         );
+
+        // The streamed file holds exactly the in-memory rendering.
+        let path = dir.join("fleet.trace.json");
+        merged.write_chrome_trace(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), trace);
         std::fs::remove_dir_all(&dir).ok();
     }
 

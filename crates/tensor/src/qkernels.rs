@@ -22,20 +22,29 @@
 //!
 //! The slice kernels use the same runtime-dispatch trio as the elementwise
 //! tail (`simd_kernel!`), except [`quantize_slice`], whose rounding needs a
-//! hand-vectorized AVX2 body. [`matmul_i8_nt`] follows the `linalg`
+//! hand-vectorized AVX2 body; the planned convolution's plane prologue
+//! shares that vector rounding rule. [`matmul_i8_nt`] follows the `linalg`
 //! `block_rows` pattern with a hand-vectorized AVX2 body: `i8` operands are
 //! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`. The
 //! planned convolution's implicit GEMM computes blocks of 16 output
 //! channels as outer products with tiles of output pixels read from a
-//! channels-last input plane, and picks its body at run time: AVX-512 VNNI
-//! (`vpdpwssd`), AVX2 (`pmaddwd` + `paddd`) or portable ([`int8_conv_simd`]
-//! names the one in use). Integer arithmetic is exact, so every SIMD body
-//! is bit-identical to its portable twin regardless of accumulation order.
+//! channels-last input plane, dequantizes each tile as it stores it, and
+//! picks its body at run time: AVX-512 VNNI (`vpdpwssd`), AVX2 (`pmaddwd` +
+//! `paddd`) or portable ([`int8_conv_simd`] names the one in use). Integer
+//! arithmetic is exact, so every SIMD body is bit-identical to its portable
+//! twin regardless of accumulation order.
+//!
+//! The SIMD bodies are plain indexed loops over arrays of vectors, with no
+//! closure around an intrinsic: a closure the compiler does not inline is
+//! compiled without the caller's target features, so every intrinsic in it
+//! becomes an out-of-line call (CI fails the build if one appears).
 
 use crate::kernels::simd_kernel;
 #[cfg(doc)]
 use crate::pack::PackedConvI16;
-use crate::pack::CONV_LANES;
+use crate::pack::{Act, BnFoldView, CONV_LANES};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 /// Largest representable quantized magnitude.
 pub const QMAX: i32 = 127;
@@ -127,12 +136,7 @@ fn quantize_slice_impl(src: &[f32], scale: f32, dst: &mut [i8]) {
     }
 }
 
-/// Eight lanes of [`quantize_raw`] at a time. With `v = x / scale` (the same
-/// IEEE division) and `t = trunc(v)`, `v - t` is exact, so
-/// `t + copysign(1, v)` where `|v - t| >= 0.5`, else `t`, is exactly
-/// `v.round()` (ties away from zero) for every finite `v`. ±∞ keeps
-/// `t = ±∞` (its `v - t` is NaN, which fails the compare) and clamps to
-/// ±127; NaN lanes are zeroed, matching the saturating cast.
+/// Eight lanes of [`quantize_raw`] at a time through [`Quantize8`].
 ///
 /// # Safety
 ///
@@ -140,30 +144,73 @@ fn quantize_slice_impl(src: &[f32], scale: f32, dst: &mut [i8]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_slice_avx2(src: &[f32], scale: f32, dst: &mut [i8]) {
-    use std::arch::x86_64::*;
     let n8 = src.len() - src.len() % 8;
-    let vscale = _mm256_set1_ps(scale);
-    let sign = _mm256_set1_ps(-0.0);
-    let (half, one) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
-    let (lo, hi) = (_mm256_set1_ps(-(QMAX as f32)), _mm256_set1_ps(QMAX as f32));
+    let q = Quantize8::new(scale);
     for i in (0..n8).step_by(8) {
-        let v = _mm256_div_ps(_mm256_loadu_ps(src.as_ptr().add(i)), vscale);
-        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
-        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(v, t));
-        let away = _mm256_or_ps(one, _mm256_and_ps(sign, v));
-        let r = _mm256_add_ps(
-            t,
-            _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half), away),
-        );
-        let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
-        let q = _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(r, lo), hi));
-        let q16 = _mm_packs_epi32(_mm256_castsi256_si128(q), _mm256_extracti128_si256::<1>(q));
+        let w = q.words(_mm256_loadu_ps(src.as_ptr().add(i)));
+        let q16 = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
         _mm_storel_epi64(
             dst.as_mut_ptr().add(i) as *mut __m128i,
             _mm_packs_epi16(q16, q16),
         );
     }
     quantize_slice_impl(&src[n8..], scale, &mut dst[n8..]);
+}
+
+/// The AVX2 form of [`quantize_raw`], eight lanes at a time: the one vector
+/// rounding rule, shared by [`quantize_slice`] and [`quantize_plane`].
+///
+/// With `v = x / scale` (the same IEEE division) and `t = trunc(v)`, `v - t`
+/// is exact, so `t + copysign(1, v)` where `|v - t| >= 0.5`, else `t`, is
+/// exactly `v.round()` (ties away from zero) for every finite `v`. ±∞ keeps
+/// `t = ±∞` (its `v - t` is NaN, which fails the compare) and clamps to
+/// ±127; NaN lanes are zeroed, matching the saturating cast.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Quantize8 {
+    scale: __m256,
+    sign: __m256,
+    half: __m256,
+    one: __m256,
+    lo: __m256,
+    hi: __m256,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Quantize8 {
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn new(scale: f32) -> Self {
+        Self {
+            scale: _mm256_set1_ps(scale),
+            sign: _mm256_set1_ps(-0.0),
+            half: _mm256_set1_ps(0.5),
+            one: _mm256_set1_ps(1.0),
+            lo: _mm256_set1_ps(-(QMAX as f32)),
+            hi: _mm256_set1_ps(QMAX as f32),
+        }
+    }
+
+    /// The quantized words of `x`'s eight lanes, as `i32` lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn words(self, x: __m256) -> __m256i {
+        let v = _mm256_div_ps(x, self.scale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+        let frac = _mm256_andnot_ps(self.sign, _mm256_sub_ps(v, t));
+        let away = _mm256_or_ps(self.one, _mm256_and_ps(self.sign, v));
+        let r = _mm256_add_ps(
+            t,
+            _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, self.half), away),
+        );
+        let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(v, v));
+        _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(r, self.lo), self.hi))
+    }
 }
 
 simd_kernel! {
@@ -312,8 +359,6 @@ fn matmul_i8_nt_impl(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n:
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_i8_nt_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
-
     /// 16 `i8`s at `p`, sign-extended into 16 `i16` lanes.
     #[inline(always)]
     unsafe fn widen16(p: *const i8) -> __m256i {
@@ -385,6 +430,245 @@ unsafe fn matmul_i8_nt_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: us
     }
 }
 
+/// One sample's zero-padded, channels-last `i16` input plane: `groups`
+/// regions of `[h + 2·pad][w + 2·pad][cg]` words back to back, so within a
+/// group the `kw` pixels one kernel row covers are one contiguous `(kx, c)`
+/// run for any stride.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InputPlane {
+    /// Channel groups, one region each.
+    pub groups: usize,
+    /// Channels per group.
+    pub cg: usize,
+    /// Input rows.
+    pub h: usize,
+    /// Input columns.
+    pub w: usize,
+    /// Zero padding on every side.
+    pub pad: usize,
+}
+
+impl InputPlane {
+    /// Region width in pixels, padding included.
+    pub fn wp(&self) -> usize {
+        self.w + 2 * self.pad
+    }
+
+    /// Words per group region.
+    pub fn group_len(&self) -> usize {
+        (self.h + 2 * self.pad) * self.wp() * self.cg
+    }
+
+    /// Region offset of input pixel `(y, x)`'s first channel.
+    #[inline(always)]
+    fn word(&self, y: usize, x: usize) -> usize {
+        ((y + self.pad) * self.wp() + self.pad + x) * self.cg
+    }
+}
+
+/// Quantizes one sample's f32 NCHW input `src` (`groups · cg` channels of
+/// `h × w`) against the static `scale` straight into its [`InputPlane`]:
+/// every interior word is [`quantize_one`] of its input, and every other
+/// word of `plane` (the borders, and the tail past the last region that a
+/// kernel row's pad lane may reach) is zero. Each input is read once and
+/// each word written once.
+///
+/// Every body but the portable one takes the AVX2 path: per 8 pixels, each
+/// whole block of 8 channels is quantized by [`Quantize8`], transposed in
+/// registers and stored as one 8-channel run per pixel; the channels past
+/// the last whole block are quantized the same way and scattered one word
+/// at a time.
+///
+/// # Panics
+///
+/// Panics if `src` is not the layout's input, `plane` is shorter than its
+/// regions, `scale` is not positive, or the CPU does not support `body`.
+pub(crate) fn quantize_plane(
+    body: ConvBody,
+    src: &[f32],
+    scale: f32,
+    lay: &InputPlane,
+    plane: &mut [i16],
+) {
+    let (cg, hw, glen) = (lay.cg, lay.h * lay.w, lay.group_len());
+    assert_eq!(src.len(), lay.groups * cg * hw, "input length");
+    assert!(plane.len() >= lay.groups * glen, "plane too short");
+    assert!(scale > 0.0, "scale must be positive, got {scale}");
+    assert!(body.supported(), "{body:?} is not supported on this CPU");
+    zero_borders(lay, plane);
+    for g in 0..lay.groups {
+        let fms = &src[g * cg * hw..][..cg * hw];
+        let region = &mut plane[g * glen..][..glen];
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: both SIMD bodies are supported only where AVX2 is.
+            ConvBody::Avx512Vnni | ConvBody::Avx2 => unsafe {
+                quantize_region_avx2(fms, scale, lay, region)
+            },
+            _ => quantize_region_portable(fms, scale, lay, region),
+        }
+    }
+}
+
+/// Zeroes every word of `plane` that no input lands on: each region's
+/// border rows and columns (a row's right pad and the next row's left pad
+/// are one run), and the tail past the last region.
+fn zero_borders(lay: &InputPlane, plane: &mut [i16]) {
+    let glen = lay.group_len();
+    for g in 0..lay.groups {
+        let region = &mut plane[g * glen..][..glen];
+        let mut start = 0;
+        for y in 0..lay.h {
+            region[start..lay.word(y, 0)].fill(0);
+            start = lay.word(y, lay.w);
+        }
+        region[start..].fill(0);
+    }
+    plane[lay.groups * glen..].fill(0);
+}
+
+/// [`quantize_plane`]'s portable path over one group's region.
+fn quantize_region_portable(fms: &[f32], scale: f32, lay: &InputPlane, region: &mut [i16]) {
+    let hw = lay.h * lay.w;
+    for c in 0..lay.cg {
+        for y in 0..lay.h {
+            let at = lay.word(y, 0) + c;
+            let row = &fms[c * hw + y * lay.w..][..lay.w];
+            for (x, &v) in row.iter().enumerate() {
+                region[at + x * lay.cg] = quantize_raw(v, scale) as i16;
+            }
+        }
+    }
+}
+
+/// [`quantize_plane`]'s AVX2 path over one group's region.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// Index loops name the 8×8 tile's (channel, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn quantize_region_avx2(fms: &[f32], scale: f32, lay: &InputPlane, region: &mut [i16]) {
+    let (cg, hw) = (lay.cg, lay.h * lay.w);
+    assert_eq!(fms.len(), cg * hw, "input length");
+    assert!(region.len() >= lay.group_len(), "region too short");
+    let (cg8, hw8) = (cg - cg % 8, hw - hw % 8);
+    let q = Quantize8::new(scale);
+    let (src, dst) = (fms.as_ptr(), region.as_mut_ptr());
+    let mut walk = PixelWalk::new(lay);
+    for i0 in (0..hw8).step_by(8) {
+        let mut px = [0usize; 8];
+        for p in &mut px {
+            *p = walk.advance();
+        }
+        // SAFETY (reads and writes below): channel `c < cg` of pixel
+        // `i0 + j < hw` is input word `c * hw + i0 + j < fms.len()` and
+        // region word `px[j] + c < region.len()`, as asserted above; each
+        // access covers 8 such pixels (reads) or channels (writes).
+        for c0 in (0..cg8).step_by(8) {
+            let mut v = [_mm256_setzero_si256(); 8];
+            for k in 0..8 {
+                v[k] = q.words(_mm256_loadu_ps(src.add((c0 + k) * hw + i0)));
+            }
+            let t = transpose_8x8_i16(&v);
+            for j in 0..8 {
+                _mm_storeu_si128(dst.add(px[j] + c0) as *mut __m128i, t[j]);
+            }
+        }
+        for c in cg8..cg {
+            let mut words = [0i32; 8];
+            let v = q.words(_mm256_loadu_ps(src.add(c * hw + i0)));
+            _mm256_storeu_si256(words.as_mut_ptr() as *mut __m256i, v);
+            for j in 0..8 {
+                *dst.add(px[j] + c) = words[j] as i16;
+            }
+        }
+    }
+    for i in hw8..hw {
+        let at = walk.advance();
+        for c in 0..cg {
+            region[at + c] = quantize_raw(fms[c * hw + i], scale) as i16;
+        }
+    }
+}
+
+/// The region words of an input's pixels in row-major order (channel 0 of
+/// each), stepped rather than multiplied out: a row's end skips the right
+/// and the next left pad.
+#[cfg(target_arch = "x86_64")]
+struct PixelWalk {
+    at: usize,
+    x: usize,
+    w: usize,
+    cg: usize,
+    skip: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PixelWalk {
+    fn new(lay: &InputPlane) -> Self {
+        Self {
+            at: lay.word(0, 0),
+            x: 0,
+            w: lay.w,
+            cg: lay.cg,
+            skip: 2 * lay.pad * lay.cg,
+        }
+    }
+
+    /// The next pixel's word.
+    #[inline(always)]
+    fn advance(&mut self) -> usize {
+        let at = self.at;
+        self.at += self.cg;
+        self.x += 1;
+        if self.x == self.w {
+            self.at += self.skip;
+            self.x = 0;
+        }
+        at
+    }
+}
+
+/// Transposes 8 vectors of 8 `i32` words (one per channel, lane `j` for
+/// pixel `j`) into 8 runs of 8 `i16` words (one per pixel, word `k` for
+/// channel `k`). Unpacks gather four channels of pixels `q` and `q + 4` in
+/// each 128-bit lane; one saturating pack (a no-op on words in ±127) then
+/// joins the two channel halves.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_8x8_i16(v: &[__m256i; 8]) -> [__m128i; 8] {
+    // t[2m], t[2m+1]: channels 2m and 2m+1 of pixels (0, 1, 4, 5) and
+    // (2, 3, 6, 7), interleaved.
+    let mut t = [_mm256_setzero_si256(); 8];
+    for m in 0..4 {
+        t[2 * m] = _mm256_unpacklo_epi32(v[2 * m], v[2 * m + 1]);
+        t[2 * m + 1] = _mm256_unpackhi_epi32(v[2 * m], v[2 * m + 1]);
+    }
+    let mut out = [_mm_setzero_si128(); 8];
+    for q in 0..4 {
+        let (a, b) = (q / 2, q / 2 + 2);
+        // Channels 0–3 and 4–7 of pixel q (low lane) and q + 4 (high lane).
+        let (lo, hi) = if q % 2 == 0 {
+            (
+                _mm256_unpacklo_epi64(t[a], t[b]),
+                _mm256_unpacklo_epi64(t[4 + a], t[4 + b]),
+            )
+        } else {
+            (
+                _mm256_unpackhi_epi64(t[a], t[b]),
+                _mm256_unpackhi_epi64(t[4 + a], t[4 + b]),
+            )
+        };
+        let p = _mm256_packs_epi32(lo, hi);
+        out[q] = _mm256_castsi256_si128(p);
+        out[q + 4] = _mm256_extracti128_si256::<1>(p);
+    }
+    out
+}
+
 /// Geometry of one implicit-GEMM convolution over a zero-padded,
 /// channels-last `i16` input plane (see [`conv_i16_implicit`]).
 #[derive(Debug, Clone, Copy)]
@@ -427,8 +711,233 @@ impl PlaneConv {
     }
 }
 
+/// What a planned INT8 conv body applies to each output channel's exact
+/// sum `s` as it stores it, in the serial chain's per-element op order:
+/// `s as f32 * scale + bias` with `scale = input_scale * w_scale` (the
+/// expression and the scale of [`conv2d_q`](crate::conv2d_q)'s
+/// [`dequant_bias_row`]), then the folded batch-norm `gamma * ((v - mean) *
+/// inv_std) + beta`, then the activation.
+///
+/// Without a batch-norm the bodies apply the identity fold `mean = 0`,
+/// `inv_std = gamma = 1`, `beta = -0.0`, which returns every `f32` bit for
+/// bit (`v - 0`, `v * 1` and `v + -0.0` are exact, signed zeros and NaN
+/// payloads included), so the formula has no branch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QEpilogue<'a> {
+    /// The static input scale.
+    pub input_scale: f32,
+    /// Weight scales, one per output channel or one for all of them (as
+    /// [`QTensor::scales`](crate::QTensor::scales)).
+    pub w_scales: &'a [f32],
+    /// Bias per output channel.
+    pub bias: &'a [f32],
+    /// Folded batch-norm constants per output channel.
+    pub bn: Option<BnFoldView<'a>>,
+    /// The activation, applied last.
+    pub act: Act,
+    /// Output channel of the body's row 0 (the group's first).
+    pub row0: usize,
+}
+
+/// [`QEpilogue`]'s constants for one output channel (`T = f32`), for the
+/// lanes of one block of [`CONV_LANES`] channels (`[f32; CONV_LANES]`), or
+/// for a vector of those lanes.
+#[derive(Debug, Clone, Copy)]
+struct EpiConsts<T> {
+    scale: T,
+    bias: T,
+    mean: T,
+    inv_std: T,
+    gamma: T,
+    beta: T,
+    act: Act,
+}
+
+impl QEpilogue<'_> {
+    /// Row `r`'s constants.
+    #[inline(always)]
+    fn row(&self, r: usize) -> EpiConsts<f32> {
+        let c = self.row0 + r;
+        let w_scale = self.w_scales[if self.w_scales.len() == 1 { 0 } else { c }];
+        let (mean, inv_std, gamma, beta) = match self.bn {
+            Some(f) => (f.mean[c], f.inv_std[c], f.gamma[c], f.beta[c]),
+            None => (0.0, 1.0, 1.0, -0.0),
+        };
+        EpiConsts {
+            scale: self.input_scale * w_scale,
+            bias: self.bias[c],
+            mean,
+            inv_std,
+            gamma,
+            beta,
+            act: self.act,
+        }
+    }
+
+    /// The constants of rows `r0..r0 + rows` in lanes `0..rows`; the lanes
+    /// past them are zero, and a body never stores their results.
+    #[cfg(target_arch = "x86_64")]
+    fn lanes(&self, r0: usize, rows: usize) -> EpiConsts<[f32; CONV_LANES]> {
+        let z = [0.0; CONV_LANES];
+        let mut l = EpiConsts {
+            scale: z,
+            bias: z,
+            mean: z,
+            inv_std: z,
+            gamma: z,
+            beta: z,
+            act: self.act,
+        };
+        for r in 0..rows {
+            let k = self.row(r0 + r);
+            l.scale[r] = k.scale;
+            l.bias[r] = k.bias;
+            l.mean[r] = k.mean;
+            l.inv_std[r] = k.inv_std;
+            l.gamma[r] = k.gamma;
+            l.beta[r] = k.beta;
+        }
+        l
+    }
+}
+
+impl EpiConsts<f32> {
+    /// The epilogue of one sum: the formula every vector form reproduces
+    /// lane by lane.
+    #[inline(always)]
+    fn apply(&self, s: i32) -> f32 {
+        let v = s as f32 * self.scale + self.bias;
+        self.act
+            .apply(self.gamma * ((v - self.mean) * self.inv_std) + self.beta)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl EpiConsts<[f32; CONV_LANES]> {
+    /// All 16 lanes as AVX-512 vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[inline(always)]
+    unsafe fn zmm(&self) -> EpiConsts<__m512> {
+        EpiConsts {
+            scale: _mm512_loadu_ps(self.scale.as_ptr()),
+            bias: _mm512_loadu_ps(self.bias.as_ptr()),
+            mean: _mm512_loadu_ps(self.mean.as_ptr()),
+            inv_std: _mm512_loadu_ps(self.inv_std.as_ptr()),
+            gamma: _mm512_loadu_ps(self.gamma.as_ptr()),
+            beta: _mm512_loadu_ps(self.beta.as_ptr()),
+            act: self.act,
+        }
+    }
+
+    /// Lanes `8 * half..8 * half + 8` as AVX2 vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn ymm(&self, half: usize) -> EpiConsts<__m256> {
+        let at = 8 * half;
+        EpiConsts {
+            scale: _mm256_loadu_ps(self.scale[at..][..8].as_ptr()),
+            bias: _mm256_loadu_ps(self.bias[at..][..8].as_ptr()),
+            mean: _mm256_loadu_ps(self.mean[at..][..8].as_ptr()),
+            inv_std: _mm256_loadu_ps(self.inv_std[at..][..8].as_ptr()),
+            gamma: _mm256_loadu_ps(self.gamma[at..][..8].as_ptr()),
+            beta: _mm256_loadu_ps(self.beta[at..][..8].as_ptr()),
+            act: self.act,
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl EpiConsts<__m512> {
+    /// Dequantize, bias and batch-norm of 16 channel lanes: the affine part
+    /// of [`EpiConsts::<f32>::apply`], lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[inline(always)]
+    unsafe fn affine(&self, s: __m512i) -> __m512 {
+        let v = _mm512_add_ps(_mm512_mul_ps(_mm512_cvtepi32_ps(s), self.scale), self.bias);
+        let n = _mm512_mul_ps(_mm512_sub_ps(v, self.mean), self.inv_std);
+        _mm512_add_ps(_mm512_mul_ps(self.gamma, n), self.beta)
+    }
+
+    /// The activation over every vector of `v`, with one branch for all of
+    /// them. `vmaxps` returns its second operand for a NaN or an equal
+    /// pair, so `max(v, 0)` is `f32::max`'s lowering, `-0.0` included.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[inline(always)]
+    unsafe fn activate(&self, v: &mut [__m512]) {
+        let zero = _mm512_setzero_ps();
+        match self.act {
+            Act::None => {}
+            Act::Relu => {
+                for v in v {
+                    *v = _mm512_max_ps(*v, zero);
+                }
+            }
+            Act::LeakyRelu(slope) => {
+                let slope = _mm512_set1_ps(slope);
+                for v in v {
+                    let neg = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(*v, zero);
+                    *v = _mm512_mask_mul_ps(*v, neg, slope, *v);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl EpiConsts<__m256> {
+    /// [`EpiConsts::<__m512>::affine`] on 8 channel lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn affine(&self, s: __m256i) -> __m256 {
+        let v = _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(s), self.scale), self.bias);
+        let n = _mm256_mul_ps(_mm256_sub_ps(v, self.mean), self.inv_std);
+        _mm256_add_ps(_mm256_mul_ps(self.gamma, n), self.beta)
+    }
+
+    /// [`EpiConsts::<__m512>::activate`] on 8-lane vectors.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn activate(&self, v: &mut [__m256]) {
+        let zero = _mm256_setzero_ps();
+        match self.act {
+            Act::None => {}
+            Act::Relu => {
+                for v in v {
+                    *v = _mm256_max_ps(*v, zero);
+                }
+            }
+            Act::LeakyRelu(slope) => {
+                let slope = _mm256_set1_ps(slope);
+                for v in v {
+                    let neg = _mm256_cmp_ps::<_CMP_LE_OQ>(*v, zero);
+                    *v = _mm256_blendv_ps(*v, _mm256_mul_ps(slope, *v), neg);
+                }
+            }
+        }
+    }
+}
+
 /// The bodies of [`conv_i16_implicit`]. All three walk the same
-/// [`PackedConvI16`] layout and compute the same exact integer sums.
+/// [`PackedConvI16`] layout, compute the same exact integer sums and apply
+/// the same epilogue formula.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvBody {
     /// `vpdpwssd` into one 16-lane `zmm` accumulator per pixel.
@@ -444,13 +953,14 @@ impl ConvBody {
     /// Every body, fastest first.
     pub(crate) const ALL: [ConvBody; 3] = [Self::Avx512Vnni, Self::Avx2, Self::Portable];
 
-    /// Whether this CPU can run the body.
+    /// Whether this CPU can run the body (with [`quantize_plane`]'s path
+    /// for it: AVX2 for either SIMD body).
     pub(crate) fn supported(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
             match self {
-                Self::Avx512Vnni => has!("avx512f") && has!("avx512vnni"),
+                Self::Avx512Vnni => has!("avx2") && has!("avx512f") && has!("avx512vnni"),
                 Self::Avx2 => has!("avx2"),
                 Self::Portable => true,
             }
@@ -480,17 +990,18 @@ pub fn int8_conv_simd() -> &'static str {
     }
 }
 
-/// Implicit-GEMM INT8 convolution of one sample group:
-/// `acc[r][p] = Σ_ky Σ_l w[r][ky][l] · plane[base(p) + ky·wp·cg + l]`
+/// Implicit-GEMM INT8 convolution of one sample group on `body`:
+/// `out[r][p] = epi(r, Σ_ky Σ_l w[r][ky][l] · plane[base(p) + ky·wp·cg + l])`
 /// for `rows` output channels of one group of a [`PackedConvI16`] panel and
 /// every output pixel `p`, read straight from the channels-last `plane` — no
-/// im2row matrix, no gather map.
+/// im2row matrix, no gather map — and written as f32 through the
+/// [`QEpilogue`] as each tile is stored.
 ///
 /// Each block of 16 channels is an outer product with a tile of pixels: per
 /// kernel row and k-pair, one vector of the 16 channels' weight pairs meets
 /// each pixel's broadcast input pair in one multiply-add, so every
 /// accumulator lane is one channel's running sum and no horizontal
-/// reduction is left. The tile is stored transposed into `acc[r][p]`.
+/// reduction is left.
 ///
 /// Each sum is an exact integer dot product over the same `cg·kh·kw` real
 /// products as the im2row GEMM of [`conv2d_q`](crate::conv2d_q), plus pad
@@ -499,32 +1010,19 @@ pub fn int8_conv_simd() -> &'static str {
 ///
 /// # Panics
 ///
-/// Panics if `plane`, `panel` or `acc` is shorter than the geometry needs,
-/// or if the reduction could overflow the `i32` accumulator.
+/// Panics if `plane`, `panel` or `out` is shorter than the geometry needs,
+/// if the reduction could overflow the `i32` accumulator, if `epi` lacks a
+/// row's constants, or if the CPU does not support `body`.
 pub(crate) fn conv_i16_implicit(
-    plane: &[i16],
-    panel: &[i16],
-    rows: usize,
-    geo: &PlaneConv,
-    acc: &mut [i32],
-) {
-    crate::opcount::count_matmul_i8();
-    conv_implicit_on(ConvBody::detect(), plane, panel, rows, geo, acc);
-}
-
-/// [`conv_i16_implicit`] on a chosen body.
-///
-/// # Panics
-///
-/// As [`conv_i16_implicit`], and if the CPU does not support `body`.
-fn conv_implicit_on(
     body: ConvBody,
     plane: &[i16],
     panel: &[i16],
     rows: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
 ) {
+    crate::opcount::count_matmul_i8();
     assert!(geo.seg.is_multiple_of(2) && geo.seg > 0, "bad segment");
     assert!(geo.oh * geo.ow > 0, "empty output");
     assert!(plane.len() >= geo.plane_reach(), "plane too short");
@@ -532,7 +1030,7 @@ fn conv_implicit_on(
         panel.len() >= rows.div_ceil(CONV_LANES) * geo.block_len(),
         "panel too short"
     );
-    assert!(acc.len() >= rows * geo.oh * geo.ow, "accumulator too short");
+    assert!(out.len() >= rows * geo.oh * geo.ow, "output too short");
     assert!(
         geo.kh * geo.seg <= i32::MAX as usize / (QMAX * QMAX) as usize,
         "k={} could overflow the i32 accumulator",
@@ -543,11 +1041,11 @@ fn conv_implicit_on(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the CPU supports the body, and the asserts above bound
         // every read and write it makes.
-        ConvBody::Avx512Vnni => unsafe { conv_implicit_vnni(plane, panel, rows, geo, acc) },
+        ConvBody::Avx512Vnni => unsafe { conv_implicit_vnni(plane, panel, rows, geo, epi, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
-        ConvBody::Avx2 => unsafe { conv_implicit_avx2(plane, panel, rows, geo, acc) },
-        _ => conv_implicit_portable(plane, panel, rows, geo, acc),
+        ConvBody::Avx2 => unsafe { conv_implicit_avx2(plane, panel, rows, geo, epi, out) },
+        _ => conv_implicit_portable(plane, panel, rows, geo, epi, out),
     }
 }
 
@@ -555,35 +1053,48 @@ fn conv_implicit_on(
 /// de-interleaves at a time; even, so no k-pair is split.
 const PORTABLE_LANES: usize = 256;
 
-/// Portable body: per output channel and kernel row, copies the channel's
-/// weight pairs out of its block into a contiguous run (in chunks of
-/// [`PORTABLE_LANES`]), then takes one contiguous dot product per pixel,
-/// which the compiler vectorizes.
+/// Pixels whose sums [`conv_implicit_portable`] holds at a time.
+const PORTABLE_PIXELS: usize = 256;
+
+/// Portable body: per output channel and run of [`PORTABLE_PIXELS`]
+/// pixels, and per kernel row, copies the channel's weight pairs out of its
+/// block into a contiguous run (in chunks of [`PORTABLE_LANES`]), then
+/// takes one contiguous dot product per pixel, which the compiler
+/// vectorizes; the run's sums go through the epilogue as they are stored.
 fn conv_implicit_portable(
     plane: &[i16],
     panel: &[i16],
     rows: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
 ) {
     let (ohw, ky_step) = (geo.oh * geo.ow, geo.wp * geo.cg);
     let mut w = [0i16; PORTABLE_LANES];
-    for (r, acc) in acc[..rows * ohw].chunks_exact_mut(ohw).enumerate() {
-        acc.fill(0);
+    let mut sums = [0i32; PORTABLE_PIXELS];
+    for (r, out) in out[..rows * ohw].chunks_exact_mut(ohw).enumerate() {
+        let k = epi.row(r);
         let (block, lane) = (r / CONV_LANES, 2 * (r % CONV_LANES));
         let block = &panel[block * geo.block_len()..][..geo.block_len()];
-        for (ky, wk) in block.chunks_exact(geo.seg * CONV_LANES).enumerate() {
-            for (c, wc) in wk.chunks(PORTABLE_LANES * CONV_LANES).enumerate() {
-                let w = &mut w[..wc.len() / CONV_LANES];
-                for (d, s) in w.chunks_exact_mut(2).zip(wc.chunks_exact(2 * CONV_LANES)) {
-                    d.copy_from_slice(&s[lane..][..2]);
+        for (t, out) in out.chunks_mut(PORTABLE_PIXELS).enumerate() {
+            let (p0, sums) = (t * PORTABLE_PIXELS, &mut sums[..out.len()]);
+            sums.fill(0);
+            for (ky, wk) in block.chunks_exact(geo.seg * CONV_LANES).enumerate() {
+                for (c, wc) in wk.chunks(PORTABLE_LANES * CONV_LANES).enumerate() {
+                    let w = &mut w[..wc.len() / CONV_LANES];
+                    for (d, s) in w.chunks_exact_mut(2).zip(wc.chunks_exact(2 * CONV_LANES)) {
+                        d.copy_from_slice(&s[lane..][..2]);
+                    }
+                    let xo = ky * ky_step + c * PORTABLE_LANES;
+                    for (p, a) in sums.iter_mut().enumerate() {
+                        let x = &plane[geo.base(p0 + p) + xo..][..w.len()];
+                        let dot: i32 = w.iter().zip(x).map(|(&w, &x)| w as i32 * x as i32).sum();
+                        *a += dot;
+                    }
                 }
-                let xo = ky * ky_step + c * PORTABLE_LANES;
-                for (p, a) in acc.iter_mut().enumerate() {
-                    let x = &plane[geo.base(p) + xo..][..w.len()];
-                    let dot: i32 = w.iter().zip(x).map(|(&w, &x)| w as i32 * x as i32).sum();
-                    *a += dot;
-                }
+            }
+            for (o, &s) in out.iter_mut().zip(sums.iter()) {
+                *o = k.apply(s);
             }
         }
     }
@@ -599,7 +1110,7 @@ const VNNI_PIXELS: usize = 16;
 /// # Safety
 ///
 /// The CPU must support AVX-512F and AVX-512 VNNI, and the slices must
-/// cover the geometry as [`conv_implicit_on`] asserts.
+/// cover the geometry as [`conv_i16_implicit`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vnni")]
 unsafe fn conv_implicit_vnni(
@@ -607,7 +1118,8 @@ unsafe fn conv_implicit_vnni(
     panel: &[i16],
     rows: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
 ) {
     let ohw = geo.oh * geo.ow;
     for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
@@ -616,13 +1128,14 @@ unsafe fn conv_implicit_vnni(
             r0,
             rows: (rows - r0).min(CONV_LANES),
         };
+        let k = epi.lanes(r0, tile.rows).zmm();
         let mut p = 0;
         while p + VNNI_PIXELS <= ohw {
-            vnni_tile::<VNNI_PIXELS>(plane, w, tile, p, geo, acc);
+            vnni_tile::<VNNI_PIXELS>(plane, w, tile, p, geo, &k, out);
             p += VNNI_PIXELS;
         }
         while p < ohw {
-            vnni_tile::<1>(plane, w, tile, p, geo, acc);
+            vnni_tile::<1>(plane, w, tile, p, geo, &k, out);
             p += 1;
         }
     }
@@ -637,25 +1150,27 @@ struct Tile {
     rows: usize,
 }
 
-/// Stores a tile's `[pixel][channel]` sums transposed into `acc[r][p]`.
+/// Stores a tile's `[pixel][channel]` outputs transposed into `out[r][p]`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn store_transposed<const P: usize>(
-    sums: &[[i32; CONV_LANES]; P],
+    vals: &[[f32; CONV_LANES]; P],
     tile: Tile,
     p0: usize,
     ohw: usize,
-    acc: &mut [i32],
+    out: &mut [f32],
 ) {
     for r in 0..tile.rows {
-        let dst = &mut acc[(tile.r0 + r) * ohw + p0..][..P];
-        for (d, s) in dst.iter_mut().zip(sums) {
+        let dst = &mut out[(tile.r0 + r) * ohw + p0..][..P];
+        for (d, s) in dst.iter_mut().zip(vals) {
             *d = s[r];
         }
     }
 }
 
-/// One block × `P`-pixel tile of the AVX-512 VNNI body.
+/// One block × `P`-pixel tile of the AVX-512 VNNI body. A full tile runs
+/// the epilogue on its 16 accumulators in registers, then transposes them
+/// so each channel's 16 pixels are one store.
 ///
 /// # Safety
 ///
@@ -664,17 +1179,21 @@ fn store_transposed<const P: usize>(
 /// `geo.plane_reach()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
+// Index loops name the register tile's pixel cells.
+#[allow(clippy::needless_range_loop)]
 unsafe fn vnni_tile<const P: usize>(
     plane: &[i16],
     w: *const i16,
     tile: Tile,
     p0: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    k: &EpiConsts<__m512>,
+    out: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
-
-    let x: [*const i16; P] = std::array::from_fn(|j| plane.as_ptr().add(geo.base(p0 + j)));
+    let mut x = [plane.as_ptr(); P];
+    for j in 0..P {
+        x[j] = plane.as_ptr().add(geo.base(p0 + j));
+    }
     let mut a = [_mm512_setzero_si512(); P];
     let mut wk = w;
     for ky in 0..geo.kh {
@@ -690,19 +1209,32 @@ unsafe fn vnni_tile<const P: usize>(
             l += 2;
         }
     }
+    // The affine loop indexes the accumulators with constants once
+    // unrolled, so they stay in registers; the activation's branch is
+    // taken once for the tile.
+    let mut v = [_mm512_setzero_ps(); P];
+    for j in 0..P {
+        v[j] = k.affine(a[j]);
+    }
+    k.activate(&mut v);
     let ohw = geo.oh * geo.ow;
-    if let Ok(a) = <&[__m512i; 16]>::try_from(&a[..]) {
-        for (r, v) in transpose_16x16(a).into_iter().enumerate().take(tile.rows) {
-            let dst = &mut acc[(tile.r0 + r) * ohw + p0..][..16];
-            _mm512_storeu_si512(dst.as_mut_ptr() as *mut __m512i, v);
+    if P == VNNI_PIXELS {
+        let mut f = [_mm512_setzero_si512(); VNNI_PIXELS];
+        for j in 0..P {
+            f[j] = _mm512_castps_si512(v[j]);
+        }
+        let t = transpose_16x16(&f);
+        for r in 0..tile.rows {
+            let dst = &mut out[(tile.r0 + r) * ohw + p0..][..VNNI_PIXELS];
+            _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_castsi512_ps(t[r]));
         }
         return;
     }
-    let mut sums = [[0i32; CONV_LANES]; P];
-    for (s, v) in sums.iter_mut().zip(a) {
-        _mm512_storeu_si512(s.as_mut_ptr() as *mut __m512i, v);
+    let mut vals = [[0.0f32; CONV_LANES]; P];
+    for j in 0..P {
+        _mm512_storeu_ps(vals[j].as_mut_ptr(), v[j]);
     }
-    store_transposed(&sums, tile, p0, ohw, acc);
+    store_transposed(&vals, tile, p0, ohw, out);
 }
 
 /// Transposes 16 vectors of 16 `i32` lanes: lane `j` of output `r` is lane
@@ -711,43 +1243,51 @@ unsafe fn vnni_tile<const P: usize>(
 /// blocks in place.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn transpose_16x16(
-    a: &[std::arch::x86_64::__m512i; 16],
-) -> [std::arch::x86_64::__m512i; 16] {
-    use std::arch::x86_64::*;
+unsafe fn transpose_16x16(a: &[__m512i; 16]) -> [__m512i; 16] {
     // b[2m], b[2m+1]: lane pairs (4L, 4L+1) and (4L+2, 4L+3) of a[2m],
     // a[2m+1], interleaved.
-    let b: [__m512i; 16] = std::array::from_fn(|j| {
-        let (x, y) = (a[j & !1], a[j | 1]);
-        if j % 2 == 0 {
-            _mm512_unpacklo_epi32(x, y)
-        } else {
-            _mm512_unpackhi_epi32(x, y)
-        }
-    });
+    let mut b = [_mm512_setzero_si512(); 16];
+    for m in 0..8 {
+        b[2 * m] = _mm512_unpacklo_epi32(a[2 * m], a[2 * m + 1]);
+        b[2 * m + 1] = _mm512_unpackhi_epi32(a[2 * m], a[2 * m + 1]);
+    }
     // c[4n+q], 128-bit lane L: lane 4L+q of a[4n..4n+4].
-    let c: [__m512i; 16] = std::array::from_fn(|j| {
-        let (n4, q) = (j & !3, j % 4);
-        let (x, y) = (b[n4 + q / 2], b[n4 + q / 2 + 2]);
-        if q % 2 == 0 {
-            _mm512_unpacklo_epi64(x, y)
-        } else {
-            _mm512_unpackhi_epi64(x, y)
+    let mut c = [_mm512_setzero_si512(); 16];
+    for n in 0..4 {
+        for h in 0..2 {
+            let (x, y) = (b[4 * n + h], b[4 * n + h + 2]);
+            c[4 * n + 2 * h] = _mm512_unpacklo_epi64(x, y);
+            c[4 * n + 2 * h + 1] = _mm512_unpackhi_epi64(x, y);
         }
-    });
+    }
     // Output 4L+q gathers 128-bit lane L of c[q], c[4+q], c[8+q], c[12+q].
-    let even = |x, y| _mm512_shuffle_i32x4::<0b10_00_10_00>(x, y);
-    let odd = |x, y| _mm512_shuffle_i32x4::<0b11_01_11_01>(x, y);
     let mut out = [_mm512_setzero_si512(); 16];
     for q in 0..4 {
-        let (d0, d1) = (even(c[q], c[4 + q]), odd(c[q], c[4 + q]));
-        let (d2, d3) = (even(c[8 + q], c[12 + q]), odd(c[8 + q], c[12 + q]));
-        out[q] = even(d0, d2);
-        out[4 + q] = even(d1, d3);
-        out[8 + q] = odd(d0, d2);
-        out[12 + q] = odd(d1, d3);
+        let (d0, d1) = (even_lanes(c[q], c[4 + q]), odd_lanes(c[q], c[4 + q]));
+        let (d2, d3) = (
+            even_lanes(c[8 + q], c[12 + q]),
+            odd_lanes(c[8 + q], c[12 + q]),
+        );
+        out[q] = even_lanes(d0, d2);
+        out[4 + q] = even_lanes(d1, d3);
+        out[8 + q] = odd_lanes(d0, d2);
+        out[12 + q] = odd_lanes(d1, d3);
     }
     out
+}
+
+/// 128-bit lanes 0 and 2 of `x`, then of `y`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn even_lanes(x: __m512i, y: __m512i) -> __m512i {
+    _mm512_shuffle_i32x4::<0b10_00_10_00>(x, y)
+}
+
+/// 128-bit lanes 1 and 3 of `x`, then of `y`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn odd_lanes(x: __m512i, y: __m512i) -> __m512i {
+    _mm512_shuffle_i32x4::<0b11_01_11_01>(x, y)
 }
 
 /// Pixels per AVX2 tile of a two-half block (16 accumulators would not fit
@@ -762,7 +1302,7 @@ const AVX2_PIXELS: (usize, usize) = (4, 8);
 /// # Safety
 ///
 /// The CPU must support AVX2, and the slices must cover the geometry as
-/// [`conv_implicit_on`] asserts.
+/// [`conv_i16_implicit`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn conv_implicit_avx2(
@@ -770,7 +1310,8 @@ unsafe fn conv_implicit_avx2(
     panel: &[i16],
     rows: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
 ) {
     let ohw = geo.oh * geo.ow;
     for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
@@ -779,23 +1320,25 @@ unsafe fn conv_implicit_avx2(
             r0,
             rows: (rows - r0).min(CONV_LANES),
         };
+        let lanes = epi.lanes(r0, tile.rows);
+        let k = [lanes.ymm(0), lanes.ymm(1)];
         let mut p = 0;
         if tile.rows > CONV_LANES / 2 {
             while p + AVX2_PIXELS.0 <= ohw {
-                avx2_tile::<2, { AVX2_PIXELS.0 }>(plane, w, tile, p, geo, acc);
+                avx2_tile::<2, { AVX2_PIXELS.0 }>(plane, w, tile, p, geo, &k, out);
                 p += AVX2_PIXELS.0;
             }
             while p < ohw {
-                avx2_tile::<2, 1>(plane, w, tile, p, geo, acc);
+                avx2_tile::<2, 1>(plane, w, tile, p, geo, &k, out);
                 p += 1;
             }
         } else {
             while p + AVX2_PIXELS.1 <= ohw {
-                avx2_tile::<1, { AVX2_PIXELS.1 }>(plane, w, tile, p, geo, acc);
+                avx2_tile::<1, { AVX2_PIXELS.1 }>(plane, w, tile, p, geo, &k, out);
                 p += AVX2_PIXELS.1;
             }
             while p < ohw {
-                avx2_tile::<1, 1>(plane, w, tile, p, geo, acc);
+                avx2_tile::<1, 1>(plane, w, tile, p, geo, &k, out);
                 p += 1;
             }
         }
@@ -803,7 +1346,8 @@ unsafe fn conv_implicit_avx2(
 }
 
 /// One block × `P`-pixel tile of the AVX2 body over the block's first `H`
-/// 8-channel halves.
+/// 8-channel halves, with the epilogue applied to each half's channel
+/// lanes before the tile is stored.
 ///
 /// # Safety
 ///
@@ -820,20 +1364,23 @@ unsafe fn avx2_tile<const H: usize, const P: usize>(
     tile: Tile,
     p0: usize,
     geo: &PlaneConv,
-    acc: &mut [i32],
+    k: &[EpiConsts<__m256>; 2],
+    out: &mut [f32],
 ) {
-    use std::arch::x86_64::*;
-
-    let x: [*const i16; P] = std::array::from_fn(|j| plane.as_ptr().add(geo.base(p0 + j)));
+    let mut x = [plane.as_ptr(); P];
+    for j in 0..P {
+        x[j] = plane.as_ptr().add(geo.base(p0 + j));
+    }
     let mut a = [[_mm256_setzero_si256(); P]; H];
     let mut wk = w;
     for ky in 0..geo.kh {
         let xo = ky * geo.wp * geo.cg;
         let mut l = 0;
         while l < geo.seg {
-            let wv: [__m256i; H] = std::array::from_fn(|h| {
-                _mm256_loadu_si256(wk.add(h * CONV_LANES) as *const __m256i)
-            });
+            let mut wv = [_mm256_setzero_si256(); H];
+            for h in 0..H {
+                wv[h] = _mm256_loadu_si256(wk.add(h * CONV_LANES) as *const __m256i);
+            }
             wk = wk.add(2 * CONV_LANES);
             for j in 0..P {
                 let pair = (x[j].add(xo + l) as *const i32).read_unaligned();
@@ -845,13 +1392,22 @@ unsafe fn avx2_tile<const H: usize, const P: usize>(
             l += 2;
         }
     }
-    let mut sums = [[0i32; CONV_LANES]; P];
+    // As in the AVX-512 tile: a constant-indexed affine loop, then one
+    // activation branch per half.
+    let mut v = [[_mm256_setzero_ps(); P]; H];
+    for h in 0..H {
+        for j in 0..P {
+            v[h][j] = k[h].affine(a[h][j]);
+        }
+        k[h].activate(&mut v[h]);
+    }
+    let mut vals = [[0.0f32; CONV_LANES]; P];
     for j in 0..P {
         for h in 0..H {
-            _mm256_storeu_si256(sums[j].as_mut_ptr().add(h * 8) as *mut __m256i, a[h][j]);
+            _mm256_storeu_ps(vals[j].as_mut_ptr().add(h * 8), v[h][j]);
         }
     }
-    store_transposed(&sums, tile, p0, geo.oh * geo.ow, acc);
+    store_transposed(&vals, tile, p0, geo.oh * geo.ow, out);
 }
 
 #[cfg(test)]
@@ -1005,14 +1561,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn implicit_conv_bodies_match_direct_sums() {
-        use crate::pack::PackedConvI16;
+    /// Every body this CPU supports; the dispatched one is among them.
+    fn supported_bodies() -> Vec<ConvBody> {
         let bodies: Vec<ConvBody> = ConvBody::ALL
             .into_iter()
             .filter(|b| b.supported())
             .collect();
         assert!(bodies.contains(&ConvBody::detect()));
+        bodies
+    }
+
+    /// A plane exactly `reach` words long with inputs spanning ±127, and
+    /// words past it in the same buffer that are poison any over-read would
+    /// pick up.
+    fn probe_plane(reach: usize, seed: u64) -> Vec<i16> {
+        let mut buf: Vec<i16> = probe_i8(reach, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match i % 5 {
+                0 => 127,
+                1 => -127,
+                _ => i16::from(v),
+            })
+            .collect();
+        buf.resize(reach + 64, i16::MAX);
+        buf
+    }
+
+    /// `[rows][oh·ow]` exact sums of `words` (`[rows, cg, kh, kw]`) over
+    /// `plane`, straight from the definition.
+    fn direct_sums(
+        plane: &[i16],
+        words: &[i8],
+        rows: usize,
+        geo: &PlaneConv,
+        kw: usize,
+    ) -> Vec<i32> {
+        let (cg, ohw) = (geo.cg, geo.oh * geo.ow);
+        let mut want = vec![0i32; rows * ohw];
+        for r in 0..rows {
+            for p in 0..ohw {
+                let (oy, ox) = (p / geo.ow, p % geo.ow);
+                for c in 0..cg {
+                    for ky in 0..geo.kh {
+                        for kx in 0..kw {
+                            let x = plane
+                                [((oy * geo.stride + ky) * geo.wp + ox * geo.stride + kx) * cg + c];
+                            let w = words[((r * cg + c) * geo.kh + ky) * kw + kx];
+                            want[r * ohw + p] += x as i32 * w as i32;
+                        }
+                    }
+                }
+            }
+        }
+        want
+    }
+
+    /// The epilogue that stores each sum as it is (exact for every sum
+    /// below 2^24 in magnitude).
+    fn raw_epilogue(bias: &[f32]) -> QEpilogue<'_> {
+        QEpilogue {
+            input_scale: 1.0,
+            w_scales: &[1.0],
+            bias,
+            bn: None,
+            act: Act::None,
+            row0: 0,
+        }
+    }
+
+    #[test]
+    fn implicit_conv_bodies_match_direct_sums() {
+        use crate::pack::PackedConvI16;
+        let bodies = supported_bodies();
         // (rows, cg, kh, kw, stride, oh, ow): one, 8 (a low-half AVX2
         // block), 9, 16, 17 and 33 rows (second and third blocks of 1 row);
         // pixel counts off every tile width; odd `kw * cg` (a pad lane);
@@ -1041,19 +1662,8 @@ mod tests {
                 ow,
             };
             // Inputs span ±127 and the weights reach -128 (a faulted word).
-            // The plane is exactly the reach long; words past it in the
-            // same buffer are poison that any over-read would pick up.
             let reach = geo.plane_reach();
-            let mut buf: Vec<i16> = probe_i8(reach, 41 + rows as u64)
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| match i % 5 {
-                    0 => 127,
-                    1 => -127,
-                    _ => i16::from(v),
-                })
-                .collect();
-            buf.resize(reach + 64, i16::MAX);
+            let buf = probe_plane(reach, 41 + rows as u64);
             let plane = &buf[..reach];
             let mut words = probe_i8(rows * cg * kh * kw, 43 + cg as u64);
             for w in words.iter_mut().step_by(3) {
@@ -1061,29 +1671,18 @@ mod tests {
             }
             let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
             let ohw = oh * ow;
-            let mut want = vec![0i32; rows * ohw];
-            for r in 0..rows {
-                for p in 0..ohw {
-                    let (oy, ox) = (p / ow, p % ow);
-                    for c in 0..cg {
-                        for ky in 0..kh {
-                            for kx in 0..kw {
-                                let x =
-                                    plane[((oy * stride + ky) * wp + ox * stride + kx) * cg + c];
-                                let w = words[((r * cg + c) * kh + ky) * kw + kx];
-                                want[r * ohw + p] += x as i32 * w as i32;
-                            }
-                        }
-                    }
-                }
-            }
+            let want = direct_sums(plane, &words, rows, &geo, kw);
+            let bias = vec![0.0; rows];
             let case = format!("{rows}x{cg}x{kh}x{kw}/{stride} -> {oh}x{ow}");
             for &body in &bodies {
-                // A sentinel past the accumulator must survive.
-                let mut got = vec![7i32; rows * ohw + 1];
-                conv_implicit_on(body, plane, panel.data(), rows, &geo, &mut got);
-                assert_eq!(got[..rows * ohw], want[..], "{body:?} {case}");
-                assert_eq!(got[rows * ohw], 7, "{body:?} {case}: wrote past acc");
+                // A sentinel past the output must survive.
+                let mut got = vec![7.0f32; rows * ohw + 1];
+                let epi = raw_epilogue(&bias);
+                conv_i16_implicit(body, plane, panel.data(), rows, &geo, &epi, &mut got);
+                for (i, (&g, &s)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g, s as f32, "{body:?} {case}: output {i}");
+                }
+                assert_eq!(got[rows * ohw], 7.0, "{body:?} {case}: wrote past out");
             }
         }
 
@@ -1099,10 +1698,202 @@ mod tests {
         };
         let plane = vec![127i16; geo.plane_reach()];
         let panel = PackedConvI16::pack(&vec![i8::MIN; 17 * 32 * 9], [17, 32, 3, 3], 1);
+        let bias = vec![0.0; 17];
         for &body in &bodies {
-            let mut got = vec![0i32; 17 * 16];
-            conv_implicit_on(body, &plane, panel.data(), 17, &geo, &mut got);
-            assert!(got.iter().all(|&s| s == 288 * 127 * -128), "{body:?}");
+            let mut got = vec![0.0f32; 17 * 16];
+            let epi = raw_epilogue(&bias);
+            conv_i16_implicit(body, &plane, panel.data(), 17, &geo, &epi, &mut got);
+            let extreme = (288 * 127 * -128) as f32;
+            assert!(got.iter().all(|&s| s == extreme), "{body:?}");
+        }
+    }
+
+    #[test]
+    fn tile_epilogue_matches_scalar_formula() {
+        use crate::pack::PackedConvI16;
+        let bodies = supported_bodies();
+        let mut rng = SeededRng::new(77);
+        let mut draw = |n: usize, lo: f32, span: f32| -> Vec<f32> {
+            (0..n)
+                .map(|_| lo + span * rng.below(1000) as f32 / 1000.0)
+                .collect()
+        };
+        // (rows, oh, ow, row0, per-channel weight scales): 8 and 24 rows
+        // (partial blocks: one low-half block, then a full and a partial
+        // one), pixel counts off every tile width, a group offset, and a
+        // per-tensor weight scale.
+        for &(rows, oh, ow, row0, per_channel) in &[
+            (8usize, 3usize, 7usize, 0usize, true),
+            (24, 4, 5, 3, true),
+            (24, 5, 5, 0, false),
+            (16, 4, 4, 16, true),
+        ] {
+            let (cg, kh, kw, stride) = (5usize, 3usize, 3usize, 1usize);
+            let geo = PlaneConv {
+                wp: (ow - 1) * stride + kw,
+                cg,
+                stride,
+                kh,
+                seg: (kw * cg).next_multiple_of(2),
+                oh,
+                ow,
+            };
+            let reach = geo.plane_reach();
+            let buf = probe_plane(reach, 50 + rows as u64);
+            let plane = &buf[..reach];
+            let words = probe_i8(rows * cg * kh * kw, 51 + oh as u64);
+            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
+            let ohw = oh * ow;
+            let sums = direct_sums(plane, &words, rows, &geo, kw);
+
+            let n = row0 + rows;
+            let input_scale = 0.0173f32;
+            let w_scales = if per_channel {
+                draw(n, 0.001, 0.02)
+            } else {
+                vec![0.0042]
+            };
+            let bias = draw(n, -0.5, 1.0);
+            let mut mean = draw(n, -0.5, 1.0);
+            let inv_std = draw(n, 0.5, 2.0);
+            let mut gamma = draw(n, -1.5, 3.0);
+            let mut beta = draw(n, -0.5, 1.0);
+            // Every third channel feeds -0.0 into the activation at pixel
+            // 0: its value equals the mean, so the normalized value is
+            // +0.0, γ < 0 makes it -0.0, and β = -0.0 keeps it.
+            let scale_of = |c: usize| input_scale * w_scales[if per_channel { c } else { 0 }];
+            for r in (0..rows).step_by(3) {
+                let c = row0 + r;
+                mean[c] = sums[r * ohw] as f32 * scale_of(c) + bias[c];
+                gamma[c] = -gamma[c].abs() - 0.25;
+                beta[c] = -0.0;
+            }
+            let fold = BnFoldView {
+                mean: &mean,
+                inv_std: &inv_std,
+                gamma: &gamma,
+                beta: &beta,
+            };
+            for bn in [None, Some(fold)] {
+                for act in [Act::None, Act::Relu, Act::LeakyRelu(0.1)] {
+                    let want: Vec<f32> = (0..rows * ohw)
+                        .map(|i| {
+                            let c = row0 + i / ohw;
+                            let v = sums[i] as f32 * scale_of(c) + bias[c];
+                            let v = match bn {
+                                Some(f) => {
+                                    f.gamma[c] * ((v - f.mean[c]) * f.inv_std[c]) + f.beta[c]
+                                }
+                                None => v,
+                            };
+                            act.apply(v)
+                        })
+                        .collect();
+                    if bn.is_some() && act == Act::None {
+                        assert_eq!(want[0].to_bits(), (-0.0f32).to_bits(), "case feeds -0.0");
+                    }
+                    let epi = QEpilogue {
+                        input_scale,
+                        w_scales: &w_scales,
+                        bias: &bias,
+                        bn,
+                        act,
+                        row0,
+                    };
+                    for &body in &bodies {
+                        let mut got = vec![f32::NAN; rows * ohw + 1];
+                        conv_i16_implicit(body, plane, panel.data(), rows, &geo, &epi, &mut got);
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{body:?} rows {rows} {oh}x{ow} bn {} {act:?}: output {i} {g} vs {w}",
+                                bn.is_some()
+                            );
+                        }
+                        assert!(got[rows * ohw].is_nan(), "{body:?}: wrote past out");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_prologue_matches_quantize_one_and_layout() {
+        let bodies = supported_bodies();
+        let mut rng = SeededRng::new(88);
+        // (groups, cg, h, w, pad, kernel, stride): the stem; h·w not a
+        // multiple of 8 (35, 9, 30, 6 — the last all tail); 1×1 stride 2;
+        // pad 0–2; groups 1/2/4; channel counts below, at and past whole
+        // blocks of 8.
+        for &(groups, cg, h, w, pad, k, stride) in &[
+            (1usize, 3usize, 16usize, 16usize, 1usize, 3usize, 1usize),
+            (1, 8, 5, 7, 0, 1, 2),
+            (2, 9, 3, 3, 2, 5, 1),
+            (4, 16, 4, 4, 1, 3, 2),
+            (1, 17, 6, 5, 2, 3, 1),
+            (2, 24, 2, 3, 1, 3, 1),
+            (1, 33, 8, 8, 0, 3, 1),
+            (4, 1, 7, 9, 1, 1, 2),
+        ] {
+            let lay = InputPlane {
+                groups,
+                cg,
+                h,
+                w,
+                pad,
+            };
+            let (oh, ow) = (
+                (h + 2 * pad - k) / stride + 1,
+                (w + 2 * pad - k) / stride + 1,
+            );
+            let geo = PlaneConv {
+                wp: lay.wp(),
+                cg,
+                stride,
+                kh: k,
+                seg: (k * cg).next_multiple_of(2),
+                oh,
+                ow,
+            };
+            let glen = lay.group_len();
+            let len = (groups - 1) * glen + geo.plane_reach().max(glen);
+            for scale in [0.0625f32, 1.0 / 128.0, 0.019] {
+                let src: Vec<f32> = (0..groups * cg * h * w)
+                    .map(|i| match rng.below(12) {
+                        0 => f32::INFINITY,
+                        1 => f32::NEG_INFINITY,
+                        2 => f32::NAN,
+                        3 => -0.0,
+                        4 => 1.0e6,
+                        5 => -1.0e6,
+                        // ±(k + ½)·scale: exact ties at power-of-two scales.
+                        6 | 7 => (rng.below(300) as f32 - 150.0 + 0.5) * scale,
+                        _ => (rng.below(2000) as f32 - 1000.0) * 0.001 * (1 + i % 3) as f32,
+                    })
+                    .collect();
+                let mut want = vec![0i16; len];
+                for g in 0..groups {
+                    for c in 0..cg {
+                        for y in 0..h {
+                            for x in 0..w {
+                                let v = src[((g * cg + c) * h + y) * w + x];
+                                want[g * glen + ((y + pad) * lay.wp() + pad + x) * cg + c] =
+                                    i16::from(quantize_one(v, scale));
+                            }
+                        }
+                    }
+                }
+                for &body in &bodies {
+                    // Stale words from an earlier shape must not survive.
+                    let mut got = vec![0x5a5a_i16; len];
+                    quantize_plane(body, &src, scale, &lay, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "{body:?} g{groups} cg{cg} {h}x{w} pad {pad} scale {scale}"
+                    );
+                }
+            }
         }
     }
 

@@ -10,10 +10,12 @@
 //! match the f32 quantization simulation bit for bit.
 //!
 //! The compiled-plan twin [`conv2d_q_planned`] skips the im2row lowering
-//! altogether: it quantizes each sample into a zero-padded, channels-last
-//! `i16` plane and runs an implicit GEMM that reads every receptive field in
-//! place against a [`PackedConvI16`] panel. Integer accumulation is exact,
-//! so both paths produce the same bits.
+//! altogether and touches each activation twice: a prologue quantizes each
+//! sample straight into a zero-padded, channels-last `i16` plane, and an
+//! implicit GEMM reads every receptive field in place against a
+//! [`PackedConvI16`] panel, dequantizing (with bias, folded batch-norm and
+//! activation) as it stores each output tile. Integer accumulation is
+//! exact, so both paths produce the same bits.
 //!
 //! All kernels are element-independent per batch sample (the input scale is
 //! static, not derived from the batch), so a batched forward over duplicated
@@ -28,7 +30,8 @@ use crate::conv::ConvSpec;
 use crate::pack::{Act, BnFoldView, PackedConvI16};
 use crate::qkernels::{
     conv_i16_implicit, dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt,
-    quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite, PlaneConv,
+    quantize_plane, quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite,
+    ConvBody, InputPlane, PlaneConv, QEpilogue,
 };
 use crate::tensor::Tensor;
 
@@ -173,9 +176,10 @@ impl QTensor {
     }
 }
 
-/// This thread's reusable quantized-kernel scratch: `i8` input words, the
-/// unplanned im2row matrix, the planned path's `i16` input plane, and `i32`
-/// accumulators (none of which can live in the f32 tensor pool).
+/// This thread's reusable quantized-kernel scratch (none of which can live
+/// in the f32 tensor pool): the unplanned paths' `i8` input words, im2row
+/// matrix and `i32` accumulators, and the planned conv's `i16` input plane,
+/// its only scratch.
 struct QScratch {
     qin: Vec<i8>,
     rows: Vec<i8>,
@@ -339,122 +343,24 @@ pub fn conv2d_q(
     out
 }
 
-/// Writes one sample's quantized input words into its zero-padded,
-/// channels-last `i16` plane: group `g`'s region `[hp, wp, cg]` starts at
-/// `g * hp * wp * cg`, so within a group the `kw` pixels one kernel row
-/// covers are one contiguous `(kx, c)` run for any stride. Everything else
-/// the kernel may read — borders and the tail past the last group — is
-/// zero.
-#[allow(clippy::too_many_arguments)]
-fn fill_plane(
-    qin: &[i8],
-    groups: usize,
-    cg: usize,
-    h: usize,
-    w: usize,
-    pad: usize,
-    wp: usize,
-    plane: &mut [i16],
-) {
-    let gplane = (h + 2 * pad) * wp * cg;
-    plane.fill(0);
-    for (g, region) in plane.chunks_mut(gplane).take(groups).enumerate() {
-        let fms = &qin[g * cg * h * w..][..cg * h * w];
-        for y in 0..h {
-            let row = &mut region[((y + pad) * wp + pad) * cg..][..w * cg];
-            for (x, px) in row.chunks_exact_mut(cg).enumerate() {
-                for (c, d) in px.iter_mut().enumerate() {
-                    *d = fms[(c * h + y) * w + x] as i16;
-                }
-            }
-        }
-    }
-}
-
-/// Dequantizes one group's `[og, ohw]` integer accumulators into `out` —
-/// `s as f32 * scale + bias`, exactly `dequant_bias_row`'s expression —
-/// then applies the folded batch-norm and the activation in the serial
-/// chain's per-element op order. Each (batch-norm, activation) variant gets
-/// its own branch-free loop, so every one of them vectorizes.
-#[allow(clippy::too_many_arguments)]
-fn dequant_epilogue(
-    acc: &[i32],
-    out: &mut [f32],
-    ohw: usize,
-    oc0: usize,
-    input_scale: f32,
-    qweight: &QTensor,
-    bias: &[f32],
-    bn: Option<BnFoldView<'_>>,
-    act: Act,
-) {
-    let affine = |r: usize| (input_scale * qweight.channel_scale(oc0 + r), bias[oc0 + r]);
-    match bn {
-        None => {
-            let row = |r| (affine(r), ());
-            match act {
-                Act::None => epilogue_rows(acc, out, ohw, row, |(), v| v),
-                Act::Relu => epilogue_rows(acc, out, ohw, row, |(), v| Act::Relu.apply(v)),
-                Act::LeakyRelu(s) => {
-                    epilogue_rows(acc, out, ohw, row, |(), v| Act::LeakyRelu(s).apply(v))
-                }
-            }
-        }
-        Some(f) => {
-            let row = |r| {
-                let c = oc0 + r;
-                (affine(r), (f.mean[c], f.inv_std[c], f.gamma[c], f.beta[c]))
-            };
-            let norm = |(mean, inv_std, gamma, beta): (f32, f32, f32, f32), v: f32| {
-                let n = (v - mean) * inv_std;
-                gamma * n + beta
-            };
-            match act {
-                Act::None => epilogue_rows(acc, out, ohw, row, norm),
-                Act::Relu => epilogue_rows(acc, out, ohw, row, |k, v| Act::Relu.apply(norm(k, v))),
-                Act::LeakyRelu(s) => epilogue_rows(acc, out, ohw, row, |k, v| {
-                    Act::LeakyRelu(s).apply(norm(k, v))
-                }),
-            }
-        }
-    }
-}
-
-/// The loop every [`dequant_epilogue`] variant runs: per output row, its
-/// `(scale, bias)` and row constants `K`, then `post(K, acc * scale + bias)`
-/// over the row's pixels.
-#[inline(always)]
-fn epilogue_rows<K: Copy>(
-    acc: &[i32],
-    out: &mut [f32],
-    ohw: usize,
-    row: impl Fn(usize) -> ((f32, f32), K),
-    post: impl Fn(K, f32) -> f32,
-) {
-    for (r, (a, o)) in acc
-        .chunks_exact(ohw)
-        .zip(out.chunks_exact_mut(ohw))
-        .enumerate()
-    {
-        let ((scale, bias), k) = row(r);
-        for (o, &s) in o.iter_mut().zip(a) {
-            *o = post(k, s as f32 * scale + bias);
-        }
-    }
-}
-
-/// Quantized 2-D convolution through a compiled plan, as an implicit GEMM:
-/// each sample is quantized once into a zero-padded, channels-last `i16`
-/// plane, and the integer kernel reads every output pixel's receptive field
-/// straight from it against the [`PackedConvI16`] weight panel — there is
-/// no im2row matrix and no gather map. The dequantize + bias + optional
-/// batch-norm + activation chain is fused into one write-back pass per
-/// group.
+/// Quantized 2-D convolution through a compiled plan, as an implicit GEMM
+/// that touches each activation once on the way in and once on the way
+/// out:
+///
+/// - **Prologue.** Each sample's f32 input is quantized straight into a
+///   zero-padded, channels-last `i16` plane (one region per group).
+/// - **Kernel.** The integer kernel reads every output pixel's receptive
+///   field in place from the plane against the [`PackedConvI16`] weight
+///   panel: there is no im2row matrix and no gather map.
+/// - **Epilogue.** The kernel writes f32 outputs as it stores each tile,
+///   applying dequantize + bias, the optional folded batch-norm and the
+///   activation to its sums; no `i32` accumulator slab is written.
 ///
 /// Bit-identical to [`conv2d_q`] followed by the standalone batch-norm /
-/// activation kernels: the input words are the same `quantize_slice`
-/// words, integer accumulation is exact in any order, and the fused
-/// epilogue replicates the serial per-element op order.
+/// activation kernels: the plane holds the words `quantize_slice` makes
+/// (one rounding rule), integer accumulation is exact in any order, and
+/// the epilogue replicates the serial per-element op order with the same
+/// `input_scale * channel_scale(c)` scale.
 ///
 /// # Panics
 ///
@@ -462,6 +368,36 @@ fn epilogue_rows<K: Copy>(
 /// inconsistent.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_q_planned(
+    input: &Tensor,
+    qweight: &QTensor,
+    panel: &PackedConvI16,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    input_scale: f32,
+    bn: Option<BnFoldView<'_>>,
+    act: Act,
+) -> Tensor {
+    conv2d_q_planned_on(
+        ConvBody::detect(),
+        input,
+        qweight,
+        panel,
+        bias,
+        spec,
+        input_scale,
+        bn,
+        act,
+    )
+}
+
+/// [`conv2d_q_planned`] on a chosen kernel body (and its prologue path).
+///
+/// # Panics
+///
+/// As [`conv2d_q_planned`], and if the CPU does not support `body`.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_q_planned_on(
+    body: ConvBody,
     input: &Tensor,
     qweight: &QTensor,
     panel: &PackedConvI16,
@@ -493,9 +429,15 @@ pub fn conv2d_q_planned(
     let og = oc / spec.groups;
     let ohw = oh * ow;
     let chw = c * h * w;
-    let (hp, wp) = (h + 2 * spec.padding, w + 2 * spec.padding);
+    let lay = InputPlane {
+        groups: spec.groups,
+        cg,
+        h,
+        w,
+        pad: spec.padding,
+    };
     let geo = PlaneConv {
-        wp,
+        wp: lay.wp(),
         cg,
         stride: spec.stride,
         kh,
@@ -503,13 +445,12 @@ pub fn conv2d_q_planned(
         oh,
         ow,
     };
-    let gplane = hp * wp * cg;
+    let gplane = lay.group_len();
     // The last group's reads may run up to one segment past its region.
     let plane_len = (spec.groups - 1) * gplane + geo.plane_reach().max(gplane);
     let glen = panel.group_len();
 
-    let bdata = bias.data();
-    // The epilogue writes every element exactly once, so the buffer may come
+    // The kernel writes every element exactly once, so the buffer may come
     // from the pool dirty.
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
@@ -517,30 +458,27 @@ pub fn conv2d_q_planned(
     // Planned kernels see batch > 1 only in fused campaign trials, whose
     // workers never fork, so the batch loop stays on this thread.
     with_q_scratch(|s| {
-        let qin = grown(&mut s.qin, chw);
         let plane = grown(&mut s.plane, plane_len);
-        let acc = grown(&mut s.acc, og * ohw);
         for (bn_idx, out_bn) in out.data_mut().chunks_exact_mut(batch_stride).enumerate() {
-            quantize_slice(&input.data()[bn_idx * chw..][..chw], input_scale, qin);
-            fill_plane(qin, spec.groups, cg, h, w, spec.padding, wp, plane);
+            let x = &input.data()[bn_idx * chw..][..chw];
+            quantize_plane(body, x, input_scale, &lay, plane);
             for g in 0..spec.groups {
+                let epi = QEpilogue {
+                    input_scale,
+                    w_scales: qweight.scales(),
+                    bias: bias.data(),
+                    bn,
+                    act,
+                    row0: g * og,
+                };
                 conv_i16_implicit(
+                    body,
                     &plane[g * gplane..],
                     &panel.data()[g * glen..][..glen],
                     og,
                     &geo,
-                    acc,
-                );
-                dequant_epilogue(
-                    acc,
+                    &epi,
                     &mut out_bn[g * og * ohw..][..og * ohw],
-                    ohw,
-                    g * og,
-                    input_scale,
-                    qweight,
-                    bdata,
-                    bn,
-                    act,
                 );
             }
         }
@@ -844,5 +782,164 @@ mod tests {
         let b = Tensor::zeros(&[2]);
         let y = linear_q(&x, &QTensor::quantize_per_channel(&w), &b, 0.1);
         assert!(!y.has_non_finite());
+    }
+
+    /// Per-channel folded batch-norm constants, `inv_std` computed with the
+    /// layer's own expression.
+    struct Fold {
+        mean: Vec<f32>,
+        inv_std: Vec<f32>,
+        gamma: Vec<f32>,
+        beta: Vec<f32>,
+    }
+
+    impl Fold {
+        fn sample(oc: usize, rng: &mut SeededRng) -> Self {
+            let mut draw = |lo: f32, span: f32| -> Vec<f32> {
+                (0..oc)
+                    .map(|_| lo + span * rng.below(1000) as f32 / 1000.0)
+                    .collect()
+            };
+            let mean = draw(-0.5, 1.0);
+            let var = draw(0.1, 2.0);
+            let gamma = draw(-1.5, 3.0);
+            let beta = draw(-0.5, 1.0);
+            let inv_std = var.iter().map(|&v| 1.0 / (v + 1e-5f32).sqrt()).collect();
+            Self {
+                mean,
+                inv_std,
+                gamma,
+                beta,
+            }
+        }
+
+        fn view(&self) -> BnFoldView<'_> {
+            BnFoldView {
+                mean: &self.mean,
+                inv_std: &self.inv_std,
+                gamma: &self.gamma,
+                beta: &self.beta,
+            }
+        }
+    }
+
+    /// `conv2d_q` followed by the standalone per-channel batch-norm and
+    /// activation kernels — the unfused layer chain.
+    fn serial_chain(
+        x: &Tensor,
+        qw: &QTensor,
+        b: &Tensor,
+        spec: &ConvSpec,
+        scale: f32,
+        bn: Option<&Fold>,
+        act: Act,
+    ) -> Tensor {
+        use crate::kernels::{bn_fmap, leaky_relu_mask, relu_mask};
+        let mut y = conv2d_q(x, qw, b, spec, scale);
+        let (n, oc, oh, ow) = y.dims4();
+        let hw = oh * ow;
+        let mut tmp = vec![0.0f32; hw];
+        let mut mask = vec![0.0f32; hw];
+        for s in 0..n {
+            for c in 0..oc {
+                let fm = &mut y.data_mut()[(s * oc + c) * hw..][..hw];
+                if let Some(f) = bn {
+                    let src = fm.to_vec();
+                    bn_fmap(
+                        &src,
+                        f.mean[c],
+                        f.inv_std[c],
+                        f.gamma[c],
+                        f.beta[c],
+                        &mut tmp,
+                        fm,
+                    );
+                }
+                match act {
+                    Act::None => {}
+                    Act::Relu => {
+                        relu_mask(fm, &mut tmp, &mut mask);
+                        fm.copy_from_slice(&tmp);
+                    }
+                    Act::LeakyRelu(slope) => {
+                        leaky_relu_mask(fm, slope, &mut tmp, &mut mask);
+                        fm.copy_from_slice(&tmp);
+                    }
+                }
+            }
+        }
+        y
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(160))]
+
+        /// The compiled-plan INT8 convolution (plane prologue, implicit
+        /// GEMM, epilogue in the tile store) reproduces the unplanned chain
+        /// bit for bit on every body this CPU supports. `cg` runs to 33, so
+        /// whole and partial blocks of 8 channels both reach the
+        /// prologue's vector path.
+        #[test]
+        fn planned_int8_conv_matches_conv2d_q_bit_for_bit(
+            seed in proptest::prelude::any::<u64>(),
+            kernel in 0usize..3,
+            stride in 1usize..3,
+            padding in 0usize..3,
+            groups_idx in 0usize..3,
+            cg in 1usize..34,
+            og in 1usize..40,
+            batch in 1usize..4,
+            hw in 5usize..10,
+            variant in 0usize..6,
+        ) {
+            let k = [1usize, 3, 5][kernel];
+            let groups = [1usize, 2, 4][groups_idx];
+            let (c, oc) = (cg * groups, og * groups);
+            let mut rng = SeededRng::new(seed);
+            let spec = ConvSpec::new().stride(stride).padding(padding).groups(groups);
+
+            // Inputs carry ±∞, NaN and out-of-range values, which quantize to
+            // ±127 and 0.
+            let mut x = Tensor::rand_normal(&[batch, c, hw, hw], 0.0, 1.0, &mut rng);
+            for v in x.data_mut() {
+                match rng.below(24) {
+                    0 => *v = f32::INFINITY,
+                    1 => *v = f32::NEG_INFINITY,
+                    2 => *v = f32::NAN,
+                    3 => *v *= 1.0e6,
+                    _ => {}
+                }
+            }
+            let w = Tensor::rand_normal(&[oc, cg, k, k], 0.0, 0.5, &mut rng);
+            let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
+            let mut qw = QTensor::quantize_per_channel(&w);
+            // A faulted stored word can reach -128, outside the quantizer's range.
+            let flip = rng.below(qw.len());
+            qw.data_mut()[flip] = i8::MIN;
+            let scale = 0.01 + rng.below(100) as f32 * 0.001;
+
+            let fold = Fold::sample(oc, &mut rng);
+            let bn = (variant >= 3).then_some(&fold);
+            let act = [Act::None, Act::Relu, Act::LeakyRelu(0.1)][variant % 3];
+
+            let panel = PackedConvI16::pack(qw.data(), [oc, cg, k, k], groups);
+            let serial = serial_chain(&x, &qw, &b, &spec, scale, bn, act);
+            for body in ConvBody::ALL.into_iter().filter(|b| b.supported()) {
+                let planned = conv2d_q_planned_on(
+                    body, &x, &qw, &panel, &b, &spec, scale, bn.map(Fold::view), act,
+                );
+                proptest::prop_assert_eq!(planned.dims(), serial.dims());
+                for (i, (p, s)) in planned.data().iter().zip(serial.data()).enumerate() {
+                    proptest::prop_assert_eq!(
+                        p.to_bits(),
+                        s.to_bits(),
+                        "{:?}: element {} of {:?}: planned {} vs serial {} \
+                         (k{} s{} p{} g{} cg{} og{} n{} hw{} variant {})",
+                        body, i, serial.dims(), p, s, k, stride, padding, groups, cg, og,
+                        batch, hw, variant
+                    );
+                }
+            }
+        }
     }
 }
