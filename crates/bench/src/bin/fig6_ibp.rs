@@ -48,7 +48,7 @@ fn train_variant(
             ..IbpTrainConfig::default()
         },
     );
-    let mut net = ibp.to_network();
+    let mut net = ibp.into_network();
     let acc = train::accuracy(&mut net, &data.test_images, &data.test_labels, 32);
     let path = std::env::temp_dir().join(format!("rustfi-fig6-{tag}-{}.ckpt", std::process::id()));
     checkpoint::save(&mut net, &path).expect("write checkpoint");
@@ -57,7 +57,7 @@ fn train_variant(
 
 fn ibp_factory(path: PathBuf) -> impl Fn() -> Network + Sync {
     move || {
-        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).to_network();
+        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).into_network();
         checkpoint::load(&mut net, &path).expect("read checkpoint");
         net
     }

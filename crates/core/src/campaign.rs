@@ -1008,8 +1008,8 @@ struct Worker {
     fi: FaultInjector,
     guard: Option<GuardHook>,
     /// Per-worker observability buffer; merged into the shared recorder at
-    /// unit boundaries (one lock-free push per unit) so recording never
-    /// serializes workers.
+    /// unit boundaries (one short locked push per unit), so workers contend
+    /// only for that push.
     local: Option<Arc<LocalRecorder>>,
 }
 
@@ -1310,7 +1310,7 @@ fn finish_unit(
             }));
         }
         // Unit boundary: hand the whole buffer to the shared recorder in
-        // one lock-free merge.
+        // one merge.
         if let Some(shared) = env.shared_recorder {
             l.flush_into(&**shared);
         }

@@ -28,8 +28,9 @@
 //!   exposition format.
 //! - **Campaign-friendly aggregation.** Workers record into a per-thread
 //!   [`LocalRecorder`] and merge into a shared [`TraceRecorder`] at trial
-//!   boundaries via a lock-free batch stack, so observation never serializes
-//!   the workers and never perturbs thread-count invariance.
+//!   boundaries with one short locked push per batch, so workers contend
+//!   only for that push and observation never perturbs thread-count
+//!   invariance.
 //! - **One telemetry file per fleet worker attempt.** A fleet worker streams
 //!   everything to a crash-safe [`SidecarRecorder`], flushed after every
 //!   trial or fused chunk, so a killed attempt's final moments are the tail

@@ -4,10 +4,11 @@
 //! Campaign workers each own one of these. Every recording call appends to a
 //! thread-private batch behind an uncontended mutex; at trial boundaries
 //! [`LocalRecorder::flush_into`] hands the whole batch to the shared
-//! recorder's lock-free [`Recorder::merge`]. The result: observation costs
-//! the worker one vector push per item and one CAS per trial, and can never
-//! serialize workers against each other — which is what preserves the
-//! campaign engine's thread-count-invariance guarantee.
+//! recorder's [`Recorder::merge`]. The result: observation costs the worker
+//! one vector push per item and one short locked push per trial, workers
+//! contend only for that push, and recording never changes what they
+//! compute — which is what preserves the campaign engine's
+//! thread-count-invariance guarantee.
 
 use parking_lot::Mutex;
 

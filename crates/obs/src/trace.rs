@@ -1,18 +1,17 @@
 //! [`TraceRecorder`]: the collecting recorder behind every exporter.
 //!
 //! Direct recording goes through one mutex; campaign workers avoid that
-//! mutex entirely by buffering into a [`LocalRecorder`] and pushing whole
-//! [`ObsBatch`]es onto a lock-free Treiber stack here (`merge` is one CAS
-//! loop, no lock). [`TraceRecorder::snapshot`] drains the stack into the
-//! mutexed state and returns an owned [`ObsSnapshot`] for export.
+//! mutex by buffering into a [`LocalRecorder`] and handing whole
+//! [`ObsBatch`]es to `merge`, which only pushes the batch onto a pending
+//! list under a second, short lock. [`TraceRecorder::snapshot`] folds the
+//! pending batches into the state in merge order and returns an owned
+//! [`ObsSnapshot`] for export.
 //!
 //! [`LocalRecorder`]: crate::LocalRecorder
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 use parking_lot::Mutex;
 
@@ -106,17 +105,12 @@ impl ObsSnapshot {
     }
 }
 
-struct Node {
-    batch: ObsBatch,
-    next: *mut Node,
-}
-
-/// In-memory collecting [`Recorder`] with lock-free batch merging and
+/// In-memory collecting [`Recorder`] with deferred batch merging and
 /// exporters for Chrome `trace_event` JSON, JSONL, and Prometheus text.
 pub struct TraceRecorder {
     state: Mutex<ObsSnapshot>,
-    /// Treiber stack of merged-but-not-yet-absorbed batches.
-    pending: AtomicPtr<Node>,
+    /// Merged batches not yet folded into `state`, in merge order.
+    pending: Mutex<Vec<ObsBatch>>,
     max_spans: usize,
 }
 
@@ -137,33 +131,18 @@ impl TraceRecorder {
     pub fn with_max_spans(max_spans: usize) -> Self {
         TraceRecorder {
             state: Mutex::new(ObsSnapshot::default()),
-            pending: AtomicPtr::new(ptr::null_mut()),
+            pending: Mutex::new(Vec::new()),
             max_spans,
-        }
-    }
-
-    /// Pops the whole pending stack and folds it into `state`, restoring
-    /// merge order (the stack is LIFO).
-    fn drain_pending(&self, state: &mut ObsSnapshot) {
-        let mut head = self.pending.swap(ptr::null_mut(), Ordering::AcqRel);
-        let mut batches = Vec::new();
-        while !head.is_null() {
-            // SAFETY: nodes are only created by `merge` via Box::into_raw and
-            // detached here exactly once (the swap above took ownership of
-            // the whole chain).
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            batches.push(node.batch);
-        }
-        for batch in batches.into_iter().rev() {
-            state.absorb(batch, self.max_spans);
         }
     }
 
     /// Owned copy of everything collected so far.
     pub fn snapshot(&self) -> ObsSnapshot {
         let mut state = self.state.lock();
-        self.drain_pending(&mut state);
+        let pending = std::mem::take(&mut *self.pending.lock());
+        for batch in pending {
+            state.absorb(batch, self.max_spans);
+        }
         state.clone()
     }
 
@@ -225,42 +204,13 @@ impl Recorder for TraceRecorder {
             .observe(ns);
     }
 
-    /// Lock-free: pushes the batch onto the pending stack with one CAS loop.
+    /// Pushes the batch onto the pending list; [`TraceRecorder::snapshot`]
+    /// folds it in.
     fn merge(&self, batch: ObsBatch) {
         if batch.is_empty() {
             return;
         }
-        let node = Box::into_raw(Box::new(Node {
-            batch,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.pending.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` came from Box::into_raw above and is not yet
-            // shared; writing its `next` field is exclusive access.
-            unsafe { (*node).next = head };
-            match self.pending.compare_exchange_weak(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => head = actual,
-            }
-        }
-    }
-}
-
-impl Drop for TraceRecorder {
-    fn drop(&mut self) {
-        let mut head = *self.pending.get_mut();
-        while !head.is_null() {
-            // SAFETY: same ownership argument as `drain_pending`; Drop has
-            // exclusive access.
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-        }
+        self.pending.lock().push(batch);
     }
 }
 
@@ -332,7 +282,7 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.counters.get("merged"), Some(&400));
         assert_eq!(snap.spans.len(), 400);
-        // Per-thread order is preserved by the LIFO-reversal in drain.
+        // Each thread's batches stay in the order it merged them.
         for t in 0..8 {
             let names: Vec<_> = snap
                 .spans

@@ -7,9 +7,7 @@
 //!
 //! - [`int8`]: symmetric per-tensor quantization (`q = clamp(round(x/s))`,
 //!   `s = max|x| / 127`), fake-quantization of whole tensors, and INT8 bit
-//!   flips expressed in the dequantized domain;
-//! - [`fp32`]: FP32 bit-flip fault models (thin wrappers over
-//!   [`rustfi_tensor::bits`] plus random-bit selection helpers).
+//!   flips expressed in the dequantized domain.
 //!
 //! # Example
 //!
@@ -27,5 +25,4 @@
 //! assert!((corrupted - 1.0).abs() > 1.0, "high bit flips move the value far");
 //! ```
 
-pub mod fp32;
 pub mod int8;

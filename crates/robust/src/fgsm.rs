@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn fgsm_moves_pixels_by_exactly_eps() {
         let data = data();
-        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).to_network();
+        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).into_network();
         let x = data.test_images.select_batch(0);
         let adv = fgsm(&mut net, &x, data.test_labels[0], 0.1);
         for (a, b) in adv.data().iter().zip(x.data()) {
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn zero_eps_is_identity() {
         let data = data();
-        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).to_network();
+        let mut net = IbpNet::alexnet_like(&IbpSpec::tiny(10)).into_network();
         let x = data.test_images.select_batch(1);
         let adv = fgsm(&mut net, &x, data.test_labels[1], 0.0);
         assert_eq!(adv, x);
@@ -108,7 +108,7 @@ mod tests {
                 ..IbpTrainConfig::default()
             },
         );
-        let mut net = ibp.to_network();
+        let mut net = ibp.into_network();
         let clean = accuracy(&mut net, &data.test_images, &data.test_labels, 16);
         let attacked = fgsm_accuracy(&mut net, &data.test_images, &data.test_labels, 0.15);
         assert!(clean > 0.85, "clean accuracy {clean}");

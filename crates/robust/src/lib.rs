@@ -7,7 +7,10 @@
 //!   `z_worst` are the worst-case logits under an L∞ input perturbation of
 //!   radius ε, computed by propagating `[x-ε, x+ε]` intervals through every
 //!   layer ([`interval`], [`ibp`]). A curriculum schedule ramps α and ε
-//!   linearly, as in Gowal et al. ([`curriculum`]).
+//!   linearly, as in Gowal et al. ([`curriculum`]). The network is an
+//!   ordinary [`rustfi_nn::Network`]: only the interval forward and backward
+//!   live here, and [`IbpNet::into_network`] hands the trained network
+//!   itself to the fault injector.
 //! - **Fault-injection-in-training** (paper §IV-D / Table I): a persistent
 //!   stochastic hook that, on every forward pass during training, sets one
 //!   random neuron per injectable layer to a uniform value in `[-1, 1]`

@@ -11,7 +11,7 @@
 //! - [`rustfi_nn`] — the hook-capable DNN framework substrate
 //! - [`rustfi_tensor`] — the tensor library underneath it
 //! - [`rustfi_data`] — deterministic synthetic datasets
-//! - [`rustfi_quant`] — INT8/FP32 quantization and bit-flip machinery
+//! - [`rustfi_quant`] — INT8 quantization and bit-flip machinery
 //! - [`rustfi_detect`] — a YOLO-style object detector
 //! - [`rustfi_robust`] — IBP robust training and FI-in-training
 //! - [`rustfi_interpret`] — Grad-CAM interpretability

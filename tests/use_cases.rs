@@ -79,7 +79,7 @@ fn ibp_model_exports_and_classifies() {
         &data.train_labels,
         &IbpTrainConfig::default(),
     );
-    let mut net = ibp.to_network();
+    let mut net = ibp.into_network();
     let acc = accuracy(&mut net, &data.test_images, &data.test_labels, 16);
     assert!(acc > 0.6, "IBP-trained model accuracy {acc}");
 
