@@ -8,7 +8,7 @@
 //! allocates when it spawns, and thread management is outside the
 //! tensor-path claim this gate protects.
 //!
-//! Nine measurements keep the assertion honest:
+//! Ten measurements keep the assertion honest:
 //!
 //! 1. With pooling *disabled* (budget 0), the same passes must allocate —
 //!    proving the counter actually observes the forward path (a vacuously
@@ -41,11 +41,22 @@
 //!    `GuardHook` (an all-layer hook, so it fires after every leaf) — must
 //!    allocate nothing either: a dispatch that fires hooks fires them from
 //!    a snapshot of the hook table, never a fresh list.
+//! 10. The broadcast resume of case 6 with a golden trace — the pass a
+//!     prefix-cached fused chunk runs — must allocate nothing in two
+//!     variants: a hook on the conv perturbs half the slices, so the other
+//!     half rejoin the golden run at the next spine point and the pass runs
+//!     on with a smaller batch; and no slice carries a fault, so every
+//!     slice is dropped there and the pass returns at once. Dropping copies
+//!     the live slices into a pooled batch and tracks them in buffers the
+//!     network keeps.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
 use rustfi_bench::alloc_count::{self, CountingAlloc};
-use rustfi_nn::{zoo, Backend, CalibrationTable, GuardConfig, GuardHook, ZooConfig};
+use rustfi_nn::{
+    zoo, Backend, CalibrationTable, GoldenTrace, GuardConfig, GuardHook, LayerId, Network,
+    ZooConfig,
+};
 use rustfi_tensor::{tpool, SeededRng, Tensor};
 use std::sync::Arc;
 
@@ -137,7 +148,7 @@ fn main() {
         });
         let act = act.expect("the spine conv ran");
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = net.forward_from(Some(target), &act, Some((target, 8)));
+            let out = net.forward_from(Some(target), &act, Some((target, 8)), None);
             std::hint::black_box(out)
                 .expect("target is a layer")
                 .into_pool()
@@ -153,14 +164,14 @@ fn main() {
     let from_input = {
         let _pool = tpool::budget_scope(64 << 20);
         let target = net.injectable_layers()[1];
-        let out = net.forward_from(None, &input, Some((target, 8)));
+        let out = net.forward_from(None, &input, Some((target, 8)), None);
         assert_eq!(
             out.expect("a pass from the input").dims()[0],
             8,
             "the pass broadcast to the chunk"
         );
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = net.forward_from(None, &input, Some((target, 8)));
+            let out = net.forward_from(None, &input, Some((target, 8)), None);
             std::hint::black_box(out)
                 .expect("a pass from the input")
                 .into_pool()
@@ -189,7 +200,7 @@ fn main() {
         });
         let act = act.expect("the block ran");
         alloc_count::steady_state_allocs(8, 64, || {
-            let out = resnet.forward_from(Some(block), &act, None);
+            let out = resnet.forward_from(Some(block), &act, None, None);
             std::hint::black_box(out)
                 .expect("the block is a layer")
                 .into_pool()
@@ -219,6 +230,53 @@ fn main() {
         hooked == 0.0,
         "hooked forward path allocated at steady state — hook dispatch must \
          not collect the firing hooks ({hooked:.3} allocations/pass)"
+    );
+    let (some_dropped, all_dropped) = {
+        let _pool = tpool::budget_scope(64 << 20);
+        let inj = net.injectable_layers();
+        let target = inj[1];
+        let spine: Vec<LayerId> = inj.iter().filter_map(|&l| net.resume_point(l)).collect();
+        let mut points: Vec<(LayerId, Tensor)> = Vec::new();
+        net.forward_with_capture(&input, &mut |id, x| {
+            if spine.contains(&id) {
+                points.push((id, x.clone()));
+            }
+        });
+        let act = points
+            .iter()
+            .find(|(id, _)| *id == target)
+            .map(|(_, x)| x.clone())
+            .expect("the spine conv ran");
+        let pass = |net: &mut Network, expect_live: usize| {
+            let trace = GoldenTrace::new(target, &points);
+            let out = net.forward_from(Some(target), &act, Some((target, 8)), Some(trace));
+            assert_eq!(
+                net.live_rows().map(<[usize]>::len),
+                Some(expect_live),
+                "slices the golden trace kept"
+            );
+            std::hint::black_box(out)
+                .expect("target is a layer")
+                .into_pool()
+        };
+        let hook = net.hooks().register_forward(target, |_, out| {
+            let half = out.len() / 2;
+            for v in &mut out.data_mut()[..half] {
+                *v += 1.0;
+            }
+        });
+        let some = alloc_count::steady_state_allocs(8, 64, || pass(&mut net, 4));
+        net.hooks().remove(hook);
+        let all = alloc_count::steady_state_allocs(8, 64, || pass(&mut net, 0));
+        (some, all)
+    };
+    println!("alloc_gate: some dropped -> {some_dropped:.1} allocations/pass");
+    println!("alloc_gate: all dropped  -> {all_dropped:.1} allocations/pass");
+    assert!(
+        some_dropped == 0.0 && all_dropped == 0.0,
+        "broadcast resume with a golden trace allocated at steady state \
+         ({some_dropped:.3} with half the slices dropped, {all_dropped:.3} \
+         with all of them)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

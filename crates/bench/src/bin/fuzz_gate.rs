@@ -17,6 +17,11 @@
 //!    a file into `tests/regressions/` turns it into a permanent corpus
 //!    entry.
 //!
+//! Each passing case's line names how many trials its accelerated leg
+//! dropped at a golden match (`exits`), and the closing line counts the
+//! cases whose passes exited early and the slices they dropped, so a CI log
+//! shows the exit path ran.
+//!
 //! Replay a single case with `fuzz_gate -- --replay <file>`.
 
 use proptest::{Strategy, TestRng};
@@ -45,14 +50,23 @@ fn env_u64(name: &str) -> Option<u64> {
     }
 }
 
+/// Cases whose accelerated leg exited early, and the slices it dropped.
+#[derive(Default)]
+struct Exits {
+    cases: usize,
+    slices: u64,
+}
+
 /// Runs one case, printing a pass line or the full failure.
-fn run_one(label: &str, case: &FuzzCase, failures: &mut Vec<FuzzCase>) {
+fn run_one(label: &str, case: &FuzzCase, failures: &mut Vec<FuzzCase>, exits: &mut Exits) {
     match run_case(case) {
         Ok(report) => {
             println!(
-                "  ok {label}: seed={:#x} legs={} trials={} layers={}",
-                case.seed, report.legs, report.trials_run, report.leaf_layers
+                "  ok {label}: seed={:#x} legs={} trials={} layers={} exits={}",
+                case.seed, report.legs, report.trials_run, report.leaf_layers, report.exits
             );
+            exits.cases += usize::from(report.exits > 0);
+            exits.slices += report.exits;
         }
         Err(failure) => {
             eprintln!("  FAIL {label}:\n{failure}");
@@ -61,7 +75,7 @@ fn run_one(label: &str, case: &FuzzCase, failures: &mut Vec<FuzzCase>) {
     }
 }
 
-fn replay_corpus(dir: &Path, failures: &mut Vec<FuzzCase>) -> usize {
+fn replay_corpus(dir: &Path, failures: &mut Vec<FuzzCase>, exits: &mut Exits) -> usize {
     let Ok(entries) = std::fs::read_dir(dir) else {
         println!(
             "fuzz_gate: no corpus directory at {} — skipping replay",
@@ -81,7 +95,7 @@ fn replay_corpus(dir: &Path, failures: &mut Vec<FuzzCase>) -> usize {
             .map_err(|e| e.to_string())
             .and_then(|t| parse_case_file(&t))
         {
-            Ok(case) => run_one(&format!("corpus/{name}"), &case, failures),
+            Ok(case) => run_one(&format!("corpus/{name}"), &case, failures, exits),
             Err(e) => {
                 eprintln!("  FAIL corpus/{name}: unparseable case file: {e}");
                 // An unreadable corpus entry is a gate failure too — a
@@ -122,6 +136,7 @@ fn persist_failures(out_dir: &Path, failures: &[FuzzCase]) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut failures: Vec<FuzzCase> = Vec::new();
+    let mut exits = Exits::default();
 
     // Single-case replay mode.
     if let Some(i) = args.iter().position(|a| a == "--replay") {
@@ -141,7 +156,7 @@ fn main() -> ExitCode {
         };
         println!("fuzz_gate: replaying {path}");
         println!("  case: {case}");
-        run_one("replay", &case, &mut failures);
+        run_one("replay", &case, &mut failures, &mut exits);
         return if failures.is_empty() {
             ExitCode::SUCCESS
         } else {
@@ -152,7 +167,7 @@ fn main() -> ExitCode {
     let root = workspace_root();
     let corpus = root.join("tests/regressions");
     println!("fuzz_gate: replaying corpus from {}", corpus.display());
-    let replayed = replay_corpus(&corpus, &mut failures);
+    let replayed = replay_corpus(&corpus, &mut failures, &mut exits);
 
     let budget = rustfi_bench::env_usize("RUSTFI_FUZZ_CASES", 24);
     let master = env_u64("RUSTFI_FUZZ_SEED");
@@ -175,7 +190,7 @@ fn main() -> ExitCode {
         } else {
             free.generate(&mut rng)
         };
-        run_one(&format!("fuzz[{i}]"), &case, &mut failures);
+        run_one(&format!("fuzz[{i}]"), &case, &mut failures, &mut exits);
     }
 
     let out_dir = std::env::var("RUSTFI_FUZZ_OUT")
@@ -186,6 +201,10 @@ fn main() -> ExitCode {
     println!(
         "fuzz_gate: {replayed} corpus case(s) + {budget} fresh case(s), {} failure(s)",
         failures.len()
+    );
+    println!(
+        "fuzz_gate: {} case(s) exited early at a golden match, dropping {} slice(s)",
+        exits.cases, exits.slices
     );
     if failures.is_empty() {
         ExitCode::SUCCESS

@@ -5,6 +5,9 @@
 //! - a per-layer table of forward wall time (from layer spans); its `inj`
 //!   column is the injectable-layer index the statistical report uses;
 //! - kernel-call counters;
+//! - the golden prefix's counters: hits, misses, and the trials whose pass
+//!   ended at a golden match (exits), with the FLOPs hits and exits
+//!   skipped;
 //! - the statistical report: the per-layer SDC/DUE table with 95% Wilson
 //!   intervals, counted from the campaign's trial records
 //!   ([`rustfi::report::per_layer_table`]), and trial latency quantiles
@@ -25,7 +28,7 @@
 use rustfi::report::per_layer_table;
 use rustfi::{
     models, Campaign, CampaignConfig, FaultMode, GuardMode, ModelProfile, NeuronSelect,
-    ProgressRecorder,
+    PrefixCacheConfig, ProgressRecorder,
 };
 use rustfi_bench::env_usize;
 use rustfi_nn::{train, zoo, ZooConfig};
@@ -70,6 +73,7 @@ fn main() {
             seed: 0x9806,
             threads,
             guard: GuardMode::Record,
+            prefix_cache: Some(PrefixCacheConfig::default()),
             recorder: Some(recorder.clone() as Arc<dyn Recorder>),
             progress: Some(ProgressRecorder::stderr(trials.div_ceil(10).max(1))),
             ..CampaignConfig::default()
@@ -117,6 +121,16 @@ fn main() {
         println!(
             "memory-bound tail (elementwise+pool+norm): {tail} of {total} kernel calls ({:.1}%)",
             100.0 * tail as f64 / total as f64
+        );
+    }
+    if let Some(p) = &result.prefix {
+        println!(
+            "golden prefix: hits {} | misses {} | exits {} | skipped {:.1} MFLOP by hits, {:.1} MFLOP by exits",
+            p.hits,
+            p.misses,
+            p.exits,
+            p.skipped_flops as f64 * 1e-6,
+            p.exit_skipped_flops as f64 * 1e-6
         );
     }
     println!("\n# Statistical report (95% Wilson intervals)");

@@ -28,6 +28,9 @@ pub struct CaseReport {
     pub legs: usize,
     /// Leaf layers in the sampled architecture.
     pub leaf_layers: usize,
+    /// Trials (batch slices) the accelerated leg dropped at a golden match
+    /// ([`rustfi::PrefixStats::exits`]); 0 without a prefix cache.
+    pub exits: u64,
 }
 
 /// A divergence (or crash) found while running a case, carrying everything
@@ -401,6 +404,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, Box<CaseFailure>> {
         trials_run,
         legs,
         leaf_layers: case.arch.leaf_count(),
+        exits: accelerated.prefix.map_or(0, |p| p.exits),
     })
 }
 

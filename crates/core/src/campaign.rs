@@ -298,9 +298,21 @@ pub struct CampaignConfig {
     /// snapshot the input of the injection layer's resume point during the
     /// golden pass and start trial forward passes there instead of at the
     /// pixels. Only the layer the fault mode names is snapshotted, or every
-    /// injectable layer under a `Random` selection. Purely a throughput
-    /// optimization — trial records are bit-identical with or without it (a
-    /// property test asserts this).
+    /// injectable layer under a `Random` selection.
+    ///
+    /// The golden pass also keeps a golden trace — the inputs of the resume
+    /// points of the injectable layers from the first one the fault mode
+    /// can hit, and the golden logits — and a trial pass stops at the first
+    /// spine point after its fault where its activation equals the golden
+    /// one bit for bit; its record is built from the golden logits (fused
+    /// chunks drop each such slice and run on with the rest). Exits are
+    /// enabled only when [`Self::max_steps`] is `None` or at least the
+    /// network's leaf count, every forward hook on the network was
+    /// installed by the campaign, and the golden guard did not leave the
+    /// image uncached (see [`crate::prefix`]).
+    ///
+    /// Purely a throughput optimization — trial records are bit-identical
+    /// with or without it (property tests assert this).
     pub prefix_cache: Option<crate::prefix::PrefixCacheConfig>,
     /// Trial fusion ([`FusionConfig`]): run up to `max_batch` trials that
     /// share an `(injection layer, image)` pair as one batched forward pass
@@ -718,10 +730,12 @@ impl<'a> Campaign<'a> {
             )
         });
         // With guard hooks in play, an uncached trial scans the prefix
-        // layers' activations while a cached one skips them. Golden
-        // prefixes are clean, so that only matters if the *golden* run
-        // itself goes non-finite (e.g. laundered by a downstream ReLU) —
-        // detect that here and leave such images uncached.
+        // layers' activations while a cached one skips them, and a trial
+        // that exits at the golden trace skips the layers after its exit
+        // point. Golden prefixes are clean, so that only matters if the
+        // *golden* run itself goes non-finite (e.g. laundered by a
+        // downstream ReLU) — detect that here and leave such images
+        // uncached, which also keeps their trials from exiting.
         let golden_guard = (prefix.is_some() && cfg.guard != GuardMode::Off).then(|| {
             GuardHook::install(
                 golden.net(),
@@ -752,9 +766,7 @@ impl<'a> Campaign<'a> {
                     .and_then(|g| g.first_non_finite())
                     .is_none();
                 if let Some(p) = prefix.as_mut().filter(|_| clean) {
-                    for (id, t) in captured {
-                        p.insert(i, id, t);
-                    }
+                    p.insert_image(i, captured, row);
                 }
             }
         }
@@ -770,6 +782,16 @@ impl<'a> Campaign<'a> {
         // injector itself is handed to the first worker that asks instead of
         // being rebuilt from scratch.
         let profile = golden.profile().clone();
+        // A pass that exits skips the watchdog's dispatches after its exit
+        // point, so exits need a budget no pass can exceed: a full pass
+        // dispatches every leaf once.
+        let leaves = golden
+            .net()
+            .layer_infos()
+            .iter()
+            .filter(|l| !l.kind.is_container())
+            .count();
+        let exits = prefix.is_some() && cfg.max_steps.is_none_or(|budget| budget >= leaves);
         let golden_cell: Mutex<Option<FaultInjector>> = Mutex::new(Some(golden));
         if eligible.is_empty() {
             // Durability point even for degenerate runs: streaming recorders
@@ -827,6 +849,7 @@ impl<'a> Campaign<'a> {
             input_dims,
             range,
             cfg,
+            exits,
             int8_table: &int8_table,
             root: &root,
             eligible: &eligible,
@@ -916,6 +939,10 @@ struct RunEnv<'e> {
     /// ordinary runs, one shard's slice under [`Campaign::run_shard`].
     range: (usize, usize),
     cfg: &'e CampaignConfig,
+    /// Whether trial passes may exit at the golden trace: the campaign
+    /// keeps a golden prefix and its watchdog budget, if any, is at least
+    /// the network's leaf count. Each worker also checks its hooks.
+    exits: bool,
     /// The shared calibration table under [`QuantMode::Int8`] (built once
     /// from the full image set during the golden pass), else `None`.
     int8_table: &'e Option<Arc<CalibrationTable>>,
@@ -1007,6 +1034,10 @@ enum WorkUnit {
 struct Worker {
     fi: FaultInjector,
     guard: Option<GuardHook>,
+    /// Whether this worker's passes may exit at the golden trace: the run
+    /// allows it, and every forward hook on the network is the campaign's
+    /// own (its guard and INT8 emulation; trials add their fault hooks).
+    exits: bool,
     /// Per-worker observability buffer; merged into the shared recorder at
     /// unit boundaries (one short locked push per unit), so workers contend
     /// only for that push.
@@ -1058,7 +1089,14 @@ fn build_worker(
             },
         )
     });
-    Ok(Worker { fi, guard, local })
+    let own_hooks = usize::from(guard.is_some()) + usize::from(cfg.quant == QuantMode::Simulated);
+    let exits = env.exits && fi.net().hooks().forward_len() == own_hooks;
+    Ok(Worker {
+        fi,
+        guard,
+        exits,
+        local,
+    })
 }
 
 impl TrialRecord {
@@ -1124,6 +1162,7 @@ fn record_from_row(
 /// makes fused records bit-identical to serial ones.
 fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialRecord, FiError> {
     let (trial_seed, image_index, clean_conf) = env.draw(t);
+    let exits = w.exits;
     let fi = &mut w.fi;
     fi.restore();
     fi.reseed(trial_seed);
@@ -1167,10 +1206,14 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
             }
         };
         planned = Some((layer, site));
-        let start = PassStart::new(env.prefix, layer, image_index);
+        let start = PassStart::new(env.prefix, layer, image_index, exits);
         prefix_hit = start.hit;
         let out = start.run(fi, env.images, None);
-        let row = out.data().to_vec();
+        // A pass that rejoined the golden run ends with its output.
+        let row = match start.golden_logits() {
+            Some(golden) if !fi.net().dropped().is_empty() => golden.to_vec(),
+            _ => out.data().to_vec(),
+        };
         out.into_pool();
         Ok(row)
     });
@@ -1225,8 +1268,10 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
 /// progress. A unit is one serial trial (`fused_image` is `None`) or one
 /// fused chunk on image `fused_image`. `prefix_hit` is the unit's golden
 /// prefix outcome (`None` when no prefix applied), charged only now so that
-/// a crashed chunk's serial replay counts its trials instead; `start_ns` is
-/// when the unit began (`Some` only while recording).
+/// a crashed chunk's serial replay counts its trials instead; so are the
+/// trials its pass dropped at the golden trace, which the worker's network
+/// still reports. `start_ns` is when the unit began (`Some` only while
+/// recording).
 fn finish_unit(
     env: &RunEnv<'_>,
     w: &Worker,
@@ -1241,6 +1286,11 @@ fn finish_unit(
         .prefix
         .zip(prefix_hit)
         .map(|(p, hit)| (hit, p.count(layer, hit, n)));
+    let dropped = w.fi.net().dropped();
+    let exit_skipped = env
+        .prefix
+        .filter(|_| !dropped.is_empty())
+        .map(|p| p.count_exits(dropped));
     let counters = &env.fusion;
     if fused_image.is_some() {
         counters.fused.fetch_add(n, Ordering::Relaxed);
@@ -1300,6 +1350,10 @@ fn finish_unit(
             }
             Some((false, _)) => l.counter_add(obs_names::CAMPAIGN_PREFIX_MISSES, n),
             None => {}
+        }
+        if let Some(skipped) = exit_skipped {
+            l.counter_add(obs_names::CAMPAIGN_PREFIX_EXITS, dropped.len() as u64);
+            l.counter_add(obs_names::CAMPAIGN_PREFIX_EXIT_SKIPPED_FLOPS, skipped);
         }
         for record in records {
             l.event(ObsEvent::TrialOutcome(TrialOutcomeEvent {
@@ -1414,6 +1468,7 @@ fn run_fused_chunk(
         ref trials,
     } = *chunk;
     let n = trials.len();
+    let exits = w.exits;
     let fi = &mut w.fi;
     fi.restore();
     fi.set_trial(None); // injection events carry per-slice trial indices
@@ -1438,7 +1493,7 @@ fn run_fused_chunk(
     // Every slice runs the same fault-free prefix, so the pass starts once,
     // at batch 1, and broadcasts to the chunk at the injection layer when
     // that layer is on the spine.
-    let start = PassStart::new(env.prefix, layer, image_index);
+    let start = PassStart::new(env.prefix, layer, image_index, exits);
     let broadcast = Some((env.profile.layers()[layer].id, n));
     let out = match parallel::shield::run_quietly(|| start.run(fi, env.images, broadcast)) {
         Ok(out) => out,
@@ -1457,14 +1512,30 @@ fn run_fused_chunk(
     };
 
     // Per-sample classification — each slice judged exactly as a batch-1
-    // serial trial would be.
-    let classes = out.len() / n;
+    // serial trial would be. A slice the pass dropped rejoined the golden
+    // run, so its row is the golden logits; output row `r` carries the
+    // `r`-th live slice.
+    let mut row_of: Vec<Option<usize>> = (0..n).map(Some).collect();
+    if let Some(rows) = w.fi.net().live_rows() {
+        row_of.fill(None);
+        for (r, &b) in rows.iter().enumerate() {
+            row_of[b] = Some(r);
+        }
+    }
+    let live = row_of.iter().flatten().count();
+    let classes = out.len().checked_div(live).unwrap_or(0);
     let records: Vec<TrialRecord> = trials
         .iter()
+        .zip(row_of)
         .enumerate()
-        .map(|(b, p)| {
+        .map(|(b, (p, row))| {
             let base = TrialRecord::unfinished(p.t, p.image_index, layer, Some(p.sites[0]));
-            let row = &out.data()[b * classes..(b + 1) * classes];
+            let row = match row {
+                Some(r) => &out.data()[r * classes..(r + 1) * classes],
+                None => start
+                    .golden_logits()
+                    .expect("only a pass with a golden trace drops slices"),
+            };
             let non_finite = w.guard.as_ref().and_then(|g| g.first_non_finite_for(b));
             record_from_row(env, base, p.clean_conf, row, non_finite.map(|(id, _)| id))
         })
@@ -2167,6 +2238,66 @@ mod tests {
             .expect("the cache stays on under the watchdog");
         assert!(stats.hits > 0, "{stats:?}");
         assert_eq!(result.records, serial.records);
+    }
+
+    #[test]
+    fn golden_exits_stand_down_where_a_record_could_change() {
+        use crate::prefix::PrefixCacheConfig;
+
+        let images = images();
+        let labels = aligned_labels(&images);
+        let leaves = factory()
+            .layer_infos()
+            .iter()
+            .filter(|l| !l.kind.is_container())
+            .count();
+        // A neuron of the first conv stuck at 0: a ReLU follows, so the
+        // fault dies wherever the neuron was negative.
+        let hooked = || {
+            let net = factory();
+            net.hooks().register_forward_all(|_, _| {});
+            net
+        };
+        let run = |factory: &(dyn Fn() -> Network + Sync), max_steps, cached: bool, fused: bool| {
+            Campaign::new(
+                factory,
+                &images,
+                &labels,
+                FaultMode::Neuron(NeuronSelect::RandomInLayer { layer: 0 }),
+                Arc::new(StuckAt::new(0.0)),
+            )
+            .run(&CampaignConfig {
+                trials: 40,
+                seed: 31,
+                threads: Some(2),
+                max_steps,
+                prefix_cache: cached.then(PrefixCacheConfig::default),
+                fusion: fused.then(FusionConfig::default),
+                ..CampaignConfig::default()
+            })
+            .unwrap()
+        };
+        for fused in [false, true] {
+            for max_steps in [None, Some(leaves)] {
+                let reference = run(&factory, max_steps, false, false);
+                let exited = run(&factory, max_steps, true, fused);
+                assert_eq!(exited.records, reference.records, "{max_steps:?}");
+                let stats = exited.prefix.unwrap();
+                assert!(stats.exits > 0 && stats.exits < 40, "{stats:?}");
+                assert!(stats.exit_skipped_flops > 0);
+            }
+            // One step less cuts every pass that reaches the end: no trial
+            // may exit before the watchdog trips.
+            let cut = run(&factory, Some(leaves - 1), true, fused);
+            assert_eq!(cut.prefix.unwrap().exits, 0);
+            assert_eq!(cut.counts.hang, 40);
+            // A hook the campaign did not install might act past the exit
+            // point.
+            let reference = run(&hooked, None, false, false);
+            let user_hook = run(&hooked, None, true, fused);
+            assert_eq!(user_hook.prefix.unwrap().exits, 0);
+            assert_eq!(user_hook.records, reference.records);
+        }
     }
 
     #[test]

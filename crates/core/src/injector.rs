@@ -7,7 +7,7 @@ use crate::location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect, Weigh
 use crate::perturbation::{PerturbCtx, PerturbationModel};
 use crate::profile::ModelProfile;
 use parking_lot::Mutex;
-use rustfi_nn::{Backend, CalibrationTable, HookHandle, LayerId, Network};
+use rustfi_nn::{Backend, CalibrationTable, GoldenTrace, HookHandle, LayerId, Network};
 use rustfi_obs::{Event as ObsEvent, InjectionEvent, InjectionSite, Recorder};
 use rustfi_quant::int8;
 use rustfi_tensor::{qkernels, SeededRng, Tensor};
@@ -720,8 +720,9 @@ impl FaultInjector {
     }
 
     /// Runs an inference that starts at `from` — the network input when
-    /// `None`, else the cached activation of `from`'s resume point — and is
-    /// `broadcast` wide (see [`rustfi_nn::Network::forward_from`]). With
+    /// `None`, else the cached activation of `from`'s resume point — is
+    /// `broadcast` wide, and may drop slices that rejoin the golden run
+    /// `trace` (see [`rustfi_nn::Network::forward_from`]). With
     /// `broadcast: Some((target, n))` the result equals the pass on
     /// `input.repeat_batch(n)`, but when `target` is an injectable layer on
     /// the spine, the pass runs at batch 1 through `target` and broadcasts
@@ -733,8 +734,9 @@ impl FaultInjector {
         from: Option<LayerId>,
         input: &Tensor,
         broadcast: Option<(LayerId, usize)>,
+        trace: Option<GoldenTrace<'_>>,
     ) -> Option<Tensor> {
-        self.net.forward_from(from, input, broadcast)
+        self.net.forward_from(from, input, broadcast, trace)
     }
 
     /// The configuration this injector was built with.
@@ -1201,19 +1203,19 @@ mod tests {
         let act = act.unwrap();
         declare(&mut fi);
         let reference = fi
-            .forward_from(Some(rid), &act.repeat_batch(3), None)
+            .forward_from(Some(rid), &act.repeat_batch(3), None, None)
             .unwrap();
         let mut fi2 = injector();
         declare(&mut fi2);
         let fast = fi2
-            .forward_from(Some(rid), &act, Some((layer_id, 3)))
+            .forward_from(Some(rid), &act, Some((layer_id, 3)), None)
             .unwrap();
         assert_eq!(fast, reference, "broadcast decomposition is bit-identical");
         assert_eq!(fi2.injections_applied(), 3);
         // From the image, the prefix runs once at batch 1.
         let mut fi3 = injector();
         declare(&mut fi3);
-        let from_input = fi3.forward_from(None, &x(), Some((layer_id, 3)));
+        let from_input = fi3.forward_from(None, &x(), Some((layer_id, 3)), None);
         assert_eq!(from_input, Some(reference), "broadcast from the input");
         assert_eq!(fi3.injections_applied(), 3);
     }
@@ -1223,7 +1225,7 @@ mod tests {
         let mut fi = injector();
         let unknown = LayerId::from_index(999);
         assert!(fi
-            .forward_from(Some(unknown), &x(), Some((unknown, 2)))
+            .forward_from(Some(unknown), &x(), Some((unknown, 2)), None)
             .is_none());
         assert_eq!(fi.injections_applied(), 0);
     }

@@ -149,16 +149,21 @@ impl GuardHook {
                     let blame = |slot: &mut Provenance| {
                         slot.get_or_insert_with(|| (ctx.id, ctx.name.to_string()));
                     };
-                    if out.sample_slices().count() == 1 {
+                    if ctx.rows.is_none() && out.sample_slices().count() == 1 {
                         // A batch-1 tensor during a pass over several slices
-                        // is the prefix they all share (see
-                        // `Network::forward_from`): every slice
+                        // that dropped none is the prefix they all share
+                        // (see `Network::forward_from`): every slice
                         // carries its value.
                         table.iter_mut().for_each(blame);
                     } else {
-                        for (slot, slice) in table.iter_mut().zip(out.sample_slices()) {
+                        for (row, slice) in out.sample_slices().enumerate() {
+                            // Once the pass has dropped slices, row `r`
+                            // carries slice `rows[r]`.
+                            let b = ctx.rows.map_or(row, |rows| rows[row]);
                             if slice.iter().any(|v| !v.is_finite()) {
-                                blame(slot);
+                                if let Some(slot) = table.get_mut(b) {
+                                    blame(slot);
+                                }
                             }
                         }
                     }
@@ -408,12 +413,50 @@ mod tests {
         // the corrupt prefix once, at batch 1, for every slice.
         let target = *net.injectable_layers().last().unwrap();
         guard.reset_samples(3);
-        net.forward_from(None, &x, Some((target, 3)));
+        net.forward_from(None, &x, Some((target, 3)), None);
         let first = guard.first_non_finite();
         assert!(first.is_some());
         for b in 0..3 {
             assert_eq!(guard.first_non_finite_for(b), first, "slice {b}");
         }
+    }
+
+    #[test]
+    fn a_chunk_compacted_to_one_slice_blames_only_that_slice() {
+        use crate::module::GoldenTrace;
+        let (mut net, x) = net_and_input();
+        let inj = net.injectable_layers();
+        let (first, second) = (inj[0], inj[1]);
+        assert_eq!(net.resume_point(second), Some(second), "a spine conv");
+        let mut points = Vec::new();
+        net.forward_with_capture(&x, &mut |id, t| {
+            if id == second {
+                points.push((id, t.clone()));
+            }
+        });
+        // Slices 0 and 1 carry no fault and rejoin the golden run at the
+        // second conv; slice 2 carries one, and the second conv's output
+        // goes non-finite in the one row left.
+        net.hooks().register_forward(first, |_, out| {
+            let stride = out.len() / out.dims()[0];
+            for v in &mut out.data_mut()[2 * stride..] {
+                *v = 1e3;
+            }
+        });
+        net.hooks().register_forward(second, |ctx, out| {
+            assert_eq!((ctx.rows, out.dims()[0]), (Some(&[2][..]), 1));
+            out.data_mut()[0] = f32::INFINITY;
+        });
+        let guard = GuardHook::install(&net, GuardConfig::default());
+        guard.reset_samples(3);
+        let trace = GoldenTrace::new(first, &points);
+        net.forward_from(None, &x, Some((first, 3)), Some(trace));
+        assert_eq!(net.live_rows(), Some(&[2][..]));
+        assert!(guard.first_non_finite_for(0).is_none(), "slice 0 rejoined");
+        assert!(guard.first_non_finite_for(1).is_none(), "slice 1 rejoined");
+        let (layer, _) = guard.first_non_finite_for(2).expect("slice 2 blamed");
+        assert!(layer > second, "seen after the second conv's hook");
+        assert_eq!(guard.first_non_finite().map(|(l, _)| l), Some(layer));
     }
 
     #[test]

@@ -38,6 +38,13 @@ pub struct LayerCtx<'a> {
     pub name: &'a str,
     /// The layer's kind.
     pub kind: LayerKind,
+    /// In a forward pass that has dropped batch slices at a golden trace
+    /// (see [`Network::forward_from`]), the original slice each row of the
+    /// output carries: row `r` is slice `rows[r]`. `None` when no slice was
+    /// dropped, so row `b` is slice `b`.
+    ///
+    /// [`Network::forward_from`]: crate::module::Network::forward_from
+    pub rows: Option<&'a [usize]>,
 }
 
 /// A forward hook: may mutate the layer output in place.
@@ -200,6 +207,11 @@ impl HookRegistry {
         self.forward.read().count() + self.grad.read().count()
     }
 
+    /// Number of registered forward hooks.
+    pub fn forward_len(&self) -> usize {
+        self.forward.read().count()
+    }
+
     /// Whether no hooks are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -295,6 +307,7 @@ mod tests {
                 id: lid,
                 name: "test",
                 kind,
+                rows: None,
             },
             out,
         );
@@ -388,6 +401,7 @@ mod tests {
                 id: lid,
                 name: "g",
                 kind,
+                rows: None,
             },
             &Tensor::zeros(&[6]),
         );

@@ -126,13 +126,25 @@ impl Module for Sequential {
 
     /// Runs the children in order, fusing `conv → [bn] → [act]` groups when
     /// a compiled plan is active. A pass that starts inside this container
-    /// begins at the child holding its start. An empty container returns a
-    /// pooled copy of `input`.
+    /// begins at the child holding its start. Before each child, a pass
+    /// with a golden trace drops the slices that rejoined the golden run
+    /// there, and once none is left this container — and every one around
+    /// it — returns the current activation at once. An empty container
+    /// returns a pooled copy of `input`.
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
         let mut i = ctx.first_child(&self.children);
         // `None` means `input` is still the current activation.
         let mut x: Option<Tensor> = None;
         while i < self.children.len() {
+            let id = self.children[i].meta().id;
+            if let Some(live) = ctx.rejoin(id, x.as_ref().unwrap_or(input)) {
+                if let Some(old) = x.replace(live) {
+                    old.into_pool();
+                }
+            }
+            if ctx.exited() {
+                break;
+            }
             let cur = x.as_ref().unwrap_or(input);
             let (next, consumed) = if ctx.plan_active() {
                 match self.try_forward_fused(i, cur, ctx) {
@@ -651,9 +663,9 @@ mod tests {
         });
         let act = act.unwrap();
         let repeated = net
-            .forward_from(Some(inj[1]), &act.repeat_batch(3), None)
+            .forward_from(Some(inj[1]), &act.repeat_batch(3), None, None)
             .unwrap();
-        let broadcast = net.forward_from(Some(residual_id), &act, Some((inj[1], 3)));
+        let broadcast = net.forward_from(Some(residual_id), &act, Some((inj[1], 3)), None);
         assert_eq!(broadcast, Some(repeated));
     }
 
@@ -687,7 +699,7 @@ mod tests {
                 }
             });
             let resumed = net
-                .forward_from(Some(target), &cached.unwrap(), None)
+                .forward_from(Some(target), &cached.unwrap(), None, None)
                 .unwrap();
             assert_eq!(resumed, full, "resume at {resume} for target {target}");
         }
@@ -873,14 +885,14 @@ mod tests {
                 unique.dedup();
                 assert_eq!(unique.len(), taps.len(), "tapped twice: {taps:?}");
                 let resumed = net
-                    .forward_from(Some(target), &at_resume.unwrap(), None)
+                    .forward_from(Some(target), &at_resume.unwrap(), None, None)
                     .unwrap();
                 assert_eq!(resumed, full, "forward_from at {target}, plan {plan}");
 
                 // From the network input, an unhooked target still breaks
                 // its fusion group to broadcast at its own dispatch.
                 let plain = net.forward(&x1.repeat_batch(3));
-                let from_input = net.forward_from(None, &x1, Some((target, 3)));
+                let from_input = net.forward_from(None, &x1, Some((target, 3)), None);
                 assert_eq!(from_input, Some(plain), "unhooked {target}, plan {plan}");
 
                 // A batch-1 activation broadcast to 3 slices. The hook
@@ -905,11 +917,11 @@ mod tests {
                     }
                 });
                 let repeated = net
-                    .forward_from(Some(target), &act.repeat_batch(3), None)
+                    .forward_from(Some(target), &act.repeat_batch(3), None, None)
                     .unwrap();
                 seen.store(0, Ordering::Relaxed);
                 let broadcast = net
-                    .forward_from(Some(resume), &act, Some((target, 3)))
+                    .forward_from(Some(resume), &act, Some((target, 3)), None)
                     .unwrap();
                 assert_eq!(broadcast, repeated, "resumed broadcast at {target}");
                 assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
@@ -920,11 +932,96 @@ mod tests {
                 let whole = net.forward(&x1.repeat_batch(3));
                 assert_eq!(whole, repeated, "{target}: a golden prefix resumes exactly");
                 seen.store(0, Ordering::Relaxed);
-                let from_input = net.forward_from(None, &x1, Some((target, 3)));
+                let from_input = net.forward_from(None, &x1, Some((target, 3)), None);
                 assert_eq!(from_input, Some(whole), "from the input at {target}");
                 assert_eq!(seen.load(Ordering::Relaxed), 3, "{target}'s hook batch");
                 net.hooks().remove(hook);
             }
+        }
+    }
+
+    #[test]
+    fn dropping_slices_keeps_each_live_slice_of_the_undropped_pass() {
+        use crate::module::{GoldenTrace, LayerId};
+        let mut net = plan_test_net();
+        let x1 = plan_test_input().select_batch(0);
+        let inj = net.injectable_layers();
+        // The spine points: every injectable layer's resume point. The conv
+        // inside the residual block resumes at the block.
+        let spine: Vec<LayerId> = inj.iter().map(|&l| net.resume_point(l).unwrap()).collect();
+        let inner = inj[2];
+        assert_ne!(spine[2], inner, "a conv inside the residual block");
+        let mut points: Vec<(LayerId, Tensor)> = Vec::new();
+        net.forward_with_capture(&x1, &mut |id, t| {
+            if spine.contains(&id) || id == inner {
+                points.push((id, t.clone()));
+            }
+        });
+        let golden = net.forward(&x1);
+        // Slices 0 and 2 carry no fault, 1 and 3 a fault no later layer
+        // masks: 0 and 2 rejoin the golden run at the next spine point.
+        let target = inj[0];
+        net.hooks().register_forward(target, |_, out| {
+            if out.dims()[0] != 4 {
+                return;
+            }
+            let stride = out.len() / 4;
+            for v in &mut out.data_mut()[stride..2 * stride] {
+                *v += 1.0;
+            }
+            for v in &mut out.data_mut()[3 * stride..] {
+                *v *= 2.0;
+            }
+        });
+        let spine_only: Vec<(LayerId, Tensor)> = points
+            .iter()
+            .filter(|(id, _)| *id != inner)
+            .cloned()
+            .collect();
+        let inner_only: Vec<(LayerId, Tensor)> = points
+            .iter()
+            .filter(|(id, _)| *id == inner)
+            .cloned()
+            .collect();
+        for plan in [false, true] {
+            net.set_plan(plan);
+            let full = net
+                .forward_from(None, &x1, Some((target, 4)), None)
+                .unwrap();
+            assert_eq!(net.live_rows(), None, "no trace, nothing dropped");
+            assert_eq!(
+                &full.data()[..golden.len()],
+                golden.data(),
+                "slice 0 is golden"
+            );
+            let trace = GoldenTrace::new(target, &spine_only);
+            let out = net
+                .forward_from(None, &x1, Some((target, 4)), Some(trace))
+                .unwrap();
+            assert_eq!(net.live_rows(), Some(&[1, 3][..]), "plan {plan}");
+            assert_eq!(net.dropped(), &[(0, spine[1]), (2, spine[1])]);
+            let row = golden.len();
+            assert_eq!(out.dims(), &[2, row]);
+            for (r, &b) in [1usize, 3].iter().enumerate() {
+                assert_eq!(
+                    &out.data()[r * row..(r + 1) * row],
+                    &full.data()[b * row..(b + 1) * row],
+                    "row {r} is slice {b}, plan {plan}"
+                );
+            }
+            // A point inside a residual block is not a spine point: its
+            // input is only part of the pass's state, so nothing drops.
+            let trace = GoldenTrace::new(target, &inner_only);
+            let out = net
+                .forward_from(None, &x1, Some((target, 4)), Some(trace))
+                .unwrap();
+            assert_eq!((net.live_rows(), &out), (None, &full));
+            // A pass whose fault does not show rejoins at the first spine
+            // point after it and returns no row.
+            let trace = GoldenTrace::new(target, &spine_only);
+            net.forward_from(Some(target), &points[0].1, None, Some(trace));
+            assert_eq!(net.live_rows(), Some(&[][..]));
+            assert_eq!(net.dropped(), &[(0, spine[1])]);
         }
     }
 

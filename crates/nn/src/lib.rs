@@ -55,8 +55,8 @@ pub mod zoo;
 pub use guard::{DeadlineInterrupt, GuardConfig, GuardHook, NonFiniteInterrupt};
 pub use hook::{HookHandle, HookRegistry, LayerCtx};
 pub use module::{
-    BackwardCtx, ForwardCtx, FusePartner, LayerId, LayerInfo, LayerKind, LayerMeta, Module,
-    Network, Param,
+    BackwardCtx, ForwardCtx, FusePartner, GoldenTrace, LayerId, LayerInfo, LayerKind, LayerMeta,
+    Module, Network, Param,
 };
 pub use quantized::{Backend, CalibrationTable};
 pub use shape::ShapeError;

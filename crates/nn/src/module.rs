@@ -3,7 +3,7 @@
 use crate::hook::{HookRegistry, LayerCtx};
 use crate::quantized::Backend;
 use rustfi_obs::{Recorder, SpanCtx};
-use rustfi_tensor::{Act, BnFoldView, QTensor, SeededRng, Tensor};
+use rustfi_tensor::{bits, Act, BnFoldView, QTensor, SeededRng, Tensor};
 use std::fmt;
 use std::sync::Arc;
 
@@ -135,6 +135,73 @@ pub enum FusePartner {
     BatchNorm,
 }
 
+/// The golden (fault-free) run's activations a faulty pass can rejoin: the
+/// batch-1 input each listed spine point received in the golden pass. A
+/// spine point is a module that is its own [`Network::resume_point`], so
+/// its input is the whole state of the pass.
+///
+/// Handed to [`Network::forward_from`], it lets each batch slice stop at
+/// the first spine point after the faulted layer where its input equals the
+/// golden one bit for bit: from there on the slice would recompute the
+/// golden run exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct GoldenTrace<'a> {
+    after: LayerId,
+    points: &'a [(LayerId, Tensor)],
+}
+
+impl<'a> GoldenTrace<'a> {
+    /// The golden inputs `points` — sorted by id, each at batch 1 — for a
+    /// pass whose fault sits in layer `after`: only points numbered above
+    /// `after` run after the fault, so only those are compared.
+    pub fn new(after: LayerId, points: &'a [(LayerId, Tensor)]) -> Self {
+        debug_assert!(
+            points.windows(2).all(|w| w[0].0 < w[1].0),
+            "trace points are sorted by id"
+        );
+        Self { after, points }
+    }
+
+    /// The golden input of `id`, when it is a point after the fault.
+    fn golden_input(&self, id: LayerId) -> Option<&'a Tensor> {
+        if id <= self.after {
+            return None;
+        }
+        let at = self.points.binary_search_by_key(&id, |(p, _)| *p).ok()?;
+        Some(&self.points[at].1)
+    }
+}
+
+/// Which batch slices of a pass with a [`GoldenTrace`] are still running.
+/// Kept by the [`Network`] and cleared at the start of every pass, so a
+/// warmed pass that drops slices allocates nothing.
+#[derive(Debug, Default)]
+struct Slices {
+    /// The original slice each row of the live activation carries; filled
+    /// at the pass's first drop.
+    rows: Vec<usize>,
+    /// `(original slice, spine point)` for each dropped slice, in drop
+    /// order.
+    dropped: Vec<(usize, LayerId)>,
+}
+
+impl Slices {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.dropped.clear();
+    }
+
+    /// The original slice of each live row, once the pass has dropped any.
+    fn live_rows(&self) -> Option<&[usize]> {
+        (!self.dropped.is_empty()).then_some(&self.rows[..])
+    }
+
+    /// Whether the pass dropped every slice.
+    fn exited(&self) -> bool {
+        !self.dropped.is_empty() && self.rows.is_empty()
+    }
+}
+
 /// Per-forward-pass context threaded through the module tree.
 pub struct ForwardCtx<'a> {
     /// Whether the pass is a training pass (enables dropout, batch-stats BN).
@@ -168,6 +235,13 @@ pub struct ForwardCtx<'a> {
     /// so the pass runs at batch 1 through that layer and at batch `n`
     /// after it.
     broadcast: Option<(LayerId, usize)>,
+    /// The golden run a pass started by [`Network::forward_from`] may
+    /// rejoin.
+    trace: Option<GoldenTrace<'a>>,
+    /// The network's resume table, which tells spine points apart.
+    resume: &'a [LayerId],
+    /// The live and dropped slices of a pass with a trace.
+    slices: &'a mut Slices,
 }
 
 impl ForwardCtx<'_> {
@@ -227,6 +301,7 @@ impl ForwardCtx<'_> {
                     id: meta.id,
                     name: &meta.name,
                     kind,
+                    rows: ctx.slices.live_rows(),
                 },
                 &mut out,
             );
@@ -274,6 +349,73 @@ impl ForwardCtx<'_> {
             self.start = None;
         }
         i
+    }
+
+    /// Drops the batch slices of `x`, the input of a `Sequential`'s child
+    /// `id`, that rejoined the golden run there: `id` is a spine point of
+    /// the pass's [`GoldenTrace`] after its fault, and the slice's bits
+    /// equal the golden input's. Returns the slices still live, copied into
+    /// a smaller pooled batch, when some but not all were dropped; `None`
+    /// when none were, and when all were — the pass has then exited (see
+    /// [`ForwardCtx::exited`]).
+    pub(crate) fn rejoin(&mut self, id: LayerId, x: &Tensor) -> Option<Tensor> {
+        let golden = self.trace?.golden_input(id)?;
+        if self.resume.get(id.index()) != Some(&id) || self.slices.exited() {
+            return None;
+        }
+        let stride = golden.len();
+        let n = x.len().checked_div(stride).unwrap_or(0);
+        if n == 0 || n * stride != x.len() || x.dims().first() != Some(&n) {
+            return None;
+        }
+        let s = &mut *self.slices;
+        if s.dropped.is_empty() {
+            s.rows.clear();
+            s.rows.extend(0..n);
+        }
+        let before = s.dropped.len();
+        for (row, &slice) in x.data().chunks_exact(stride).zip(&s.rows) {
+            if bits::same_bits(row, golden.data()) {
+                s.dropped.push((slice, id));
+            }
+        }
+        let dropped = s.dropped.len() - before;
+        if dropped == 0 {
+            return None;
+        }
+        if dropped == n {
+            s.rows.clear();
+            return None;
+        }
+        let rank = x.ndim();
+        let mut dims = [0usize; 8];
+        dims[..rank].copy_from_slice(x.dims());
+        dims[0] = n - dropped;
+        let mut live = Tensor::from_pool(&dims[..rank]);
+        // The newly dropped slices follow `rows` order, so one cursor walks
+        // them while the kept rows move up.
+        let mut next = before;
+        let mut kept = 0;
+        for r in 0..n {
+            let slice = s.rows[r];
+            if s.dropped.get(next).is_some_and(|&(d, _)| d == slice) {
+                next += 1;
+                continue;
+            }
+            live.data_mut()[kept * stride..(kept + 1) * stride]
+                .copy_from_slice(&x.data()[r * stride..(r + 1) * stride]);
+            s.rows[kept] = slice;
+            kept += 1;
+        }
+        s.rows.truncate(kept);
+        Some(live)
+    }
+
+    /// Whether the pass dropped every slice at a golden spine point: the
+    /// containers on the way out return at once, and the pass's output
+    /// carries no row.
+    pub(crate) fn exited(&self) -> bool {
+        self.slices.exited()
     }
 
     /// The one child dispatch: hands `tap` (the child's input, when this
@@ -329,6 +471,7 @@ impl<'a> BackwardCtx<'a> {
                     id: meta.id,
                     name: &meta.name,
                     kind,
+                    rows: None,
                 },
                 grad_out,
             );
@@ -566,6 +709,8 @@ pub struct Network {
     recorder: Option<Arc<dyn Recorder>>,
     backend: Backend,
     plan: bool,
+    /// The live and dropped slices of the last pass.
+    slices: Slices,
 }
 
 impl Network {
@@ -615,6 +760,7 @@ impl Network {
             recorder: None,
             backend: Backend::Fp32,
             plan: false,
+            slices: Slices::default(),
         }
     }
 
@@ -749,7 +895,8 @@ impl Network {
         self.resume.get(target.index()).copied()
     }
 
-    /// Runs a forward pass that starts at `from` and is `broadcast` wide.
+    /// Runs a forward pass that starts at `from`, is `broadcast` wide, and
+    /// may rejoin the golden run `trace`.
     ///
     /// `from` is `None` for a pass from the network input. Otherwise the
     /// pass skips every module that runs before
@@ -780,12 +927,27 @@ impl Network {
     /// not run before the pass's start. Without a broadcast the pass neither
     /// repeats nor copies `input`.
     ///
+    /// `trace: Some(golden)` drops each batch slice at the first spine point
+    /// of `golden` after its fault where the slice's input equals the
+    /// golden input bit for bit (`-0.0` differs from `0.0`): the
+    /// [`Sequential`] holding that point copies the slices that still
+    /// differ into a smaller batch and runs on with them, and the pass
+    /// returns at once when none is left. Each remaining slice computes
+    /// what it would have in the full batch, so row `r` of the output is
+    /// the full pass's row [`Network::live_rows`]`()[r]`; a dropped slice's
+    /// row would have been the golden run's output, provided the layers it
+    /// skipped do nothing but compute (no forward hook after the point
+    /// acts on it, no watchdog budget could cut it). Forward hooks see
+    /// each row's original slice in [`LayerCtx::rows`].
+    ///
     /// [`Sequential`]: crate::layer::container::Sequential
+    /// [`LayerCtx::rows`]: crate::hook::LayerCtx::rows
     pub fn forward_from(
         &mut self,
         from: Option<LayerId>,
         input: &Tensor,
         broadcast: Option<(LayerId, usize)>,
+        trace: Option<GoldenTrace<'_>>,
     ) -> Option<Tensor> {
         let start = match from {
             Some(id) => Some(self.resume_point(id)?),
@@ -807,6 +969,7 @@ impl Network {
         // A pass that resumes at the root (id 0) runs all of it.
         ctx.start = start.filter(|&at| at != LayerId(0));
         ctx.broadcast = at_target;
+        ctx.trace = trace;
         let out = ctx.forward_child(root, wide.as_ref().unwrap_or(input));
         debug_assert!(
             ctx.broadcast.is_none(),
@@ -818,9 +981,26 @@ impl Network {
         Some(out)
     }
 
+    /// Which batch slice each output row of the last pass carries, when
+    /// that pass dropped slices at its [`GoldenTrace`] (see
+    /// [`Network::forward_from`]): row `r` is slice `live_rows()[r]`. Empty
+    /// when every slice was dropped; `None` when the pass dropped none, so
+    /// row `b` is slice `b`.
+    pub fn live_rows(&self) -> Option<&[usize]> {
+        self.slices.live_rows()
+    }
+
+    /// The slices the last pass dropped at its [`GoldenTrace`], each with
+    /// the spine point whose golden input it matched, in drop order.
+    pub fn dropped(&self) -> &[(usize, LayerId)] {
+        &self.slices.dropped
+    }
+
     /// A forward context over this network's mode, hooks, RNG, recorder,
-    /// backend and plan, split from the root module it runs.
+    /// backend and plan, split from the root module it runs. Starts a pass:
+    /// no slice is dropped yet.
     fn forward_ctx(&mut self) -> (ForwardCtx<'_>, &mut dyn Module) {
+        self.slices.clear();
         let ctx = ForwardCtx {
             training: self.training,
             hooks: &self.hooks,
@@ -831,6 +1011,9 @@ impl Network {
             plan: self.plan,
             start: None,
             broadcast: None,
+            trace: None,
+            resume: &self.resume,
+            slices: &mut self.slices,
         };
         (ctx, self.root.as_mut())
     }
@@ -1115,7 +1298,7 @@ mod tests {
             }
         });
         let resumed = net
-            .forward_from(Some(target), &cached.expect("captured"), None)
+            .forward_from(Some(target), &cached.expect("captured"), None, None)
             .unwrap();
         assert_eq!(resumed, full);
     }
@@ -1139,7 +1322,7 @@ mod tests {
         });
         net.forward(&x);
         assert_eq!(fired.swap(0, Ordering::Relaxed), 3, "all leaves hook");
-        net.forward_from(Some(target), &cached.unwrap(), None)
+        net.forward_from(Some(target), &cached.unwrap(), None, None)
             .unwrap();
         assert_eq!(
             fired.load(Ordering::Relaxed),
@@ -1168,7 +1351,10 @@ mod tests {
         for id in 0..net.layer_infos().len() {
             let id = LayerId::from_index(id);
             assert_eq!(net.resume_point(id), Some(LayerId::from_index(0)));
-            assert_eq!(net.forward_from(Some(id), &x, None), Some(full.clone()));
+            assert_eq!(
+                net.forward_from(Some(id), &x, None, None),
+                Some(full.clone())
+            );
         }
     }
 
@@ -1179,6 +1365,7 @@ mod tests {
             .forward_from(
                 Some(LayerId::from_index(99)),
                 &Tensor::ones(&[1, 3, 6, 6]),
+                None,
                 None
             )
             .is_none());

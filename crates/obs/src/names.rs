@@ -35,6 +35,14 @@ pub const CAMPAIGN_PREFIX_MISSES: &str = "campaign.prefix_misses";
 /// (2 × MACs of the injectable layers that did not re-execute).
 pub const CAMPAIGN_PREFIX_SKIPPED_FLOPS: &str = "campaign.prefix_skipped_flops";
 
+/// Trials whose pass ended at a golden match: a spine point where their
+/// activations equal the golden run's bit for bit.
+pub const CAMPAIGN_PREFIX_EXITS: &str = "campaign.prefix_exits";
+
+/// Estimated floating-point operations exiting trials skipped (2 × MACs of
+/// the injectable layers after each exit point).
+pub const CAMPAIGN_PREFIX_EXIT_SKIPPED_FLOPS: &str = "campaign.prefix_exit_skipped_flops";
+
 /// Trials executed inside fused batched forward passes.
 pub const CAMPAIGN_FUSED_TRIALS: &str = "campaign.fused_trials";
 
@@ -88,6 +96,8 @@ pub fn metric_help(name: &str) -> &'static str {
         CAMPAIGN_PREFIX_HITS => "Trials resumed from a cached golden-prefix activation.",
         CAMPAIGN_PREFIX_MISSES => "Trials that fell back to a full forward pass.",
         CAMPAIGN_PREFIX_SKIPPED_FLOPS => "Estimated FLOPs skipped by prefix-cache hits.",
+        CAMPAIGN_PREFIX_EXITS => "Trials whose pass ended at a golden match.",
+        CAMPAIGN_PREFIX_EXIT_SKIPPED_FLOPS => "Estimated FLOPs skipped by golden-match exits.",
         CAMPAIGN_FUSED_TRIALS => "Trials executed inside fused batched forward passes.",
         CAMPAIGN_FUSED_GROUPS => "Fused chunks (batched forward passes) executed.",
         CAMPAIGN_FUSED_WIDTH => "Fused chunk width (trials per batched forward).",
@@ -148,6 +158,8 @@ const CANONICAL: &[&str] = &[
     CAMPAIGN_PREFIX_HITS,
     CAMPAIGN_PREFIX_MISSES,
     CAMPAIGN_PREFIX_SKIPPED_FLOPS,
+    CAMPAIGN_PREFIX_EXITS,
+    CAMPAIGN_PREFIX_EXIT_SKIPPED_FLOPS,
     CAMPAIGN_FUSED_TRIALS,
     CAMPAIGN_FUSED_GROUPS,
     CAMPAIGN_FUSED_WIDTH,

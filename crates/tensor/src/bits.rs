@@ -50,9 +50,43 @@ pub fn fields_of_f32(value: f32) -> (bool, u8, u32) {
     )
 }
 
+/// Whether `a` and `b` hold the same IEEE-754 bit patterns, element for
+/// element. Stricter than `==`: `-0.0` differs from `0.0` (a sign that can
+/// still propagate), and a NaN equals a NaN of the same payload.
+///
+/// ```
+/// use rustfi_tensor::bits::same_bits;
+///
+/// assert!(same_bits(&[1.0, f32::NAN], &[1.0, f32::NAN]));
+/// assert!(!same_bits(&[0.0], &[-0.0]));
+/// assert!(!same_bits(&[1.0], &[1.0, 2.0]));
+/// ```
+pub fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    // OR the XORs of each block, so the inner loop has no branch and
+    // vectorizes; stop at the first block that differs.
+    a.len() == b.len()
+        && a.chunks(64).zip(b.chunks(64)).all(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .fold(0, |acc, (p, q)| acc | (p.to_bits() ^ q.to_bits()))
+                == 0
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_bits_finds_a_single_flip_anywhere() {
+        let a: Vec<f32> = (0..200).map(|i| i as f32 * 0.5).collect();
+        assert!(same_bits(&a, &a.clone()));
+        for at in [0, 63, 64, 199] {
+            let mut b = a.clone();
+            b[at] = flip_bit_f32(b[at], 0);
+            assert!(!same_bits(&a, &b), "flip at {at}");
+        }
+    }
 
     #[test]
     fn sign_bit_negates() {

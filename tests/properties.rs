@@ -382,15 +382,15 @@ proptest! {
             for &id in &ids {
                 let resume = net.resume_point(id).unwrap();
                 let act = inputs[resume.index()].as_ref().unwrap();
-                let resumed = net.forward_from(Some(id), act, None);
+                let resumed = net.forward_from(Some(id), act, None, None);
                 prop_assert_eq!(resumed.as_ref(), Some(&full), "{} plan {}", id, plan);
             }
             for target in net.injectable_layers() {
-                let from_input = net.forward_from(None, &x, Some((target, 3)));
+                let from_input = net.forward_from(None, &x, Some((target, 3)), None);
                 prop_assert_eq!(from_input.as_ref(), Some(&wide), "{} plan {}", target, plan);
                 let resume = net.resume_point(target).unwrap();
                 let act = inputs[resume.index()].as_ref().unwrap();
-                let resumed = net.forward_from(Some(resume), act, Some((target, 3)));
+                let resumed = net.forward_from(Some(resume), act, Some((target, 3)), None);
                 prop_assert_eq!(resumed.as_ref(), Some(&wide), "{} plan {}", target, plan);
             }
         }
@@ -531,6 +531,92 @@ proptest! {
         if with_prefix {
             let p = fused.prefix.unwrap();
             prop_assert_eq!(p.hits + p.misses, case.trials as u64);
+        }
+    }
+
+    /// Exiting at a golden match is purely a throughput optimization: a
+    /// prefix-cached campaign whose passes drop each slice at the first
+    /// spine point where it equals the golden run's activation produces the
+    /// records of the uncached reference, with fusion off and on, under
+    /// every guard mode, and with a watchdog budget of the network's leaf
+    /// count (no pass is cut, so passes may exit) and of one less (every
+    /// pass that reaches the end is cut, so none may exit). Besides the
+    /// case's own faults, half the cases run a template that makes faults
+    /// die young: a neuron stuck at 0 in a layer a ReLU follows, which the
+    /// ReLU masks wherever the neuron was negative. Those campaigns must
+    /// exit.
+    #[test]
+    fn early_exit_never_changes_records(case in fuzz::cases(), relu_template in any::<bool>()) {
+        use rustfi::{FusionConfig, GuardMode, PrefixCacheConfig};
+        let fx = CaseFixture::new(&case).unwrap();
+        let factory = fx.factory();
+        let net = factory();
+        let leaves = net.layer_infos().iter().filter(|l| !l.kind.is_container()).count();
+        let injectable = net.injectable_layers();
+        // Injectable layers a ReLU follows in their `Sequential`, with a
+        // spine point after them.
+        let mut masked_by_relu = Vec::new();
+        net.visit(&mut |m| {
+            if m.kind() == LayerKind::Sequential {
+                for pair in m.children().windows(2) {
+                    // Every activation reports kind `Relu`; only a ReLU
+                    // fuses as one.
+                    if pair[1].fuse_partner() == Some(rustfi_nn::FusePartner::Relu) {
+                        masked_by_relu.push(pair[0].meta().id);
+                    }
+                }
+            }
+        });
+        let template = injectable.iter().position(|&id| {
+            masked_by_relu.contains(&id)
+                && injectable
+                    .iter()
+                    .any(|&later| net.resume_point(later).is_some_and(|r| r > id))
+        });
+        let (mode, model, trials) = match template.filter(|_| relu_template) {
+            Some(layer) => (
+                FaultMode::Neuron(NeuronSelect::RandomInLayer { layer }),
+                Arc::new(models::StuckAt::new(0.0)) as Arc<dyn PerturbationModel>,
+                32,
+            ),
+            None => (fx.mode.clone(), Arc::clone(&fx.model), case.trials),
+        };
+        let forced = relu_template && template.is_some();
+        let campaign = Campaign::new(&factory, &fx.images, &fx.labels, mode, model);
+        for guard in [GuardMode::Off, GuardMode::Record, GuardMode::ShortCircuit] {
+            for max_steps in [leaves, leaves - 1] {
+                let cfg = CampaignConfig {
+                    trials,
+                    guard,
+                    max_steps: Some(max_steps),
+                    ..case.reference_config()
+                };
+                let reference = campaign.run(&cfg).unwrap();
+                for fusion in [None, Some(FusionConfig::with_width(case.fusion_width.max(2)))] {
+                    let exited = campaign
+                        .run(&CampaignConfig {
+                            threads: Some(case.threads),
+                            prefix_cache: Some(PrefixCacheConfig::default()),
+                            fusion,
+                            ..cfg.clone()
+                        })
+                        .unwrap();
+                    prop_assert_eq!(
+                        &exited.records,
+                        &reference.records,
+                        "guard {:?} max_steps {} fusion {:?}",
+                        guard,
+                        max_steps,
+                        fusion
+                    );
+                    let exits = exited.prefix.unwrap().exits;
+                    if max_steps < leaves {
+                        prop_assert_eq!(exits, 0);
+                    } else if forced {
+                        prop_assert!(exits > 0, "guard {:?} fusion {:?} case {} template {:?} stats {:?} counts {:?}", guard, fusion, case, template, exited.prefix, exited.counts);
+                    }
+                }
+            }
         }
     }
 
