@@ -12,8 +12,10 @@
 //! | Table I (training with injections) | `table1_training` |
 //! | Fig. 7 (Grad-CAM sensitivity) | `fig7_gradcam` |
 //!
-//! Criterion benches (`benches/`) cover the Fig. 3 measurement loop and the
-//! two design-choice ablations called out in `DESIGN.md`.
+//! Criterion benches (`benches/`) cover the Fig. 3 measurement loop, the
+//! four ablations `DESIGN.md` lists (hook dispatch, offline weight faults,
+//! guard short-circuit, observability overhead) and campaign throughput
+//! (`campaign_throughput`, summarized in `BENCH_campaign.json`).
 
 pub mod fuzz;
 

@@ -295,21 +295,21 @@ pub struct CampaignConfig {
     /// on under the watchdog. `None` disables the watchdog.
     pub max_steps: Option<usize>,
     /// Golden-prefix activation caching ([`crate::prefix::PrefixCacheConfig`]):
-    /// snapshot the input of the injection layer's resume point during the
-    /// golden pass and start trial forward passes there instead of at the
-    /// pixels. Only the layer the fault mode names is snapshotted, or every
-    /// injectable layer under a `Random` selection.
+    /// the golden pass stores, per image, the inputs of the resume points
+    /// of the injectable layers from the first one the fault mode can hit
+    /// (the layer every selection but `Random` names; every injectable
+    /// layer under `Random`), and the golden logits, each image whole while
+    /// it fits in the byte budget. A trial pass starts at the stored input
+    /// of its injection layer's resume point instead of at the pixels.
     ///
-    /// The golden pass also keeps a golden trace — the inputs of the resume
-    /// points of the injectable layers from the first one the fault mode
-    /// can hit, and the golden logits — and a trial pass stops at the first
-    /// spine point after its fault where its activation equals the golden
-    /// one bit for bit; its record is built from the golden logits (fused
-    /// chunks drop each such slice and run on with the rest). Exits are
-    /// enabled only when [`Self::max_steps`] is `None` or at least the
-    /// network's leaf count, every forward hook on the network was
-    /// installed by the campaign, and the golden guard did not leave the
-    /// image uncached (see [`crate::prefix`]).
+    /// The stored points are also the image's golden trace: a trial pass
+    /// stops at the first spine point after its fault where its activation
+    /// equals the golden one bit for bit, and its record is built from the
+    /// golden logits (fused chunks drop each such slice and run on with the
+    /// rest). Passes stop early only where that cannot change a record (see
+    /// [`crate::prefix`]): no [`Self::max_steps`] budget below the
+    /// network's leaf count, no forward hook the campaign did not install,
+    /// and the image stored.
     ///
     /// Purely a throughput optimization — trial records are bit-identical
     /// with or without it (property tests assert this).
@@ -464,13 +464,6 @@ impl CampaignResult {
             return 0.0;
         }
         self.records.iter().filter(|r| r.top5_miss).count() as f64 / self.records.len() as f64
-    }
-
-    /// SDC rate for one injectable layer (0 if it saw no trials).
-    pub fn layer_sdc_rate(&self, layer: usize) -> f64 {
-        self.per_layer
-            .get(layer)
-            .map_or(0.0, OutcomeCounts::sdc_rate)
     }
 
     /// Mean confidence drop of the golden class across trials.
@@ -700,6 +693,19 @@ impl<'a> Campaign<'a> {
         // before them.
         let mut golden = FaultInjector::new((self.factory)(), FiConfig::for_input(&input_dims))?;
         golden.net_mut().set_plan(cfg.plan);
+        // Built from the network as the factory made it, before the quant
+        // regime or any guard installs a hook: the prefix decides from its
+        // hooks whether trial passes may stop early.
+        let mut prefix = cfg.prefix_cache.as_ref().map(|pc| {
+            GoldenPrefix::new(
+                golden.net(),
+                golden.profile(),
+                self.mode.layer(),
+                pc.budget_bytes,
+                self.labels.len(),
+                cfg.max_steps,
+            )
+        });
         // Install the quantization regime before anything observes
         // activations: golden predictions, prefix snapshots, and trial
         // forwards all run under the same arithmetic. The INT8 calibration
@@ -721,14 +727,6 @@ impl<'a> Campaign<'a> {
                 Some(table)
             }
         };
-        let mut prefix = cfg.prefix_cache.as_ref().map(|pc| {
-            GoldenPrefix::new(
-                golden.net(),
-                golden.profile(),
-                self.mode.layer(),
-                pc.budget_bytes,
-            )
-        });
         // With guard hooks in play, an uncached trial scans the prefix
         // layers' activations while a cached one skips them, and a trial
         // that exits at the golden trace skips the layers after its exit
@@ -753,7 +751,7 @@ impl<'a> Campaign<'a> {
                 g.reset();
             }
             let mut captured: Vec<(LayerId, Tensor)> = Vec::new();
-            let out = golden.forward_with_capture(&x, &mut |id, t| {
+            let out = golden.net_mut().forward_with_capture(&x, &mut |id, t| {
                 if prefix.as_ref().is_some_and(|p| p.stores(id)) {
                     captured.push((id, t.clone()));
                 }
@@ -782,16 +780,6 @@ impl<'a> Campaign<'a> {
         // injector itself is handed to the first worker that asks instead of
         // being rebuilt from scratch.
         let profile = golden.profile().clone();
-        // A pass that exits skips the watchdog's dispatches after its exit
-        // point, so exits need a budget no pass can exceed: a full pass
-        // dispatches every leaf once.
-        let leaves = golden
-            .net()
-            .layer_infos()
-            .iter()
-            .filter(|l| !l.kind.is_container())
-            .count();
-        let exits = prefix.is_some() && cfg.max_steps.is_none_or(|budget| budget >= leaves);
         let golden_cell: Mutex<Option<FaultInjector>> = Mutex::new(Some(golden));
         if eligible.is_empty() {
             // Durability point even for degenerate runs: streaming recorders
@@ -849,7 +837,6 @@ impl<'a> Campaign<'a> {
             input_dims,
             range,
             cfg,
-            exits,
             int8_table: &int8_table,
             root: &root,
             eligible: &eligible,
@@ -939,10 +926,6 @@ struct RunEnv<'e> {
     /// ordinary runs, one shard's slice under [`Campaign::run_shard`].
     range: (usize, usize),
     cfg: &'e CampaignConfig,
-    /// Whether trial passes may exit at the golden trace: the campaign
-    /// keeps a golden prefix and its watchdog budget, if any, is at least
-    /// the network's leaf count. Each worker also checks its hooks.
-    exits: bool,
     /// The shared calibration table under [`QuantMode::Int8`] (built once
     /// from the full image set during the golden pass), else `None`.
     int8_table: &'e Option<Arc<CalibrationTable>>,
@@ -1034,10 +1017,6 @@ enum WorkUnit {
 struct Worker {
     fi: FaultInjector,
     guard: Option<GuardHook>,
-    /// Whether this worker's passes may exit at the golden trace: the run
-    /// allows it, and every forward hook on the network is the campaign's
-    /// own (its guard and INT8 emulation; trials add their fault hooks).
-    exits: bool,
     /// Per-worker observability buffer; merged into the shared recorder at
     /// unit boundaries (one short locked push per unit), so workers contend
     /// only for that push.
@@ -1089,14 +1068,7 @@ fn build_worker(
             },
         )
     });
-    let own_hooks = usize::from(guard.is_some()) + usize::from(cfg.quant == QuantMode::Simulated);
-    let exits = env.exits && fi.net().hooks().forward_len() == own_hooks;
-    Ok(Worker {
-        fi,
-        guard,
-        exits,
-        local,
-    })
+    Ok(Worker { fi, guard, local })
 }
 
 impl TrialRecord {
@@ -1162,7 +1134,6 @@ fn record_from_row(
 /// makes fused records bit-identical to serial ones.
 fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialRecord, FiError> {
     let (trial_seed, image_index, clean_conf) = env.draw(t);
-    let exits = w.exits;
     let fi = &mut w.fi;
     fi.restore();
     fi.reseed(trial_seed);
@@ -1206,14 +1177,10 @@ fn run_one_trial(env: &RunEnv<'_>, w: &mut Worker, t: usize) -> Result<TrialReco
             }
         };
         planned = Some((layer, site));
-        let start = PassStart::new(env.prefix, layer, image_index, exits);
+        let start = PassStart::new(env.prefix, layer, image_index);
         prefix_hit = start.hit;
-        let out = start.run(fi, env.images, None);
-        // A pass that rejoined the golden run ends with its output.
-        let row = match start.golden_logits() {
-            Some(golden) if !fi.net().dropped().is_empty() => golden.to_vec(),
-            _ => out.data().to_vec(),
-        };
+        let out = start.run(fi.net_mut(), env.images, None);
+        let row = start.row(fi.net(), &out, 0).to_vec();
         out.into_pool();
         Ok(row)
     });
@@ -1468,7 +1435,6 @@ fn run_fused_chunk(
         ref trials,
     } = *chunk;
     let n = trials.len();
-    let exits = w.exits;
     let fi = &mut w.fi;
     fi.restore();
     fi.set_trial(None); // injection events carry per-slice trial indices
@@ -1493,9 +1459,10 @@ fn run_fused_chunk(
     // Every slice runs the same fault-free prefix, so the pass starts once,
     // at batch 1, and broadcasts to the chunk at the injection layer when
     // that layer is on the spine.
-    let start = PassStart::new(env.prefix, layer, image_index, exits);
+    let start = PassStart::new(env.prefix, layer, image_index);
     let broadcast = Some((env.profile.layers()[layer].id, n));
-    let out = match parallel::shield::run_quietly(|| start.run(fi, env.images, broadcast)) {
+    let net = fi.net_mut();
+    let out = match parallel::shield::run_quietly(|| start.run(net, env.images, broadcast)) {
         Ok(out) => out,
         // The pass unwound: the watchdog's deadline (a per-sample pass never
         // short-circuits) or a panic in one slice's fault. Replay the chunk
@@ -1512,30 +1479,13 @@ fn run_fused_chunk(
     };
 
     // Per-sample classification — each slice judged exactly as a batch-1
-    // serial trial would be. A slice the pass dropped rejoined the golden
-    // run, so its row is the golden logits; output row `r` carries the
-    // `r`-th live slice.
-    let mut row_of: Vec<Option<usize>> = (0..n).map(Some).collect();
-    if let Some(rows) = w.fi.net().live_rows() {
-        row_of.fill(None);
-        for (r, &b) in rows.iter().enumerate() {
-            row_of[b] = Some(r);
-        }
-    }
-    let live = row_of.iter().flatten().count();
-    let classes = out.len().checked_div(live).unwrap_or(0);
+    // serial trial would be.
     let records: Vec<TrialRecord> = trials
         .iter()
-        .zip(row_of)
         .enumerate()
-        .map(|(b, (p, row))| {
+        .map(|(b, p)| {
             let base = TrialRecord::unfinished(p.t, p.image_index, layer, Some(p.sites[0]));
-            let row = match row {
-                Some(r) => &out.data()[r * classes..(r + 1) * classes],
-                None => start
-                    .golden_logits()
-                    .expect("only a pass with a golden trace drops slices"),
-            };
+            let row = start.row(w.fi.net(), &out, b);
             let non_finite = w.guard.as_ref().and_then(|g| g.first_non_finite_for(b));
             record_from_row(env, base, p.clean_conf, row, non_finite.map(|(id, _)| id))
         })
@@ -2129,7 +2079,6 @@ mod tests {
             "default budget caches everything: {stats:?}"
         );
         assert!(stats.entries > 0 && stats.bytes > 0);
-        assert_eq!(stats.evictions, 0);
         assert!(stats.skipped_flops > 0, "mid/late layers skipped work");
         assert!(plain.prefix.is_none());
     }
@@ -2301,7 +2250,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_budget_evicts_but_never_changes_results() {
+    fn tiny_budget_misses_but_never_changes_results() {
         use crate::prefix::PrefixCacheConfig;
 
         let images = images();
@@ -2320,8 +2269,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
-        // Room for a handful of activations: later images evict earlier
-        // ones, and their trials fall back to full forward passes.
+        // Room for one image's activations: the other images are not
+        // stored, and their trials fall back to full forward passes.
         let cached = campaign
             .run(&CampaignConfig {
                 prefix_cache: Some(PrefixCacheConfig::with_budget(8 << 10)),
@@ -2330,8 +2279,7 @@ mod tests {
             .unwrap();
         assert_eq!(cached.records, plain.records);
         let stats = cached.prefix.unwrap();
-        assert!(stats.evictions > 0, "8 KiB cannot hold 6 images: {stats:?}");
-        assert!(stats.misses > 0, "evicted entries miss");
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
         assert!(stats.bytes <= 8 << 10, "budget respected");
     }
 
@@ -2382,9 +2330,106 @@ mod tests {
             .unwrap();
         assert_eq!(cached.records, plain.records);
         let stats = cached.prefix.unwrap();
-        assert_eq!(stats.evictions, 0, "{stats:?}");
         assert_eq!(stats.hits, 40, "{stats:?}");
         assert_eq!((stats.entries, stats.bytes), (n, budget));
+    }
+
+    #[test]
+    fn a_partial_store_exits_only_on_its_stored_images() {
+        use crate::prefix::PrefixCacheConfig;
+        use rustfi_obs::{ObsBatch, SpanCtx, SpanToken};
+
+        /// Each fused chunk's image and its prefix hits, misses and exits:
+        /// a worker merges one batch per unit.
+        #[derive(Default)]
+        struct Units(Mutex<Vec<(usize, [u64; 3])>>);
+        impl Recorder for Units {
+            fn layer_enter(&self) -> SpanToken {
+                0
+            }
+            fn layer_exit(&self, _: &SpanCtx<'_>, _: SpanToken) {}
+            fn span(&self, _: SpanRecord) {}
+            fn event(&self, _: ObsEvent) {}
+            fn counter_add(&self, _: &'static str, _: u64) {}
+            fn observe_ns(&self, _: &'static str, _: u64) {}
+            fn merge(&self, batch: ObsBatch) {
+                let chunk = batch.spans.iter().find(|s| s.kind == "fused").unwrap();
+                // "fused chunk layer L image I xN"
+                let image = chunk.name.split(' ').nth(5).unwrap().parse().unwrap();
+                let count = |name| {
+                    let deltas = batch.counters.iter().filter(|&&(n, _)| n == name);
+                    deltas.map(|&(_, d)| d).sum()
+                };
+                let counts = [
+                    count(obs_names::CAMPAIGN_PREFIX_HITS),
+                    count(obs_names::CAMPAIGN_PREFIX_MISSES),
+                    count(obs_names::CAMPAIGN_PREFIX_EXITS),
+                ];
+                self.0.lock().push((image, counts));
+            }
+        }
+
+        let images = images();
+        let labels = aligned_labels(&images);
+        // Layer 0 on, an image stores the input of every injectable layer's
+        // resume point. The budget holds three of the six images whole.
+        let mut net = factory();
+        let layers = net.injectable_layers();
+        let resume: Vec<LayerId> = layers
+            .iter()
+            .map(|&l| net.resume_point(l).unwrap())
+            .collect();
+        let mut image_bytes = 0;
+        net.forward_with_capture(&images.select_batch(0), &mut |id, t| {
+            if resume.contains(&id) {
+                image_bytes += t.len() * std::mem::size_of::<f32>();
+            }
+        });
+        let stored = 3;
+        let budget = stored * image_bytes + image_bytes / 2;
+        // A neuron of the first conv stuck at 0: a ReLU follows, so the
+        // fault dies wherever the neuron was negative.
+        let campaign = Campaign::new(
+            &factory,
+            &images,
+            &labels,
+            FaultMode::Neuron(NeuronSelect::RandomInLayer { layer: 0 }),
+            Arc::new(StuckAt::new(0.0)),
+        );
+        let cfg = CampaignConfig {
+            trials: 60,
+            seed: 32,
+            threads: Some(2),
+            ..CampaignConfig::default()
+        };
+        let reference = campaign.run(&cfg).unwrap();
+        let units = Arc::new(Units::default());
+        let cached = campaign
+            .run(&CampaignConfig {
+                prefix_cache: Some(PrefixCacheConfig::with_budget(budget)),
+                fusion: Some(FusionConfig::with_width(4)),
+                recorder: Some(units.clone() as Arc<dyn Recorder>),
+                ..cfg
+            })
+            .unwrap();
+        assert_eq!(cached.records, reference.records);
+        let stats = cached.prefix.unwrap();
+        assert_eq!(stats.bytes, stored * image_bytes, "{stats:?}");
+        let units = units.0.lock();
+        let mut exits = 0;
+        for &(image, [hits, misses, unit_exits]) in units.iter() {
+            if image < stored {
+                assert!(hits > 0 && misses == 0, "image {image}: {hits}/{misses}");
+            } else {
+                assert!(hits == 0 && misses > 0, "image {image}: {hits}/{misses}");
+                assert_eq!(unit_exits, 0, "image {image} has no trace");
+            }
+            exits += unit_exits;
+        }
+        assert!(exits > 0 && exits == stats.exits, "{stats:?}");
+        let on_stored = cached.records.iter().filter(|r| r.image_index < stored);
+        assert_eq!(stats.hits, on_stored.count() as u64, "{stats:?}");
+        assert!(stats.misses > 0, "{stats:?}");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect, Weigh
 use crate::perturbation::{PerturbCtx, PerturbationModel};
 use crate::profile::ModelProfile;
 use parking_lot::Mutex;
-use rustfi_nn::{Backend, CalibrationTable, GoldenTrace, HookHandle, LayerId, Network};
+use rustfi_nn::{Backend, CalibrationTable, HookHandle, LayerId, Network};
 use rustfi_obs::{Event as ObsEvent, InjectionEvent, InjectionSite, Recorder};
 use rustfi_quant::int8;
 use rustfi_tensor::{qkernels, SeededRng, Tensor};
@@ -708,37 +708,6 @@ impl FaultInjector {
         self.net.forward(input)
     }
 
-    /// Runs an inference, additionally handing every module's input
-    /// activation to `capture` (see
-    /// [`rustfi_nn::Network::forward_with_capture`]).
-    pub fn forward_with_capture(
-        &mut self,
-        input: &Tensor,
-        capture: &mut dyn FnMut(LayerId, &Tensor),
-    ) -> Tensor {
-        self.net.forward_with_capture(input, capture)
-    }
-
-    /// Runs an inference that starts at `from` — the network input when
-    /// `None`, else the cached activation of `from`'s resume point — is
-    /// `broadcast` wide, and may drop slices that rejoin the golden run
-    /// `trace` (see [`rustfi_nn::Network::forward_from`]). With
-    /// `broadcast: Some((target, n))` the result equals the pass on
-    /// `input.repeat_batch(n)`, but when `target` is an injectable layer on
-    /// the spine, the pass runs at batch 1 through `target` and broadcasts
-    /// its output before its forward hooks (guards, INT8 emulation,
-    /// per-slice fault injection) fire. Returns `None` when `from` is not in
-    /// the network.
-    pub fn forward_from(
-        &mut self,
-        from: Option<LayerId>,
-        input: &Tensor,
-        broadcast: Option<(LayerId, usize)>,
-        trace: Option<GoldenTrace<'_>>,
-    ) -> Option<Tensor> {
-        self.net.forward_from(from, input, broadcast, trace)
-    }
-
     /// The configuration this injector was built with.
     pub fn config(&self) -> &FiConfig {
         &self.config
@@ -1195,7 +1164,7 @@ mod tests {
         let rid = fi.net().resume_point(layer_id).unwrap();
         assert_eq!(rid, layer_id, "flat spine resumes at the layer itself");
         let mut act = None;
-        fi.forward_with_capture(&x(), &mut |id, input| {
+        fi.net_mut().forward_with_capture(&x(), &mut |id, input| {
             if id == rid {
                 act = Some(input.clone());
             }
@@ -1203,11 +1172,13 @@ mod tests {
         let act = act.unwrap();
         declare(&mut fi);
         let reference = fi
+            .net_mut()
             .forward_from(Some(rid), &act.repeat_batch(3), None, None)
             .unwrap();
         let mut fi2 = injector();
         declare(&mut fi2);
         let fast = fi2
+            .net_mut()
             .forward_from(Some(rid), &act, Some((layer_id, 3)), None)
             .unwrap();
         assert_eq!(fast, reference, "broadcast decomposition is bit-identical");
@@ -1215,7 +1186,9 @@ mod tests {
         // From the image, the prefix runs once at batch 1.
         let mut fi3 = injector();
         declare(&mut fi3);
-        let from_input = fi3.forward_from(None, &x(), Some((layer_id, 3)), None);
+        let from_input = fi3
+            .net_mut()
+            .forward_from(None, &x(), Some((layer_id, 3)), None);
         assert_eq!(from_input, Some(reference), "broadcast from the input");
         assert_eq!(fi3.injections_applied(), 3);
     }
@@ -1225,6 +1198,7 @@ mod tests {
         let mut fi = injector();
         let unknown = LayerId::from_index(999);
         assert!(fi
+            .net_mut()
             .forward_from(Some(unknown), &x(), Some((unknown, 2)), None)
             .is_none());
         assert_eq!(fi.injections_applied(), 0);

@@ -11,53 +11,41 @@
 //! the resumed pass is bit-identical to a full one — only the skipped FLOPs
 //! differ.
 //!
-//! The same golden pass also keeps a *golden trace* per image: the input of
-//! every injectable layer's resume point from the first layer the fault
-//! mode can hit, plus the golden logits. Most faults are masked, and a
-//! masked fault often dies on the way: past some spine point the trial's
-//! activations equal the golden ones bit for bit, so the rest of its pass
-//! would recompute the golden run. A pass handed the trace
-//! ([`rustfi_nn::GoldenTrace`]) drops each batch slice at the first spine
-//! point after its fault where it matches, and the slice's record is built
-//! from the golden logits — the record the full pass would produce. The
-//! campaign hands the trace over only when skipping the rest of a pass
-//! cannot change a record:
-//!
-//! - no `max_steps` budget, or one of at least the network's leaf count (a
-//!   smaller budget trips every pass that reaches the end, so those trials
-//!   must stay Hang);
-//! - every forward hook on the network was installed by the campaign (a
-//!   user hook past the exit point would not run);
-//! - the image is cached, so its golden pass was finite everywhere (the
-//!   guard would otherwise blame a layer past the exit point).
+//! The points stored for an image, with its golden logits, are also its
+//! *golden trace*. Most faults are masked, and a masked fault often dies on
+//! the way: past some spine point the trial's activations equal the golden
+//! ones bit for bit, so the rest of its pass would recompute the golden run.
+//! A pass handed the trace ([`rustfi_nn::GoldenTrace`]) drops each batch
+//! slice at the first spine point after its fault where it matches, and the
+//! slice's record is built from the golden logits — the record the full
+//! pass would produce. One function, `GoldenPrefix::trace`, decides whether
+//! a pass gets the trace, and lists when skipping the rest of a pass cannot
+//! change a record.
 //!
 //! The golden pass fills the prefix once, sequentially, and trials only read
 //! it. That makes hit/miss behaviour — and therefore every trial record —
-//! independent of the worker thread count. The prefix stores only what
-//! trials look up: the resume point of the one layer the fault mode names
-//! (every selection but `Random` names one), else that of every injectable
-//! layer, and the trace points after it. A configurable byte budget bounds
-//! the heap cost on deep models: when an entry a trial resumes from would
-//! exceed it, the oldest such entries are evicted (earliest image and
-//! shallowest layer first, which is deterministic), then the oldest
-//! trace-only ones; a trace-only entry is kept only in the room left and
-//! never evicts anything. A missing entry just means that trial's pass
-//! starts at the image, or runs past that spine point.
+//! independent of the worker thread count. Per image, the prefix stores one
+//! sorted list: the inputs of the resume points of the injectable layers
+//! from the first one the fault mode can hit (every selection but `Random`
+//! names one layer), else of every injectable layer. A byte budget bounds
+//! the heap cost on deep models: an image's list is stored whole while it
+//! fits in what is left of the budget, and nothing of it otherwise; nothing
+//! is evicted. The trials on an image that is not stored start at the image
+//! and run to the end.
 
-use crate::injector::FaultInjector;
 use crate::profile::ModelProfile;
 use rustfi_nn::{GoldenTrace, LayerId, Network};
 use rustfi_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the golden prefix
 /// ([`CampaignConfig::prefix_cache`](crate::CampaignConfig::prefix_cache)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixCacheConfig {
-    /// Maximum bytes of stored activations. When the golden pass would
-    /// exceed it, the oldest entries are evicted; affected trials start at
-    /// the image (results are unchanged either way).
+    /// Maximum bytes of stored activations. The golden pass stores each
+    /// image's activations whole while they fit in what is left of the
+    /// budget; the trials on an image that did not fit start at the image
+    /// and never stop early (results are unchanged either way).
     pub budget_bytes: usize,
 }
 
@@ -93,12 +81,10 @@ pub struct PrefixStats {
     pub hits: u64,
     /// Trials whose pass started at the image.
     pub misses: u64,
-    /// Entries resident when the campaign finished.
+    /// Activations stored, over every stored image.
     pub entries: usize,
-    /// Bytes resident when the campaign finished.
+    /// Bytes of stored activations.
     pub bytes: usize,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
     /// Estimated floating-point operations skipped by hits.
     pub skipped_flops: u64,
     /// Trials (batch slices) whose pass ended at a golden match.
@@ -121,19 +107,18 @@ impl PrefixStats {
     }
 }
 
-/// One image's stored golden activations and its golden output.
-#[derive(Default)]
+/// One stored image's golden activations and its golden output.
 struct ImageTrace {
-    /// Golden inputs of resume points, sorted by id.
+    /// Golden inputs of the stored resume points, sorted by id.
     points: Vec<(LayerId, Tensor)>,
     /// The golden logits.
     logits: Vec<f32>,
 }
 
 /// One campaign's golden prefix: each injectable layer's resume point and
-/// the FLOPs a hit on it skips, plus — per image — the golden inputs of the
-/// resume points trials look up or may exit at and the golden logits,
-/// bounded by a byte budget.
+/// the FLOPs a hit on it skips, plus — per image stored whole within the
+/// byte budget — the golden inputs of the resume points trials start from
+/// or may stop at, and the golden logits.
 ///
 /// The golden pass fills it through `&mut` inserts; the workers then share
 /// it read-only and count their outcomes in atomics.
@@ -146,19 +131,14 @@ pub(crate) struct GoldenPrefix {
     flops: Vec<u64>,
     /// The FLOPs a hit on each injectable layer skips, in profile order.
     skipped: Vec<u64>,
-    /// The resume points trials start from, sorted.
-    stored: Vec<LayerId>,
-    /// The resume points the trace keeps beyond `stored`, sorted.
-    traced: Vec<LayerId>,
-    images: HashMap<usize, ImageTrace>,
-    /// Insertion order of the entries trials resume from, and of the
-    /// trace-only ones, for deterministic oldest-first eviction.
-    order: VecDeque<(usize, LayerId)>,
-    trace_order: VecDeque<(usize, LayerId)>,
+    /// The resume points stored per image, sorted.
+    points: Vec<LayerId>,
+    /// Each image's stored trace; `None` for an image not stored.
+    images: Vec<Option<ImageTrace>>,
+    /// Whether passes may stop at a stored trace (see [`Self::trace`]).
+    may_exit: bool,
     budget_bytes: usize,
     bytes: usize,
-    trace_bytes: usize,
-    evictions: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     skipped_flops: AtomicU64,
@@ -166,26 +146,21 @@ pub(crate) struct GoldenPrefix {
     exit_skipped_flops: AtomicU64,
 }
 
-fn tensor_bytes(t: &Tensor) -> usize {
-    t.len() * std::mem::size_of::<f32>()
-}
-
-/// Where `id` sits in `points`, which are sorted by id: `Ok` at its entry,
-/// `Err` where it would go.
-fn find(points: &[(LayerId, Tensor)], id: LayerId) -> Result<usize, usize> {
-    points.binary_search_by_key(&id, |(p, _)| *p)
-}
-
 impl GoldenPrefix {
-    /// An empty prefix of `net`, whose injectable layers `profile` lists,
-    /// that stores the resume point of injectable layer `layer` — of every
-    /// injectable layer when `None` — and traces the resume points of the
-    /// layers after it, within `budget_bytes`.
+    /// An empty prefix for `images` images through `net`, whose injectable
+    /// layers `profile` lists. It stores the resume points of the
+    /// injectable layers from `layer` on — of every one when `None` —
+    /// within `budget_bytes`. `net` is the network as the factory built
+    /// it, before the campaign installs any hook, and `max_steps` the
+    /// campaign's watchdog budget: together they decide whether passes may
+    /// stop early (see [`Self::trace`]).
     pub(crate) fn new(
         net: &Network,
         profile: &ModelProfile,
         layer: Option<usize>,
         budget_bytes: usize,
+        images: usize,
+        max_steps: Option<usize>,
     ) -> Self {
         let layers = profile.layers();
         let ids: Vec<LayerId> = layers.iter().map(|l| l.id).collect();
@@ -209,38 +184,31 @@ impl GoldenPrefix {
                     .sum()
             })
             .collect();
-        let sorted = |ids: &mut Vec<LayerId>| {
-            ids.sort_unstable();
-            ids.dedup();
-        };
-        let first = layer.unwrap_or(0);
-        let mut stored: Vec<LayerId> = match layer {
-            Some(li) => resume.get(li).copied().flatten().into_iter().collect(),
-            None => resume.iter().flatten().copied().collect(),
-        };
-        sorted(&mut stored);
-        let mut traced: Vec<LayerId> = resume
+        let mut points: Vec<LayerId> = resume
             .iter()
-            .skip(first)
+            .skip(layer.unwrap_or(0))
             .flatten()
             .copied()
-            .filter(|id| stored.binary_search(id).is_err())
             .collect();
-        sorted(&mut traced);
+        points.sort_unstable();
+        points.dedup();
+        // A full pass dispatches every leaf once.
+        let leaves = net
+            .layer_infos()
+            .iter()
+            .filter(|l| !l.kind.is_container())
+            .count();
         Self {
             ids,
             resume,
             flops,
             skipped,
-            stored,
-            traced,
-            images: HashMap::new(),
-            order: VecDeque::new(),
-            trace_order: VecDeque::new(),
+            points,
+            images: std::iter::repeat_with(|| None).take(images).collect(),
+            may_exit: max_steps.is_none_or(|budget| budget >= leaves)
+                && net.hooks().forward_len() == 0,
             budget_bytes,
             bytes: 0,
-            trace_bytes: 0,
-            evictions: 0,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             skipped_flops: AtomicU64::new(0),
@@ -251,96 +219,60 @@ impl GoldenPrefix {
 
     /// Whether the golden pass stores the input of module `id`.
     pub(crate) fn stores(&self, id: LayerId) -> bool {
-        self.stored.binary_search(&id).is_ok() || self.traced.binary_search(&id).is_ok()
+        self.points.binary_search(&id).is_ok()
     }
 
-    /// Stores image `image`'s golden pass: the activations `captured` —
-    /// each the input of a module [`Self::stores`] names — and the golden
-    /// `logits`.
+    /// Stores image `image`'s golden pass whole — the activations
+    /// `captured`, each the input of a module [`Self::stores`] names, in
+    /// pass order (which is id order), and the golden `logits` — when the
+    /// activations fit in what is left of the budget. Stores nothing
+    /// otherwise.
     pub(crate) fn insert_image(
         &mut self,
         image: usize,
         captured: Vec<(LayerId, Tensor)>,
         logits: &[f32],
     ) {
-        self.images.entry(image).or_default().logits = logits.to_vec();
-        for (id, activation) in captured {
-            self.insert(image, id, activation);
-        }
-    }
-
-    /// Stores the activation `image` presented to resume point `id`,
-    /// evicting as the budget requires: an entry trials resume from evicts
-    /// the oldest such entries, then the oldest trace-only ones; a
-    /// trace-only entry is stored only in the room left. An activation
-    /// larger than the whole budget is not stored, and the first insert of
-    /// a key wins.
-    fn insert(&mut self, image: usize, id: LayerId, activation: Tensor) {
-        let size = tensor_bytes(&activation);
-        let points = &self.images.entry(image).or_default().points;
-        if size > self.budget_bytes || find(points, id).is_ok() {
-            return;
-        }
-        let resumed = self.stored.binary_search(&id).is_ok();
-        if resumed {
-            while self.bytes - self.trace_bytes + size > self.budget_bytes {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.evict(oldest);
-            }
-            while self.bytes + size > self.budget_bytes {
-                let Some(oldest) = self.trace_order.pop_front() else {
-                    break;
-                };
-                self.evict(oldest);
-            }
-            self.order.push_back((image, id));
-        } else {
-            if self.bytes + size > self.budget_bytes {
-                return;
-            }
-            self.trace_bytes += size;
-            self.trace_order.push_back((image, id));
-        }
-        self.bytes += size;
-        let points = &mut self.images.entry(image).or_default().points;
-        let (Ok(at) | Err(at)) = find(points, id);
-        points.insert(at, (id, activation));
-    }
-
-    /// Drops entry `key`, if still resident.
-    fn evict(&mut self, (image, id): (usize, LayerId)) {
-        let Some(points) = self.images.get_mut(&image).map(|t| &mut t.points) else {
-            return;
-        };
-        if let Ok(at) = find(points, id) {
-            let (_, evicted) = points.remove(at);
-            let size = tensor_bytes(&evicted);
-            self.bytes -= size;
-            if self.stored.binary_search(&id).is_err() {
-                self.trace_bytes -= size;
-            }
-            self.evictions += 1;
+        debug_assert!(captured.windows(2).all(|w| w[0].0 < w[1].0));
+        let size: usize = captured
+            .iter()
+            .map(|(_, t)| t.len() * std::mem::size_of::<f32>())
+            .sum();
+        if self.bytes + size <= self.budget_bytes {
+            self.bytes += size;
+            self.images[image] = Some(ImageTrace {
+                points: captured,
+                logits: logits.to_vec(),
+            });
         }
     }
 
     /// The resume point of injectable layer `layer` and its stored golden
-    /// input on image `image`, if resident.
+    /// input on image `image`, if stored.
     fn lookup(&self, layer: usize, image: usize) -> Option<(LayerId, &Tensor)> {
         let id = self.resume.get(layer).copied().flatten()?;
-        let points = &self.images.get(&image)?.points;
-        let at = find(points, id).ok()?;
+        let points = &self.images.get(image)?.as_ref()?.points;
+        let at = points.binary_search_by_key(&id, |(p, _)| *p).ok()?;
         Some((id, &points[at].1))
     }
 
     /// The golden trace a pass with a fault in injectable layer `layer` on
-    /// image `image` may exit at, and the golden logits its exiting slices
-    /// take; `None` when the golden pass stored nothing for the image.
+    /// image `image` may stop at, and the golden logits its dropped slices
+    /// take. Stopping skips the rest of the pass, which cannot change a
+    /// record only when all of these hold, else this is `None`:
+    ///
+    /// - the campaign has no `max_steps` budget, or one of at least the
+    ///   network's leaf count (a smaller budget trips every pass that
+    ///   reaches the end, so those trials must stay Hang);
+    /// - the factory's network carries no forward hook, so every hook on a
+    ///   worker's network is the campaign's own: its guard, INT8 emulation
+    ///   and fault hooks (a user hook past the exit point would not run);
+    /// - the image is stored, so its golden pass was finite everywhere (the
+    ///   guard would otherwise blame a layer past the exit point).
     fn trace(&self, layer: usize, image: usize) -> Option<(GoldenTrace<'_>, &[f32])> {
-        let t = self.images.get(&image)?;
+        let t = self.images.get(image)?.as_ref().filter(|_| self.may_exit)?;
         let after = *self.ids.get(layer)?;
-        (!t.points.is_empty()).then(|| (GoldenTrace::new(after, &t.points), &t.logits[..]))
+        Some((GoldenTrace::new(after, &t.points), &t.logits))
     }
 
     /// Counts `n` trials on injectable layer `layer` that shared one
@@ -384,9 +316,8 @@ impl GoldenPrefix {
         PrefixStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.images.values().map(|t| t.points.len()).sum(),
+            entries: self.images.iter().flatten().map(|t| t.points.len()).sum(),
             bytes: self.bytes,
-            evictions: self.evictions,
             skipped_flops: self.skipped_flops.load(Ordering::Relaxed),
             exits: self.exits.load(Ordering::Relaxed),
             exit_skipped_flops: self.exit_skipped_flops.load(Ordering::Relaxed),
@@ -404,57 +335,68 @@ pub(crate) struct PassStart<'p> {
     /// `None` when the campaign keeps no golden prefix, else whether the
     /// unit hit it.
     pub(crate) hit: Option<bool>,
-    /// The golden trace and logits, when the unit's pass may exit.
+    /// The golden trace and logits, when the unit's pass may stop early.
     golden: Option<(GoldenTrace<'p>, &'p [f32])>,
 }
 
 impl<'p> PassStart<'p> {
     /// The start of a unit that injects into injectable layer `layer` on
-    /// image `image`; its pass may exit at the image's golden trace when
-    /// `exits` holds (see the module docs for when the campaign allows it).
-    pub(crate) fn new(
-        prefix: Option<&'p GoldenPrefix>,
-        layer: usize,
-        image: usize,
-        exits: bool,
-    ) -> Self {
+    /// image `image`.
+    pub(crate) fn new(prefix: Option<&'p GoldenPrefix>, layer: usize, image: usize) -> Self {
         let resume = prefix.and_then(|p| p.lookup(layer, image));
         Self {
             image,
             resume,
             hit: prefix.map(|_| resume.is_some()),
-            golden: prefix.filter(|_| exits).and_then(|p| p.trace(layer, image)),
+            golden: prefix.and_then(|p| p.trace(layer, image)),
         }
     }
 
-    /// The golden logits, which every slice the pass drops would have
-    /// produced; `None` when the pass cannot exit.
-    pub(crate) fn golden_logits(&self) -> Option<&'p [f32]> {
-        self.golden.map(|(_, logits)| logits)
-    }
-
-    /// Runs the unit's pass on `fi` from this start, drawing the image from
-    /// `images` on a miss; `broadcast` is as in
-    /// [`FaultInjector::forward_from`]. The slices the pass dropped are
-    /// then [`rustfi_nn::Network::dropped`], and the output carries the
-    /// rest ([`rustfi_nn::Network::live_rows`]).
+    /// Runs the unit's pass on `net` from this start, drawing the image
+    /// from `images` on a miss; `broadcast` is as in
+    /// [`Network::forward_from`]. Read each slice's output with
+    /// [`Self::row`].
     pub(crate) fn run(
         &self,
-        fi: &mut FaultInjector,
+        net: &mut Network,
         images: &Tensor,
         broadcast: Option<(LayerId, usize)>,
     ) -> Tensor {
         let trace = self.golden.map(|(trace, _)| trace);
         let out = match self.resume {
-            Some((id, act)) => fi.forward_from(Some(id), act, broadcast, trace),
+            Some((id, act)) => net.forward_from(Some(id), act, broadcast, trace),
             None => {
                 let x = images.select_batch(self.image);
-                let out = fi.forward_from(None, &x, broadcast, trace);
+                let out = net.forward_from(None, &x, broadcast, trace);
                 x.into_pool();
                 out
             }
         };
         out.expect("a resume point is a layer of its network")
+    }
+
+    /// Batch slice `slice`'s output row of the pass [`Self::run`] just ran
+    /// on `net`, which returned `out`: the slice's row of `out`, or the
+    /// golden logits when the pass dropped the slice, which are the row
+    /// the full pass would produce. Output row `r` carries slice
+    /// [`Network::live_rows`]`()[r]` once the pass has dropped any.
+    pub(crate) fn row<'a>(&'a self, net: &Network, out: &'a Tensor, slice: usize) -> &'a [f32] {
+        let row = match net.live_rows() {
+            Some(rows) => rows.iter().position(|&b| b == slice),
+            None => Some(slice),
+        };
+        match row {
+            Some(r) => {
+                let width = out.len() / out.dims()[0];
+                &out.data()[r * width..(r + 1) * width]
+            }
+            None => {
+                let (_, logits) = self
+                    .golden
+                    .expect("only a pass with a golden trace drops slices");
+                logits
+            }
+        }
     }
 }
 
@@ -469,22 +411,20 @@ mod tests {
         (net, profile)
     }
 
-    /// A lenet prefix storing every injectable layer's resume point within
-    /// `budget` bytes, and the resume points of its first two layers.
-    fn prefix(budget: usize) -> (GoldenPrefix, LayerId, LayerId) {
-        let (net, profile) = lenet();
-        let p = GoldenPrefix::new(&net, &profile, None, budget);
-        let (a, b) = (p.resume[0].unwrap(), p.resume[1].unwrap());
-        (p, a, b)
+    /// The resume point of each of lenet's injectable layers.
+    fn resume_points(p: &GoldenPrefix) -> Vec<LayerId> {
+        p.resume.iter().map(|r| r.unwrap()).collect()
     }
 
     #[test]
     fn insert_then_lookup_round_trips() {
-        let (mut p, a, b) = prefix(1 << 20);
-        assert!(p.stores(a) && p.stores(b));
-        p.insert(0, b, Tensor::ones(&[1, 2, 4, 4]));
+        let (net, profile) = lenet();
+        let mut p = GoldenPrefix::new(&net, &profile, None, 1 << 20, 2, None);
+        let ids = resume_points(&p);
+        assert!(ids.iter().all(|&id| p.stores(id)));
+        p.insert_image(0, vec![(ids[1], Tensor::ones(&[1, 2, 4, 4]))], &[]);
         let (id, act) = p.lookup(1, 0).expect("stored");
-        assert_eq!((id, act.dims()), (b, &[1, 2, 4, 4][..]));
+        assert_eq!((id, act.dims()), (ids[1], &[1, 2, 4, 4][..]));
         assert!(p.lookup(1, 1).is_none(), "other image");
         assert!(p.lookup(0, 0).is_none(), "other layer");
         // A fused unit of n trials counts n hits or n misses, and n hits
@@ -504,87 +444,55 @@ mod tests {
     #[test]
     fn a_named_layer_resumes_from_its_resume_point_and_traces_the_rest() {
         let (net, profile) = lenet();
-        let last = profile.len() - 1;
-        let p = GoldenPrefix::new(&net, &profile, Some(last), 1 << 20);
-        let stored: Vec<bool> = p.resume.iter().map(|r| p.stores(r.unwrap())).collect();
-        assert_eq!(stored.iter().filter(|&&s| s).count(), 1);
-        assert!(stored[last]);
-        // From layer 1 on, every resume point is traced; only layer 1's
-        // is one trials resume from.
-        let p = GoldenPrefix::new(&net, &profile, Some(1), 1 << 20);
-        let stored: Vec<bool> = p.resume.iter().map(|r| p.stores(r.unwrap())).collect();
-        assert_eq!(stored, [false, true, true, true]);
-        assert_eq!(p.stored, [p.resume[1].unwrap()]);
-        let out_of_range = GoldenPrefix::new(&net, &profile, Some(99), 1 << 20);
-        assert!(out_of_range.stored.is_empty() && out_of_range.traced.is_empty());
+        let points = |layer| GoldenPrefix::new(&net, &profile, layer, 1 << 20, 1, None).points;
+        let ids = resume_points(&GoldenPrefix::new(&net, &profile, None, 0, 1, None));
+        assert_eq!(points(Some(profile.len() - 1)), [ids[3]]);
+        // From layer 1 on, every resume point is stored: layer 1's, which
+        // its trials resume from, and those its passes may stop at.
+        assert_eq!(points(Some(1)), ids[1..]);
+        assert_eq!(points(None), ids);
+        assert!(points(Some(99)).is_empty());
     }
 
     #[test]
-    fn trace_entries_never_evict_entries_trials_resume_from() {
+    fn images_are_stored_whole_while_they_fit() {
         let (net, profile) = lenet();
-        // Layer 0 is resumed from; layers 1.. are traced. The budget holds
-        // three 16-float entries.
-        let mut p = GoldenPrefix::new(&net, &profile, Some(0), 3 * 16 * 4);
-        let ids: Vec<LayerId> = p.resume.iter().map(|r| r.unwrap()).collect();
-        let entry = || Tensor::ones(&[16]);
-        p.insert_image(0, vec![(ids[0], entry()), (ids[1], entry())], &[0.5, 1.5]);
-        p.insert_image(1, vec![(ids[0], entry()), (ids[1], entry())], &[2.5]);
-        let traced = |p: &GoldenPrefix, image| p.images[&image].points.len();
-        // Image 1's trace entry found no room and evicted nothing.
-        assert!(p.lookup(0, 0).is_some() && p.lookup(0, 1).is_some());
-        assert_eq!((traced(&p, 0), traced(&p, 1)), (2, 1));
-        assert_eq!(p.trace(0, 0).unwrap().1, [0.5, 1.5]);
-        // A third resumable entry evicts the trace entry first.
-        p.insert_image(2, vec![(ids[0], entry())], &[]);
-        assert!((0..3).all(|image| p.lookup(0, image).is_some()));
-        assert_eq!(traced(&p, 0), 1);
-        let s = p.stats();
-        assert_eq!((s.entries, s.bytes, s.evictions), (3, 3 * 16 * 4, 1));
-        // A fourth evicts the oldest resumable entry, as without a trace.
-        p.insert_image(3, vec![(ids[0], entry())], &[]);
-        assert!(p.lookup(0, 0).is_none() && p.lookup(0, 3).is_some());
-        assert!(p.trace(0, 0).is_none(), "nothing left of image 0");
+        // From layer 1 on, an image stores three 16-float points.
+        let image = 3 * 16 * 4;
+        for (budget, whole) in [(2 * image, 2), (2 * image + image / 2, 2), (image - 1, 0)] {
+            let mut p = GoldenPrefix::new(&net, &profile, Some(1), budget, 4, None);
+            let trace: Vec<(LayerId, Tensor)> = p
+                .points
+                .iter()
+                .map(|&id| (id, Tensor::ones(&[16])))
+                .collect();
+            assert_eq!(trace.len(), 3);
+            for i in 0..4 {
+                p.insert_image(i, trace.clone(), &[i as f32]);
+            }
+            for i in 0..4 {
+                let stored = i < whole;
+                assert!(p.lookup(0, i).is_none(), "layer 0 is not stored");
+                assert_eq!(p.lookup(1, i).is_some(), stored, "{budget}: image {i}");
+                assert_eq!(p.lookup(3, i).is_some(), stored, "{budget}: image {i}");
+                let logits = p.trace(1, i).map(|(_, logits)| logits.to_vec());
+                assert_eq!(logits, stored.then(|| vec![i as f32]));
+            }
+            let s = p.stats();
+            assert_eq!((s.entries, s.bytes), (3 * whole, image * whole));
+        }
     }
 
     #[test]
     fn exits_skip_the_injectable_layers_from_their_point_on() {
         let (net, profile) = lenet();
-        let p = GoldenPrefix::new(&net, &profile, None, 1 << 20);
-        let ids: Vec<LayerId> = p.resume.iter().map(|r| r.unwrap()).collect();
+        let p = GoldenPrefix::new(&net, &profile, None, 1 << 20, 1, None);
+        let ids = resume_points(&p);
         let tail: u64 = p.flops[2..].iter().sum();
         assert_eq!(p.count_exits(&[(0, ids[2]), (3, ids[2])]), 2 * tail);
         assert_eq!(p.count_exits(&[(1, ids[3])]), p.flops[3]);
         let s = p.stats();
         assert_eq!((s.exits, s.exit_skipped_flops), (3, 2 * tail + p.flops[3]));
         assert!(p.flops[3] > 0 && p.flops[2] > 0);
-    }
-
-    #[test]
-    fn budget_evicts_oldest_first() {
-        // Budget fits exactly two 16-float entries.
-        let (mut p, a, _) = prefix(2 * 16 * 4);
-        p.insert(0, a, Tensor::ones(&[16]));
-        p.insert(1, a, Tensor::ones(&[16]));
-        p.insert(2, a, Tensor::ones(&[16]));
-        assert_eq!(p.stats().entries, 2);
-        assert!(p.lookup(0, 0).is_none(), "oldest evicted");
-        assert!(p.lookup(0, 2).is_some(), "newest kept");
-        assert_eq!(p.stats().evictions, 1);
-    }
-
-    #[test]
-    fn oversized_entry_is_not_stored() {
-        let (mut p, a, _) = prefix(15);
-        p.insert(0, a, Tensor::ones(&[16]));
-        assert_eq!(p.stats().entries, 0);
-        assert_eq!(p.stats().evictions, 0);
-    }
-
-    #[test]
-    fn duplicate_insert_is_ignored() {
-        let (mut p, a, _) = prefix(1 << 20);
-        p.insert(0, a, Tensor::ones(&[4]));
-        p.insert(0, a, Tensor::zeros(&[8]));
-        assert_eq!(p.stats().bytes, 16, "first entry wins");
     }
 }

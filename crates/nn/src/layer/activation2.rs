@@ -47,7 +47,7 @@ impl Module for Sigmoid {
     meta_accessors!();
 
     fn kind(&self) -> LayerKind {
-        LayerKind::Relu // grouped with activations; not injectable
+        LayerKind::Sigmoid
     }
 
     fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
@@ -93,7 +93,7 @@ impl Module for Tanh {
     meta_accessors!();
 
     fn kind(&self) -> LayerKind {
-        LayerKind::Relu
+        LayerKind::Tanh
     }
 
     fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
@@ -143,7 +143,7 @@ impl Module for LeakyRelu {
     meta_accessors!();
 
     fn kind(&self) -> LayerKind {
-        LayerKind::Relu
+        LayerKind::LeakyRelu
     }
 
     fn forward(&mut self, input: &Tensor, _ctx: &mut ForwardCtx<'_>) -> Tensor {
@@ -169,7 +169,31 @@ impl Module for LeakyRelu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{Relu, Sequential};
     use crate::module::Network;
+
+    #[test]
+    fn each_activation_reports_its_own_kind_and_auto_name() {
+        let net = Network::new(Box::new(Sequential::new(vec![
+            Box::new(Relu::new()),
+            Box::new(LeakyRelu::new(0.1)),
+            Box::new(Sigmoid::new()),
+            Box::new(Tanh::new()),
+        ])));
+        let kinds: Vec<(LayerKind, &str)> = net.layer_infos()[1..]
+            .iter()
+            .map(|l| (l.kind, l.name.as_str()))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (LayerKind::Relu, "relu1"),
+                (LayerKind::LeakyRelu, "lrelu2"),
+                (LayerKind::Sigmoid, "sigmoid3"),
+                (LayerKind::Tanh, "tanh4"),
+            ]
+        );
+    }
 
     #[test]
     fn sigmoid_forward_and_gradient() {

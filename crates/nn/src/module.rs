@@ -39,6 +39,9 @@ pub enum LayerKind {
     Conv2d,
     Linear,
     Relu,
+    LeakyRelu,
+    Sigmoid,
+    Tanh,
     MaxPool2d,
     AvgPool2d,
     GlobalAvgPool,
@@ -73,6 +76,9 @@ impl LayerKind {
             LayerKind::Conv2d => "conv",
             LayerKind::Linear => "fc",
             LayerKind::Relu => "relu",
+            LayerKind::LeakyRelu => "lrelu",
+            LayerKind::Sigmoid => "sigmoid",
+            LayerKind::Tanh => "tanh",
             LayerKind::MaxPool2d => "maxpool",
             LayerKind::AvgPool2d => "avgpool",
             LayerKind::GlobalAvgPool => "gap",

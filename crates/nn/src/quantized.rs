@@ -72,12 +72,6 @@ pub struct CalibrationTable {
 }
 
 impl CalibrationTable {
-    /// Builds a table from raw per-layer scales (`0.0` marks an uncalibrated
-    /// layer). Index = `LayerId::index()`.
-    pub fn from_scales(scales: Vec<f32>) -> Self {
-        Self { scales }
-    }
-
     /// One profiling pass: runs every image through `net` in f32 (the
     /// network's current backend is saved and restored), records the max
     /// finite absolute value ever seen at each injectable layer's *input*,

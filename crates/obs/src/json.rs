@@ -76,14 +76,6 @@ impl<'a> Value<'a> {
         self.as_num()?.parse().ok()
     }
 
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// This value with its borrowed strings copied, so it outlives its input.
     pub fn into_owned(self) -> Value<'static> {
         let own = |s: Cow<'a, str>| Cow::Owned(s.into_owned());

@@ -154,19 +154,6 @@ impl Tensor {
         out
     }
 
-    /// Combines `other` into `self` elementwise, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn zip_apply(&mut self, other: &Tensor, f: impl Fn(&mut f32, f32)) {
-        self.assert_same_shape(other);
-        opcount::count_elementwise();
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            f(a, b);
-        }
-    }
-
     /// Rectified linear unit, elementwise.
     pub fn relu(&self) -> Tensor {
         opcount::count_elementwise();

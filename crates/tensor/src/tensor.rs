@@ -133,11 +133,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index.
     ///
     /// # Panics
