@@ -327,13 +327,14 @@ pub struct CampaignConfig {
     /// its trials serially.
     pub fusion: Option<FusionConfig>,
     /// Compiled forward plans: every network (golden and per-worker) packs
-    /// its conv weights into GEMM-microkernel panel layouts at campaign
-    /// setup and fuses bias + activation (+ folded inference batchnorm)
-    /// into the conv GEMM write-back. Plans cover convolutions only; linear
-    /// layers run their reference forward either way. Purely a throughput
-    /// optimization — trial records are bit-identical with planning on or
-    /// off (a property test asserts this): packed accumulation preserves
-    /// the serial `kk` order and fused epilogues apply the exact
+    /// its conv weights into the implicit-GEMM conv kernels' panel layouts
+    /// at campaign setup and fuses bias + activation (+ folded inference
+    /// batchnorm) into the conv's tile store. Plans cover convolutions
+    /// only; linear layers run their reference forward either way. Purely
+    /// a throughput optimization — trial records are bit-identical with
+    /// planning on or off (a property test asserts this): the f32 conv
+    /// preserves im2col's `kk` accumulation order, padding zeros included,
+    /// and fused epilogues apply the exact
     /// per-element expressions of the unfused layers. Layer groups carrying
     /// forward hooks (injection targets, guards, profilers) automatically
     /// run unfused, and a weight fault repacks only the perturbed conv's

@@ -3,7 +3,7 @@
 use crate::module::{meta_accessors, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param};
 use rustfi_tensor::{
     conv2d, conv2d_backward, conv2d_planned, conv2d_q, conv2d_q_planned, Act, BnFoldView, ConvSpec,
-    Im2colPlan, PackedA, PackedConvI16, QTensor, SeededRng, Tensor,
+    PackedConvF32, PackedConvI16, QTensor, SeededRng, Tensor,
 };
 
 /// A 2-D convolution with learned weights and bias.
@@ -22,13 +22,13 @@ pub struct Conv2d {
     /// Per-channel quantized weight cache for the INT8 backend; dropped
     /// whenever the f32 weights are handed out mutably.
     qweight: Option<QTensor>,
-    /// Compiled-plan f32 weight panels, one per group, pre-tiled for the
-    /// register-tiled GEMM. Pure functions of `weight`: when the weights are
-    /// handed out mutably the panels are marked stale and repacked *in
-    /// place* on the next planned forward — a weight-fault trial repacks
-    /// only this layer and its undo restores the blessed panel bytes
-    /// exactly, with no allocation.
-    packed: Vec<PackedA>,
+    /// Compiled-plan f32 weight panel (all groups), laid out for the
+    /// implicit-GEMM conv. A pure function of `weight`: when the weights are
+    /// handed out mutably the panel is marked stale and repacked *in place*
+    /// on the next planned forward — a weight-fault trial repacks only this
+    /// layer and its undo restores the blessed panel bytes exactly, with no
+    /// allocation.
+    packed: Option<PackedConvF32>,
     packed_stale: bool,
     /// Compiled-plan pre-widened `i16` panel derived from `qweight`, laid
     /// out for the implicit-GEMM INT8 kernel. Stale whenever `qweight` is
@@ -36,10 +36,6 @@ pub struct Conv2d {
     /// its one slot instead.
     wide: Option<PackedConvI16>,
     wide_stale: bool,
-    /// Compiled-plan im2col gather map, built lazily for the input spatial
-    /// shape the planned forward actually sees and rebuilt only when that
-    /// shape changes. Pure geometry — weight faults never touch it.
-    gather: Option<Im2colPlan>,
 }
 
 impl Conv2d {
@@ -76,11 +72,10 @@ impl Conv2d {
             spec,
             cached_input: None,
             qweight: None,
-            packed: Vec::new(),
+            packed: None,
             packed_stale: false,
             wide: None,
             wide_stale: false,
-            gather: None,
         }
     }
 
@@ -94,23 +89,21 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Builds or refreshes the f32 GEMM panels. First build allocates
-    /// (campaign setup); stale refreshes repack in place.
+    /// Builds or refreshes the f32 panel. First build allocates (campaign
+    /// setup); stale refreshes repack in place.
     fn ensure_packed(&mut self) {
-        let &[oc, cg, kh, kw] = self.weight.dims() else {
-            unreachable!("conv weights are rank 4");
-        };
-        let groups = self.spec.groups;
-        let (og, kcols) = (oc / groups, cg * kh * kw);
-        if self.packed.len() != groups {
-            self.packed.clear();
-            for g in 0..groups {
-                let slab = &self.weight.data()[g * og * kcols..][..og * kcols];
-                self.packed.push(PackedA::pack(slab, og, kcols));
-            }
-        } else if self.packed_stale {
-            for (g, pack) in self.packed.iter_mut().enumerate() {
-                pack.repack(&self.weight.data()[g * og * kcols..][..og * kcols]);
+        match &mut self.packed {
+            Some(panel) if self.packed_stale => panel.repack(self.weight.data()),
+            Some(_) => {}
+            None => {
+                let &[oc, cg, kh, kw] = self.weight.dims() else {
+                    unreachable!("conv weights are rank 4");
+                };
+                self.packed = Some(PackedConvF32::pack(
+                    self.weight.data(),
+                    [oc, cg, kh, kw],
+                    self.spec.groups,
+                ));
             }
         }
         self.packed_stale = false;
@@ -140,7 +133,7 @@ impl Conv2d {
     }
 
     /// Planned forward shared by the plain and fused paths: prepacked
-    /// panels, partner epilogue in the GEMM write-back, no activation cache
+    /// panel, partner epilogue in the kernel's tile store, no activation cache
     /// (plans are inference-only; `backward` after a planned forward
     /// panics).
     fn forward_planned(
@@ -151,11 +144,6 @@ impl Conv2d {
         act: Act,
     ) -> Tensor {
         self.cached_input = None;
-        let &[_, _, h, w] = input.dims() else {
-            panic!("conv input must be rank 4");
-        };
-        let cg = self.weight.dims()[1];
-        let (kh, kw) = (self.weight.dims()[2], self.weight.dims()[3]);
         match ctx.input_scale(self.meta.id) {
             Some(scale) => {
                 self.ensure_wide();
@@ -165,20 +153,11 @@ impl Conv2d {
             }
             None => {
                 self.ensure_packed();
-                if !self.gather.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
-                    self.gather = Some(Im2colPlan::build(cg, h, w, (kh, kw), &self.spec));
-                }
-                let plan = self.gather.as_ref().expect("plan built above");
-                conv2d_planned(
-                    input,
-                    &self.packed,
-                    (kh, kw),
-                    plan,
-                    &self.bias,
-                    &self.spec,
-                    bn,
-                    act,
-                )
+                let panel = self
+                    .packed
+                    .as_ref()
+                    .expect("ensure_packed builds the panel");
+                conv2d_planned(input, panel, &self.bias, &self.spec, bn, act)
             }
         }
     }

@@ -126,14 +126,14 @@ pub type CaptureFn<'a> = &'a mut dyn FnMut(LayerId, &Tensor);
 ///
 /// Layers advertise themselves via [`Module::fuse_partner`]; [`Sequential`]
 /// scans its children for `conv → [BatchNorm] → [activation]` runs and folds
-/// the partners into the conv's write-back loop. The epilogue replicates the
+/// the partners into the conv's tile store. The epilogue replicates the
 /// partner kernels' per-element operations exactly, so fused and unfused
 /// passes are bit-identical.
 ///
 /// [`Sequential`]: crate::layer::container::Sequential
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FusePartner {
-    /// `y = max(x, 0)` applied in the GEMM write-back.
+    /// `y = max(x, 0)` applied as the conv stores its output.
     Relu,
     /// Leaky ReLU with the given negative-side slope.
     LeakyRelu(f32),
@@ -322,7 +322,7 @@ impl ForwardCtx<'_> {
 
     /// Fused-group analogue of [`ForwardCtx::forward_child`]: runs `child`
     /// (a conv group leader) with the partner batch-norm fold and activation
-    /// applied inside its GEMM write-back, firing the capture tap and
+    /// applied as it stores its output, firing the capture tap and
     /// recorder span exactly as a normal child dispatch would. It fires no
     /// hooks: containers fuse only groups no hook observes. Returns
     /// `None` when the child has no fused forward (default [`Module`]
@@ -612,7 +612,7 @@ pub trait Module: Send {
     }
 
     /// Planned fused forward: computes this layer with the partner batch
-    /// norm and activation applied inside the GEMM write-back loop, using
+    /// norm and activation applied as each output tile is stored, using
     /// prepacked weight panels. [`Conv2d`] is the only implementation and
     /// the only group leader [`Sequential`] fuses; it is called under an
     /// active plan after verifying that no group member has forward hooks,
@@ -771,15 +771,18 @@ impl Network {
     }
 
     /// Enables (or disables) the compiled forward plan, which covers
-    /// convolutions only: conv weight panels are prepacked for the
-    /// register-tiled GEMM kernels, and `conv → [bn] → [activation]` runs in
-    /// [`Sequential`] containers fuse into a single GEMM with the partner ops
-    /// applied in its write-back loop. Every other layer, linear layers
-    /// included, runs its reference forward.
+    /// convolutions only: conv weight panels are prepacked once for the
+    /// implicit-GEMM conv kernels (which read each receptive field in place
+    /// from a zero-padded copy of the input, with no im2col matrix), and
+    /// `conv → [bn] → [activation]` runs in [`Sequential`] containers fuse
+    /// into a single conv with the partner ops applied as each output tile
+    /// is stored. Every other layer, linear layers included, runs its
+    /// reference forward.
     ///
-    /// Planned passes are **bit-identical** to unplanned ones (panels keep
-    /// the kernels' k-accumulation order; epilogues replicate the partner
-    /// kernels' per-element ops) and **inference-only**: training passes
+    /// Planned passes are **bit-identical** to unplanned ones (the f32 conv
+    /// keeps im2col's k-accumulation order, padding zeros included;
+    /// epilogues replicate the partner kernels' per-element ops) and
+    /// **inference-only**: training passes
     /// always run unplanned, and a planned forward does not cache the
     /// activations `backward` needs. Groups with forward hooks on any member
     /// automatically fall back to the unfused order, so injection hooks

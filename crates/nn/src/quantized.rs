@@ -199,6 +199,39 @@ mod tests {
     }
 
     #[test]
+    fn calibration_is_batch_invariant() {
+        // A max-abs is order-free and inference layers are pointwise in the
+        // batch, so one stacked batch, the single images and a 3 + 1 split
+        // give the same table, planned or not.
+        let singles: Vec<Tensor> = (0..4)
+            .map(|s| {
+                Tensor::from_fn(&[1, 3, 16, 16], |i| {
+                    ((i + 97 * s) as f32 * 0.021).sin() * (1.0 + s as f32)
+                })
+            })
+            .collect();
+        let stack = |imgs: &[Tensor]| {
+            let data = imgs.iter().flat_map(|t| t.data().iter().copied()).collect();
+            Tensor::from_vec(data, &[imgs.len(), 3, 16, 16])
+        };
+        for build in [zoo::lenet, zoo::mobilenet] {
+            for plan in [false, true] {
+                let mut net = build(&ZooConfig::tiny(4));
+                net.set_plan(plan);
+                let one_by_one = CalibrationTable::calibrate(&mut net, &singles);
+                let batched = CalibrationTable::calibrate(&mut net, &[stack(&singles)]);
+                let split = CalibrationTable::calibrate(
+                    &mut net,
+                    &[stack(&singles[..3]), singles[3].clone()],
+                );
+                assert!(one_by_one.calibrated_layers() > 0);
+                assert_eq!(batched, one_by_one, "plan {plan}: one batch");
+                assert_eq!(split, one_by_one, "plan {plan}: 3 + 1");
+            }
+        }
+    }
+
+    #[test]
     fn calibrate_restores_the_installed_backend() {
         let mut net = test_net();
         let images = test_images();

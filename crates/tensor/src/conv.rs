@@ -1,13 +1,25 @@
-//! 2-D convolution (im2col + matmul) and its gradients.
+//! 2-D convolution (im2col + matmul) and its gradients, and the compiled
+//! plan's implicit-GEMM convolution ([`conv2d_planned`]), which reads each
+//! receptive field in place from a zero-padded copy of the input against a
+//! [`PackedConvF32`] panel instead of lowering it.
 //!
 //! Supports stride, symmetric zero padding, and grouped convolution (which
 //! also covers depthwise convolution when `groups == in_channels`). These are
 //! the only convolution variants the model zoo needs.
+//!
+//! The implicit GEMM picks its body at run time from CPU features, like the
+//! planned INT8 conv: AVX-512 where the INT8 conv's VNNI body runs, else
+//! AVX2, else portable. Its SIMD bodies are plain indexed loops over arrays
+//! of vectors, with no closure around an intrinsic, so every intrinsic
+//! inlines into its `#[target_feature]` caller.
 
 use crate::linalg::{matmul_into, transpose_into};
-use crate::pack::{matmul_packed_a, Act, BnFoldView, Epilogue, GatherPlan, PackedA};
+use crate::pack::{Act, BnFoldView, Epilogue, PackedConvF32, CONV_LANES};
 use crate::parallel;
+use crate::qkernels::ConvBody;
 use crate::tensor::Tensor;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 /// Geometry of a convolution: stride, padding, groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,98 +339,54 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     out
 }
 
-/// Compiled im2col plan: a [`GatherPlan`] lowering one batch element's
-/// group slice (`[cg, h, w]`, contiguous in NCHW) into the
-/// `[cg*kh*kw, oh*ow]` im2col matrix that [`conv2d_planned`] feeds its
-/// packed GEMM.
+/// 2-D convolution through a compiled plan, as an implicit GEMM: no im2col
+/// matrix is built.
 ///
-/// The map depends only on the convolution geometry and the input spatial
-/// shape — not on the group index or batch element — so one plan serves
-/// every `(batch, group)` lowering of a layer. Values are bit-identical to
-/// the on-the-fly `im2col_into` lowering: both read the same source element
-/// (or zero) for every destination slot; only the index arithmetic moves
-/// from the forward pass to plan-build time.
-#[derive(Debug, Clone)]
-pub struct Im2colPlan {
-    cg: usize,
-    h: usize,
-    w: usize,
-    map: GatherPlan,
-}
-
-impl Im2colPlan {
-    /// Builds the plan for a `[cg, h, w]` group slice under `kernel` and
-    /// `spec`.
-    pub fn build(cg: usize, h: usize, w: usize, kernel: (usize, usize), spec: &ConvSpec) -> Self {
-        let (kh, kw) = kernel;
-        let oh = spec.out_size(h, kh);
-        let ow = spec.out_size(w, kw);
-        let ohw = oh * ow;
-        let mut idx = vec![GatherPlan::PAD; cg * kh * kw * ohw];
-        for c in 0..cg {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let row = ((c * kh + ky) * kw + kx) * ohw;
-                    for oy in 0..oh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            idx[row + oy * ow + ox] =
-                                ((c * h + iy as usize) * w + ix as usize) as u32;
-                        }
-                    }
-                }
-            }
-        }
-        Self {
-            cg,
-            h,
-            w,
-            map: GatherPlan::new(cg * h * w, idx),
-        }
-    }
-
-    /// Whether the plan was built for this group-slice shape. Layers key
-    /// their cached plan on this to rebuild lazily when the input spatial
-    /// shape changes between forwards.
-    pub fn matches(&self, cg: usize, h: usize, w: usize) -> bool {
-        self.cg == cg && self.h == h && self.w == w
-    }
-}
-
-/// 2-D convolution through a compiled plan: pre-packed per-group weight
-/// panels, a precomputed [`Im2colPlan`] gather in place of per-element
-/// im2col index arithmetic, and a fused epilogue (bias, optional folded
-/// batch-norm, optional activation) applied in the GEMM write-back.
+/// - **Plane.** Each sample's group slice is copied once into a zero-padded
+///   NCHW plane `[cg][h + 2·pad][w + 2·pad]` in thread-local scratch (with
+///   no padding the kernel reads the input itself).
+/// - **Kernel.** Each block of 16 output channels of the [`PackedConvF32`]
+///   panel is an outer product with a tile of output pixels: per reduction
+///   step `(c, ky, kx)`, one vector of the block's 16 weights meets each
+///   pixel's broadcast input. The body is picked at run time from CPU
+///   features (AVX-512, AVX2 or portable).
+/// - **Epilogue.** Bias, the optional folded batch-norm and the activation
+///   are applied as each tile is stored; every output element is written
+///   exactly once.
 ///
 /// Produces bit-identical results to [`conv2d`] followed by the standalone
-/// batch-norm/activation kernels: the packed GEMM preserves per-element
-/// `kk`-increasing accumulation, and the epilogue replicates the serial
-/// per-element op order (see [`crate::pack`]). Unlike [`conv2d`] there is no
-/// intermediate product buffer — the epilogue writes each output element
-/// exactly once, directly into the output tensor.
+/// batch-norm/activation kernels: each output element starts from `+0.0`
+/// and adds `w * x` for every `(c, ky, kx)` in im2col's order as a separate
+/// multiply and add — padding positions included, as `+0.0` inputs, exactly
+/// as im2col's zeros enter [`conv2d`]'s GEMM — and the epilogue replicates
+/// the serial per-element op order (see [`crate::pack`]).
 ///
-/// - `packs`: one [`PackedA`] per group, each packing the group's
-///   `[oc/groups, (c/groups)*kh*kw]` weight slab
-/// - `kernel`: `(kh, kw)` of the packed filters
-/// - `plan`: the gather plan for this input's group-slice shape
+/// Runs on the calling thread. Counts one `conv2d` per call and one
+/// `matmul` per (sample, group).
 ///
 /// # Panics
 ///
-/// Panics if shapes, the spec, the packed panels, and the gather plan are
-/// inconsistent.
-#[allow(clippy::too_many_arguments)]
+/// Panics if shapes, the spec and the panel are inconsistent.
 pub fn conv2d_planned(
     input: &Tensor,
-    packs: &[PackedA],
-    kernel: (usize, usize),
-    plan: &Im2colPlan,
+    panel: &PackedConvF32,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    bn: Option<BnFoldView<'_>>,
+    act: Act,
+) -> Tensor {
+    conv2d_planned_on(ConvBody::detect(), input, panel, bias, spec, bn, act)
+}
+
+/// [`conv2d_planned`] on a chosen kernel body.
+///
+/// # Panics
+///
+/// As [`conv2d_planned`], and if the CPU does not support `body`.
+fn conv2d_planned_on(
+    body: ConvBody,
+    input: &Tensor,
+    panel: &PackedConvF32,
     bias: &Tensor,
     spec: &ConvSpec,
     bn: Option<BnFoldView<'_>>,
@@ -426,62 +394,423 @@ pub fn conv2d_planned(
 ) -> Tensor {
     crate::opcount::count_conv2d();
     let (n, c, h, w) = input.dims4();
-    let (kh, kw) = kernel;
-    assert_eq!(packs.len(), spec.groups, "one packed panel set per group");
-    let cg = c / spec.groups;
-    let kcols = cg * kh * kw;
-    let og = packs[0].rows();
-    for p in packs {
-        assert_eq!(p.rows(), og, "group panel row mismatch");
-        assert_eq!(p.k(), kcols, "group panel k mismatch");
-    }
-    let oc = og * spec.groups;
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let ohw = oh * ow;
-    assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
-    assert_eq!(plan.map.len(), kcols * ohw, "gather plan size mismatch");
+    let [oc, cg, kh, kw] = panel.dims();
+    assert!(spec.stride > 0, "stride must be positive");
+    assert_eq!(panel.groups(), spec.groups, "panel group count mismatch");
+    assert_eq!(cg * spec.groups, c, "panel input channels mismatch");
     let bdata = bias.data();
     assert_eq!(bdata.len(), oc, "bias length != out_channels");
     if let Some(f) = &bn {
         assert_eq!(f.mean.len(), oc, "bn fold length != out_channels");
     }
-    let chw = c * h * w;
-    let ghw = cg * h * w;
+    let pad = spec.padding;
+    let geo = PlaneGeo {
+        hp: h + 2 * pad,
+        wp: w + 2 * pad,
+        cg,
+        stride: spec.stride,
+        kh,
+        kw,
+        oh: spec.out_size(h, kh),
+        ow: spec.out_size(w, kw),
+    };
+    let (og, ohw, ghw) = (oc / spec.groups, geo.oh * geo.ow, cg * h * w);
+    let glen = panel.group_len();
     let in_data = input.data();
 
-    // Epilogue writes every element exactly once, so pool-stale contents are
-    // fine.
-    let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
-    let batch_stride = oc * ohw;
-
-    // Planned kernels see batch > 1 only in fused campaign trials, whose
-    // workers never fork, so the batch loop stays on this thread; a GEMM
-    // outside any task may still split its rows.
-    with_conv_scratch(kcols * ohw, 0, |cols, _| {
-        for (bn_idx, out_bn) in out.data_mut().chunks_exact_mut(batch_stride).enumerate() {
-            for (g, pack) in packs.iter().enumerate() {
-                plan.map
-                    .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols);
-                let ep = Epilogue::PerRow {
-                    bias: bdata,
-                    bn,
-                    act,
-                    row0: g * og,
+    // The kernel writes every element exactly once, so pool-stale contents
+    // are fine.
+    let mut out = Tensor::from_pool(&[n, oc, geo.oh, geo.ow]);
+    with_conv_scratch(if pad > 0 { geo.len() } else { 0 }, 0, |plane, _| {
+        // Only interiors are written below, so one fill per call keeps
+        // every padding position `+0.0` for every (sample, group).
+        plane.fill(0.0);
+        for (s, out_s) in out.data_mut().chunks_exact_mut(oc * ohw).enumerate() {
+            for g in 0..spec.groups {
+                let src = &in_data[(s * spec.groups + g) * ghw..][..ghw];
+                let x: &[f32] = if pad > 0 {
+                    fill_plane(src, &geo, pad, plane);
+                    plane
+                } else {
+                    src
                 };
-                let out_g = &mut out_bn[g * og * ohw..(g + 1) * og * ohw];
-                matmul_packed_a(pack, cols, out_g, ohw, &ep, true);
+                conv_f32_implicit(
+                    body,
+                    x,
+                    &panel.data()[g * glen..][..glen],
+                    og,
+                    &geo,
+                    &Epilogue::PerRow {
+                        bias: bdata,
+                        bn,
+                        act,
+                        row0: g * og,
+                    },
+                    &mut out_s[g * og * ohw..][..og * ohw],
+                );
             }
         }
     });
     out
 }
 
+/// Copies one sample's group slice `src` (`cg` channels of `h × w`) into the
+/// interior of its zero-padded plane, row by row.
+fn fill_plane(src: &[f32], geo: &PlaneGeo, pad: usize, plane: &mut [f32]) {
+    let (h, w) = (geo.hp - 2 * pad, geo.wp - 2 * pad);
+    for (c, fm) in src.chunks_exact(h * w).enumerate() {
+        for (y, row) in fm.chunks_exact(w).enumerate() {
+            plane[(c * geo.hp + y + pad) * geo.wp + pad..][..w].copy_from_slice(row);
+        }
+    }
+}
+
+/// Geometry of one implicit-GEMM f32 convolution over an NCHW plane
+/// `[cg][hp][wp]` that holds its padding (see [`conv_f32_implicit`]).
+#[derive(Debug, Clone, Copy)]
+struct PlaneGeo {
+    /// Plane rows, padding included.
+    hp: usize,
+    /// Plane columns, padding included.
+    wp: usize,
+    /// Channels per group.
+    cg: usize,
+    /// Convolution stride.
+    stride: usize,
+    /// Kernel rows.
+    kh: usize,
+    /// Kernel columns.
+    kw: usize,
+    /// Output rows.
+    oh: usize,
+    /// Output columns.
+    ow: usize,
+}
+
+impl PlaneGeo {
+    /// Reduction length `cg·kh·kw`.
+    fn k(&self) -> usize {
+        self.cg * self.kh * self.kw
+    }
+
+    /// Plane words.
+    fn len(&self) -> usize {
+        self.cg * self.hp * self.wp
+    }
+}
+
+/// Implicit-GEMM f32 convolution of one sample group on `body`:
+/// `out[r][p] = ep(r, Σ_(c,ky,kx) w[r][c][ky][kx] · plane[base(p) + (c·hp +
+/// ky)·wp + kx])` for `rows` output channels of one group of a
+/// [`PackedConvF32`] panel and every output pixel `p = oy·ow + ox`, read
+/// straight from the padded `plane` at `base(p) = (oy·wp + ox)·stride`, with
+/// the reduction in im2col's `(c, ky, kx)` order.
+///
+/// Every body works per block of 16 channels and per tile of output pixels
+/// (row-major over `oh × ow`): per reduction step it loads the block's 16
+/// weights once, then adds `w * x` for each pixel's broadcast input as a
+/// separate multiply and add. Each tile's sums go to a stack array, from
+/// which [`store_tile`] writes every channel row through the epilogue. A
+/// last tile with fewer pixels computes its missing pixels from the tile's
+/// last real one, and a last block with fewer rows computes its pad lanes;
+/// neither is stored. Counts as one GEMM.
+///
+/// # Panics
+///
+/// Panics if `plane`, `panel` or `out` is shorter than the geometry needs,
+/// if the kernel does not fit the plane, if `ep` lacks a row's constants,
+/// or if the CPU does not support `body`.
+fn conv_f32_implicit(
+    body: ConvBody,
+    plane: &[f32],
+    panel: &[f32],
+    rows: usize,
+    geo: &PlaneGeo,
+    ep: &Epilogue<'_>,
+    out: &mut [f32],
+) {
+    crate::opcount::count_matmul();
+    let ohw = geo.oh * geo.ow;
+    assert!(ohw > 0 && geo.k() > 0, "empty convolution");
+    assert!(
+        (geo.oh - 1) * geo.stride + geo.kh <= geo.hp
+            && (geo.ow - 1) * geo.stride + geo.kw <= geo.wp,
+        "kernel reads past the plane"
+    );
+    assert!(plane.len() >= geo.len(), "plane too short");
+    assert!(
+        panel.len() >= rows.div_ceil(CONV_LANES) * geo.k() * CONV_LANES,
+        "panel too short"
+    );
+    assert!(out.len() >= rows * ohw, "output too short");
+    assert!(body.supported(), "{body:?} is not supported on this CPU");
+    match body {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the CPU supports the body (AVX-512F is part of it), and
+        // the asserts above bound every read it makes.
+        ConvBody::Avx512Vnni => unsafe { conv_f32_avx512(plane, panel, rows, geo, ep, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        ConvBody::Avx2 => unsafe { conv_f32_avx2(plane, panel, rows, geo, ep, out) },
+        _ => conv_f32_portable(plane, panel, rows, geo, ep, out),
+    }
+}
+
+/// Plane offsets of the `P` pixels of the tile at `p0`, whose first `pw`
+/// are real; the rest repeat the last real one. Pixels run row-major over
+/// `oh × ow`, and each offset folds the stride in.
+#[inline(always)]
+fn tile_bases<const P: usize>(geo: &PlaneGeo, p0: usize, pw: usize) -> [usize; P] {
+    let (mut oy, mut ox) = (p0 / geo.ow, p0 % geo.ow);
+    let mut base = [0; P];
+    for (j, b) in base.iter_mut().enumerate() {
+        *b = (oy * geo.wp + ox) * geo.stride;
+        if j + 1 < pw {
+            ox += 1;
+            if ox == geo.ow {
+                (oy, ox) = (oy + 1, 0);
+            }
+        }
+    }
+    base
+}
+
+/// Stores a tile's `[pixel][lane]` sums transposed into `out[r][p]` through
+/// the epilogue: the first `pw` pixels of rows `r0..r0 + rows`.
+#[inline(always)]
+fn store_tile<const P: usize>(
+    sums: &[[f32; CONV_LANES]; P],
+    pw: usize,
+    (r0, rows): (usize, usize),
+    (p0, ohw): (usize, usize),
+    ep: &Epilogue<'_>,
+    out: &mut [f32],
+) {
+    for r in r0..r0 + rows {
+        let mut row = [0.0f32; P];
+        for (d, s) in row.iter_mut().zip(sums) {
+            *d = s[r - r0];
+        }
+        ep.apply(&row[..pw], r, &mut out[r * ohw + p0..][..pw]);
+    }
+}
+
+/// Pixels per tile of the portable body.
+const PORTABLE_PIXELS: usize = 8;
+
+/// Portable body: the reference the SIMD bodies are tested against. The
+/// lane loop is plain Rust, which the compiler vectorizes.
+fn conv_f32_portable(
+    plane: &[f32],
+    panel: &[f32],
+    rows: usize,
+    geo: &PlaneGeo,
+    ep: &Epilogue<'_>,
+    out: &mut [f32],
+) {
+    let (ohw, k) = (geo.oh * geo.ow, geo.k());
+    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
+        let w = &panel[block * k * CONV_LANES..][..k * CONV_LANES];
+        let tile = (r0, (rows - r0).min(CONV_LANES));
+        for p0 in (0..ohw).step_by(PORTABLE_PIXELS) {
+            let pw = (ohw - p0).min(PORTABLE_PIXELS);
+            let base = tile_bases::<PORTABLE_PIXELS>(geo, p0, pw);
+            let mut acc = [[0.0f32; CONV_LANES]; PORTABLE_PIXELS];
+            let mut wv = w.chunks_exact(CONV_LANES);
+            for c in 0..geo.cg {
+                for ky in 0..geo.kh {
+                    let row = (c * geo.hp + ky) * geo.wp;
+                    for kx in 0..geo.kw {
+                        let wv = wv.next().expect("panel holds k vectors per block");
+                        for (a, &b) in acc.iter_mut().zip(&base) {
+                            let x = plane[b + row + kx];
+                            for (a, &wl) in a.iter_mut().zip(wv) {
+                                *a += wl * x;
+                            }
+                        }
+                    }
+                }
+            }
+            store_tile(&acc, pw, tile, (p0, ohw), ep, out);
+        }
+    }
+}
+
+/// Pixels per AVX-512 tile: one `zmm` accumulator each.
+#[cfg(target_arch = "x86_64")]
+const ZMM_PIXELS: usize = 16;
+
+/// AVX-512 body: per 16-channel block, tiles of [`ZMM_PIXELS`] pixels.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and the slices must cover the geometry as
+/// [`conv_f32_implicit`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn conv_f32_avx512(
+    plane: &[f32],
+    panel: &[f32],
+    rows: usize,
+    geo: &PlaneGeo,
+    ep: &Epilogue<'_>,
+    out: &mut [f32],
+) {
+    let (ohw, k) = (geo.oh * geo.ow, geo.k());
+    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
+        let w = panel.as_ptr().add(block * k * CONV_LANES);
+        let tile = (r0, (rows - r0).min(CONV_LANES));
+        for p0 in (0..ohw).step_by(ZMM_PIXELS) {
+            let pw = (ohw - p0).min(ZMM_PIXELS);
+            let sums = zmm_tile(plane, w, tile_bases(geo, p0, pw), geo);
+            store_tile(&sums, pw, tile, (p0, ohw), ep, out);
+        }
+    }
+}
+
+/// One block × [`ZMM_PIXELS`]-pixel tile of the AVX-512 body: the sums of
+/// the pixels at plane offsets `base`.
+///
+/// # Safety
+///
+/// As [`conv_f32_avx512`], with `w` the block's first panel word and every
+/// `base` a pixel's offset.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's pixel cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn zmm_tile(
+    plane: &[f32],
+    w: *const f32,
+    base: [usize; ZMM_PIXELS],
+    geo: &PlaneGeo,
+) -> [[f32; CONV_LANES]; ZMM_PIXELS] {
+    let x = plane.as_ptr();
+    let mut a = [_mm512_setzero_ps(); ZMM_PIXELS];
+    let mut wk = w;
+    for c in 0..geo.cg {
+        for ky in 0..geo.kh {
+            let row = (c * geo.hp + ky) * geo.wp;
+            for kx in 0..geo.kw {
+                let wv = _mm512_loadu_ps(wk);
+                wk = wk.add(CONV_LANES);
+                for j in 0..ZMM_PIXELS {
+                    let xv = _mm512_set1_ps(*x.add(base[j] + row + kx));
+                    a[j] = _mm512_add_ps(a[j], _mm512_mul_ps(wv, xv));
+                }
+            }
+        }
+    }
+    let mut sums = [[0.0f32; CONV_LANES]; ZMM_PIXELS];
+    for j in 0..ZMM_PIXELS {
+        _mm512_storeu_ps(sums[j].as_mut_ptr(), a[j]);
+    }
+    sums
+}
+
+/// Pixels per AVX2 tile, stored together: four register tiles of both
+/// 8-channel halves, or two of the low half alone, so that each register
+/// tile's accumulators, weights and broadcast fit the 16 `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+const YMM_PIXELS: usize = 16;
+
+/// AVX2 body: per block, tiles of [`YMM_PIXELS`] pixels, computed as
+/// register tiles of 4 pixels × both 8-channel `ymm` halves, or of 8 pixels
+/// × the low half alone when the block holds at most 8 channels (its high
+/// half is all pad lanes). Register tiles past a short tile's last pixel
+/// are skipped.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and the slices must cover the geometry as
+/// [`conv_f32_implicit`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv_f32_avx2(
+    plane: &[f32],
+    panel: &[f32],
+    rows: usize,
+    geo: &PlaneGeo,
+    ep: &Epilogue<'_>,
+    out: &mut [f32],
+) {
+    let (ohw, k) = (geo.oh * geo.ow, geo.k());
+    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
+        let w = panel.as_ptr().add(block * k * CONV_LANES);
+        let tile = (r0, (rows - r0).min(CONV_LANES));
+        for p0 in (0..ohw).step_by(YMM_PIXELS) {
+            let pw = (ohw - p0).min(YMM_PIXELS);
+            let base: [usize; YMM_PIXELS] = tile_bases(geo, p0, pw);
+            let mut sums = [[0.0f32; CONV_LANES]; YMM_PIXELS];
+            if tile.1 <= CONV_LANES / 2 {
+                for j in (0..pw).step_by(8) {
+                    ymm_tile::<1, 8>(plane, w, &base, j, geo, &mut sums);
+                }
+            } else {
+                for j in (0..pw).step_by(4) {
+                    ymm_tile::<2, 4>(plane, w, &base, j, geo, &mut sums);
+                }
+            }
+            store_tile(&sums, pw, tile, (p0, ohw), ep, out);
+        }
+    }
+}
+
+/// One block × `P`-pixel register tile of the AVX2 body over the block's
+/// first `H` 8-channel halves: the sums of the pixels at plane offsets
+/// `base[j0..j0 + P]`, written into lanes `0..8 * H` of `sums[j0..j0 + P]`.
+///
+/// # Safety
+///
+/// As [`conv_f32_avx2`], with `w` the block's first panel word and every
+/// `base` a pixel's offset.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's (half, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn ymm_tile<const H: usize, const P: usize>(
+    plane: &[f32],
+    w: *const f32,
+    base: &[usize; YMM_PIXELS],
+    j0: usize,
+    geo: &PlaneGeo,
+    sums: &mut [[f32; CONV_LANES]; YMM_PIXELS],
+) {
+    let base: &[usize; P] = base[j0..][..P].try_into().expect("P offsets");
+    let x = plane.as_ptr();
+    let mut a = [[_mm256_setzero_ps(); P]; H];
+    let mut wk = w;
+    for c in 0..geo.cg {
+        for ky in 0..geo.kh {
+            let row = (c * geo.hp + ky) * geo.wp;
+            for kx in 0..geo.kw {
+                let mut wv = [_mm256_setzero_ps(); H];
+                for h in 0..H {
+                    wv[h] = _mm256_loadu_ps(wk.add(8 * h));
+                }
+                wk = wk.add(CONV_LANES);
+                for j in 0..P {
+                    let xv = _mm256_set1_ps(*x.add(base[j] + row + kx));
+                    for h in 0..H {
+                        a[h][j] = _mm256_add_ps(a[h][j], _mm256_mul_ps(wv[h], xv));
+                    }
+                }
+            }
+        }
+    }
+    for j in 0..P {
+        for h in 0..H {
+            _mm256_storeu_ps(sums[j0 + j].as_mut_ptr().add(8 * h), a[h][j]);
+        }
+    }
+}
+
 /// Runs `f` with this thread's reusable im2col/product scratch, sized to at
 /// least `cols_len`/`prod_len`. Reuse skips a malloc + memset per [`conv2d`]
 /// call, which dominates small convolutions; stale contents are harmless
-/// because [`im2col_into`] writes (or zero-fills) every element it exposes
-/// and the product buffer is fully overwritten by `matmul_into`.
+/// because [`im2col_into`] writes (or zero-fills) every element it exposes,
+/// the product buffer is fully overwritten by `matmul_into`, and
+/// [`conv2d_planned`] zero-fills its plane before use.
 fn with_conv_scratch(cols_len: usize, prod_len: usize, f: impl FnOnce(&mut [f32], &mut [f32])) {
     use std::cell::RefCell;
     thread_local! {
@@ -734,13 +1063,30 @@ mod tests {
         conv2d(&x, &w, &b, &ConvSpec::new().groups(2));
     }
 
-    fn pack_groups(w: &Tensor, groups: usize) -> Vec<PackedA> {
-        let (oc, cg, kh, kw) = w.dims4();
-        let og = oc / groups;
-        let kcols = cg * kh * kw;
-        (0..groups)
-            .map(|g| PackedA::pack(&w.data()[g * og * kcols..(g + 1) * og * kcols], og, kcols))
-            .collect()
+    fn pack(w: &Tensor, groups: usize) -> PackedConvF32 {
+        let &[oc, cg, kh, kw] = w.dims() else {
+            unreachable!("conv weights are rank 4");
+        };
+        PackedConvF32::pack(w.data(), [oc, cg, kh, kw], groups)
+    }
+
+    /// Whether two outputs agree bit for bit. Any two NaNs agree: the
+    /// compiler may commute a multiply's operands, and so pick either NaN
+    /// operand's payload.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                same(g, w),
+                "{what}[{i}]: {g} ({:#x}) vs {w} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
     }
 
     #[test]
@@ -759,9 +1105,7 @@ mod tests {
             let w = Tensor::rand_normal(&[oc, c / groups, 3, 3], 0.0, 0.5, &mut rng);
             let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
             let plain = conv2d(&x, &w, &b, &spec);
-            let packs = pack_groups(&w, groups);
-            let plan = Im2colPlan::build(c / groups, hw, hw, (3, 3), &spec);
-            let planned = conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::None);
+            let planned = conv2d_planned(&x, &pack(&w, groups), &b, &spec, None, Act::None);
             assert_eq!(planned.dims(), plain.dims());
             for (p, q) in planned.data().iter().zip(plain.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
@@ -780,11 +1124,145 @@ mod tests {
         for v in serial.data_mut() {
             *v = v.max(0.0);
         }
-        let packs = pack_groups(&w, 1);
-        let plan = Im2colPlan::build(3, 7, 7, (3, 3), &spec);
-        let fused = conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::Relu);
+        let fused = conv2d_planned(&x, &pack(&w, 1), &b, &spec, None, Act::Relu);
         for (p, q) in fused.data().iter().zip(serial.data()) {
             assert_eq!(p.to_bits(), q.to_bits());
+        }
+    }
+
+    /// `conv2d`, then the standalone batch-norm and activation kernels: the
+    /// serial chain a planned conv with a fused epilogue reproduces.
+    fn serial_chain(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        spec: &ConvSpec,
+        bn: Option<BnFoldView<'_>>,
+        act: Act,
+    ) -> Tensor {
+        let mut y = conv2d(x, w, b, spec);
+        if let Some(f) = bn {
+            let (mut x_hat, mut out) = (Tensor::zeros(y.dims()), Tensor::zeros(y.dims()));
+            y.batchnorm2d_into(f.mean, f.inv_std, f.gamma, f.beta, &mut x_hat, &mut out);
+            y = out;
+        }
+        let (src, mut mask) = (y.data().to_vec(), vec![0.0; y.len()]);
+        match act {
+            Act::None => {}
+            Act::Relu => crate::kernels::relu_mask(&src, y.data_mut(), &mut mask),
+            Act::LeakyRelu(s) => crate::kernels::leaky_relu_mask(&src, s, y.data_mut(), &mut mask),
+        }
+        y
+    }
+
+    #[test]
+    fn implicit_f32_conv_bodies_match_conv2d() {
+        let bodies: Vec<ConvBody> = ConvBody::ALL
+            .into_iter()
+            .filter(|b| b.supported())
+            .collect();
+        assert!(bodies.contains(&ConvBody::detect()) && bodies.contains(&ConvBody::Portable));
+        let mut rng = SeededRng::new(33);
+        // (n, c, oc, h, w, groups, k, stride, pad): og of 1, 6, 15, 16,
+        // 17, 40, 24 and depthwise; output maps of 25, 49, 9, 16, 99, 64,
+        // 36, 15, 16 and 12 pixels, off and on every tile width.
+        let cases = [
+            (
+                2usize, 3usize, 1usize, 5usize, 5usize, 1usize, 3usize, 1usize, 1usize,
+            ),
+            (1, 4, 6, 7, 7, 1, 3, 1, 1),
+            (1, 5, 15, 6, 6, 1, 3, 2, 1),
+            (2, 8, 16, 4, 4, 1, 3, 1, 1),
+            (1, 6, 34, 9, 7, 2, 3, 1, 2),
+            (1, 3, 40, 8, 8, 1, 5, 1, 2),
+            (2, 6, 6, 6, 6, 6, 3, 1, 1),
+            (1, 16, 24, 3, 5, 1, 1, 1, 0),
+            (1, 4, 8, 9, 9, 2, 3, 2, 0),
+            (1, 2, 17, 11, 4, 1, 5, 2, 2),
+        ];
+        let acts = [Act::None, Act::Relu, Act::LeakyRelu(0.1)];
+        for (i, &(n, c, oc, h, w, groups, k, stride, pad)) in cases.iter().enumerate() {
+            let spec = ConvSpec::new().stride(stride).padding(pad).groups(groups);
+            let mut x = Tensor::rand_normal(&[n, c, h, w], 0.0, 1.0, &mut rng);
+            let mut wt = Tensor::rand_normal(&[oc, c / groups, k, k], 0.0, 0.5, &mut rng);
+            let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
+            if i % 2 == 1 {
+                // Non-finite and negative-zero inputs, and in output channel
+                // 0 an infinite corner weight (whose products with padding
+                // zeros are NaN) and a negative-zero weight.
+                let len = x.len();
+                for (j, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0]
+                    .into_iter()
+                    .enumerate()
+                {
+                    x.data_mut()[(j * 7919 + i) % len] = v;
+                }
+                let per_row = wt.len() / oc;
+                wt.data_mut()[0] = f32::INFINITY;
+                wt.data_mut()[1.min(per_row - 1)] = -0.0;
+            }
+            let per_channel = |f: fn(f32) -> f32| (0..oc).map(|o| f(o as f32)).collect::<Vec<_>>();
+            let mean = per_channel(|o| 0.1 * o - 0.5);
+            let inv_std = per_channel(|o| 1.0 / (0.5 + 0.07 * o + 1e-5f32).sqrt());
+            let gamma = per_channel(|o| 1.0 - 0.03 * o);
+            let beta = per_channel(|o| 0.02 * o - 0.1);
+            let bn = (i % 3 != 0).then_some(BnFoldView {
+                mean: &mean,
+                inv_std: &inv_std,
+                gamma: &gamma,
+                beta: &beta,
+            });
+            let act = acts[i / 3 % 3];
+            let want = serial_chain(&x, &wt, &b, &spec, bn, act);
+            let panel = pack(&wt, groups);
+            for &body in &bodies {
+                let what = format!("case {i} on {body:?}");
+                let got = conv2d_planned_on(body, &x, &panel, &b, &spec, bn, act);
+                assert_eq!(got.dims(), want.dims(), "{what}");
+                assert_same(got.data(), want.data(), &what);
+
+                // Sample 0, group 0 alone, into an output that runs on past
+                // the group's rows: no pad lane is ever stored.
+                let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+                let (oh, ow) = (spec.out_size(h, k), spec.out_size(w, k));
+                let geo = PlaneGeo {
+                    hp,
+                    wp,
+                    cg: c / groups,
+                    stride,
+                    kh: k,
+                    kw: k,
+                    oh,
+                    ow,
+                };
+                let mut plane = vec![0.0; geo.len()];
+                fill_plane(&x.data()[..geo.cg * h * w], &geo, pad, &mut plane);
+                let (og, ohw) = (oc / groups, oh * ow);
+                let ep = Epilogue::PerRow {
+                    bias: b.data(),
+                    bn,
+                    act,
+                    row0: 0,
+                };
+                let poison = f32::from_bits(0x7fc0_dead);
+                let mut out = vec![poison; og * ohw + 2 * CONV_LANES * ohw];
+                conv_f32_implicit(
+                    body,
+                    &plane,
+                    &panel.data()[..panel.group_len()],
+                    og,
+                    &geo,
+                    &ep,
+                    &mut out,
+                );
+                assert_same(&out[..og * ohw], &got.data()[..og * ohw], &what);
+                assert!(
+                    out[og * ohw..]
+                        .iter()
+                        .all(|v| v.to_bits() == poison.to_bits()),
+                    "{what}: a store past the group's rows"
+                );
+            }
         }
     }
 

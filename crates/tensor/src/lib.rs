@@ -10,7 +10,8 @@
 //! - [`Tensor`]: an n-dimensional array with shape bookkeeping,
 //! - elementwise and scalar arithmetic ([`ops`]),
 //! - matrix multiplication ([`linalg`]),
-//! - 2-D convolution with stride/padding/groups and its gradients ([`conv`]),
+//! - 2-D convolution with stride/padding/groups and its gradients, plus the
+//!   compiled plan's implicit-GEMM convolution ([`conv`]),
 //! - max/avg pooling and their gradients ([`pool`]),
 //! - IEEE-754 bit manipulation used by fault models ([`bits`]),
 //! - a deterministic, forkable RNG ([`rng`]),
@@ -51,9 +52,9 @@ mod shape;
 mod tensor;
 pub mod tpool;
 
-pub use conv::{conv2d, conv2d_backward, conv2d_planned, Conv2dGrads, ConvSpec, Im2colPlan};
+pub use conv::{conv2d, conv2d_backward, conv2d_planned, Conv2dGrads, ConvSpec};
 pub use linalg::{matmul, matmul_into, transpose_into};
-pub use pack::{matmul_packed_a, Act, BnFoldView, Epilogue, GatherPlan, PackedA, PackedConvI16};
+pub use pack::{matmul_packed_a, Act, BnFoldView, Epilogue, PackedA, PackedConvF32, PackedConvI16};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };

@@ -2,21 +2,25 @@
 //! of the compiled forward plan, which covers convolutions only (linear
 //! layers run their reference forward under every configuration).
 //!
-//! A fault-injection campaign runs the same weights through the same GEMMs
-//! millions of times. Packing rearranges each conv weight matrix **once**
-//! into the exact panel layout the register-tiled microkernels walk
-//! ([`PackedA`] for the f32 GEMM, whose left operand is the weight matrix,
-//! [`PackedConvI16`] for pre-widened INT8 weights in the implicit-GEMM
-//! order), so the per-trial kernel streams one contiguous buffer instead of
-//! gathering strided rows.
+//! A fault-injection campaign runs the same weights through the same
+//! kernels millions of times. Packing rearranges each conv weight tensor
+//! **once** into the exact layout its implicit-GEMM kernel walks — blocks of
+//! 16 output channels, one vector of 16 weights per reduction step
+//! ([`PackedConvF32`] for f32 weights, [`PackedConvI16`] for pre-widened
+//! INT8 weights) — so the per-trial kernel streams one contiguous buffer
+//! instead of gathering strided rows. [`PackedA`] and [`matmul_packed_a`]
+//! pack a plain GEMM's left operand the same way; no forward path uses
+//! them, only the kernel benchmarks.
 //!
-//! **Bit-identity.** The packed f32 kernels perform, for every output
-//! element, the identical sequence of multiplies and adds as the unpacked
+//! **Bit-identity.** The f32 kernels perform, for every output element, the
+//! identical sequence of multiplies and adds as the unpacked
 //! [`matmul_into`](crate::matmul_into) kernel: accumulation is strictly
-//! `kk`-increasing into a single accumulator, Rust never contracts
-//! `a * b + c` into a fused multiply-add, and packing only changes *where*
-//! an operand is read from, never *when* it enters the accumulation. The
-//! INT8 kernels are exact integer arithmetic, identical under any order.
+//! `kk`-increasing into a single accumulator that starts at `+0.0`, Rust
+//! never contracts `a * b + c` into a fused multiply-add (and the
+//! hand-written SIMD bodies never use one), and packing only changes
+//! *where* an operand is read from, never *when* it enters the
+//! accumulation. The INT8 kernels are exact integer arithmetic, identical
+//! under any order.
 //!
 //! **Fused epilogues.** The [`Epilogue`] applied in the write-back loop
 //! replicates the per-element op order of the serial layer chain — bias add
@@ -140,10 +144,11 @@ impl Epilogue<'_> {
     }
 
     /// Applies the epilogue to one accumulated row segment `acc`, writing
-    /// into `dst`. `row` is the kernel-local output row. Partial-tile path;
-    /// the hot full tiles go through [`Self::apply_row`].
+    /// into `dst`. `row` is the kernel-local output row. The packed-A
+    /// GEMM's partial-tile path (its hot full tiles go through
+    /// [`Self::apply_row`]) and the implicit f32 conv's tile store.
     #[inline(always)]
-    fn apply(&self, acc: &[f32], row: usize, dst: &mut [f32]) {
+    pub(crate) fn apply(&self, acc: &[f32], row: usize, dst: &mut [f32]) {
         match *self {
             Epilogue::None => dst[..acc.len()].copy_from_slice(acc),
             Epilogue::PerRow {
@@ -245,9 +250,94 @@ impl PackedA {
     }
 }
 
-/// Output channels per [`PackedConvI16`] block: the 16 `i32` accumulator
-/// lanes of one AVX-512 register (two AVX2 registers).
+/// Output channels per [`PackedConvF32`] and [`PackedConvI16`] block: the 16
+/// 32-bit accumulator lanes of one AVX-512 register (two AVX2 registers).
 pub(crate) const CONV_LANES: usize = 16;
+
+/// f32 convolution weights `[oc, cg, kh, kw]` laid out for the implicit-GEMM
+/// convolution kernel of [`conv2d_planned`](crate::conv2d_planned), which
+/// computes each block of 16 output channels as an outer product with a
+/// tile of output pixels.
+///
+/// The words are `[group][⌈og/16⌉ blocks][cg·kh·kw][16 lanes]`: the
+/// reduction index runs in im2col's `(c, ky, kx)` order (`c`-major, then
+/// `ky`, then `kx`), and lane `l` of a block is the block's `l`-th output
+/// channel, so each reduction step is one contiguous vector of 16 weights.
+/// No block straddles two groups; lanes past a group's last channel (pad
+/// lanes) stay zero, and the kernel never stores their sums. Packing is a
+/// pure function of the weight bits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedConvF32 {
+    dims: [usize; 4],
+    groups: usize,
+    buf: Vec<f32>,
+}
+
+impl PackedConvF32 {
+    /// Packs `src`, the row-major words of an `[oc, cg, kh, kw]` weight
+    /// tensor whose `oc` output channels form `groups` equal groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` is zero or does not divide `oc`, or if
+    /// `src.len()` disagrees with `dims`.
+    pub fn pack(src: &[f32], dims: [usize; 4], groups: usize) -> Self {
+        let [oc, cg, kh, kw] = dims;
+        assert!(
+            groups > 0 && oc.is_multiple_of(groups),
+            "{oc} output channels do not split into {groups} groups"
+        );
+        let blocks = groups * (oc / groups).div_ceil(CONV_LANES);
+        let mut p = Self {
+            dims,
+            groups,
+            buf: vec![0.0; blocks * cg * kh * kw * CONV_LANES],
+        };
+        p.repack(src);
+        p
+    }
+
+    /// Repacks in place from a same-shaped source, reusing the buffer: the
+    /// whole cost of an f32 weight fault (and of its undo) on a compiled
+    /// plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len()` disagrees with the packed dimensions.
+    pub fn repack(&mut self, src: &[f32]) {
+        let [oc, cg, kh, kw] = self.dims;
+        let k = cg * kh * kw;
+        assert_eq!(src.len(), oc * k, "source length != weight dims");
+        let og = oc / self.groups;
+        for (o, row) in src.chunks_exact(k).enumerate() {
+            let block = o / og * og.div_ceil(CONV_LANES) + o % og / CONV_LANES;
+            let lanes = &mut self.buf[block * k * CONV_LANES..][..k * CONV_LANES];
+            for (lane, &v) in lanes.chunks_exact_mut(CONV_LANES).zip(row) {
+                lane[o % og % CONV_LANES] = v;
+            }
+        }
+    }
+
+    /// The packed weight dimensions `[oc, cg, kh, kw]`.
+    pub fn dims(&self) -> [usize; 4] {
+        self.dims
+    }
+
+    /// The number of groups the output channels split into.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// Words per group: `⌈og/16⌉` blocks of `cg * kh * kw * 16`.
+    pub fn group_len(&self) -> usize {
+        self.buf.len() / self.groups
+    }
+
+    /// The packed words, `[group][block][cg·kh·kw][16]`.
+    pub fn data(&self) -> &[f32] {
+        &self.buf
+    }
+}
 
 /// INT8 convolution weights `[oc, cg, kh, kw]` pre-widened to `i16` and laid
 /// out for the implicit-GEMM convolution kernel, which computes each block
@@ -530,69 +620,6 @@ fn packed_a_rows_impl(
     }
 }
 
-/// A precomputed gather map: the compiled plan's replacement for per-element
-/// index arithmetic when lowering an activation slice into a GEMM operand
-/// (the f32 im2col). Each entry is either a source offset or an
-/// out-of-range sentinel standing for a padding zero, so the per-forward
-/// lowering collapses to one flat indexed copy — no per-element coordinate
-/// math, no edge-case branches.
-///
-/// The map is a pure function of the convolution geometry and the input
-/// spatial shape, so it is built once per campaign (lazily, on the first
-/// planned forward that sees the shape) and reused by every trial.
-#[derive(Debug, Clone)]
-pub struct GatherPlan {
-    /// Expected source slice length; gathers assert against it.
-    src_len: usize,
-    /// One source offset per destination element; any value `>= src_len`
-    /// (canonically [`GatherPlan::PAD`]) writes the type's zero instead.
-    idx: Vec<u32>,
-}
-
-impl GatherPlan {
-    /// Sentinel for "this destination element is a padding zero".
-    pub const PAD: u32 = u32::MAX;
-
-    /// Wraps a prebuilt index map. `idx` entries `>= src_len` gather a zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src_len` overflows `u32` (the map's offset width).
-    pub fn new(src_len: usize, idx: Vec<u32>) -> Self {
-        assert!(
-            u32::try_from(src_len).is_ok(),
-            "gather source too large for u32 offsets"
-        );
-        Self { src_len, idx }
-    }
-
-    /// Number of destination elements the map produces.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Executes the gather: `dst[i] = src[idx[i]]`, or `T::default()` where
-    /// the entry is out of range (padding). The single `src.get` bound per
-    /// element is the entire inner loop — padding needs no special case
-    /// because the sentinel is simply an out-of-range offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` disagree with the map's dimensions.
-    pub fn gather<T: Copy + Default>(&self, src: &[T], dst: &mut [T]) {
-        assert_eq!(src.len(), self.src_len, "gather source length");
-        assert_eq!(dst.len(), self.idx.len(), "gather destination length");
-        for (d, &ix) in dst.iter_mut().zip(&self.idx) {
-            *d = src.get(ix as usize).copied().unwrap_or_default();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,21 +632,6 @@ mod tests {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
         }
-    }
-
-    #[test]
-    fn gather_plan_copies_and_zero_fills() {
-        let plan = GatherPlan::new(4, vec![2, 0, GatherPlan::PAD, 3, 7]);
-        let src = [10.0f32, 11.0, 12.0, 13.0];
-        let mut dst = [f32::NAN; 5];
-        plan.gather(&src, &mut dst);
-        // Both the canonical PAD sentinel and any other out-of-range offset
-        // produce the zero element.
-        assert_eq!(dst, [12.0, 10.0, 0.0, 13.0, 0.0]);
-        let qsrc = [1i8, 2, 3, 4];
-        let mut qdst = [9i8; 5];
-        plan.gather(&qsrc, &mut qdst);
-        assert_eq!(qdst, [3, 1, 0, 4, 0]);
     }
 
     #[test]
@@ -721,6 +733,52 @@ mod tests {
         let mut split = vec![0.0f32; m * n];
         matmul_packed_a(&pa, b.data(), &mut split, n, &Epilogue::None, true);
         assert_bits_eq(&split, &serial, "row-split packed-A");
+    }
+
+    #[test]
+    fn f32_conv_panel_layout_is_c_ky_kx_with_zero_pad_lanes() {
+        // 20 channels as one group (a full block, then 4 rows and 12 pad
+        // lanes), as two groups of 10 (one block each, 6 pad lanes), and
+        // depthwise (one channel per group).
+        let (oc, cg, kh, kw) = (20usize, 3usize, 2usize, 3usize);
+        let k = cg * kh * kw;
+        let src: Vec<f32> = (0..oc * k).map(|i| i as f32 + 1.0).collect();
+        for (groups, blocks_per_group) in [(1usize, 2usize), (2, 1), (20, 1)] {
+            let p = PackedConvF32::pack(&src, [oc, cg, kh, kw], groups);
+            let og = oc / groups;
+            assert_eq!(p.group_len(), blocks_per_group * k * 16);
+            let mut want = vec![0.0f32; groups * p.group_len()];
+            for o in 0..oc {
+                let (g, r) = (o / og, o % og);
+                let block = g * blocks_per_group + r / 16;
+                for c in 0..cg {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let kk = (c * kh + ky) * kw + kx;
+                            want[(block * k + kk) * 16 + r % 16] = src[o * k + kk];
+                        }
+                    }
+                }
+            }
+            assert_eq!(p.data(), &want[..], "groups {groups}");
+        }
+    }
+
+    #[test]
+    fn f32_conv_panel_repack_reproduces_a_fresh_pack() {
+        let dims = [18usize, 2, 3, 3];
+        let len = dims.iter().product::<usize>();
+        let src: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+        for groups in [1usize, 2] {
+            let blessed = PackedConvF32::pack(&src, dims, groups);
+            let mut live = blessed.clone();
+            let mut faulty = src.clone();
+            faulty[len - 5] = f32::NEG_INFINITY;
+            live.repack(&faulty);
+            assert_eq!(live, PackedConvF32::pack(&faulty, dims, groups));
+            live.repack(&src);
+            assert_eq!(live, blessed, "undo restores the blessed panel");
+        }
     }
 
     #[test]

@@ -937,13 +937,17 @@ impl EpiConsts<__m256> {
 
 /// The bodies of [`conv_i16_implicit`]. All three walk the same
 /// [`PackedConvI16`] layout, compute the same exact integer sums and apply
-/// the same epilogue formula.
+/// the same epilogue formula. The planned f32 conv
+/// ([`conv2d_planned`](crate::conv2d_planned)) picks its body through the
+/// same dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvBody {
-    /// `vpdpwssd` into one 16-lane `zmm` accumulator per pixel.
+    /// `vpdpwssd` into one 16-lane `zmm` accumulator per pixel (the f32
+    /// conv: `vmulps` + `vaddps`, which need only AVX-512F).
     Avx512Vnni,
     /// `vpmaddwd` + `vpaddd` into two 8-lane `ymm` halves per pixel, or the
-    /// low half alone for a block of at most 8 channels.
+    /// low half alone for a block of at most 8 channels (the f32 conv:
+    /// `vmulps` + `vaddps` the same way).
     Avx2,
     /// Plain loops: the reference the SIMD bodies are tested against.
     Portable,
