@@ -18,9 +18,10 @@
 //!    entry.
 //!
 //! Each passing case's line names how many trials its accelerated leg
-//! dropped at a golden match (`exits`), and the closing line counts the
-//! cases whose passes exited early and the slices they dropped, so a CI log
-//! shows the exit path ran.
+//! dropped at a golden match (`exits`), and the closing lines count the
+//! fresh cases that drew wide convs (`FuzzCase::wide`) and the cases whose
+//! passes exited early and the slices they dropped, so a CI log shows the
+//! wide convs and the exit path ran.
 //!
 //! Replay a single case with `fuzz_gate -- --replay <file>`.
 
@@ -181,6 +182,7 @@ fn main() -> ExitCode {
     );
     let free = cases();
     let forced = container_cases();
+    let mut wide = 0;
     for i in 0..budget {
         // Every fourth case must contain both container topologies — the
         // corner of the architecture space where resume points, fusion and
@@ -190,6 +192,7 @@ fn main() -> ExitCode {
         } else {
             free.generate(&mut rng)
         };
+        wide += usize::from(case.wide);
         run_one(&format!("fuzz[{i}]"), &case, &mut failures, &mut exits);
     }
 
@@ -202,6 +205,7 @@ fn main() -> ExitCode {
         "fuzz_gate: {replayed} corpus case(s) + {budget} fresh case(s), {} failure(s)",
         failures.len()
     );
+    println!("fuzz_gate: {wide} of {budget} fresh case(s) drew wide convs");
     println!(
         "fuzz_gate: {} case(s) exited early at a golden match, dropping {} slice(s)",
         exits.cases, exits.slices

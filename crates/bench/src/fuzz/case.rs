@@ -47,6 +47,23 @@ pub struct FuzzCase {
     pub plan: bool,
     /// Watchdog step budget for both runs; `None` disables it.
     pub max_steps: Option<usize>,
+    /// Every conv, batch-norm and branch width of the architecture is
+    /// multiplied by 4 (the sampler draws 2–8, so 8–32), so convs reach
+    /// 16-channel and multi-block groups.
+    pub wide: bool,
+}
+
+/// Width multiplier of a [`FuzzCase::wide`] architecture.
+const WIDE_FACTOR: usize = 4;
+
+/// The architecture `seed` and `forced` derive, widened when `wide`.
+fn arch_for(seed: u64, forced: ForcedTopology, wide: bool) -> ArchSpec {
+    let arch = ArchSpec::sample_with(&mut SeededRng::new(seed).fork(1), forced);
+    if wide {
+        arch.widened(WIDE_FACTOR)
+    } else {
+        arch
+    }
 }
 
 impl FuzzCase {
@@ -59,7 +76,7 @@ impl FuzzCase {
     /// topologies.
     pub fn sample_with(seed: u64, forced: ForcedTopology) -> Self {
         let rng = SeededRng::new(seed);
-        let arch = ArchSpec::sample_with(&mut rng.fork(1), forced);
+        let arch = arch_for(seed, forced, false);
         let leaves = arch.leaf_count();
         let mut k = rng.fork(2);
         let quant = match k.below(4) {
@@ -72,7 +89,7 @@ impl FuzzCase {
             1 => GuardMode::ShortCircuit,
             _ => GuardMode::Record,
         };
-        FuzzCase {
+        let mut case = FuzzCase {
             seed,
             forced,
             arch,
@@ -103,7 +120,14 @@ impl FuzzCase {
                 1 => Some(leaves + k.below(leaves)),
                 _ => Some(k.below(leaves)),
             },
+            // Drawn after `max_steps` for the same reason; widening keeps
+            // the leaf count the budget was drawn from.
+            wide: k.chance(0.25),
+        };
+        if case.wide {
+            case.arch = case.arch.widened(WIDE_FACTOR);
         }
+        case
     }
 
     /// The single-threaded, unfused, uncached, unpooled reference
@@ -161,7 +185,8 @@ impl FuzzCase {
              pool_budget_bytes = {pool}\n\
              shards = {shards}\n\
              plan = {plan}\n\
-             max_steps = {max_steps}\n",
+             max_steps = {max_steps}\n\
+             wide = {wide}\n",
             arch = self.arch,
             seed = self.seed,
             fr = self.forced.residual,
@@ -178,6 +203,7 @@ impl FuzzCase {
             shards = self.shards,
             plan = self.plan,
             max_steps = steps_str(self.max_steps),
+            wide = self.wide,
         )
     }
 }
@@ -186,7 +212,7 @@ impl fmt::Display for FuzzCase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "seed={:#x} {} faults={} quant={} guard={} threads={} fusion={} prefix={}KiB pool={}B shards={} plan={} max_steps={} arch=[{}]",
+            "seed={:#x} {} faults={} quant={} guard={} threads={} fusion={} prefix={}KiB pool={}B shards={} plan={} max_steps={} wide={} arch=[{}]",
             self.seed,
             if self.forced.residual || self.forced.branches {
                 "forced-topology"
@@ -203,6 +229,7 @@ impl fmt::Display for FuzzCase {
             self.shards,
             self.plan,
             steps_str(self.max_steps),
+            self.wide,
             self.arch,
         )
     }
@@ -231,9 +258,11 @@ fn guard_str(g: GuardMode) -> &'static str {
 /// Parses a regression case file written by [`FuzzCase::to_case_file`].
 ///
 /// `seed` (and the two `forced_*` flags) are required and fix the
-/// architecture; any scalar knob present overrides the value re-derived from
-/// the seed, so old corpus files keep their exact shape as the sampler
-/// evolves. Unknown keys are rejected to catch typos in hand-edited files.
+/// architecture, widened only where the file says `wide = true` (files
+/// written before the knob existed lack the key and replay narrow); any
+/// scalar knob present overrides the value re-derived from the seed, so old
+/// corpus files keep their exact shape as the sampler evolves. Unknown keys
+/// are rejected to catch typos in hand-edited files.
 pub fn parse_case_file(text: &str) -> Result<FuzzCase, String> {
     let mut seed: Option<u64> = None;
     let mut forced = ForcedTopology::default();
@@ -263,6 +292,7 @@ pub fn parse_case_file(text: &str) -> Result<FuzzCase, String> {
     }
     let seed = seed.ok_or("case file has no `seed` line")?;
     let mut case = FuzzCase::sample_with(seed, forced);
+    case.wide = false;
     for (key, value) in knobs {
         match key.as_str() {
             "images" => case.images = parse_usize(&value)?,
@@ -296,9 +326,11 @@ pub fn parse_case_file(text: &str) -> Result<FuzzCase, String> {
                     n => Some(parse_usize(n)?),
                 }
             }
+            "wide" => case.wide = parse_bool(&value)?,
             other => return Err(format!("unknown case-file key {other:?}")),
         }
     }
+    case.arch = arch_for(seed, forced, case.wide);
     if case.images == 0 || case.trials == 0 {
         return Err("images and trials must be nonzero".into());
     }
@@ -359,6 +391,20 @@ mod tests {
     }
 
     #[test]
+    fn files_without_the_wide_key_replay_narrow() {
+        let case = (0..64u64)
+            .map(FuzzCase::sample)
+            .find(|c| c.wide)
+            .expect("a wide case among 64 seeds");
+        let file = case.to_case_file();
+        let narrow = parse_case_file(&file.replace("wide = true\n", "")).unwrap();
+        assert!(!narrow.wide);
+        assert_eq!(narrow.arch, arch_for(case.seed, case.forced, false));
+        assert_eq!(narrow.trials, case.trials, "other knobs are kept");
+        assert_eq!(parse_case_file(&file).unwrap(), case);
+    }
+
+    #[test]
     fn bad_case_files_are_rejected_with_context() {
         assert!(parse_case_file("").unwrap_err().contains("no `seed`"));
         assert!(parse_case_file("seed = xyz")
@@ -381,6 +427,7 @@ mod tests {
         let mut seen_prefix_off = false;
         let mut seen_plan = false;
         let mut seen_unplanned = false;
+        let mut seen_wide = [false; 2];
         let mut seen_budgets = [false; 3];
         for seed in 0..64u64 {
             let c = FuzzCase::sample(seed);
@@ -391,6 +438,10 @@ mod tests {
             seen_prefix_off |= c.prefix_budget_kib == 0;
             seen_plan |= c.plan;
             seen_unplanned |= !c.plan;
+            seen_wide[usize::from(c.wide)] = true;
+            if c.wide {
+                assert_eq!(c.arch, arch_for(seed, c.forced, false).widened(WIDE_FACTOR));
+            }
             let leaves = c.arch.leaf_count();
             seen_budgets[match c.max_steps {
                 None => 0,
@@ -403,6 +454,7 @@ mod tests {
         }
         assert!(seen_int8 && seen_weight && seen_sharded && seen_fused && seen_prefix_off);
         assert!(seen_plan && seen_unplanned, "plan knob exercises both arms");
+        assert_eq!(seen_wide, [true; 2], "wide knob exercises both arms");
         assert_eq!(
             seen_budgets, [true; 3],
             "none, unreached and inside budgets"

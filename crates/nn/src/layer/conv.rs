@@ -365,46 +365,67 @@ mod tests {
         use crate::quantized::{Backend, CalibrationTable};
         use std::sync::Arc;
         let spec = ConvSpec::new().padding(1).stride(2);
-        let dims = [4usize, 6, 3, 3];
-        let fresh = |w: &[i8]| PackedConvI16::pack(w, dims, spec.groups);
+        // 4 and 8 output channels (two k-pairs per panel vector), and 32
+        // (two 16-channel blocks).
+        for oc in [4usize, 8, 32] {
+            let dims = [oc, 6, 3, 3];
+            let fresh = |w: &[i8]| PackedConvI16::pack(w, dims, spec.groups);
 
-        // Panel bytes: a write then its undo, at first/middle/last words.
-        let mut conv = Conv2d::new(6, 4, 3, spec, &mut SeededRng::new(7));
-        conv.ensure_wide();
-        let words = conv.qweight().unwrap().data().to_vec();
-        for index in [0usize, 29, words.len() - 1] {
+            // Panel bytes: a write then its undo, at first/middle/last words.
+            let mut conv = Conv2d::new(6, oc, 3, spec, &mut SeededRng::new(7));
+            conv.ensure_wide();
+            let words = conv.qweight().unwrap().data().to_vec();
+            for index in [0usize, 29, words.len() / 2 + 1, words.len() - 1] {
+                let flipped = (words[index] as u8 ^ 0x40) as i8;
+                assert!(conv.set_qweight_word(index, flipped));
+                let mut faulted = words.clone();
+                faulted[index] = flipped;
+                assert_eq!(
+                    conv.wide.as_ref(),
+                    Some(&fresh(&faulted)),
+                    "oc {oc}: fault @{index}"
+                );
+                assert!(conv.set_qweight_word(index, words[index]));
+                assert_eq!(
+                    conv.wide.as_ref(),
+                    Some(&fresh(&words)),
+                    "oc {oc}: undo @{index}"
+                );
+            }
+
+            // Forwards: a fault written into a live panel computes what a
+            // layer whose panel was first packed from the faulted words
+            // computes.
+            let x = Tensor::from_fn(&[2, 6, 7, 7], |i| (i as f32 * 0.37).sin());
+            let planned_int8 = || {
+                let conv = Conv2d::new(6, oc, 3, spec, &mut SeededRng::new(7));
+                let mut net = Network::new(Box::new(conv));
+                let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
+                net.set_backend(Backend::Int8(Arc::new(table)));
+                net.set_plan(true);
+                net
+            };
+            let index = words.len() - 29;
             let flipped = (words[index] as u8 ^ 0x40) as i8;
-            assert!(conv.set_qweight_word(index, flipped));
-            let mut faulted = words.clone();
-            faulted[index] = flipped;
-            assert_eq!(conv.wide.as_ref(), Some(&fresh(&faulted)), "fault @{index}");
-            assert!(conv.set_qweight_word(index, words[index]));
-            assert_eq!(conv.wide.as_ref(), Some(&fresh(&words)), "undo @{index}");
+            let mut live = planned_int8();
+            let id = live.injectable_layers()[0];
+            let blessed = live.forward(&x);
+            assert!(live.set_layer_qweight_word(id, index, flipped));
+            let faulty = live.forward(&x);
+            assert_ne!(
+                faulty, blessed,
+                "oc {oc}: the write reaches the planned kernel"
+            );
+            let mut packed_faulty = planned_int8();
+            assert!(packed_faulty.set_layer_qweight_word(id, index, flipped));
+            assert_eq!(packed_faulty.forward(&x), faulty, "oc {oc}");
+            assert!(live.set_layer_qweight_word(id, index, words[index]));
+            assert_eq!(
+                live.forward(&x),
+                blessed,
+                "oc {oc}: undo restores the blessed pass"
+            );
         }
-
-        // Forwards: a fault written into a live panel computes what a layer
-        // whose panel was first packed from the faulted words computes.
-        let x = Tensor::from_fn(&[2, 6, 7, 7], |i| (i as f32 * 0.37).sin());
-        let planned_int8 = || {
-            let conv = Conv2d::new(6, 4, 3, spec, &mut SeededRng::new(7));
-            let mut net = Network::new(Box::new(conv));
-            let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
-            net.set_backend(Backend::Int8(Arc::new(table)));
-            net.set_plan(true);
-            net
-        };
-        let (index, flipped) = (29, (words[29] as u8 ^ 0x40) as i8);
-        let mut live = planned_int8();
-        let id = live.injectable_layers()[0];
-        let blessed = live.forward(&x);
-        assert!(live.set_layer_qweight_word(id, index, flipped));
-        let faulty = live.forward(&x);
-        assert_ne!(faulty, blessed, "the write reaches the planned kernel");
-        let mut packed_faulty = planned_int8();
-        assert!(packed_faulty.set_layer_qweight_word(id, index, flipped));
-        assert_eq!(packed_faulty.forward(&x), faulty);
-        assert!(live.set_layer_qweight_word(id, index, words[index]));
-        assert_eq!(live.forward(&x), blessed, "undo restores the blessed pass");
     }
 
     #[test]

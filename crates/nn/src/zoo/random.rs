@@ -185,6 +185,45 @@ impl OpSpec {
         }
     }
 
+    /// Widens this op for an input of `in_ch` (already widened) channels:
+    /// conv outputs are multiplied by `factor`, and conv inputs and
+    /// batch-norm widths follow what flows in. Returns the channel count
+    /// handed downstream.
+    fn widen(&mut self, in_ch: usize, factor: usize) -> usize {
+        match self {
+            OpSpec::Conv {
+                in_ch: conv_in,
+                out_ch,
+                ..
+            } => {
+                *conv_in = in_ch;
+                *out_ch *= factor;
+                *out_ch
+            }
+            OpSpec::BatchNorm { channels } => {
+                *channels = in_ch;
+                in_ch
+            }
+            OpSpec::Residual { body, shortcut } => {
+                if let Some(s) = shortcut {
+                    widen_ops(s, in_ch, factor);
+                }
+                widen_ops(body, in_ch, factor)
+            }
+            OpSpec::Branches {
+                branches,
+                passthrough,
+            } => {
+                let mut c = if *passthrough { in_ch } else { 0 };
+                for b in branches {
+                    c += widen_ops(b, in_ch, factor);
+                }
+                c
+            }
+            _ => in_ch,
+        }
+    }
+
     /// Number of leaf layers (modules without children) this op expands to.
     fn leaf_count(&self) -> usize {
         match self {
@@ -205,6 +244,13 @@ impl OpSpec {
 
 fn build_ops(ops: &[OpSpec], rng: &mut SeededRng) -> Vec<Box<dyn Module>> {
     ops.iter().map(|op| op.build(rng)).collect()
+}
+
+fn widen_ops(ops: &mut [OpSpec], mut ch: usize, factor: usize) -> usize {
+    for op in ops {
+        ch = op.widen(ch, factor);
+    }
+    ch
 }
 
 fn out_channels(ops: &[OpSpec], mut ch: usize) -> usize {
@@ -304,6 +350,16 @@ impl ArchSpec {
                 spec.rejected += 1;
             }
         }
+        spec
+    }
+
+    /// This architecture with every conv, batch-norm and branch width
+    /// multiplied by `factor`; the network input keeps its channels. Grouped
+    /// convs stay legal (every width was even), and the topology, leaf count
+    /// and weight seed are unchanged.
+    pub fn widened(&self, factor: usize) -> Self {
+        let mut spec = self.clone();
+        widen_ops(&mut spec.trunk, spec.in_channels, factor);
         spec
     }
 
@@ -669,6 +725,21 @@ mod tests {
             assert!(spec.has_residual(), "{spec}");
             assert!(spec.has_branches(), "{spec}");
             spec.build();
+        }
+    }
+
+    #[test]
+    fn widened_samples_build_with_every_width_scaled() {
+        for seed in 0..40u64 {
+            let spec = ArchSpec::sample(&mut SeededRng::new(seed));
+            let wide = spec.widened(4);
+            assert_eq!(wide.leaf_count(), spec.leaf_count());
+            assert_eq!(wide.head_channels(), 4 * spec.head_channels());
+            let mut net = wide
+                .build_checked()
+                .unwrap_or_else(|e| panic!("{wide}: {e}"));
+            let x = Tensor::zeros(&[1, wide.in_channels, wide.image_hw, wide.image_hw]);
+            assert_eq!(net.forward(&x).dims(), &[1, wide.num_classes]);
         }
     }
 

@@ -640,7 +640,9 @@ fn conv_f32_portable(
 #[cfg(target_arch = "x86_64")]
 const ZMM_PIXELS: usize = 16;
 
-/// AVX-512 body: per 16-channel block, tiles of [`ZMM_PIXELS`] pixels.
+/// AVX-512 body: per 16-channel block, tiles of [`ZMM_PIXELS`] pixels. A
+/// block of at most 8 channels runs the AVX2 body's 8-lane register tiles
+/// instead, which skip the 8 pad lanes a 16-lane tile would compute.
 ///
 /// # Safety
 ///
@@ -662,7 +664,16 @@ unsafe fn conv_f32_avx512(
         let tile = (r0, (rows - r0).min(CONV_LANES));
         for p0 in (0..ohw).step_by(ZMM_PIXELS) {
             let pw = (ohw - p0).min(ZMM_PIXELS);
-            let sums = zmm_tile(plane, w, tile_bases(geo, p0, pw), geo);
+            let base = tile_bases(geo, p0, pw);
+            let sums = if tile.1 <= CONV_LANES / 2 {
+                let mut sums = [[0.0f32; CONV_LANES]; ZMM_PIXELS];
+                for j in (0..pw).step_by(8) {
+                    ymm_tile::<1, 8>(plane, w, &base, j, geo, &mut sums);
+                }
+                sums
+            } else {
+                zmm_tile(plane, w, base, geo)
+            };
             store_tile(&sums, pw, tile, (p0, ohw), ep, out);
         }
     }

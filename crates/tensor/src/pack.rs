@@ -7,10 +7,11 @@
 //! **once** into the exact layout its implicit-GEMM kernel walks — blocks of
 //! 16 output channels, one vector of 16 weights per reduction step
 //! ([`PackedConvF32`] for f32 weights, [`PackedConvI16`] for pre-widened
-//! INT8 weights) — so the per-trial kernel streams one contiguous buffer
-//! instead of gathering strided rows. [`PackedA`] and [`matmul_packed_a`]
-//! pack a plain GEMM's left operand the same way; no forward path uses
-//! them, only the kernel benchmarks.
+//! INT8 weights, which packs a group of at most 8 output channels two
+//! reduction pairs to a vector instead) — so the per-trial kernel streams
+//! one contiguous buffer instead of gathering strided rows. [`PackedA`] and
+//! [`matmul_packed_a`] pack a plain GEMM's left operand the same way; no
+//! forward path uses them, only the kernel benchmarks.
 //!
 //! **Bit-identity.** The f32 kernels perform, for every output element, the
 //! identical sequence of multiplies and adds as the unpacked
@@ -341,21 +342,33 @@ impl PackedConvF32 {
 
 /// INT8 convolution weights `[oc, cg, kh, kw]` pre-widened to `i16` and laid
 /// out for the implicit-GEMM convolution kernel, which computes each block
-/// of 16 output channels as an outer product with a tile of output pixels.
+/// of output channels as an outer product with a tile of output pixels.
 ///
-/// The words are `[group][⌈og/16⌉ blocks][ky][seg/2 k-pairs][16 lanes][2]`.
-/// Within kernel row `ky`, lane `l` of the segment is the `(kx, c)` word
-/// `w[o][c][ky][kx]` at `l = kx * cg + c` — the order in which a
-/// channels-last input plane stores the `kw` pixels one kernel row covers —
-/// and [`seg`](Self::seg) is `kw * cg` rounded up to an even count. Segment
-/// lanes go in pairs: k-pair `q` of a block holds, for each of its 16
-/// channels, lanes `2q` and `2q + 1` side by side, so one 32-word vector
-/// meets one broadcast input pair in a single multiply-add. The odd pad
-/// lane of an odd `kw * cg` must stay zero, because the kernel multiplies
-/// it against a real plane word. No block straddles two groups; rows past a
-/// group's last channel (pad rows) stay zero too, and the kernel never
-/// stores their sums. Every write goes through a source index, never a pad
-/// slot.
+/// Within kernel row `ky`, segment lane `l` is the `(kx, c)` word
+/// `w[o][c][ky][kx]` at `l = kx * cg + c`: the order in which a
+/// channels-last input plane stores the `kw` pixels one kernel row covers.
+/// Segment lanes go in pairs (k-pairs), and every weight vector is 32 words,
+/// 16 `i32` lanes of one word pair each, meeting broadcast input words in a
+/// single multiply-add. Two layouts share this type, chosen by the output
+/// channels per group `og`:
+///
+/// - **16-channel blocks** (`og > 8`): the words are `[group][⌈og/16⌉
+///   blocks][ky][seg/2 k-pairs][16 channels][2]`. Vector `q` holds k-pair
+///   `q` of the block's 16 channels, lane `m` for channel `m`, and meets one
+///   broadcast input pair. [`seg`](Self::seg) is `kw * cg` rounded up to an
+///   even count.
+/// - **Two k-pairs per vector** (`og <= 8`): the words are
+///   `[group][ky][seg/4][8 channels][2 k-pairs][2]`. Lane `2m` of vector `q`
+///   holds channel `m`'s k-pair `2q` and lane `2m + 1` its k-pair `2q + 1`,
+///   so one broadcast of four input words feeds all 16 lanes, and the kernel
+///   sums each channel's two lanes before its epilogue. `seg` is `kw * cg`
+///   rounded up to a multiple of 4.
+///
+/// The pad lanes past `kw * cg` must stay zero, because the kernel
+/// multiplies them against real plane words. No block straddles two
+/// groups; rows past a group's last channel (pad rows) stay zero too, and
+/// the kernel never stores their sums. Every write goes through a source
+/// index, never a pad slot.
 ///
 /// Integer accumulation is exact, so this `(ky, kx, c)` order gives the same
 /// sums as the `(c, ky, kx)` order of the unplanned im2row GEMM. Packing is
@@ -365,6 +378,7 @@ pub struct PackedConvI16 {
     dims: [usize; 4],
     groups: usize,
     seg: usize,
+    pairs: usize,
     buf: Vec<i16>,
 }
 
@@ -382,13 +396,16 @@ impl PackedConvI16 {
             groups > 0 && oc.is_multiple_of(groups),
             "{oc} output channels do not split into {groups} groups"
         );
-        let seg = (kw * cg).next_multiple_of(2);
-        let blocks = groups * (oc / groups).div_ceil(CONV_LANES);
+        let og = oc / groups;
+        let pairs = if og <= CONV_LANES / 2 { 2 } else { 1 };
+        let seg = (kw * cg).next_multiple_of(2 * pairs);
+        let blocks = groups * og.div_ceil(CONV_LANES);
         let mut p = Self {
             dims,
             groups,
             seg,
-            buf: vec![0; blocks * kh * seg * CONV_LANES],
+            pairs,
+            buf: vec![0; blocks * kh * seg * CONV_LANES / pairs],
         };
         p.repack(src);
         p
@@ -437,20 +454,22 @@ impl PackedConvI16 {
     }
 
     /// Slot of output channel `o`'s word at kernel row 0, segment lane 0:
-    /// its block's start plus its lane pair within the block.
+    /// its block's start plus the offset of its lanes within a vector.
     #[inline]
     fn row_base(&self, o: usize) -> usize {
         let [oc, _, kh, _] = self.dims;
         let og = oc / self.groups;
         let block = o / og * og.div_ceil(CONV_LANES) + o % og / CONV_LANES;
-        block * kh * self.seg * CONV_LANES + o % og % CONV_LANES * 2
+        block * kh * self.seg * CONV_LANES / self.pairs + o % og % CONV_LANES * 2 * self.pairs
     }
 
     /// Offset of kernel row `ky`, segment lane `lane` from a
-    /// [`row_base`](Self::row_base).
+    /// [`row_base`](Self::row_base): one channel's `2 * pairs` words of a
+    /// vector are consecutive, and vectors are 32 words apart.
     #[inline]
     fn lane_offset(&self, ky: usize, lane: usize) -> usize {
-        (ky * self.seg + lane / 2 * 2) * CONV_LANES + lane % 2
+        let run = 2 * self.pairs;
+        (ky * self.seg + lane) / run * 2 * CONV_LANES + lane % run
     }
 
     /// The packed weight dimensions `[oc, cg, kh, kw]`.
@@ -463,17 +482,27 @@ impl PackedConvI16 {
         self.groups
     }
 
-    /// Lanes per kernel-row segment: `kw * cg` rounded up to an even count.
+    /// Lanes per kernel-row segment: `kw * cg` rounded up to an even count,
+    /// or to a multiple of 4 when each vector carries two k-pairs.
     pub fn seg(&self) -> usize {
         self.seg
     }
 
-    /// Words per group: `⌈og/16⌉` blocks of `kh * seg * 16`.
+    /// K-pairs each weight vector carries per output channel: 2 for groups
+    /// of at most 8 output channels, else 1.
+    pub fn pairs(&self) -> usize {
+        self.pairs
+    }
+
+    /// Words per group: `⌈og/16⌉` blocks of `kh * seg * 16`, or one block
+    /// of `kh * seg * 8` when each vector carries two k-pairs.
     pub fn group_len(&self) -> usize {
         self.buf.len() / self.groups
     }
 
-    /// The packed words, `[group][block][ky][seg/2][16][2]`.
+    /// The packed words: `[group][block][ky][seg/2][16][2]` for groups of
+    /// more than 8 output channels, `[group][ky][seg/4][8][2][2]` for
+    /// narrower ones.
     pub fn data(&self) -> &[i16] {
         &self.buf
     }
@@ -785,7 +814,8 @@ mod tests {
     fn conv_panel_layout_is_ky_kx_c_with_zero_padded_segments() {
         // kw*cg = 9 real lanes per 10-lane segment (one odd pad lane); 20
         // channels as one group (a full block, then 4 rows and 12 pad rows)
-        // and as two groups of 10 (one block each, 6 pad rows).
+        // and as two groups of 10 (one block each, 6 pad rows): groups of
+        // more than 8 channels carry one k-pair per vector.
         let (oc, cg, kh, kw) = (20usize, 3usize, 2usize, 3usize);
         let src: Vec<i8> = (0..oc * cg * kh * kw)
             .map(|i| (i % 127) as i8 + 1)
@@ -827,9 +857,58 @@ mod tests {
     }
 
     #[test]
+    fn narrow_conv_panel_carries_two_k_pairs_per_vector() {
+        // Groups of at most 8 channels: 6 channels as one group and as two
+        // groups of 3 (kw*cg = 9 real lanes per 12-lane segment, three pad
+        // words), and depthwise (kw*cg = 3 per 4-lane segment).
+        let (oc, kh, kw) = (6usize, 2usize, 3usize);
+        for (groups, cg) in [(1usize, 3usize), (2, 3), (6, 1)] {
+            let src: Vec<i8> = (0..oc * cg * kh * kw)
+                .map(|i| (i % 127) as i8 + 1)
+                .collect();
+            let p = PackedConvI16::pack(&src, [oc, cg, kh, kw], groups);
+            let seg = (kw * cg).next_multiple_of(4);
+            let block_len = kh * seg / 4 * 32;
+            assert_eq!(
+                (p.seg(), p.pairs(), p.group_len(), p.data().len()),
+                (seg, 2, block_len, groups * block_len)
+            );
+            let og = oc / groups;
+            let mut want = vec![0i16; p.data().len()];
+            for o in 0..oc {
+                let (g, m) = (o / og, o % og);
+                for c in 0..cg {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            // Lane 2m holds k-pair 2q (words 4m, 4m+1), lane
+                            // 2m+1 k-pair 2q+1 (words 4m+2, 4m+3).
+                            let l = ky * seg + kx * cg + c;
+                            let slot = g * block_len + l / 4 * 32 + m * 4 + l % 4;
+                            want[slot] = src[((o * cg + c) * kh + ky) * kw + kx] as i16;
+                        }
+                    }
+                }
+            }
+            // Every other slot — pad rows and pad words — is zero.
+            assert_eq!(p.data(), &want[..], "groups {groups}");
+            assert_eq!(
+                want.iter().filter(|&&v| v != 0).count(),
+                src.len(),
+                "every source word lands in its own slot"
+            );
+        }
+    }
+
+    #[test]
     fn conv_panel_word_writes_match_a_fresh_pack() {
-        // A one-block panel, and two groups of 18 rows (two blocks each).
-        for (dims, groups) in [([4usize, 5, 3, 3], 1usize), ([36, 3, 3, 3], 2)] {
+        // Groups of 3 and 8 channels (two k-pairs per vector), of 17 (a
+        // full block and a 1-row block) and of 32 (two full blocks).
+        for (dims, groups) in [
+            ([3usize, 5, 3, 3], 1usize),
+            ([16, 3, 3, 3], 2),
+            ([17, 4, 3, 3], 1),
+            ([64, 3, 3, 3], 2),
+        ] {
             let len = dims.iter().product::<usize>();
             let src: Vec<i8> = (0..len).map(|i| (i * 37 % 255) as u8 as i8).collect();
             let blessed = PackedConvI16::pack(&src, dims, groups);

@@ -27,12 +27,13 @@
 //! `block_rows` pattern with a hand-vectorized AVX2 body: `i8` operands are
 //! widened to `i16` lanes and accumulated with `pmaddwd` into `i32`. The
 //! planned convolution's implicit GEMM computes blocks of 16 output
-//! channels as outer products with tiles of output pixels read from a
-//! channels-last input plane, dequantizes each tile as it stores it, and
-//! picks its body at run time: AVX-512 VNNI (`vpdpwssd`), AVX2 (`pmaddwd` +
-//! `paddd`) or portable ([`int8_conv_simd`] names the one in use). Integer
-//! arithmetic is exact, so every SIMD body is bit-identical to its portable
-//! twin regardless of accumulation order.
+//! channels (or, in groups of at most 8, 8 channels with two reduction
+//! pairs per vector) as outer products with tiles of output pixels read
+//! from a channels-last input plane, dequantizes each tile as it stores it,
+//! and picks its body at run time: AVX-512 VNNI (`vpdpwssd`), AVX2
+//! (`pmaddwd` + `paddd`) or portable ([`int8_conv_simd`] names the one in
+//! use). Integer arithmetic is exact, so every SIMD body is bit-identical
+//! to its portable twin regardless of accumulation order.
 //!
 //! The SIMD bodies are plain indexed loops over arrays of vectors, with no
 //! closure around an intrinsic: a closure the compiler does not inline is
@@ -74,11 +75,53 @@ pub fn scale_for_max_abs(max_abs: f32) -> f32 {
 
 /// Largest finite absolute value in `values`, ignoring non-finite elements
 /// (possible under upstream fault injection); 0 for an all-non-finite slice.
+///
+/// Under AVX2 four vectors of running maxima take 32 elements at a time. A
+/// maximum over finite values is exact in any order, so every path returns
+/// the scalar fold's bits.
 pub fn slice_max_abs_finite(values: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: reached only after runtime detection confirms AVX2.
+        return unsafe { max_abs_finite_avx2(values) };
+    }
+    max_abs_finite_scalar(values)
+}
+
+fn max_abs_finite_scalar(values: &[f32]) -> f32 {
     values
         .iter()
         .filter(|v| v.is_finite())
         .fold(0.0f32, |m, &x| m.max(x.abs()))
+}
+
+/// [`slice_max_abs_finite`]'s AVX2 body: `|x|` masked to 0 where it is not
+/// below +∞ (±∞ and NaN), folded into four independent running maxima.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn max_abs_finite_avx2(values: &[f32]) -> f32 {
+    const ACC: usize = 4;
+    let n = values.len() - values.len() % (8 * ACC);
+    let (sign, inf) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(f32::INFINITY));
+    let mut m = [_mm256_setzero_ps(); ACC];
+    for i in (0..n).step_by(8 * ACC) {
+        for (k, m) in m.iter_mut().enumerate() {
+            // SAFETY: `i + 8 * k + 8 <= n <= values.len()`.
+            let a = _mm256_andnot_ps(sign, _mm256_loadu_ps(values.as_ptr().add(i + 8 * k)));
+            let finite = _mm256_and_ps(a, _mm256_cmp_ps::<_CMP_LT_OQ>(a, inf));
+            *m = _mm256_max_ps(*m, finite);
+        }
+    }
+    let v = _mm256_max_ps(_mm256_max_ps(m[0], m[1]), _mm256_max_ps(m[2], m[3]));
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+    lanes
+        .into_iter()
+        .fold(max_abs_finite_scalar(&values[n..]), f32::max)
 }
 
 /// The one float→INT8 conversion in the workspace. `f32::round` ties round
@@ -681,9 +724,14 @@ pub(crate) struct PlaneConv {
     pub stride: usize,
     /// Kernel rows.
     pub kh: usize,
+    /// Kernel columns.
+    pub kw: usize,
     /// Lanes per kernel-row segment ([`PackedConvI16::seg`]): `kw * cg`
-    /// rounded up to an even count.
+    /// rounded up to a multiple of `2 * pairs`.
     pub seg: usize,
+    /// K-pairs each weight vector carries per output channel
+    /// ([`PackedConvI16::pairs`]): 1, or 2 for a group of at most 8.
+    pub pairs: usize,
     /// Output rows.
     pub oh: usize,
     /// Output columns.
@@ -705,9 +753,10 @@ impl PlaneConv {
         self.base(self.oh * self.ow - 1) + (self.kh - 1) * self.wp * self.cg + self.seg
     }
 
-    /// Panel words of one block of [`CONV_LANES`] output channels.
+    /// Panel words of one block: 16 output channels, or 8 with two k-pairs
+    /// per vector; either way `kh * seg / (2 * pairs)` vectors of 32 words.
     fn block_len(&self) -> usize {
-        self.kh * self.seg * CONV_LANES
+        self.kh * self.seg * CONV_LANES / self.pairs
     }
 }
 
@@ -774,10 +823,11 @@ impl QEpilogue<'_> {
         }
     }
 
-    /// The constants of rows `r0..r0 + rows` in lanes `0..rows`; the lanes
-    /// past them are zero, and a body never stores their results.
+    /// The constants of rows `r0..r0 + rows`, row `r0 + r` in lane
+    /// `r * stride`; every other lane is zero, and a body never stores its
+    /// results.
     #[cfg(target_arch = "x86_64")]
-    fn lanes(&self, r0: usize, rows: usize) -> EpiConsts<[f32; CONV_LANES]> {
+    fn lanes(&self, r0: usize, rows: usize, stride: usize) -> EpiConsts<[f32; CONV_LANES]> {
         let z = [0.0; CONV_LANES];
         let mut l = EpiConsts {
             scale: z,
@@ -789,13 +839,13 @@ impl QEpilogue<'_> {
             act: self.act,
         };
         for r in 0..rows {
-            let k = self.row(r0 + r);
-            l.scale[r] = k.scale;
-            l.bias[r] = k.bias;
-            l.mean[r] = k.mean;
-            l.inv_std[r] = k.inv_std;
-            l.gamma[r] = k.gamma;
-            l.beta[r] = k.beta;
+            let (k, at) = (self.row(r0 + r), r * stride);
+            l.scale[at] = k.scale;
+            l.bias[at] = k.bias;
+            l.mean[at] = k.mean;
+            l.inv_std[at] = k.inv_std;
+            l.gamma[at] = k.gamma;
+            l.beta[at] = k.beta;
         }
         l
     }
@@ -936,18 +986,24 @@ impl EpiConsts<__m256> {
 }
 
 /// The bodies of [`conv_i16_implicit`]. All three walk the same
-/// [`PackedConvI16`] layout, compute the same exact integer sums and apply
+/// [`PackedConvI16`] layouts, compute the same exact integer sums and apply
 /// the same epilogue formula. The planned f32 conv
 /// ([`conv2d_planned`](crate::conv2d_planned)) picks its body through the
 /// same dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvBody {
-    /// `vpdpwssd` into one 16-lane `zmm` accumulator per pixel (the f32
-    /// conv: `vmulps` + `vaddps`, which need only AVX-512F).
+    /// `vpdpwssd` into one 16-lane `zmm` accumulator per block and pixel:
+    /// in groups of more than 16 channels, tiles of 2 or 3 blocks × 8
+    /// pixels share each broadcast input pair; in groups of at most 8, each
+    /// channel's lane pair carries two k-pairs. (The f32 conv: `vmulps` +
+    /// `vaddps`, which need only AVX-512F, on 16-pixel tiles, and the AVX2
+    /// body's 8-lane tiles for a block of at most 8 channels.)
     Avx512Vnni,
-    /// `vpmaddwd` + `vpaddd` into two 8-lane `ymm` halves per pixel, or the
-    /// low half alone for a block of at most 8 channels (the f32 conv:
-    /// `vmulps` + `vaddps` the same way).
+    /// `vpmaddwd` + `vpaddd` into two 8-lane `ymm` halves per pixel: 8
+    /// channels each, or 4 channels × two k-pairs in groups of at most 8,
+    /// or the low half alone for a partial block of at most 8 channels.
+    /// (The f32 conv: `vmulps` + `vaddps`, two halves, or the low half
+    /// alone for a block of at most 8 channels.)
     Avx2,
     /// Plain loops: the reference the SIMD bodies are tested against.
     Portable,
@@ -1001,11 +1057,12 @@ pub fn int8_conv_simd() -> &'static str {
 /// im2row matrix, no gather map — and written as f32 through the
 /// [`QEpilogue`] as each tile is stored.
 ///
-/// Each block of 16 channels is an outer product with a tile of pixels: per
-/// kernel row and k-pair, one vector of the 16 channels' weight pairs meets
-/// each pixel's broadcast input pair in one multiply-add, so every
-/// accumulator lane is one channel's running sum and no horizontal
-/// reduction is left.
+/// Each block of channels is an outer product with a tile of pixels: per
+/// kernel row, one vector of weight pairs meets each pixel's broadcast
+/// input words in one multiply-add. With one k-pair per vector every
+/// accumulator lane is one channel's running sum; with two (`geo.pairs ==
+/// 2`, at most 8 rows) each channel's two lanes are added before the
+/// epilogue.
 ///
 /// Each sum is an exact integer dot product over the same `cg·kh·kw` real
 /// products as the im2row GEMM of [`conv2d_q`](crate::conv2d_q), plus pad
@@ -1015,8 +1072,10 @@ pub fn int8_conv_simd() -> &'static str {
 /// # Panics
 ///
 /// Panics if `plane`, `panel` or `out` is shorter than the geometry needs,
-/// if the reduction could overflow the `i32` accumulator, if `epi` lacks a
-/// row's constants, or if the CPU does not support `body`.
+/// if the segment does not hold whole vectors or a kernel row's `kw * cg`
+/// lanes, if a two-k-pair panel has more than 8 rows, if the reduction
+/// could overflow the `i32` accumulator, if `epi` lacks a row's constants,
+/// or if the CPU does not support `body`.
 pub(crate) fn conv_i16_implicit(
     body: ConvBody,
     plane: &[i16],
@@ -1027,7 +1086,12 @@ pub(crate) fn conv_i16_implicit(
     out: &mut [f32],
 ) {
     crate::opcount::count_matmul_i8();
-    assert!(geo.seg.is_multiple_of(2) && geo.seg > 0, "bad segment");
+    assert!(
+        (geo.pairs == 1 || (geo.pairs == 2 && rows <= CONV_LANES / 2))
+            && geo.seg.is_multiple_of(2 * geo.pairs)
+            && (1..=geo.seg).contains(&(geo.kw * geo.cg)),
+        "bad segment"
+    );
     assert!(geo.oh * geo.ow > 0, "empty output");
     assert!(plane.len() >= geo.plane_reach(), "plane too short");
     assert!(
@@ -1054,17 +1118,19 @@ pub(crate) fn conv_i16_implicit(
 }
 
 /// Lanes of one channel's kernel row that [`conv_implicit_portable`]
-/// de-interleaves at a time; even, so no k-pair is split.
+/// de-interleaves at a time; a multiple of 4, so no vector is split.
 const PORTABLE_LANES: usize = 256;
 
 /// Pixels whose sums [`conv_implicit_portable`] holds at a time.
 const PORTABLE_PIXELS: usize = 256;
 
 /// Portable body: per output channel and run of [`PORTABLE_PIXELS`]
-/// pixels, and per kernel row, copies the channel's weight pairs out of its
-/// block into a contiguous run (in chunks of [`PORTABLE_LANES`]), then
-/// takes one contiguous dot product per pixel, which the compiler
-/// vectorizes; the run's sums go through the epilogue as they are stored.
+/// pixels, and per kernel row, copies the channel's `2 * pairs` words of
+/// each vector out of its block into a contiguous run (in chunks of
+/// [`PORTABLE_LANES`]), then takes one contiguous dot product per pixel
+/// over the run's `kw * cg` real lanes (the pad lanes' weights are zero),
+/// which the compiler vectorizes; the run's sums go through the epilogue
+/// as they are stored.
 fn conv_implicit_portable(
     plane: &[i16],
     panel: &[i16],
@@ -1073,22 +1139,43 @@ fn conv_implicit_portable(
     epi: &QEpilogue<'_>,
     out: &mut [f32],
 ) {
-    let (ohw, ky_step) = (geo.oh * geo.ow, geo.wp * geo.cg);
+    // A constant run length keeps each copy a few moves, not a call.
+    match geo.pairs {
+        1 => portable_runs::<2>(plane, panel, rows, geo, epi, out),
+        _ => portable_runs::<4>(plane, panel, rows, geo, epi, out),
+    }
+}
+
+/// [`conv_implicit_portable`] over a panel with `RUN = 2 * pairs` words of
+/// each channel per vector.
+fn portable_runs<const RUN: usize>(
+    plane: &[i16],
+    panel: &[i16],
+    rows: usize,
+    geo: &PlaneConv,
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
+) {
+    let (ohw, ky_step, real) = (geo.oh * geo.ow, geo.wp * geo.cg, geo.kw * geo.cg);
+    let (run, vector) = (RUN, 2 * CONV_LANES);
     let mut w = [0i16; PORTABLE_LANES];
     let mut sums = [0i32; PORTABLE_PIXELS];
     for (r, out) in out[..rows * ohw].chunks_exact_mut(ohw).enumerate() {
         let k = epi.row(r);
-        let (block, lane) = (r / CONV_LANES, 2 * (r % CONV_LANES));
+        let (block, at) = (r / CONV_LANES, run * (r % CONV_LANES));
         let block = &panel[block * geo.block_len()..][..geo.block_len()];
         for (t, out) in out.chunks_mut(PORTABLE_PIXELS).enumerate() {
             let (p0, sums) = (t * PORTABLE_PIXELS, &mut sums[..out.len()]);
             sums.fill(0);
-            for (ky, wk) in block.chunks_exact(geo.seg * CONV_LANES).enumerate() {
-                for (c, wc) in wk.chunks(PORTABLE_LANES * CONV_LANES).enumerate() {
-                    let w = &mut w[..wc.len() / CONV_LANES];
-                    for (d, s) in w.chunks_exact_mut(2).zip(wc.chunks_exact(2 * CONV_LANES)) {
-                        d.copy_from_slice(&s[lane..][..2]);
+            for (ky, wk) in block.chunks_exact(geo.seg / run * vector).enumerate() {
+                for (c, wc) in wk.chunks(PORTABLE_LANES / run * vector).enumerate() {
+                    let w = &mut w[..wc.len() / vector * run];
+                    for (d, s) in w.chunks_exact_mut(run).zip(wc.chunks_exact(vector)) {
+                        d.copy_from_slice(&s[at..][..run]);
                     }
+                    // Chunks start at multiples of 4 lanes below `seg`, so
+                    // below `real` too.
+                    let w = &w[..w.len().min(real - c * PORTABLE_LANES)];
                     let xo = ky * ky_step + c * PORTABLE_LANES;
                     for (p, a) in sums.iter_mut().enumerate() {
                         let x = &plane[geo.base(p0 + p) + xo..][..w.len()];
@@ -1104,12 +1191,27 @@ fn conv_implicit_portable(
     }
 }
 
-/// Pixels per AVX-512 tile: one `zmm` accumulator each.
+/// Pixels per single-block AVX-512 tile: one `zmm` accumulator each.
 #[cfg(target_arch = "x86_64")]
 const VNNI_PIXELS: usize = 16;
 
-/// AVX-512 VNNI body: per 16-channel block, tiles of [`VNNI_PIXELS`]
-/// pixels, then 1-pixel tiles for the rest.
+/// Pixels per multi-block AVX-512 tile.
+#[cfg(target_arch = "x86_64")]
+const RUN_PIXELS: usize = 8;
+
+/// Most blocks per multi-block AVX-512 tile: their 8 accumulators each,
+/// one weight vector each and the shared broadcast fit the 32 `zmm`
+/// registers.
+#[cfg(target_arch = "x86_64")]
+const RUN_BLOCKS: usize = 3;
+
+/// AVX-512 VNNI body. A group of more than 16 channels splits its blocks
+/// into runs of 2 or 3 (as even as [`RUN_BLOCKS`] allows) and computes each
+/// run on tiles of [`RUN_PIXELS`] pixels that share each input broadcast
+/// among the run's blocks. A single block (9–16 channels) keeps tiles of
+/// [`VNNI_PIXELS`] pixels, with nothing to share; so does a two-k-pair
+/// block. 1-pixel tiles of one block take the pixels past the last whole
+/// tile.
 ///
 /// # Safety
 ///
@@ -1125,23 +1227,27 @@ unsafe fn conv_implicit_vnni(
     epi: &QEpilogue<'_>,
     out: &mut [f32],
 ) {
-    let ohw = geo.oh * geo.ow;
-    for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
-        let w = panel.as_ptr().add(block * geo.block_len());
-        let tile = Tile {
-            r0,
-            rows: (rows - r0).min(CONV_LANES),
-        };
-        let k = epi.lanes(r0, tile.rows).zmm();
-        let mut p = 0;
-        while p + VNNI_PIXELS <= ohw {
-            vnni_tile::<VNNI_PIXELS>(plane, w, tile, p, geo, &k, out);
-            p += VNNI_PIXELS;
+    if geo.pairs == 2 {
+        let k = epi.lanes(0, rows, 2).zmm();
+        vnni_block::<2>(plane, panel.as_ptr(), Tile { r0: 0, rows }, geo, &k, out);
+        return;
+    }
+    let blocks = rows.div_ceil(CONV_LANES);
+    let runs = blocks.div_ceil(RUN_BLOCKS);
+    let mut b0 = 0;
+    for run in 0..runs {
+        let n = blocks / runs + usize::from(run < blocks % runs);
+        match n {
+            1 => {
+                let tile = Tile::block(b0, rows);
+                let k = epi.lanes(tile.r0, tile.rows, 1).zmm();
+                let w = panel.as_ptr().add(b0 * geo.block_len());
+                vnni_block::<1>(plane, w, tile, geo, &k, out);
+            }
+            2 => vnni_run::<2>(plane, panel, b0, rows, geo, epi, out),
+            _ => vnni_run::<3>(plane, panel, b0, rows, geo, epi, out),
         }
-        while p < ohw {
-            vnni_tile::<1>(plane, w, tile, p, geo, &k, out);
-            p += 1;
-        }
+        b0 += n;
     }
 }
 
@@ -1154,10 +1260,23 @@ struct Tile {
     rows: usize,
 }
 
-/// Stores a tile's `[pixel][channel]` outputs transposed into `out[r][p]`.
+#[cfg(target_arch = "x86_64")]
+impl Tile {
+    /// Block `b` of a group of `rows` channels.
+    fn block(b: usize, rows: usize) -> Self {
+        let r0 = b * CONV_LANES;
+        Self {
+            r0,
+            rows: (rows - r0).min(CONV_LANES),
+        }
+    }
+}
+
+/// Stores a tile's `[pixel][lane]` outputs transposed into `out[r][p]`,
+/// row `r` from lane `r * N`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn store_transposed<const P: usize>(
+fn store_transposed<const P: usize, const N: usize>(
     vals: &[[f32; CONV_LANES]; P],
     tile: Tile,
     p0: usize,
@@ -1167,14 +1286,46 @@ fn store_transposed<const P: usize>(
     for r in 0..tile.rows {
         let dst = &mut out[(tile.r0 + r) * ohw + p0..][..P];
         for (d, s) in dst.iter_mut().zip(vals) {
-            *d = s[r];
+            *d = s[r * N];
         }
     }
 }
 
-/// One block × `P`-pixel tile of the AVX-512 VNNI body. A full tile runs
-/// the epilogue on its 16 accumulators in registers, then transposes them
-/// so each channel's 16 pixels are one store.
+/// One block's pixels on the AVX-512 VNNI body: tiles of [`VNNI_PIXELS`],
+/// then 1-pixel tiles, with `N` k-pairs per weight vector.
+///
+/// # Safety
+///
+/// As [`vnni_tile`], for every pixel of the output.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vnni_block<const N: usize>(
+    plane: &[i16],
+    w: *const i16,
+    tile: Tile,
+    geo: &PlaneConv,
+    k: &EpiConsts<__m512>,
+    out: &mut [f32],
+) {
+    let ohw = geo.oh * geo.ow;
+    let mut p = 0;
+    while p + VNNI_PIXELS <= ohw {
+        vnni_tile::<VNNI_PIXELS, N>(plane, w, tile, p, geo, k, out);
+        p += VNNI_PIXELS;
+    }
+    while p < ohw {
+        vnni_tile::<1, N>(plane, w, tile, p, geo, k, out);
+        p += 1;
+    }
+}
+
+/// One block × `P`-pixel tile of the AVX-512 VNNI body, with `N` k-pairs
+/// per weight vector: a broadcast of `2 * N` input words meets each vector
+/// in one `vpdpwssd`, and with `N == 2` each channel's odd lane is added
+/// into its even lane, where the epilogue constants of row `r` sit (lane
+/// `r * N`). A full tile runs the epilogue on its 16 accumulators in
+/// registers, then transposes them so each channel's 16 pixels are one
+/// store.
 ///
 /// # Safety
 ///
@@ -1185,7 +1336,7 @@ fn store_transposed<const P: usize>(
 #[inline(always)]
 // Index loops name the register tile's pixel cells.
 #[allow(clippy::needless_range_loop)]
-unsafe fn vnni_tile<const P: usize>(
+unsafe fn vnni_tile<const P: usize, const N: usize>(
     plane: &[i16],
     w: *const i16,
     tile: Tile,
@@ -1207,10 +1358,20 @@ unsafe fn vnni_tile<const P: usize>(
             let wv = _mm512_loadu_si512(wk as *const __m512i);
             wk = wk.add(2 * CONV_LANES);
             for j in 0..P {
-                let pair = (x[j].add(xo + l) as *const i32).read_unaligned();
-                a[j] = _mm512_dpwssd_epi32(a[j], wv, _mm512_set1_epi32(pair));
+                let at = x[j].add(xo + l);
+                let xv = if N == 1 {
+                    _mm512_set1_epi32((at as *const i32).read_unaligned())
+                } else {
+                    _mm512_set1_epi64((at as *const i64).read_unaligned())
+                };
+                a[j] = _mm512_dpwssd_epi32(a[j], wv, xv);
             }
-            l += 2;
+            l += 2 * N;
+        }
+    }
+    if N == 2 {
+        for j in 0..P {
+            a[j] = _mm512_add_epi32(a[j], _mm512_srli_epi64::<32>(a[j]));
         }
     }
     // The affine loop indexes the accumulators with constants once
@@ -1230,7 +1391,7 @@ unsafe fn vnni_tile<const P: usize>(
         let t = transpose_16x16(&f);
         for r in 0..tile.rows {
             let dst = &mut out[(tile.r0 + r) * ohw + p0..][..VNNI_PIXELS];
-            _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_castsi512_ps(t[r]));
+            _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_castsi512_ps(t[r * N]));
         }
         return;
     }
@@ -1238,7 +1399,191 @@ unsafe fn vnni_tile<const P: usize>(
     for j in 0..P {
         _mm512_storeu_ps(vals[j].as_mut_ptr(), v[j]);
     }
-    store_transposed(&vals, tile, p0, ohw, out);
+    store_transposed::<P, N>(&vals, tile, p0, ohw, out);
+}
+
+/// One run of `B` blocks from block `b0` on the AVX-512 VNNI body: tiles of
+/// `B` blocks × [`RUN_PIXELS`] pixels, then 1-pixel tiles of each block.
+///
+/// # Safety
+///
+/// As [`conv_implicit_vnni`], with blocks `b0..b0 + B` inside the group.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the run's blocks.
+#[allow(clippy::needless_range_loop)]
+unsafe fn vnni_run<const B: usize>(
+    plane: &[i16],
+    panel: &[i16],
+    b0: usize,
+    rows: usize,
+    geo: &PlaneConv,
+    epi: &QEpilogue<'_>,
+    out: &mut [f32],
+) {
+    let ohw = geo.oh * geo.ow;
+    let w = panel.as_ptr().add(b0 * geo.block_len());
+    let mut tiles = [Tile { r0: 0, rows: 0 }; B];
+    let mut consts = [epi.lanes(0, 0, 1); B];
+    for b in 0..B {
+        tiles[b] = Tile::block(b0 + b, rows);
+        consts[b] = epi.lanes(tiles[b].r0, tiles[b].rows, 1);
+    }
+    let mut p = 0;
+    while p + RUN_PIXELS <= ohw {
+        vnni_run_tile::<B>(plane, w, &tiles, p, geo, &consts, out);
+        p += RUN_PIXELS;
+    }
+    if p < ohw {
+        for b in 0..B {
+            let k = consts[b].zmm();
+            let wb = w.add(b * geo.block_len());
+            for q in p..ohw {
+                vnni_tile::<1, 1>(plane, wb, tiles[b], q, geo, &k, out);
+            }
+        }
+    }
+}
+
+/// One tile of `B` blocks × [`RUN_PIXELS`] pixels: per kernel row and
+/// k-pair, `B` weight vectors are loaded, and each pixel's input pair is
+/// broadcast once into a register that feeds all `B` multiply-adds. The
+/// epilogue constants are loaded after the loop, block by block; each
+/// block's 8 pixels are stored as one 8-pixel run per channel row.
+///
+/// # Safety
+///
+/// As [`conv_implicit_vnni`], with `w` the run's first panel word, `B`
+/// blocks in the group from there, and `p0 + RUN_PIXELS` at most `oh * ow`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's (block, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn vnni_run_tile<const B: usize>(
+    plane: &[i16],
+    w: *const i16,
+    tiles: &[Tile; B],
+    p0: usize,
+    geo: &PlaneConv,
+    consts: &[EpiConsts<[f32; CONV_LANES]>; B],
+    out: &mut [f32],
+) {
+    const P: usize = RUN_PIXELS;
+    let mut x = [plane.as_ptr(); P];
+    for j in 0..P {
+        x[j] = plane.as_ptr().add(geo.base(p0 + j));
+    }
+    let bl = geo.block_len();
+    let mut a = [[_mm512_setzero_si512(); P]; B];
+    let mut wk = w;
+    for ky in 0..geo.kh {
+        let xo = ky * geo.wp * geo.cg;
+        let mut l = 0;
+        while l < geo.seg {
+            let mut wv = [_mm512_setzero_si512(); B];
+            for b in 0..B {
+                wv[b] = _mm512_loadu_si512(wk.add(b * bl) as *const __m512i);
+            }
+            wk = wk.add(2 * CONV_LANES);
+            for j in 0..P {
+                let xv = _mm512_set1_epi32((x[j].add(xo + l) as *const i32).read_unaligned());
+                for b in 0..B {
+                    a[b][j] = _mm512_dpwssd_epi32(a[b][j], wv[b], xv);
+                }
+            }
+            l += 2;
+        }
+    }
+    // Constant block indices: a loop over the blocks, which the compiler
+    // does not unroll, would index the accumulators at run time and so
+    // keep them in memory, stored on every multiply-add.
+    const { assert!(B == 2 || B == 3) };
+    let ohw = geo.oh * geo.ow;
+    run_store(&a[0], &consts[0], tiles[0], p0, ohw, out);
+    run_store(&a[1], &consts[1], tiles[1], p0, ohw, out);
+    if let (Some(a), Some(k), Some(&tile)) = (a.get(2), consts.get(2), tiles.get(2)) {
+        run_store(a, k, tile, p0, ohw, out);
+    }
+}
+
+/// The epilogue of one block's [`RUN_PIXELS`] accumulators, with its
+/// constants loaded here, then the store of each channel row's 8 pixels.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and pixels `p0..p0 + RUN_PIXELS` of the
+/// tile's rows must lie in `out`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's pixel cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn run_store(
+    a: &[__m512i; RUN_PIXELS],
+    k: &EpiConsts<[f32; CONV_LANES]>,
+    tile: Tile,
+    p0: usize,
+    ohw: usize,
+    out: &mut [f32],
+) {
+    let k = k.zmm();
+    let mut v = [_mm512_setzero_ps(); RUN_PIXELS];
+    for j in 0..RUN_PIXELS {
+        v[j] = k.affine(a[j]);
+    }
+    k.activate(&mut v);
+    store_8_pixels(&v, tile, p0, ohw, out);
+}
+
+/// Stores 8 pixels' 16 channel lanes (`v[j]` lane `r`: pixel `j`, channel
+/// `r`) as one 8-pixel run per row of `tile`. Two rounds of unpacks, as in
+/// [`transpose_16x16`], put channel `4L + q`'s pixels 0–3 in 128-bit lane
+/// `L` of one vector and pixels 4–7 in lane `L` of another; one two-source
+/// permute then joins channels `q` and `4 + q` (or `8 + q` and `12 + q`)
+/// into the two halves of a vector.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn store_8_pixels(
+    v: &[__m512; RUN_PIXELS],
+    tile: Tile,
+    p0: usize,
+    ohw: usize,
+    out: &mut [f32],
+) {
+    let mut b = [_mm512_setzero_si512(); 8];
+    for m in 0..4 {
+        let (x, y) = (
+            _mm512_castps_si512(v[2 * m]),
+            _mm512_castps_si512(v[2 * m + 1]),
+        );
+        b[2 * m] = _mm512_unpacklo_epi32(x, y);
+        b[2 * m + 1] = _mm512_unpackhi_epi32(x, y);
+    }
+    // c[4n+q], 128-bit lane L: channel 4L+q of pixels 4n..4n+4.
+    let mut c = [_mm512_setzero_si512(); 8];
+    for n in 0..2 {
+        for h in 0..2 {
+            let (x, y) = (b[4 * n + h], b[4 * n + h + 2]);
+            c[4 * n + 2 * h] = _mm512_unpacklo_epi64(x, y);
+            c[4 * n + 2 * h + 1] = _mm512_unpackhi_epi64(x, y);
+        }
+    }
+    // 64-bit lanes of (c[q], c[4+q]): 128-bit lanes 0 and 1, then 2 and 3,
+    // each taken from both.
+    let lanes01 = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    let lanes23 = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    let mut rows = [_mm256_setzero_si256(); CONV_LANES];
+    for q in 0..4 {
+        let d01 = _mm512_permutex2var_epi64(c[q], lanes01, c[4 + q]);
+        let d23 = _mm512_permutex2var_epi64(c[q], lanes23, c[4 + q]);
+        rows[q] = _mm512_castsi512_si256(d01);
+        rows[4 + q] = _mm512_extracti64x4_epi64::<1>(d01);
+        rows[8 + q] = _mm512_castsi512_si256(d23);
+        rows[12 + q] = _mm512_extracti64x4_epi64::<1>(d23);
+    }
+    for r in 0..tile.rows {
+        let dst = &mut out[(tile.r0 + r) * ohw + p0..][..RUN_PIXELS];
+        _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, rows[r]);
+    }
 }
 
 /// Transposes 16 vectors of 16 `i32` lanes: lane `j` of output `r` is lane
@@ -1294,14 +1639,15 @@ unsafe fn odd_lanes(x: __m512i, y: __m512i) -> __m512i {
     _mm512_shuffle_i32x4::<0b11_01_11_01>(x, y)
 }
 
-/// Pixels per AVX2 tile of a two-half block (16 accumulators would not fit
-/// the 16 `ymm` registers) and of a low-half block.
+/// Pixels per AVX2 tile over both halves of a vector (16 accumulators
+/// would not fit the 16 `ymm` registers) and over the low half alone.
 #[cfg(target_arch = "x86_64")]
 const AVX2_PIXELS: (usize, usize) = (4, 8);
 
 /// AVX2 body: per block, tiles of two 8-channel `ymm` halves, or of the low
 /// half alone when the block holds at most 8 channels (its high half is all
-/// pad rows), then 1-pixel tiles for the rest.
+/// pad rows), then 1-pixel tiles for the rest. A two-k-pair block runs
+/// [`avx2_pairs_tile`] instead.
 ///
 /// # Safety
 ///
@@ -1318,13 +1664,20 @@ unsafe fn conv_implicit_avx2(
     out: &mut [f32],
 ) {
     let ohw = geo.oh * geo.ow;
+    if geo.pairs == 2 {
+        let (w, tile) = (panel.as_ptr(), Tile { r0: 0, rows });
+        let k = epi.lanes(0, rows, 1).ymm(0);
+        if rows > CONV_LANES / 4 {
+            avx2_pairs_block::<2, { AVX2_PIXELS.0 }>(plane, w, tile, geo, &k, out);
+        } else {
+            avx2_pairs_block::<1, { AVX2_PIXELS.1 }>(plane, w, tile, geo, &k, out);
+        }
+        return;
+    }
     for (block, r0) in (0..rows).step_by(CONV_LANES).enumerate() {
         let w = panel.as_ptr().add(block * geo.block_len());
-        let tile = Tile {
-            r0,
-            rows: (rows - r0).min(CONV_LANES),
-        };
-        let lanes = epi.lanes(r0, tile.rows);
+        let tile = Tile::block(block, rows);
+        let lanes = epi.lanes(r0, tile.rows, 1);
         let k = [lanes.ymm(0), lanes.ymm(1)];
         let mut p = 0;
         if tile.rows > CONV_LANES / 2 {
@@ -1405,18 +1758,160 @@ unsafe fn avx2_tile<const H: usize, const P: usize>(
         }
         k[h].activate(&mut v[h]);
     }
+    avx2_store(&v, tile, p0, geo.oh * geo.ow, out);
+}
+
+/// Stores an AVX2 tile's outputs (`v[h][j]` lane `l`: pixel `j`, channel
+/// `8h + l`) transposed into `out[r][p]`, for the tile's rows. A 4-pixel
+/// tile is transposed in registers, each channel row one 4-pixel store;
+/// other widths go through a stack array.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and pixels `p0..p0 + P` of the tile's rows
+/// must lie in `out`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the tile's (half, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn avx2_store<const H: usize, const P: usize>(
+    v: &[[__m256; P]; H],
+    tile: Tile,
+    p0: usize,
+    ohw: usize,
+    out: &mut [f32],
+) {
+    if P == 4 {
+        for h in 0..H {
+            let v = v[h].first_chunk::<4>().expect("a 4-pixel tile");
+            // u[q]: channel q's 4 pixels in the low 128 bits, channel
+            // 4 + q's in the high ones.
+            let (t0, t1) = (
+                _mm256_unpacklo_ps(v[0], v[1]),
+                _mm256_unpackhi_ps(v[0], v[1]),
+            );
+            let (t2, t3) = (
+                _mm256_unpacklo_ps(v[2], v[3]),
+                _mm256_unpackhi_ps(v[2], v[3]),
+            );
+            let u = [
+                _mm256_shuffle_ps::<0b01_00_01_00>(t0, t2),
+                _mm256_shuffle_ps::<0b11_10_11_10>(t0, t2),
+                _mm256_shuffle_ps::<0b01_00_01_00>(t1, t3),
+                _mm256_shuffle_ps::<0b11_10_11_10>(t1, t3),
+            ];
+            let mut rows = [_mm_setzero_ps(); 8];
+            for q in 0..4 {
+                rows[q] = _mm256_castps256_ps128(u[q]);
+                rows[4 + q] = _mm256_extractf128_ps::<1>(u[q]);
+            }
+            for r in 8 * h..tile.rows.min(8 * h + 8) {
+                let dst = &mut out[(tile.r0 + r) * ohw + p0..][..4];
+                _mm_storeu_ps(dst.as_mut_ptr(), rows[r - 8 * h]);
+            }
+        }
+        return;
+    }
     let mut vals = [[0.0f32; CONV_LANES]; P];
     for j in 0..P {
         for h in 0..H {
             _mm256_storeu_ps(vals[j].as_mut_ptr().add(h * 8), v[h][j]);
         }
     }
-    store_transposed(&vals, tile, p0, geo.oh * geo.ow, out);
+    store_transposed::<P, 1>(&vals, tile, p0, ohw, out);
+}
+
+/// A two-k-pair block's pixels on the AVX2 body: tiles of `P` over its
+/// first `H` halves, then 1-pixel tiles.
+///
+/// # Safety
+///
+/// As [`avx2_pairs_tile`], for every pixel of the output.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn avx2_pairs_block<const H: usize, const P: usize>(
+    plane: &[i16],
+    w: *const i16,
+    tile: Tile,
+    geo: &PlaneConv,
+    k: &EpiConsts<__m256>,
+    out: &mut [f32],
+) {
+    let ohw = geo.oh * geo.ow;
+    let mut p = 0;
+    while p + P <= ohw {
+        avx2_pairs_tile::<H, P>(plane, w, tile, p, geo, k, out);
+        p += P;
+    }
+    while p < ohw {
+        avx2_pairs_tile::<H, 1>(plane, w, tile, p, geo, k, out);
+        p += 1;
+    }
+}
+
+/// One `P`-pixel tile of the AVX2 body over a two-k-pair block's first `H`
+/// halves: each vector's two `ymm` halves hold channels 0–3 and 4–7, two
+/// lanes each, and one 64-bit broadcast of four input words meets them.
+/// One horizontal add then sums each channel's two lanes, and a 64-bit
+/// permute puts the sums in channel order for the epilogue.
+///
+/// # Safety
+///
+/// As [`conv_implicit_avx2`], with `w` the block's first panel word, `p0 +
+/// P` at most `oh * ow`, and `H == 1` only when the block holds at most 4
+/// channels.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// Index loops name the register tile's (half, pixel) cells.
+#[allow(clippy::needless_range_loop)]
+unsafe fn avx2_pairs_tile<const H: usize, const P: usize>(
+    plane: &[i16],
+    w: *const i16,
+    tile: Tile,
+    p0: usize,
+    geo: &PlaneConv,
+    k: &EpiConsts<__m256>,
+    out: &mut [f32],
+) {
+    let mut x = [plane.as_ptr(); P];
+    for j in 0..P {
+        x[j] = plane.as_ptr().add(geo.base(p0 + j));
+    }
+    let mut a = [[_mm256_setzero_si256(); P]; H];
+    let mut wk = w;
+    for ky in 0..geo.kh {
+        let xo = ky * geo.wp * geo.cg;
+        let mut l = 0;
+        while l < geo.seg {
+            let mut wv = [_mm256_setzero_si256(); H];
+            for h in 0..H {
+                wv[h] = _mm256_loadu_si256(wk.add(h * CONV_LANES) as *const __m256i);
+            }
+            wk = wk.add(2 * CONV_LANES);
+            for j in 0..P {
+                let xv = _mm256_set1_epi64x((x[j].add(xo + l) as *const i64).read_unaligned());
+                for h in 0..H {
+                    a[h][j] = _mm256_add_epi32(a[h][j], _mm256_madd_epi16(wv[h], xv));
+                }
+            }
+            l += 4;
+        }
+    }
+    let mut v = [_mm256_setzero_ps(); P];
+    for j in 0..P {
+        // Sums of channels (0, 1, 4, 5 | 2, 3, 6, 7), then in order; with
+        // one half, channels 0–3 land in lanes 0–3.
+        let s = _mm256_hadd_epi32(a[0][j], a[H - 1][j]);
+        v[j] = k.affine(_mm256_permute4x64_epi64::<0b11_01_10_00>(s));
+    }
+    k.activate(&mut v);
+    avx2_store(&[v], tile, p0, geo.oh * geo.ow, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::PackedConvI16;
     use crate::rng::SeededRng;
 
     fn probe_i8(len: usize, seed: u64) -> Vec<i8> {
@@ -1634,46 +2129,69 @@ mod tests {
         }
     }
 
+    /// The geometry of `panel`'s one group over a plane `wp` pixels wide.
+    fn plane_conv(
+        panel: &PackedConvI16,
+        wp: usize,
+        stride: usize,
+        oh: usize,
+        ow: usize,
+    ) -> PlaneConv {
+        let [_, cg, kh, kw] = panel.dims();
+        PlaneConv {
+            wp,
+            cg,
+            stride,
+            kh,
+            kw,
+            seg: panel.seg(),
+            pairs: panel.pairs(),
+            oh,
+            ow,
+        }
+    }
+
     #[test]
     fn implicit_conv_bodies_match_direct_sums() {
-        use crate::pack::PackedConvI16;
         let bodies = supported_bodies();
-        // (rows, cg, kh, kw, stride, oh, ow): one, 8 (a low-half AVX2
-        // block), 9, 16, 17 and 33 rows (second and third blocks of 1 row);
-        // pixel counts off every tile width; odd `kw * cg` (a pad lane);
-        // stride 2; multi-vector segments; a segment longer than the
-        // portable body's chunk.
+        // (rows, cg, kh, kw, stride, oh, ow): one row; 3, 5 and 8 rows (two
+        // k-pairs per vector) with `kw * cg` of 9, 5, 2 and 24 (3, 3, 2 and 0
+        // pad words); 9 and 16 rows (one block); 17, 24, 32, 33, 40 and 48
+        // rows (runs of two and three blocks, whole or with a partial last
+        // block); 64 and 80 rows (two runs); pixel counts off every tile
+        // width; odd `kw * cg` (a pad lane); stride 2, and a 1×1 stride-2
+        // conv; multi-vector segments; a segment longer than the portable
+        // body's chunk.
         for &(rows, cg, kh, kw, stride, oh, ow) in &[
             (1usize, 1usize, 1usize, 1usize, 1usize, 1usize, 1usize),
             (8, 3, 3, 3, 1, 4, 5),
+            (5, 5, 3, 1, 2, 3, 6),
+            (3, 1, 2, 2, 1, 5, 4),
             (9, 5, 1, 1, 2, 3, 7),
             (16, 8, 3, 3, 1, 4, 4),
             (17, 7, 5, 5, 2, 2, 3),
+            (24, 5, 3, 3, 1, 4, 5),
+            (32, 32, 3, 3, 1, 4, 4),
+            (32, 16, 1, 1, 2, 3, 5),
             (33, 32, 3, 3, 1, 3, 6),
+            (40, 9, 2, 2, 2, 3, 3),
+            (48, 6, 3, 3, 1, 2, 9),
+            (64, 4, 3, 3, 1, 3, 3),
+            (80, 3, 1, 3, 1, 2, 5),
             (16, 16, 3, 3, 2, 5, 5),
             (8, 8, 3, 3, 1, 3, 11),
             (3, 87, 2, 3, 1, 2, 3),
         ] {
-            let seg = (kw * cg).next_multiple_of(2);
-            let wp = (ow - 1) * stride + kw;
-            let geo = PlaneConv {
-                wp,
-                cg,
-                stride,
-                kh,
-                seg,
-                oh,
-                ow,
-            };
             // Inputs span ±127 and the weights reach -128 (a faulted word).
-            let reach = geo.plane_reach();
-            let buf = probe_plane(reach, 41 + rows as u64);
-            let plane = &buf[..reach];
             let mut words = probe_i8(rows * cg * kh * kw, 43 + cg as u64);
             for w in words.iter_mut().step_by(3) {
                 *w = i8::MIN;
             }
             let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
+            let geo = plane_conv(&panel, (ow - 1) * stride + kw, stride, oh, ow);
+            let reach = geo.plane_reach();
+            let buf = probe_plane(reach, 41 + rows as u64);
+            let plane = &buf[..reach];
             let ohw = oh * ow;
             let want = direct_sums(plane, &words, rows, &geo, kw);
             let bias = vec![0.0; rows];
@@ -1690,31 +2208,25 @@ mod tests {
             }
         }
 
-        // Every word at its extreme: the largest sums any body meets.
-        let geo = PlaneConv {
-            wp: 6,
-            cg: 32,
-            stride: 1,
-            kh: 3,
-            seg: 96,
-            oh: 4,
-            ow: 4,
-        };
-        let plane = vec![127i16; geo.plane_reach()];
-        let panel = PackedConvI16::pack(&vec![i8::MIN; 17 * 32 * 9], [17, 32, 3, 3], 1);
-        let bias = vec![0.0; 17];
-        for &body in &bodies {
-            let mut got = vec![0.0f32; 17 * 16];
-            let epi = raw_epilogue(&bias);
-            conv_i16_implicit(body, &plane, panel.data(), 17, &geo, &epi, &mut got);
-            let extreme = (288 * 127 * -128) as f32;
-            assert!(got.iter().all(|&s| s == extreme), "{body:?}");
+        // Every word at its extreme: the largest sums any body meets, in
+        // a two-k-pair block, one block, and runs of two and three blocks.
+        for rows in [8usize, 16, 17, 32, 48] {
+            let panel = PackedConvI16::pack(&vec![i8::MIN; rows * 32 * 9], [rows, 32, 3, 3], 1);
+            let geo = plane_conv(&panel, 6, 1, 4, 4);
+            let plane = vec![127i16; geo.plane_reach()];
+            let bias = vec![0.0; rows];
+            for &body in &bodies {
+                let mut got = vec![0.0f32; rows * 16];
+                let epi = raw_epilogue(&bias);
+                conv_i16_implicit(body, &plane, panel.data(), rows, &geo, &epi, &mut got);
+                let extreme = (288 * 127 * -128) as f32;
+                assert!(got.iter().all(|&s| s == extreme), "{body:?} rows {rows}");
+            }
         }
     }
 
     #[test]
     fn tile_epilogue_matches_scalar_formula() {
-        use crate::pack::PackedConvI16;
         let bodies = supported_bodies();
         let mut rng = SeededRng::new(77);
         let mut draw = |n: usize, lo: f32, span: f32| -> Vec<f32> {
@@ -1722,31 +2234,25 @@ mod tests {
                 .map(|_| lo + span * rng.below(1000) as f32 / 1000.0)
                 .collect()
         };
-        // (rows, oh, ow, row0, per-channel weight scales): 8 and 24 rows
-        // (partial blocks: one low-half block, then a full and a partial
-        // one), pixel counts off every tile width, a group offset, and a
-        // per-tensor weight scale.
+        // (rows, oh, ow, row0, per-channel weight scales): 3 and 8 rows (two
+        // k-pairs per vector), 24 and 40 rows (runs of two and three blocks,
+        // the last partial), pixel counts off every tile width, a group
+        // offset, and a per-tensor weight scale.
         for &(rows, oh, ow, row0, per_channel) in &[
             (8usize, 3usize, 7usize, 0usize, true),
+            (3, 5, 4, 2, true),
             (24, 4, 5, 3, true),
             (24, 5, 5, 0, false),
+            (40, 3, 9, 8, true),
             (16, 4, 4, 16, true),
         ] {
             let (cg, kh, kw, stride) = (5usize, 3usize, 3usize, 1usize);
-            let geo = PlaneConv {
-                wp: (ow - 1) * stride + kw,
-                cg,
-                stride,
-                kh,
-                seg: (kw * cg).next_multiple_of(2),
-                oh,
-                ow,
-            };
+            let words = probe_i8(rows * cg * kh * kw, 51 + oh as u64);
+            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
+            let geo = plane_conv(&panel, (ow - 1) * stride + kw, stride, oh, ow);
             let reach = geo.plane_reach();
             let buf = probe_plane(reach, 50 + rows as u64);
             let plane = &buf[..reach];
-            let words = probe_i8(rows * cg * kh * kw, 51 + oh as u64);
-            let panel = PackedConvI16::pack(&words, [rows, cg, kh, kw], 1);
             let ohw = oh * ow;
             let sums = direct_sums(plane, &words, rows, &geo, kw);
 
@@ -1856,7 +2362,9 @@ mod tests {
                 cg,
                 stride,
                 kh: k,
-                seg: (k * cg).next_multiple_of(2),
+                kw: k,
+                seg: (k * cg).next_multiple_of(4),
+                pairs: 2,
                 oh,
                 ow,
             };
@@ -1921,6 +2429,40 @@ mod tests {
         let b = vec![0i8; k];
         let mut out = [0i32; 1];
         matmul_i8_nt(&a, &b, &mut out, 1, k, 1);
+    }
+
+    #[test]
+    fn max_abs_scan_matches_the_scalar_fold() {
+        let mut rng = SeededRng::new(61);
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            -f32::MIN_POSITIVE,
+        ];
+        // Lengths off every vector width (8 lanes, 32 per step).
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 257] {
+            for case in 0..6 {
+                let src: Vec<f32> = (0..len)
+                    .map(|_| match case {
+                        // All non-finite.
+                        0 => specials[rng.below(4)],
+                        // Subnormals and signed zeros alone.
+                        1 => specials[4 + rng.below(3)],
+                        _ if rng.below(3) == 0 => specials[rng.below(specials.len())],
+                        _ => (rng.below(20_000) as f32 - 10_000.0) * 0.013,
+                    })
+                    .collect();
+                let got = slice_max_abs_finite(&src);
+                let want = max_abs_finite_scalar(&src);
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len} case {case}");
+            }
+        }
     }
 
     #[test]

@@ -402,3 +402,60 @@ fn every_zoo_model_survives_wrapping_and_random_injection() {
         assert_eq!(fi.injections_applied(), 1, "{name}");
     }
 }
+
+/// A planned INT8 weight-fault campaign through ResNet-110, with the prefix
+/// cache and fusion on, records exactly what the reference configuration
+/// (no plan, no prefix cache, no fusion, no pool) records. Its convs have
+/// 8, 16 and 32 output channels, so the planned INT8 conv runs all three
+/// tile kinds (two k-pairs per vector, one 16-channel block, two-block
+/// runs) and every trial writes and undoes one panel slot.
+#[test]
+fn planned_int8_resnet110_campaign_matches_the_reference() {
+    use rustfi::models::{BitFlipInt8, BitSelect};
+    use rustfi::{ModelProfile, PrefixCacheConfig, QuantMode};
+    use rustfi_tensor::{SeededRng, Tensor};
+    let zc = ZooConfig::cifar10_like();
+    let model = || zoo::resnet110(&ZooConfig::cifar10_like());
+    let dims = [4, zc.in_channels, zc.image_hw, zc.image_hw];
+    let images = Tensor::rand_normal(&dims, 0.0, 1.0, &mut SeededRng::new(11));
+    let labels = rustfi_nn::train::predict(&mut model(), &images, dims[0]);
+    let campaign = Campaign::new(
+        &model,
+        &images,
+        &labels,
+        FaultMode::Weight(WeightSelect::Random),
+        Arc::new(BitFlipInt8::new(BitSelect::Random)),
+    );
+    let reference = CampaignConfig {
+        trials: 48,
+        seed: 23,
+        threads: Some(1),
+        quant: QuantMode::Int8,
+        pool_budget_bytes: 0,
+        ..CampaignConfig::default()
+    };
+    let want = campaign.run(&reference).unwrap();
+    let got = campaign
+        .run(&CampaignConfig {
+            prefix_cache: Some(PrefixCacheConfig::default()),
+            fusion: Some(rustfi::FusionConfig::default()),
+            plan: true,
+            pool_budget_bytes: CampaignConfig::default().pool_budget_bytes,
+            ..reference.clone()
+        })
+        .unwrap();
+    assert_eq!(got.records, want.records);
+    assert_eq!(got.counts, want.counts);
+
+    // The faults reach convs of every width.
+    let profile = ModelProfile::discover(&mut model(), [1, dims[1], dims[2], dims[3]]);
+    let widths: std::collections::BTreeSet<usize> = want
+        .records
+        .iter()
+        .map(|r| profile.layers()[r.layer].weight_dims[0])
+        .collect();
+    assert!(
+        [8, 16, 32].iter().all(|w| widths.contains(w)),
+        "faulted widths {widths:?}"
+    );
+}
