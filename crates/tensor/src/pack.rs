@@ -901,12 +901,15 @@ mod tests {
 
     #[test]
     fn conv_panel_word_writes_match_a_fresh_pack() {
-        // Groups of 3 and 8 channels (two k-pairs per vector), of 17 (a
-        // full block and a 1-row block) and of 32 (two full blocks).
+        // Groups of 3, 4 and 8 channels (two k-pairs per vector), of 17 (a
+        // full block and a 1-row block), of 18 in two groups (a partial
+        // block in each) and of 32 (two full blocks).
         for (dims, groups) in [
             ([3usize, 5, 3, 3], 1usize),
+            ([4, 5, 3, 3], 1),
             ([16, 3, 3, 3], 2),
             ([17, 4, 3, 3], 1),
+            ([36, 3, 3, 3], 2),
             ([64, 3, 3, 3], 2),
         ] {
             let len = dims.iter().product::<usize>();

@@ -993,9 +993,9 @@ impl EpiConsts<__m256> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConvBody {
     /// `vpdpwssd` into one 16-lane `zmm` accumulator per block and pixel:
-    /// in groups of more than 16 channels, tiles of 2 or 3 blocks × 8
-    /// pixels share each broadcast input pair; in groups of at most 8, each
-    /// channel's lane pair carries two k-pairs. (The f32 conv: `vmulps` +
+    /// in groups of more than 16 channels, tiles of two blocks × 8 pixels
+    /// share each broadcast input pair (an odd last block runs alone); in
+    /// groups of at most 8, each channel's lane pair carries two k-pairs. (The f32 conv: `vmulps` +
     /// `vaddps`, which need only AVX-512F, on 16-pixel tiles, and the AVX2
     /// body's 8-lane tiles for a block of at most 8 channels.)
     Avx512Vnni,
@@ -1195,23 +1195,17 @@ fn portable_runs<const RUN: usize>(
 #[cfg(target_arch = "x86_64")]
 const VNNI_PIXELS: usize = 16;
 
-/// Pixels per multi-block AVX-512 tile.
+/// Pixels per two-block AVX-512 tile.
 #[cfg(target_arch = "x86_64")]
 const RUN_PIXELS: usize = 8;
 
-/// Most blocks per multi-block AVX-512 tile: their 8 accumulators each,
-/// one weight vector each and the shared broadcast fit the 32 `zmm`
-/// registers.
-#[cfg(target_arch = "x86_64")]
-const RUN_BLOCKS: usize = 3;
-
-/// AVX-512 VNNI body. A group of more than 16 channels splits its blocks
-/// into runs of 2 or 3 (as even as [`RUN_BLOCKS`] allows) and computes each
-/// run on tiles of [`RUN_PIXELS`] pixels that share each input broadcast
-/// among the run's blocks. A single block (9–16 channels) keeps tiles of
-/// [`VNNI_PIXELS`] pixels, with nothing to share; so does a two-k-pair
-/// block. 1-pixel tiles of one block take the pixels past the last whole
-/// tile.
+/// AVX-512 VNNI body. A group of more than 16 channels takes its blocks
+/// two at a time and computes each pair on tiles of [`RUN_PIXELS`] pixels
+/// that share each input broadcast between the two blocks; an odd last
+/// block runs alone. A single block (9–16 channels, or the odd last one)
+/// keeps tiles of [`VNNI_PIXELS`] pixels, with nothing to share; so does a
+/// two-k-pair block. 1-pixel tiles of one block take the pixels past the
+/// last whole tile.
 ///
 /// # Safety
 ///
@@ -1233,21 +1227,15 @@ unsafe fn conv_implicit_vnni(
         return;
     }
     let blocks = rows.div_ceil(CONV_LANES);
-    let runs = blocks.div_ceil(RUN_BLOCKS);
-    let mut b0 = 0;
-    for run in 0..runs {
-        let n = blocks / runs + usize::from(run < blocks % runs);
-        match n {
-            1 => {
-                let tile = Tile::block(b0, rows);
-                let k = epi.lanes(tile.r0, tile.rows, 1).zmm();
-                let w = panel.as_ptr().add(b0 * geo.block_len());
-                vnni_block::<1>(plane, w, tile, geo, &k, out);
-            }
-            2 => vnni_run::<2>(plane, panel, b0, rows, geo, epi, out),
-            _ => vnni_run::<3>(plane, panel, b0, rows, geo, epi, out),
+    for b0 in (0..blocks).step_by(2) {
+        if b0 + 1 < blocks {
+            vnni_run(plane, panel, b0, rows, geo, epi, out);
+        } else {
+            let tile = Tile::block(b0, rows);
+            let k = epi.lanes(tile.r0, tile.rows, 1).zmm();
+            let w = panel.as_ptr().add(b0 * geo.block_len());
+            vnni_block::<1>(plane, w, tile, geo, &k, out);
         }
-        b0 += n;
     }
 }
 
@@ -1402,17 +1390,15 @@ unsafe fn vnni_tile<const P: usize, const N: usize>(
     store_transposed::<P, N>(&vals, tile, p0, ohw, out);
 }
 
-/// One run of `B` blocks from block `b0` on the AVX-512 VNNI body: tiles of
-/// `B` blocks × [`RUN_PIXELS`] pixels, then 1-pixel tiles of each block.
+/// Blocks `b0` and `b0 + 1` on the AVX-512 VNNI body: tiles of two blocks
+/// × [`RUN_PIXELS`] pixels, then 1-pixel tiles of each block.
 ///
 /// # Safety
 ///
-/// As [`conv_implicit_vnni`], with blocks `b0..b0 + B` inside the group.
+/// As [`conv_implicit_vnni`], with both blocks inside the group.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-// Index loops name the run's blocks.
-#[allow(clippy::needless_range_loop)]
-unsafe fn vnni_run<const B: usize>(
+unsafe fn vnni_run(
     plane: &[i16],
     panel: &[i16],
     b0: usize,
@@ -1423,49 +1409,49 @@ unsafe fn vnni_run<const B: usize>(
 ) {
     let ohw = geo.oh * geo.ow;
     let w = panel.as_ptr().add(b0 * geo.block_len());
-    let mut tiles = [Tile { r0: 0, rows: 0 }; B];
-    let mut consts = [epi.lanes(0, 0, 1); B];
-    for b in 0..B {
-        tiles[b] = Tile::block(b0 + b, rows);
-        consts[b] = epi.lanes(tiles[b].r0, tiles[b].rows, 1);
-    }
+    let tiles = [Tile::block(b0, rows), Tile::block(b0 + 1, rows)];
+    let consts = [
+        epi.lanes(tiles[0].r0, tiles[0].rows, 1),
+        epi.lanes(tiles[1].r0, tiles[1].rows, 1),
+    ];
     let mut p = 0;
     while p + RUN_PIXELS <= ohw {
-        vnni_run_tile::<B>(plane, w, &tiles, p, geo, &consts, out);
+        vnni_run_tile(plane, w, &tiles, p, geo, &consts, out);
         p += RUN_PIXELS;
     }
     if p < ohw {
-        for b in 0..B {
-            let k = consts[b].zmm();
+        for (b, (&tile, k)) in tiles.iter().zip(&consts).enumerate() {
+            let k = k.zmm();
             let wb = w.add(b * geo.block_len());
             for q in p..ohw {
-                vnni_tile::<1, 1>(plane, wb, tiles[b], q, geo, &k, out);
+                vnni_tile::<1, 1>(plane, wb, tile, q, geo, &k, out);
             }
         }
     }
 }
 
-/// One tile of `B` blocks × [`RUN_PIXELS`] pixels: per kernel row and
-/// k-pair, `B` weight vectors are loaded, and each pixel's input pair is
-/// broadcast once into a register that feeds all `B` multiply-adds. The
-/// epilogue constants are loaded after the loop, block by block; each
+/// One tile of two blocks × [`RUN_PIXELS`] pixels: per kernel row and
+/// k-pair, both blocks' weight vectors are loaded, and each pixel's input
+/// pair is broadcast once into a register that feeds both multiply-adds.
+/// The epilogue constants are loaded after the loop, block by block; each
 /// block's 8 pixels are stored as one 8-pixel run per channel row.
 ///
 /// # Safety
 ///
-/// As [`conv_implicit_vnni`], with `w` the run's first panel word, `B`
-/// blocks in the group from there, and `p0 + RUN_PIXELS` at most `oh * ow`.
+/// As [`conv_implicit_vnni`], with `w` the first block's first panel word,
+/// two blocks in the group from there, and `p0 + RUN_PIXELS` at most
+/// `oh * ow`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // Index loops name the register tile's (block, pixel) cells.
 #[allow(clippy::needless_range_loop)]
-unsafe fn vnni_run_tile<const B: usize>(
+unsafe fn vnni_run_tile(
     plane: &[i16],
     w: *const i16,
-    tiles: &[Tile; B],
+    tiles: &[Tile; 2],
     p0: usize,
     geo: &PlaneConv,
-    consts: &[EpiConsts<[f32; CONV_LANES]>; B],
+    consts: &[EpiConsts<[f32; CONV_LANES]>; 2],
     out: &mut [f32],
 ) {
     const P: usize = RUN_PIXELS;
@@ -1474,20 +1460,20 @@ unsafe fn vnni_run_tile<const B: usize>(
         x[j] = plane.as_ptr().add(geo.base(p0 + j));
     }
     let bl = geo.block_len();
-    let mut a = [[_mm512_setzero_si512(); P]; B];
+    let mut a = [[_mm512_setzero_si512(); P]; 2];
     let mut wk = w;
     for ky in 0..geo.kh {
         let xo = ky * geo.wp * geo.cg;
         let mut l = 0;
         while l < geo.seg {
-            let mut wv = [_mm512_setzero_si512(); B];
-            for b in 0..B {
-                wv[b] = _mm512_loadu_si512(wk.add(b * bl) as *const __m512i);
-            }
+            let wv = [
+                _mm512_loadu_si512(wk as *const __m512i),
+                _mm512_loadu_si512(wk.add(bl) as *const __m512i),
+            ];
             wk = wk.add(2 * CONV_LANES);
             for j in 0..P {
                 let xv = _mm512_set1_epi32((x[j].add(xo + l) as *const i32).read_unaligned());
-                for b in 0..B {
+                for b in 0..2 {
                     a[b][j] = _mm512_dpwssd_epi32(a[b][j], wv[b], xv);
                 }
             }
@@ -1497,13 +1483,9 @@ unsafe fn vnni_run_tile<const B: usize>(
     // Constant block indices: a loop over the blocks, which the compiler
     // does not unroll, would index the accumulators at run time and so
     // keep them in memory, stored on every multiply-add.
-    const { assert!(B == 2 || B == 3) };
     let ohw = geo.oh * geo.ow;
     run_store(&a[0], &consts[0], tiles[0], p0, ohw, out);
     run_store(&a[1], &consts[1], tiles[1], p0, ohw, out);
-    if let (Some(a), Some(k), Some(&tile)) = (a.get(2), consts.get(2), tiles.get(2)) {
-        run_store(a, k, tile, p0, ohw, out);
-    }
 }
 
 /// The epilogue of one block's [`RUN_PIXELS`] accumulators, with its
@@ -2156,9 +2138,10 @@ mod tests {
         let bodies = supported_bodies();
         // (rows, cg, kh, kw, stride, oh, ow): one row; 3, 5 and 8 rows (two
         // k-pairs per vector) with `kw * cg` of 9, 5, 2 and 24 (3, 3, 2 and 0
-        // pad words); 9 and 16 rows (one block); 17, 24, 32, 33, 40 and 48
-        // rows (runs of two and three blocks, whole or with a partial last
-        // block); 64 and 80 rows (two runs); pixel counts off every tile
+        // pad words); 9 and 16 rows (one block); 17, 24 and 32 rows (a run
+        // of two blocks, whole or with a partial second block); 33, 40 and
+        // 48 rows (a run, then an odd last block alone); 64 and 80 rows (two
+        // runs, then none or one last block); pixel counts off every tile
         // width; odd `kw * cg` (a pad lane); stride 2, and a 1×1 stride-2
         // conv; multi-vector segments; a segment longer than the portable
         // body's chunk.
@@ -2209,7 +2192,8 @@ mod tests {
         }
 
         // Every word at its extreme: the largest sums any body meets, in
-        // a two-k-pair block, one block, and runs of two and three blocks.
+        // a two-k-pair block, one block, a run of two blocks, and a run
+        // followed by a last block alone.
         for rows in [8usize, 16, 17, 32, 48] {
             let panel = PackedConvI16::pack(&vec![i8::MIN; rows * 32 * 9], [rows, 32, 3, 3], 1);
             let geo = plane_conv(&panel, 6, 1, 4, 4);
@@ -2235,9 +2219,10 @@ mod tests {
                 .collect()
         };
         // (rows, oh, ow, row0, per-channel weight scales): 3 and 8 rows (two
-        // k-pairs per vector), 24 and 40 rows (runs of two and three blocks,
-        // the last partial), pixel counts off every tile width, a group
-        // offset, and a per-tensor weight scale.
+        // k-pairs per vector), 24 rows (a run of two blocks, the second
+        // partial), 40 rows (a run, then a partial last block alone), pixel
+        // counts off every tile width, a group offset, and a per-tensor
+        // weight scale.
         for &(rows, oh, ow, row0, per_channel) in &[
             (8usize, 3usize, 7usize, 0usize, true),
             (3, 5, 4, 2, true),

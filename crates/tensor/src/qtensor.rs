@@ -916,8 +916,8 @@ mod tests {
         /// bit for bit on every body this CPU supports. `cg` runs to 33, so
         /// whole and partial blocks of 8 channels both reach the
         /// prologue's vector path; `og` runs to 39, so groups of at most 8
-        /// channels (two k-pairs per vector), single blocks and runs of two
-        /// and three blocks all occur. 8 of the 160 cases the runner draws
+        /// channels (two k-pairs per vector), single blocks, runs of two
+        /// blocks and a run followed by an odd last block all occur. 8 of the 160 cases the runner draws
         /// are 1×1 convs at stride 2 without padding, which quantize only
         /// the pixels they read.
         #[test]
